@@ -7,6 +7,11 @@ exact reverse order of forward execution, accumulating gradients additively
 into the ``grad`` buffers of the participating tensors.  Without an active
 tape, ops run as plain numpy forward passes (the inference path).
 
+Most ops are elementwise or matrix primitives with one closure each.  A fused
+layer op (``lstm``) runs a whole recurrence in numpy and records a single
+closure holding its hand-derived backward, which cuts the per-record Python
+overhead that dominates at these matrix sizes.
+
 A tape is single-threaded by design: one tape per training worker.  The active
 tape is tracked in thread-local storage, so read-only forwards on disjoint
 tensors may run concurrently across threads.
@@ -15,7 +20,7 @@ tensors may run concurrently across threads.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -275,11 +280,14 @@ def relu(x: Tensor) -> Tensor:
     return out
 
 
+def _stable_sigmoid(d: np.ndarray) -> np.ndarray:
+    # Split by sign so no exponent is positive: 1 / (1 + e^-d) for d >= 0 and
+    # e^d / (1 + e^d) below, with the numerator written as e^min(d, 0).
+    return np.exp(np.minimum(d, 0.0)) / (1.0 + np.exp(-np.abs(d)))
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    # Split by sign for stable exponentials.
-    d = x.data
-    y = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-    out = Tensor._wrap(y)
+    out = Tensor._wrap(_stable_sigmoid(x.data))
 
     def backward():
         if out.grad is None:
@@ -340,30 +348,6 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def hstack_columns(parts: Sequence[Tensor]) -> Tensor:
-    """Horizontal stack of rank-2 tensors with equal row counts."""
-    if not parts:
-        raise ShapeError("hstack_columns: need at least one tensor")
-    rows = parts[0].shape[0]
-    for p in parts:
-        _require_rank2(p, "hstack_columns")
-        if p.shape[0] != rows:
-            raise ShapeError(f"hstack_columns: row counts disagree ({rows} vs {p.shape[0]})")
-    out = Tensor._wrap(np.concatenate([p.data for p in parts], axis=1))
-    widths = [p.shape[1] for p in parts]
-
-    def backward():
-        if out.grad is None:
-            return
-        offset = 0
-        for p, w in zip(parts, widths):
-            _accumulate(p, out.grad[:, offset:offset + w])
-            offset += w
-
-    _record(backward, tuple(parts) + (out,))
-    return out
-
-
 def transpose(x: Tensor) -> Tensor:
     _require_rank2(x, "transpose")
     out = Tensor._wrap(np.ascontiguousarray(x.data.T))
@@ -372,24 +356,6 @@ def transpose(x: Tensor) -> Tensor:
         if out.grad is None:
             return
         _accumulate(x, out.grad.T)
-
-    _record(backward, (x, out))
-    return out
-
-
-def column(x: Tensor, index: int) -> Tensor:
-    """Single column of a rank-2 tensor, as a (rows, 1) tensor."""
-    _require_rank2(x, "column")
-    if not 0 <= index < x.shape[1]:
-        raise ShapeError(f"column: index {index} out of range for shape {x.shape}")
-    out = Tensor._wrap(x.data[:, index:index + 1].copy())
-
-    def backward():
-        if out.grad is None:
-            return
-        delta = np.zeros_like(x.data)
-        delta[:, index:index + 1] = out.grad
-        _accumulate(x, delta)
 
     _record(backward, (x, out))
     return out
@@ -522,6 +488,99 @@ def cross_entropy_index(logits: Tensor, index: int) -> Tensor:
         _accumulate(logits, out.grad.reshape(-1)[0] * p.reshape(n, 1))
 
     _record(backward, (logits, out))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Fused layer ops
+# ---------------------------------------------------------------------------
+
+
+def lstm(x: Tensor, w_input: Tensor, w_recurrent: Tensor, bias: Tensor, reverse: bool = False) -> Tensor:
+    """One LSTM direction over the columns of a (d, L) tensor -> (h, L), in input-time order.
+
+    Gate rows of ``w_input`` (4h, d), ``w_recurrent`` (4h, h) and ``bias``
+    (4h, 1) are ordered input/forget/cell/output; both initial states are
+    zero, and ``reverse`` runs the recurrence from the last column to the
+    first.  The input projection and bias of all L steps are one GEMM hoisted
+    out of the time loop, leaving one (4h, h) @ (h,) product per step.  The
+    whole direction is a single tape record whose backward runs
+    backpropagation through time by hand and forms the four gradients as
+    whole-sequence GEMMs over the stacked pre-activation gradients.
+    """
+    _require_rank2(x, "lstm")
+    hidden = w_recurrent.shape[1] if w_recurrent.ndim == 2 else 0
+    dim, length = x.shape
+    if w_recurrent.shape != (4 * hidden, hidden) or hidden < 1:
+        raise ShapeError(f"lstm: recurrent weight must be (4h, h), got {w_recurrent.shape}")
+    if w_input.shape != (4 * hidden, dim):
+        raise ShapeError(f"lstm: input weight must be {(4 * hidden, dim)} for input {x.shape}, "
+                         f"got {w_input.shape}")
+    if bias.shape != (4 * hidden, 1):
+        raise ShapeError(f"lstm: bias must be {(4 * hidden, 1)}, got {bias.shape}")
+    if length < 1:
+        raise ShapeError(f"lstm: input has no time steps, shape {x.shape}")
+    h1, h2, h3 = hidden, 2 * hidden, 3 * hidden
+    w_rec = w_recurrent.data
+    # Per-step state is stored one row per time step, so every step reads
+    # and writes contiguous rows.
+    pre_input = x.data.T @ w_input.data.T + bias.data[:, 0]   # (L, 4h)
+    gates = np.empty((length, 4 * hidden))
+    cells = np.empty((length, hidden))
+    tanh_cells = np.empty((length, hidden))
+    hs = np.empty((length, hidden))
+    order = range(length - 1, -1, -1) if reverse else range(length)
+    h_prev = np.zeros(hidden)
+    c_prev = np.zeros(hidden)
+    for t in order:
+        pre = pre_input[t] + w_rec @ h_prev
+        # One sigmoid call over all four blocks, then tanh over the cell block.
+        act = _stable_sigmoid(pre)
+        act[h2:h3] = np.tanh(pre[h2:h3])
+        c_prev = act[h1:h2] * c_prev + act[:h1] * act[h2:h3]
+        tanh_c = np.tanh(c_prev)
+        h_prev = act[h3:] * tanh_c
+        gates[t] = act
+        cells[t] = c_prev
+        tanh_cells[t] = tanh_c
+        hs[t] = h_prev
+    out = Tensor._wrap(np.ascontiguousarray(hs.T))
+
+    def backward():
+        if out.grad is None:
+            return
+        # States entering each step: the neighbouring step's, zero at the start.
+        zero = np.zeros((1, hidden))
+        if reverse:
+            hs_prev = np.concatenate([hs[1:], zero])
+            cells_prev = np.concatenate([cells[1:], zero])
+        else:
+            hs_prev = np.concatenate([zero, hs[:-1]])
+            cells_prev = np.concatenate([zero, cells[:-1]])
+        i, f, g, o = gates[:, :h1], gates[:, h1:h2], gates[:, h2:h3], gates[:, h3:]
+        # dpre[t] = local[t] * [dc, dc, dc, dh] with dc, dh the cell and
+        # hidden gradients of step t; each block of local is the gate's
+        # partner in the cell update times the gate's own derivative.
+        local = np.concatenate([g * i * (1.0 - i), cells_prev * f * (1.0 - f),
+                                i * (1.0 - g * g), tanh_cells * o * (1.0 - o)], axis=1)
+        dc_from_h = o * (1.0 - tanh_cells * tanh_cells)
+        d_out = out.grad.T
+        dpre = np.empty((length, 4 * hidden))
+        dh_next = np.zeros(hidden)
+        dc_next = np.zeros(hidden)
+        for t in reversed(order):
+            dh = d_out[t] + dh_next
+            dc = dc_next + dh * dc_from_h[t]
+            row = local[t] * np.concatenate((dc, dc, dc, dh))
+            dpre[t] = row
+            dc_next = dc * f[t]
+            dh_next = row @ w_rec
+        _accumulate(x, w_input.data.T @ dpre.T)
+        _accumulate(w_input, dpre.T @ x.data.T)
+        _accumulate(w_recurrent, dpre.T @ hs_prev)
+        _accumulate(bias, dpre.sum(axis=0).reshape(-1, 1))
+
+    _record(backward, (x, w_input, w_recurrent, bias, out))
     return out
 
 

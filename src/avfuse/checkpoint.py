@@ -4,11 +4,14 @@ Layout (all little-endian): magic ``AVCK``, u32 format version, u32 config
 byte length + UTF-8 config text, u32 tensor count, then per tensor sorted by
 name: u16 name length + UTF-8 name, u8 rank, rank u32 extents, and the
 single-precision payload.  Serialization is canonical, so save(load(x))
-reproduces x byte for byte.
+reproduces x byte for byte.  A save writes a temporary file in the target's
+directory and renames it over the target, so a failed save leaves any
+previous file at that path intact.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -38,7 +41,15 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], config_text: str) -> N
         parts.append(struct.pack("<B", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         parts.append(arr.astype("<f4").tobytes(order="C"))
-    Path(path).write_bytes(b"".join(parts))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(parts))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Reader:

@@ -34,8 +34,7 @@ class RjcaConfig:
     audio_dim: int
     visual_dim: int
     segments: int
-    iterations: int = 3  # best validation setting; see demos/05_iteration_ablation.py
-    use_blstm: bool = True
+    iterations: int = 3
     share_weights: bool = False
 
     def __post_init__(self):

@@ -41,7 +41,6 @@ class VerificationModel:
             visual_dim=config.visual_dim,
             segments=config.segments,
             iterations=config.iterations,
-            use_blstm=config.use_blstm,
             share_weights=config.share_fusion_weights,
         )
         self.rjca_config = rjca

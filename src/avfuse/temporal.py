@@ -1,7 +1,8 @@
 """Temporal modeling of fused segment features.
 
-A single bidirectional LSTM layer runs over the segment axis (full
-backpropagation through time via the tape), and attentive statistics pooling
+A single bidirectional LSTM layer runs over the segment axis; each direction
+is the fused ``autodiff.lstm`` op, whose hand-derived backward does full
+backpropagation through time in one tape record.  Attentive statistics pooling
 collapses the sequence into one utterance-level vector: an attention-weighted
 mean concatenated with the attention-weighted standard deviation.  A final
 affine projection produces the fixed-size embedding used for scoring.
@@ -71,38 +72,18 @@ class BlstmParams:
         }
 
 
-def _lstm_direction(x: Tensor, params: LstmDirectionParams, hidden: int, reverse: bool) -> list[Tensor]:
-    """Run one direction over the columns of x; outputs are in input-time order."""
-    length = x.shape[1]
-    h_prev = Tensor(np.zeros((hidden, 1)))
-    c_prev = Tensor(np.zeros((hidden, 1)))
-    order = range(length - 1, -1, -1) if reverse else range(length)
-    outputs: list[Tensor | None] = [None] * length
-    for t in order:
-        x_t = ad.column(x, t)
-        pre = ad.add(ad.add(ad.matmul(params.w_input, x_t), ad.matmul(params.w_recurrent, h_prev)), params.bias)
-        gate_in = ad.sigmoid(ad.rows(pre, 0, hidden))
-        gate_forget = ad.sigmoid(ad.rows(pre, hidden, 2 * hidden))
-        cell_cand = ad.tanh(ad.rows(pre, 2 * hidden, 3 * hidden))
-        gate_out = ad.sigmoid(ad.rows(pre, 3 * hidden, 4 * hidden))
-        c_prev = ad.add(ad.mul(gate_forget, c_prev), ad.mul(gate_in, cell_cand))
-        h_prev = ad.mul(gate_out, ad.tanh(c_prev))
-        outputs[t] = h_prev
-    return outputs  # type: ignore[return-value]
-
-
 def blstm_forward(x: Tensor, params: BlstmParams) -> Tensor:
     """Bidirectional pass over a (input_dim, segments) tensor -> (2h, segments).
 
     Forward-direction outputs occupy the top h rows, backward the bottom h;
-    initial states are zero in both directions.
+    initial states are zero in both directions.  Each direction is one fused
+    ``ad.lstm`` op, so the layer adds three tape records whatever the length.
     """
     if x.ndim != 2:
         raise ShapeError(f"blstm_forward: rank-2 input required, got {x.shape}")
-    h = params.hidden
-    fw = _lstm_direction(x, params.fw, h, reverse=False)
-    bw = _lstm_direction(x, params.bw, h, reverse=True)
-    return ad.concat_rows(ad.hstack_columns(fw), ad.hstack_columns(bw))
+    fw, bw = params.fw, params.bw
+    return ad.concat_rows(ad.lstm(x, fw.w_input, fw.w_recurrent, fw.bias, reverse=False),
+                          ad.lstm(x, bw.w_input, bw.w_recurrent, bw.bias, reverse=True))
 
 
 @dataclass

@@ -1,7 +1,8 @@
 """Mini-batch training of the verification model on the margin objective.
 
 One tape per sample; per-sample backward seeds 1/batch so parameter gradients
-accumulate to the batch-mean gradient before each optimizer step.  Everything
+accumulate to the batch-mean gradient before each optimizer step, which is
+refused with a DivergenceError if any gradient is NaN or Inf.  Everything
 is driven by one seeded generator, so a fixed config reproduces the loss log
 and checkpoints exactly.  Parameters pass through checkpoint precision at
 every epoch boundary, keeping the in-memory model identical to its last
@@ -23,7 +24,7 @@ from avfuse.model import VerificationModel
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or parameter gradient."""
 
 
 class Optimizer:
@@ -71,6 +72,17 @@ def speaker_index_map(utterances: list[Utterance]) -> dict[str, int]:
     return {spk: i for i, spk in enumerate(sorted({u.speaker_id for u in utterances}))}
 
 
+def _check_finite_gradients(named_params: dict[str, Tensor], epoch: int) -> None:
+    """Raise DivergenceError naming the first parameter whose gradient is NaN or Inf.
+
+    Op results are not checked for finiteness outside debug mode, so this is
+    what keeps a non-finite gradient from reaching the parameters.
+    """
+    for name, tensor in named_params.items():
+        if tensor.grad is not None and not np.isfinite(tensor.grad).all():
+            raise DivergenceError(f"non-finite gradient at epoch {epoch}, parameter {name}")
+
+
 def train(config: TrainConfig, train_utts: list[Utterance], out_dir,
           keep_epoch_checkpoints: bool = True) -> TrainResult:
     """Optimize the full stack on the given utterances; see module docstring."""
@@ -87,8 +99,8 @@ def train(config: TrainConfig, train_utts: list[Utterance], out_dir,
     out_dir.mkdir(parents=True, exist_ok=True)
     speakers = speaker_index_map(train_utts)
     model = VerificationModel(config, n_speakers=len(speakers))
-    params = list(model.named_parameters().values())
-    optimizer = Optimizer(params, config)
+    named_params = model.named_parameters()
+    optimizer = Optimizer(list(named_params.values()), config)
     shuffle_rng = np.random.default_rng(config.seed + 1)
 
     order = sorted(range(len(train_utts)), key=lambda i: train_utts[i].utt_id)
@@ -111,6 +123,7 @@ def train(config: TrainConfig, train_utts: list[Utterance], out_dir,
                     )
                 tape.backward(loss, seed=1.0 / len(batch))
                 sample_losses.append(value)
+            _check_finite_gradients(named_params, epoch)
             optimizer.step()
         mean_loss = float(np.mean(sample_losses))
         epoch_losses.append(mean_loss)

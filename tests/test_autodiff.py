@@ -80,6 +80,18 @@ class TestForwardValues:
         with pytest.raises(ShapeError):
             ad.activation(x, "gelu")
 
+    def test_lstm_shape_errors_name_the_operand(self):
+        x = Tensor(np.ones((3, 4)))
+        w_in, w_rec, b = Tensor(np.ones((8, 3))), Tensor(np.ones((8, 2))), Tensor(np.ones((8, 1)))
+        with pytest.raises(ShapeError, match="recurrent"):
+            ad.lstm(x, w_in, Tensor(np.ones((6, 2))), b)
+        with pytest.raises(ShapeError, match="input weight"):
+            ad.lstm(x, Tensor(np.ones((8, 4))), w_rec, b)
+        with pytest.raises(ShapeError, match="bias"):
+            ad.lstm(x, w_in, w_rec, Tensor(np.ones((8, 2))))
+        with pytest.raises(ShapeError, match="no time steps"):
+            ad.lstm(Tensor(np.ones((3, 0))), w_in, w_rec, b)
+
     def test_concat_empty(self):
         a = Tensor(np.ones((2, 4)))
         empty = Tensor(np.zeros((0, 4)))
@@ -179,15 +191,11 @@ class TestBackwardVsFiniteDifferences:
             [self._u(2, 2), self._u(3, 2)],
         )
 
-    def test_hstack_columns(self):
-        check_op_gradient(lambda a, b: ad.hstack_columns([a, b]), [self._u(3, 1), self._u(3, 2)])
-
     def test_transpose(self):
         probe = self.rng.uniform(-1, 1, size=(4, 2))
         check_op_gradient(lambda x: ad.mul(ad.transpose(x), Tensor(probe)), [self._u(2, 4)])
 
     def test_column_and_rows(self):
-        check_op_gradient(lambda x: ad.column(x, 1), [self._u(3, 3)])
         check_op_gradient(lambda x: ad.rows(x, 1, 3), [self._u(4, 2)])
 
     def test_add_bias(self):

@@ -40,6 +40,80 @@ def zero_asp(input_dim, bottleneck=3):
     )
 
 
+def reference_lstm(x, w_input, w_recurrent, bias, reverse):
+    """One LSTM direction written step by step on unfused tape ops.
+
+    This is the per-step formula that ``ad.lstm`` fuses, kept as its oracle:
+    each step takes column t of x, forms all four gate pre-activations, and
+    updates the cell and hidden state.  Returns the (h, 1) outputs in
+    input-time order.
+    """
+    hidden = w_recurrent.shape[1]
+    length = x.shape[1]
+    h_prev = Tensor(np.zeros((hidden, 1)))
+    c_prev = Tensor(np.zeros((hidden, 1)))
+    order = range(length - 1, -1, -1) if reverse else range(length)
+    outputs = [None] * length
+    for t in order:
+        x_t = ad.matmul(x, Tensor(np.eye(length)[:, t:t + 1]))
+        pre = ad.add(ad.add(ad.matmul(w_input, x_t), ad.matmul(w_recurrent, h_prev)), bias)
+        gate_in = ad.sigmoid(ad.rows(pre, 0, hidden))
+        gate_forget = ad.sigmoid(ad.rows(pre, hidden, 2 * hidden))
+        cell_cand = ad.tanh(ad.rows(pre, 2 * hidden, 3 * hidden))
+        gate_out = ad.sigmoid(ad.rows(pre, 3 * hidden, 4 * hidden))
+        c_prev = ad.add(ad.mul(gate_forget, c_prev), ad.mul(gate_in, cell_cand))
+        h_prev = ad.mul(gate_out, ad.tanh(c_prev))
+        outputs[t] = h_prev
+    return outputs
+
+
+def _fused_run(tensors, probe, reverse):
+    out = ad.lstm(tensors["x"], tensors["w_input"], tensors["w_recurrent"], tensors["bias"], reverse)
+    return out.data, ad.sum_all(ad.mul(out, Tensor(probe)))
+
+
+def _reference_run(tensors, probe, reverse):
+    outputs = reference_lstm(tensors["x"], tensors["w_input"], tensors["w_recurrent"],
+                             tensors["bias"], reverse)
+    loss = ad.sum_all(ad.mul(outputs[0], Tensor(probe[:, :1])))
+    for t in range(1, len(outputs)):
+        loss = ad.add(loss, ad.sum_all(ad.mul(outputs[t], Tensor(probe[:, t:t + 1]))))
+    return np.hstack([o.data for o in outputs]), loss
+
+
+class TestFusedLstm:
+    @pytest.mark.parametrize("dim,hidden,length", [(3, 4, 6), (3, 4, 1), (3, 1, 5)])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_per_step_reference(self, dim, hidden, length, reverse):
+        rng = np.random.default_rng([dim, hidden, length, int(reverse)])
+        data = {
+            "x": rng.uniform(-1, 1, size=(dim, length)),
+            "w_input": rng.uniform(-1, 1, size=(4 * hidden, dim)),
+            "w_recurrent": rng.uniform(-1, 1, size=(4 * hidden, hidden)),
+            "bias": rng.uniform(-1, 1, size=(4 * hidden, 1)),
+        }
+        probe = rng.uniform(-1, 1, size=(hidden, length))
+        results = []
+        for run in (_fused_run, _reference_run):
+            tensors = {name: Tensor(value) for name, value in data.items()}
+            with Tape() as tape:
+                out, loss = run(tensors, probe, reverse)
+            tape.backward(loss)
+            results.append((out, {name: t.grad for name, t in tensors.items()}))
+        (fused_out, fused_grads), (ref_out, ref_grads) = results
+        assert fused_out.shape == (hidden, length)
+        assert np.abs(fused_out - ref_out).max() <= 1e-12
+        for name in data:
+            assert fused_grads[name] is not None, name
+            assert np.abs(fused_grads[name] - ref_grads[name]).max() <= 1e-12, name
+
+    def test_blstm_is_three_tape_records(self):
+        params = BlstmParams.init(3, 4, np.random.default_rng(9))
+        with Tape() as tape:
+            blstm_forward(Tensor(RNG.uniform(-1, 1, size=(3, 7))), params)
+        assert len(tape) == 3
+
+
 class TestBlstm:
     def test_all_zero_params_give_zero_outputs(self):
         x = Tensor(RNG.uniform(-1, 1, size=(3, 5)))
