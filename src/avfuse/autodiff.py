@@ -7,10 +7,22 @@ exact reverse order of forward execution, accumulating gradients additively
 into the ``grad`` buffers of the participating tensors.  Without an active
 tape, ops run as plain numpy forward passes (the inference path).
 
-Most ops are elementwise or matrix primitives with one closure each.  A fused
-layer op (``lstm``) runs a whole recurrence in numpy and records a single
-closure holding its hand-derived backward, which cuts the per-record Python
-overhead that dominates at these matrix sizes.
+Tensors have rank 1 to 3.  A rank-2 ``(rows, cols)`` tensor is one
+utterance's matrix; a rank-3 ``(B, rows, cols)`` tensor stacks B of them on a
+leading batch axis, and every matrix op works on the last two axes of each
+item.  A rank-2 weight meets a rank-3 batch by broadcasting along that axis,
+and its gradient is formed against the whole batch in one contraction, so one
+tape records a whole mini-batch with the same ops, and the same code runs a
+single utterance.
+
+Most ops are elementwise or matrix primitives with one closure each.  Fused
+layer ops (``lstm``, ``attend``) run a whole layer body in numpy and record a
+single closure holding its hand-derived backward, which cuts the per-record
+Python overhead that dominates at these matrix sizes.
+
+``Tape.backward`` releases the gradient of each op output once the op that
+produced it has run, since nothing later in the replay reads it; tensors built
+with ``Tensor(...)`` (parameters, inputs) keep theirs.
 
 A tape is single-threaded by design: one tape per training worker.  The active
 tape is tracked in thread-local storage, so read-only forwards on disjoint
@@ -56,10 +68,12 @@ class Tensor:
     """Dense float64 array of rank 1-3 with an optional gradient buffer.
 
     Values are validated to be finite at construction; gradients share the
-    value's shape and are allocated lazily on first accumulation.
+    value's shape and are allocated lazily on first accumulation.  Tensors
+    built here are leaves; op results (``is_leaf`` false) have their gradient
+    released during ``Tape.backward``.
     """
 
-    __slots__ = ("data", "grad")
+    __slots__ = ("data", "grad", "is_leaf")
 
     def __init__(self, data):
         arr = np.array(data, dtype=np.float64, order="C")
@@ -69,6 +83,7 @@ class Tensor:
             raise NonFiniteError("tensor data contains NaN or Inf")
         self.data = arr
         self.grad = None
+        self.is_leaf = True
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
@@ -78,6 +93,7 @@ class Tensor:
         t = cls.__new__(cls)
         t.data = arr
         t.grad = None
+        t.is_leaf = False
         return t
 
     @property
@@ -123,18 +139,26 @@ class Tape:
         _ACTIVE.stack.pop()
 
     def record(self, backward: Callable[[], None], tensors: tuple[Tensor, ...]) -> None:
+        """Append one op: its closure and its tensors, the op's output last."""
         self._records.append((backward, tensors))
 
     def __len__(self) -> int:
         return len(self._records)
 
     def backward(self, output: Tensor, seed: float = 1.0) -> None:
-        """Seed the scalar output gradient and run all closures in reverse."""
+        """Seed the scalar output gradient and run all closures in reverse.
+
+        Every consumer of an op output was recorded after the op, so once the
+        op's own closure has run its output gradient is dead and is dropped.
+        """
         if output.data.size != 1:
             raise ShapeError(f"backward needs a scalar output, got shape {output.shape}")
         _accumulate(output, np.full_like(output.data, float(seed)))
-        for closure, _ in reversed(self._records):
+        for closure, tensors in reversed(self._records):
             closure()
+            produced = tensors[-1]
+            if not produced.is_leaf:
+                produced.grad = None
 
     def tensors(self) -> list[Tensor]:
         """All distinct tensors touched by recorded ops, in first-use order."""
@@ -151,7 +175,7 @@ class Tape:
 
 def _accumulate(t: Tensor, delta: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = np.array(delta, dtype=np.float64)
+        t.grad = np.array(delta, dtype=np.float64, order="C")
     else:
         t.grad += delta
 
@@ -162,9 +186,61 @@ def _record(backward: Callable[[], None], tensors: tuple[Tensor, ...]) -> None:
         tape.record(backward, tensors)
 
 
+def _require_matrix(x: Tensor, op: str) -> None:
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"{op}: rank-2 or rank-3 tensor required, got shape {x.shape}")
+
+
 def _require_rank2(x: Tensor, op: str) -> None:
     if x.ndim != 2:
         raise ShapeError(f"{op}: rank-2 tensor required, got shape {x.shape}")
+
+
+def _require_same_batch(a: Tensor, b: Tensor, op: str) -> None:
+    if a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"{op}: batch axes disagree for shapes {a.shape} vs {b.shape}")
+
+
+def _broadcastable(a: Tensor, b: Tensor, op: str) -> None:
+    """Equal shapes, or a rank-3 batch against a rank-2 operand of its item shape."""
+    if a.shape == b.shape or (a.ndim == 3 and a.shape[1:] == b.shape) \
+            or (b.ndim == 3 and b.shape[1:] == a.shape):
+        return
+    raise ShapeError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
+
+
+def _unbroadcast(grad: np.ndarray, t: Tensor) -> np.ndarray:
+    """Sum a gradient over the leading batch axis its operand was broadcast along."""
+    return grad.sum(axis=0) if grad.ndim > t.ndim else grad
+
+
+def _swap(x: np.ndarray) -> np.ndarray:
+    """Transpose of every matrix in a stack (a view)."""
+    return x.swapaxes(-1, -2)
+
+
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product over an optional leading batch axis on either side.
+
+    A batch times a shared rank-2 matrix is one 2-D GEMM over the stacked rows.
+    """
+    if a.ndim == 3 and b.ndim == 2:
+        return (a.reshape(-1, a.shape[2]) @ b).reshape(a.shape[0], a.shape[1], b.shape[1])
+    return a @ b
+
+
+def _left_grad(g: np.ndarray, b: np.ndarray, a_ndim: int) -> np.ndarray:
+    """Gradient of a in out = a @ b: g @ b^T, one contraction over the batch if a is shared."""
+    if a_ndim < g.ndim:
+        return np.tensordot(g, b, axes=([0, 2], [0, 2]))
+    return _mm(g, _swap(b))
+
+
+def _right_grad(a: np.ndarray, g: np.ndarray, b_ndim: int) -> np.ndarray:
+    """Gradient of b in out = a @ b: a^T @ g, one contraction over the batch if b is shared."""
+    if b_ndim < g.ndim:
+        return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    return _swap(a) @ g
 
 
 # ---------------------------------------------------------------------------
@@ -173,66 +249,63 @@ def _require_rank2(x: Tensor, op: str) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors."""
-    _require_rank2(a, "matmul")
-    _require_rank2(b, "matmul")
-    if a.shape[1] != b.shape[0]:
+    """Matrix product of rank-2 or rank-3 tensors, over the leading batch axis if any."""
+    _require_matrix(a, "matmul")
+    _require_matrix(b, "matmul")
+    if a.shape[-1] != b.shape[-2] or (a.ndim == b.ndim == 3 and a.shape[0] != b.shape[0]):
         raise ShapeError(f"matmul: inner extents disagree for shapes {a.shape} x {b.shape}")
-    out = Tensor._wrap(a.data @ b.data)
+    out = Tensor._wrap(_mm(a.data, b.data))
 
     def backward():
         if out.grad is None:
             return
-        _accumulate(a, out.grad @ b.data.T)
-        _accumulate(b, a.data.T @ out.grad)
+        _accumulate(a, _left_grad(out.grad, b.data, a.ndim))
+        _accumulate(b, _right_grad(a.data, out.grad, b.ndim))
 
     _record(backward, (a, b, out))
     return out
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two same-shape tensors."""
-    if a.shape != b.shape:
-        raise ShapeError(f"add: shape mismatch {a.shape} vs {b.shape}")
+    """Elementwise sum; a rank-2 operand broadcasts along a rank-3 one's batch axis."""
+    _broadcastable(a, b, "add")
     out = Tensor._wrap(a.data + b.data)
 
     def backward():
         if out.grad is None:
             return
-        _accumulate(a, out.grad)
-        _accumulate(b, out.grad)
+        _accumulate(a, _unbroadcast(out.grad, a))
+        _accumulate(b, _unbroadcast(out.grad, b))
 
     _record(backward, (a, b, out))
     return out
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise difference of two same-shape tensors."""
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: shape mismatch {a.shape} vs {b.shape}")
+    """Elementwise difference, broadcasting like ``add``."""
+    _broadcastable(a, b, "sub")
     out = Tensor._wrap(a.data - b.data)
 
     def backward():
         if out.grad is None:
             return
-        _accumulate(a, out.grad)
-        _accumulate(b, -out.grad)
+        _accumulate(a, _unbroadcast(out.grad, a))
+        _accumulate(b, _unbroadcast(-out.grad, b))
 
     _record(backward, (a, b, out))
     return out
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise (Hadamard) product of two same-shape tensors."""
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: shape mismatch {a.shape} vs {b.shape}")
+    """Elementwise (Hadamard) product, broadcasting like ``add``."""
+    _broadcastable(a, b, "mul")
     out = Tensor._wrap(a.data * b.data)
 
     def backward():
         if out.grad is None:
             return
-        _accumulate(a, out.grad * b.data)
-        _accumulate(b, out.grad * a.data)
+        _accumulate(a, _unbroadcast(out.grad * b.data, a))
+        _accumulate(b, _unbroadcast(out.grad * a.data, b))
 
     _record(backward, (a, b, out))
     return out
@@ -299,18 +372,18 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def softmax_columns(x: Tensor) -> Tensor:
-    """Softmax normalizing each column of a rank-2 tensor to sum to one."""
-    _require_rank2(x, "softmax_columns")
-    shifted = x.data - x.data.max(axis=0, keepdims=True)
+    """Softmax normalizing each column of every matrix to sum to one."""
+    _require_matrix(x, "softmax_columns")
+    shifted = x.data - x.data.max(axis=-2, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=0, keepdims=True)
+    y = e / e.sum(axis=-2, keepdims=True)
     out = Tensor._wrap(y)
 
     def backward():
         if out.grad is None:
             return
         # Per column: dx = y * (g - <y, g>)
-        inner = (out.data * out.grad).sum(axis=0, keepdims=True)
+        inner = (out.data * out.grad).sum(axis=-2, keepdims=True)
         _accumulate(x, out.data * (out.grad - inner))
 
     _record(backward, (x, out))
@@ -330,60 +403,44 @@ def activation(x: Tensor, kind: str) -> Tensor:
 
 
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Vertical stack of two rank-2 tensors with equal column counts."""
-    _require_rank2(a, "concat_rows")
-    _require_rank2(b, "concat_rows")
-    if a.shape[1] != b.shape[1]:
+    """Vertical stack of two matrices (or two equal-size batches) with equal column counts."""
+    _require_matrix(a, "concat_rows")
+    _require_matrix(b, "concat_rows")
+    if a.shape[-1] != b.shape[-1]:
         raise ShapeError(f"concat_rows: column counts disagree for shapes {a.shape} vs {b.shape}")
-    out = Tensor._wrap(np.concatenate([a.data, b.data], axis=0))
-    split = a.shape[0]
+    _require_same_batch(a, b, "concat_rows")
+    out = Tensor._wrap(np.concatenate([a.data, b.data], axis=-2))
+    split = a.shape[-2]
 
     def backward():
         if out.grad is None:
             return
-        _accumulate(a, out.grad[:split])
-        _accumulate(b, out.grad[split:])
+        _accumulate(a, out.grad[..., :split, :])
+        _accumulate(b, out.grad[..., split:, :])
 
     _record(backward, (a, b, out))
     return out
 
 
 def transpose(x: Tensor) -> Tensor:
-    _require_rank2(x, "transpose")
-    out = Tensor._wrap(np.ascontiguousarray(x.data.T))
+    """Transpose of every matrix (the last two axes)."""
+    _require_matrix(x, "transpose")
+    out = Tensor._wrap(np.ascontiguousarray(_swap(x.data)))
 
     def backward():
         if out.grad is None:
             return
-        _accumulate(x, out.grad.T)
-
-    _record(backward, (x, out))
-    return out
-
-
-def rows(x: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous row slice [start, stop) of a rank-2 tensor."""
-    _require_rank2(x, "rows")
-    if not 0 <= start < stop <= x.shape[0]:
-        raise ShapeError(f"rows: slice [{start}, {stop}) out of range for shape {x.shape}")
-    out = Tensor._wrap(x.data[start:stop].copy())
-
-    def backward():
-        if out.grad is None:
-            return
-        delta = np.zeros_like(x.data)
-        delta[start:stop] = out.grad
-        _accumulate(x, delta)
+        _accumulate(x, _swap(out.grad))
 
     _record(backward, (x, out))
     return out
 
 
 def add_bias(x: Tensor, bias: Tensor) -> Tensor:
-    """Add a (rows, 1) bias to every column of a (rows, cols) tensor."""
-    _require_rank2(x, "add_bias")
+    """Add a (rows, 1) bias to every column of a (rows, cols) matrix or batch of them."""
+    _require_matrix(x, "add_bias")
     _require_rank2(bias, "add_bias")
-    if bias.shape != (x.shape[0], 1):
+    if bias.shape != (x.shape[-2], 1):
         raise ShapeError(f"add_bias: bias shape {bias.shape} does not match rows of {x.shape}")
     out = Tensor._wrap(x.data + bias.data)
 
@@ -391,7 +448,7 @@ def add_bias(x: Tensor, bias: Tensor) -> Tensor:
         if out.grad is None:
             return
         _accumulate(x, out.grad)
-        _accumulate(bias, out.grad.sum(axis=1, keepdims=True))
+        _accumulate(bias, _unbroadcast(out.grad.sum(axis=-1, keepdims=True), bias))
 
     _record(backward, (x, bias, out))
     return out
@@ -444,9 +501,9 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def l2_normalize_columns(x: Tensor) -> Tensor:
-    """Scale each column of a rank-2 tensor to unit Euclidean norm."""
-    _require_rank2(x, "l2_normalize_columns")
-    norms = np.sqrt((x.data * x.data).sum(axis=0, keepdims=True))
+    """Scale each column of every matrix to unit Euclidean norm."""
+    _require_matrix(x, "l2_normalize_columns")
+    norms = np.sqrt((x.data * x.data).sum(axis=-2, keepdims=True))
     if (norms == 0.0).any():
         raise NonFiniteError("l2_normalize_columns: zero-norm column")
     y = x.data / norms
@@ -456,36 +513,43 @@ def l2_normalize_columns(x: Tensor) -> Tensor:
         if out.grad is None:
             return
         # dL/dx = (g - y * <y, g>) / norm, per column.
-        inner = (out.data * out.grad).sum(axis=0, keepdims=True)
+        inner = (out.data * out.grad).sum(axis=-2, keepdims=True)
         _accumulate(x, (out.grad - out.data * inner) / norms)
 
     _record(backward, (x, out))
     return out
 
 
-def cross_entropy_index(logits: Tensor, index: int) -> Tensor:
-    """Cross-entropy of a softmax over a (n, 1) logit column against one index.
+def cross_entropy_index(logits: Tensor, index) -> Tensor:
+    """Cross-entropy of a softmax over each (n, 1) logit column against a target index.
 
-    Forward uses a max-shifted log-sum-exp; backward is softmax minus one-hot.
+    ``logits`` (n, 1) with an int ``index`` gives a (1, 1) loss; a batch
+    (B, n, 1) with B indices gives the B losses as (B, 1, 1).  Forward uses a
+    max-shifted log-sum-exp; backward is softmax minus one-hot.
     """
-    _require_rank2(logits, "cross_entropy_index")
-    if logits.shape[1] != 1:
+    _require_matrix(logits, "cross_entropy_index")
+    if logits.shape[-1] != 1:
         raise ShapeError(f"cross_entropy_index: expected (n, 1) logits, got {logits.shape}")
-    n = logits.shape[0]
-    if not 0 <= index < n:
+    n = logits.shape[-2]
+    idx = np.asarray(index)
+    if idx.shape != logits.shape[:-2] or idx.dtype.kind not in "iu":
+        raise ShapeError(f"cross_entropy_index: need one integer index per logit column, "
+                         f"got {idx!r} for logits {logits.shape}")
+    if ((idx < 0) | (idx >= n)).any():
         raise ShapeError(f"cross_entropy_index: index {index} out of range for {n} classes")
-    z = logits.data[:, 0]
-    m = z.max()
-    lse = m + np.log(np.exp(z - m).sum())
-    out = Tensor._wrap(np.array([[lse - z[index]]]))
+    z = logits.data[..., 0]
+    pos = idx[..., None]
+    m = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - m)
+    lse = m + np.log(e.sum(axis=-1, keepdims=True))
+    out = Tensor._wrap((lse - np.take_along_axis(z, pos, axis=-1))[..., None])
 
     def backward():
         if out.grad is None:
             return
-        p = np.exp(z - m)
-        p /= p.sum()
-        p[index] -= 1.0
-        _accumulate(logits, out.grad.reshape(-1)[0] * p.reshape(n, 1))
+        p = e / e.sum(axis=-1, keepdims=True)
+        np.put_along_axis(p, pos, np.take_along_axis(p, pos, axis=-1) - 1.0, axis=-1)
+        _accumulate(logits, (out.grad[..., 0] * p)[..., None])
 
     _record(backward, (logits, out))
     return out
@@ -497,20 +561,24 @@ def cross_entropy_index(logits: Tensor, index: int) -> Tensor:
 
 
 def lstm(x: Tensor, w_input: Tensor, w_recurrent: Tensor, bias: Tensor, reverse: bool = False) -> Tensor:
-    """One LSTM direction over the columns of a (d, L) tensor -> (h, L), in input-time order.
+    """One LSTM direction over the columns of (d, L) -> (h, L), or (B, d, L) -> (B, h, L).
 
     Gate rows of ``w_input`` (4h, d), ``w_recurrent`` (4h, h) and ``bias``
     (4h, 1) are ordered input/forget/cell/output; both initial states are
     zero, and ``reverse`` runs the recurrence from the last column to the
-    first.  The input projection and bias of all L steps are one GEMM hoisted
-    out of the time loop, leaving one (4h, h) @ (h,) product per step.  The
-    whole direction is a single tape record whose backward runs
+    first, outputs staying in input-time order.  The B items of a batch run
+    side by side: their states at one step are the B columns of an (h, B)
+    block, so each step is one (4h, h) @ (h, B) product and gate blocks stay
+    contiguous row ranges; one utterance runs the same loop on (h,) vectors.
+    The input
+    projection and bias of all steps are one GEMM hoisted out of the time
+    loop.  The whole direction is a single tape record whose backward runs
     backpropagation through time by hand and forms the four gradients as
     whole-sequence GEMMs over the stacked pre-activation gradients.
     """
-    _require_rank2(x, "lstm")
+    _require_matrix(x, "lstm")
     hidden = w_recurrent.shape[1] if w_recurrent.ndim == 2 else 0
-    dim, length = x.shape
+    dim, length = x.shape[-2:]
     if w_recurrent.shape != (4 * hidden, hidden) or hidden < 1:
         raise ShapeError(f"lstm: recurrent weight must be (4h, h), got {w_recurrent.shape}")
     if w_input.shape != (4 * hidden, dim):
@@ -520,18 +588,29 @@ def lstm(x: Tensor, w_input: Tensor, w_recurrent: Tensor, bias: Tensor, reverse:
         raise ShapeError(f"lstm: bias must be {(4 * hidden, 1)}, got {bias.shape}")
     if length < 1:
         raise ShapeError(f"lstm: input has no time steps, shape {x.shape}")
+    batch = x.shape[0] if x.ndim == 3 else 1
     h1, h2, h3 = hidden, 2 * hidden, 3 * hidden
     w_rec = w_recurrent.data
-    # Per-step state is stored one row per time step, so every step reads
-    # and writes contiguous rows.
-    pre_input = x.data.T @ w_input.data.T + bias.data[:, 0]   # (L, 4h)
-    gates = np.empty((length, 4 * hidden))
-    cells = np.empty((length, hidden))
-    tanh_cells = np.empty((length, hidden))
-    hs = np.empty((length, hidden))
+    # Per-step state is indexed by step first, so every step reads and writes
+    # one contiguous block: an (n,) vector for one utterance, an (n, B) block
+    # of columns for a batch.
+    tail = () if x.ndim == 2 else (batch,)
+
+    def columns(a: np.ndarray) -> np.ndarray:
+        # (L, n[, B]) per-step state -> (n, L*B), column t*B + b for step t of item b.
+        return a.reshape(length, a.shape[1], batch).transpose(1, 0, 2).reshape(a.shape[1], -1)
+
+    if x.ndim == 2:
+        pre_input = x.data.T @ w_input.data.T + bias.data[:, 0]           # (L, 4h)
+    else:
+        pre_input = w_input.data @ x.data.transpose(2, 1, 0) + bias.data  # (L, 4h, B)
+    gates = np.empty((length, 4 * hidden) + tail)
+    cells = np.empty((length, hidden) + tail)
+    tanh_cells = np.empty((length, hidden) + tail)
+    hs = np.empty((length, hidden) + tail)
     order = range(length - 1, -1, -1) if reverse else range(length)
-    h_prev = np.zeros(hidden)
-    c_prev = np.zeros(hidden)
+    h_prev = np.zeros((hidden,) + tail)
+    c_prev = np.zeros((hidden,) + tail)
     for t in order:
         pre = pre_input[t] + w_rec @ h_prev
         # One sigmoid call over all four blocks, then tanh over the cell block.
@@ -544,13 +623,13 @@ def lstm(x: Tensor, w_input: Tensor, w_recurrent: Tensor, bias: Tensor, reverse:
         cells[t] = c_prev
         tanh_cells[t] = tanh_c
         hs[t] = h_prev
-    out = Tensor._wrap(np.ascontiguousarray(hs.T))
+    out = Tensor._wrap(np.ascontiguousarray(hs.T if x.ndim == 2 else hs.transpose(2, 1, 0)))
 
     def backward():
         if out.grad is None:
             return
         # States entering each step: the neighbouring step's, zero at the start.
-        zero = np.zeros((1, hidden))
+        zero = np.zeros((1, hidden) + tail)
         if reverse:
             hs_prev = np.concatenate([hs[1:], zero])
             cells_prev = np.concatenate([cells[1:], zero])
@@ -564,23 +643,86 @@ def lstm(x: Tensor, w_input: Tensor, w_recurrent: Tensor, bias: Tensor, reverse:
         local = np.concatenate([g * i * (1.0 - i), cells_prev * f * (1.0 - f),
                                 i * (1.0 - g * g), tanh_cells * o * (1.0 - o)], axis=1)
         dc_from_h = o * (1.0 - tanh_cells * tanh_cells)
-        d_out = out.grad.T
-        dpre = np.empty((length, 4 * hidden))
-        dh_next = np.zeros(hidden)
-        dc_next = np.zeros(hidden)
+        d_out = out.grad.T if x.ndim == 2 else out.grad.transpose(2, 1, 0)
+        dpre = np.empty((length, 4 * hidden) + tail)
+        # Gate-block views: [t, k] is block k (i, f, g, o) of step t.
+        local_blocks = local.reshape((length, 4, hidden) + tail)
+        dpre_blocks = dpre.reshape((length, 4, hidden) + tail)
+        w_rec_t = w_rec.T
+        dh_next = np.zeros((hidden,) + tail)
+        dc_next = np.zeros((hidden,) + tail)
         for t in reversed(order):
             dh = d_out[t] + dh_next
             dc = dc_next + dh * dc_from_h[t]
-            row = local[t] * np.concatenate((dc, dc, dc, dh))
-            dpre[t] = row
+            np.multiply(local_blocks[t, :3], dc, out=dpre_blocks[t, :3])
+            np.multiply(local_blocks[t, 3], dh, out=dpre_blocks[t, 3])
             dc_next = dc * f[t]
-            dh_next = row @ w_rec
-        _accumulate(x, w_input.data.T @ dpre.T)
-        _accumulate(w_input, dpre.T @ x.data.T)
-        _accumulate(w_recurrent, dpre.T @ hs_prev)
-        _accumulate(bias, dpre.sum(axis=0).reshape(-1, 1))
+            dh_next = w_rec_t @ dpre[t]
+        dpre_cols = columns(dpre)
+        xs = x.data if x.ndim == 2 else columns(x.data.transpose(2, 1, 0))
+        dxs = w_input.data.T @ dpre_cols
+        _accumulate(x, dxs if x.ndim == 2 else dxs.reshape(dim, length, batch).transpose(2, 0, 1))
+        _accumulate(w_input, dpre_cols @ xs.T)
+        _accumulate(w_recurrent, dpre_cols @ columns(hs_prev).T)
+        _accumulate(bias, dpre_cols.sum(axis=1, keepdims=True))
 
     _record(backward, (x, w_input, w_recurrent, bias, out))
+    return out
+
+
+def attention_map(feats: np.ndarray, key: np.ndarray, proj: np.ndarray, inv_scale: float) -> np.ndarray:
+    """Segment-by-segment correlation map tanh(feats^T (proj @ key) * inv_scale) of ``attend``.
+
+    Forward only, on raw arrays: ``feats`` (d, L) or (B, d, L), ``key``
+    (k, L) or (B, k, L), ``proj`` (d, k); returns (L, L) or (B, L, L).
+    """
+    return np.tanh((_swap(feats) @ (proj @ key)) * inv_scale)
+
+
+def attend(feats: Tensor, key: Tensor, proj: Tensor, attn_mix: Tensor, out_mix: Tensor,
+           inv_scale: float) -> Tensor:
+    """Residual cross-attention of ``feats`` against ``key``, as one tape record.
+
+    Returns feats + relu((feats @ attn_mix) @ C) @ out_mix with C the
+    correlation map ``attention_map(feats, key, proj, inv_scale)``.  Shapes:
+    ``feats`` (d, L), ``key`` (k, L), ``proj`` (d, k), both mixes (L, L), or
+    the same with a leading batch axis on ``feats`` and ``key``.  Only C is
+    kept for backward; proj @ key, feats @ attn_mix and the ReLU input are
+    recomputed there from the inputs.
+    """
+    _require_matrix(feats, "attend")
+    _require_matrix(key, "attend")
+    _require_same_batch(feats, key, "attend")
+    dim, length = feats.shape[-2:]
+    if key.shape[-1] != length:
+        raise ShapeError(f"attend: segment counts disagree for shapes {feats.shape} vs {key.shape}")
+    if proj.shape != (dim, key.shape[-2]):
+        raise ShapeError(f"attend: projection must be {(dim, key.shape[-2])}, got {proj.shape}")
+    for name, mix in (("attn_mix", attn_mix), ("out_mix", out_mix)):
+        if mix.shape != (length, length):
+            raise ShapeError(f"attend: {name} must be {(length, length)}, got {mix.shape}")
+    corr = attention_map(feats.data, key.data, proj.data, inv_scale)
+    gated = np.maximum(_mm(_mm(feats.data, attn_mix.data), corr), 0.0)
+    out = Tensor._wrap(feats.data + _mm(gated, out_mix.data))
+
+    def backward():
+        if out.grad is None:
+            return
+        g = out.grad
+        mixed = _mm(feats.data, attn_mix.data)
+        pre_relu = mixed @ corr
+        d_pre = _mm(g, out_mix.data.T) * (pre_relu > 0.0)
+        _accumulate(out_mix, _right_grad(np.maximum(pre_relu, 0.0), g, 2))
+        d_mixed = d_pre @ _swap(corr)
+        d_corr = (_swap(mixed) @ d_pre) * (1.0 - corr * corr) * inv_scale
+        _accumulate(attn_mix, _right_grad(feats.data, d_mixed, 2))
+        projected = proj.data @ key.data
+        _accumulate(feats, g + _mm(d_mixed, attn_mix.data.T) + projected @ _swap(d_corr))
+        d_projected = feats.data @ d_corr
+        _accumulate(proj, _left_grad(d_projected, key.data, 2))
+        _accumulate(key, proj.data.T @ d_projected)
+
+    _record(backward, (feats, key, proj, attn_mix, out_mix, out))
     return out
 
 

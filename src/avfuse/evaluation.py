@@ -3,7 +3,9 @@
 Besides the trained fusion systems (recursive joint cross-attention, plain
 concatenation, two-way cross-attention), the harness scores the untrained
 reference systems: single-modality statistics of the raw features, and
-score-level fusion of the two single-modality cosines.
+score-level fusion of the two single-modality cosines.  Trial utterances are
+embedded in mini-batches through ``VerificationModel.embed``, each one once,
+and scored as cosines grouped by enrollment utterance.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from avfuse.featio import TrialPair, Utterance
 from avfuse.fusion import ConfigError, score_level_fusion
 from avfuse.metrics import DcfParams, MetricsReport, ScoreSet, compute_report, write_scores
 from avfuse.model import VerificationModel
-from avfuse.objective import cosine_score
+from avfuse.objective import NormalizationError
 
 TRAINED_SYSTEMS = ("rjca", "concat", "cross_attention")
 RAW_SYSTEMS = ("audio", "visual", "score_level")
@@ -30,8 +32,12 @@ class ResolutionError(KeyError):
 
 
 def pooled_raw_embedding(features: np.ndarray) -> np.ndarray:
-    """Untrained utterance vector: per-dimension mean and std over segments."""
-    return np.concatenate([features.mean(axis=1), features.std(axis=1)])
+    """Untrained utterance vector: per-dimension mean and std over segments.
+
+    A (dim, segments) utterance gives a (2*dim,) vector; a stacked
+    (n, dim, segments) array gives one row per utterance.
+    """
+    return np.concatenate([features.mean(axis=-1), features.std(axis=-1)], axis=-1)
 
 
 def _check_ids(trials: list[TrialPair], utterances: dict[str, Utterance]) -> None:
@@ -43,54 +49,50 @@ def _check_ids(trials: list[TrialPair], utterances: dict[str, Utterance]) -> Non
         raise ResolutionError(f"trial utterances not found: {missing}")
 
 
-def _model_scores(model: VerificationModel, trials: list[TrialPair],
-                  utterances: dict[str, Utterance], use_cache: bool) -> np.ndarray:
-    cache: dict[str, np.ndarray] = {}
-
-    def embed(utt_id: str) -> np.ndarray:
-        if use_cache and utt_id in cache:
-            return cache[utt_id]
-        utt = utterances[utt_id]
-        emb = model.embed(utt.audio, utt.visual)
-        if use_cache:
-            cache[utt_id] = emb
-        return emb
-
-    return np.array([cosine_score(embed(t.enroll_id), embed(t.test_id)) for t in trials])
+def _model_vectors(model: VerificationModel, ids: list[str],
+                   utterances: dict[str, Utterance]) -> np.ndarray:
+    """Embeddings of the given utterances, one row each, embedded in batches of ``batch_size``."""
+    size = model.config.batch_size
+    chunks = []
+    for start in range(0, len(ids), size):
+        batch = [utterances[u] for u in ids[start:start + size]]
+        chunks.append(model.embed(np.stack([u.audio for u in batch]),
+                                  np.stack([u.visual for u in batch])))
+    return np.concatenate(chunks)
 
 
-def _raw_scores(system: str, trials: list[TrialPair], utterances: dict[str, Utterance],
-                weight: float, use_cache: bool) -> np.ndarray:
-    cache: dict[tuple[str, str], np.ndarray] = {}
+def _cosines(trials: list[TrialPair], index: dict[str, int], vectors: np.ndarray) -> np.ndarray:
+    """Cosine score of every trial, in trial order.
 
-    def pooled(utt_id: str, modality: str) -> np.ndarray:
-        key = (utt_id, modality)
-        if use_cache and key in cache:
-            return cache[key]
-        utt = utterances[utt_id]
-        emb = pooled_raw_embedding(utt.audio if modality == "audio" else utt.visual)
-        if use_cache:
-            cache[key] = emb
-        return emb
-
-    scores = []
-    for t in trials:
-        if system == "score_level":
-            s_audio = cosine_score(pooled(t.enroll_id, "audio"), pooled(t.test_id, "audio"))
-            s_visual = cosine_score(pooled(t.enroll_id, "visual"), pooled(t.test_id, "visual"))
-            scores.append(score_level_fusion(s_audio, s_visual, weight))
-        else:
-            scores.append(cosine_score(pooled(t.enroll_id, system), pooled(t.test_id, system)))
-    return np.array(scores)
+    Rows are scaled to unit length once; the trials of each enrollment
+    utterance are then one (n_tests, e) @ (e,) product.
+    """
+    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+    if not norms.all():
+        raise NormalizationError("cosine scoring: zero-norm embedding")
+    unit = vectors / norms
+    by_enroll: dict[str, list[int]] = {}
+    for k, t in enumerate(trials):
+        by_enroll.setdefault(t.enroll_id, []).append(k)
+    scores = np.empty(len(trials))
+    for enroll_id, positions in by_enroll.items():
+        tests = [index[trials[k].test_id] for k in positions]
+        scores[positions] = unit[tests] @ unit[index[enroll_id]]
+    return scores
 
 
 def score_trials(system: str, trials: list[TrialPair], utterances: dict[str, Utterance],
-                 model: VerificationModel | None = None, weight: float = 0.5,
-                 use_cache: bool = True) -> ScoreSet:
-    """Score every trial with the chosen system, preserving trial order."""
+                 model: VerificationModel | None = None, weight: float = 0.5) -> ScoreSet:
+    """Score every trial with the chosen system, preserving trial order.
+
+    Each distinct trial utterance is embedded (or pooled) once, whatever the
+    number of trials it appears in.
+    """
     if not trials:
         raise ConfigError("empty trial list")
     _check_ids(trials, utterances)
+    ids = sorted({t.enroll_id for t in trials} | {t.test_id for t in trials})
+    index = {u: i for i, u in enumerate(ids)}
     if system in TRAINED_SYSTEMS:
         if model is None:
             raise ConfigError(f"system {system!r} needs a trained model")
@@ -98,9 +100,16 @@ def score_trials(system: str, trials: list[TrialPair], utterances: dict[str, Utt
             raise ConfigError(
                 f"checkpoint was trained with fusion {model.config.fusion!r}, not {system!r}"
             )
-        scores = _model_scores(model, trials, utterances, use_cache)
+        scores = _cosines(trials, index, _model_vectors(model, ids, utterances))
     elif system in RAW_SYSTEMS:
-        scores = _raw_scores(system, trials, utterances, weight, use_cache)
+        def raw(modality: str) -> np.ndarray:
+            stacked = np.stack([getattr(utterances[u], modality) for u in ids])
+            return _cosines(trials, index, pooled_raw_embedding(stacked))
+
+        if system == "score_level":
+            scores = score_level_fusion(raw("audio"), raw("visual"), weight)
+        else:
+            scores = raw(system)
     else:
         raise ConfigError(f"unknown evaluation system {system!r}")
     labels = np.array([int(t.is_target) for t in trials])
@@ -110,11 +119,9 @@ def score_trials(system: str, trials: list[TrialPair], utterances: dict[str, Utt
 def evaluate(system: str, trials: list[TrialPair], utterances: dict[str, Utterance],
              model: VerificationModel | None = None,
              dcf_params: DcfParams = DcfParams(),
-             weight: float = 0.5, use_cache: bool = True,
-             scores_path=None) -> tuple[MetricsReport, ScoreSet]:
+             weight: float = 0.5, scores_path=None) -> tuple[MetricsReport, ScoreSet]:
     """Score trials, optionally persist the scores file, and compute metrics."""
-    score_set = score_trials(system, trials, utterances, model=model,
-                             weight=weight, use_cache=use_cache)
+    score_set = score_trials(system, trials, utterances, model=model, weight=weight)
     if scores_path is not None:
         write_scores(scores_path, score_set)
     return compute_report(score_set, dcf_params), score_set

@@ -5,6 +5,9 @@ representation, gates a segment recombination of the modality through ReLU, and
 adds the result back onto the input (a residual connection).  Applying the step
 recursively re-feeds the attended features as the next step's inputs, refining
 the representation; each recursion step owns its own weights by default.
+Every attention pass, joint or two-way, is the one fused ``ad.attend`` op,
+and every function takes single (dim, segments) utterances or
+(B, dim, segments) batches alike.
 
 Also provides the baseline fusion strategies used for ablations: score-level
 averaging, plain feature concatenation, and two-way cross-attention where each
@@ -125,9 +128,9 @@ class JcaStepParams:
 class FusedFeatures:
     """Attended per-modality features and their vertical concatenation."""
 
-    audio: Tensor   # audio_dim x segments
-    visual: Tensor  # visual_dim x segments
-    joint: Tensor   # (audio_dim + visual_dim) x segments
+    audio: Tensor   # [B x] audio_dim x segments
+    visual: Tensor  # [B x] visual_dim x segments
+    joint: Tensor   # [B x] (audio_dim + visual_dim) x segments
 
 
 def joint_representation(audio: Tensor, visual: Tensor) -> Tensor:
@@ -135,48 +138,52 @@ def joint_representation(audio: Tensor, visual: Tensor) -> Tensor:
     return ad.concat_rows(audio, visual)
 
 
-def jca_step(audio: Tensor, visual: Tensor, params: JcaStepParams) -> FusedFeatures:
+def jca_step(audio: Tensor, visual: Tensor, params: JcaStepParams,
+             joint: Tensor | None = None) -> FusedFeatures:
     """One joint cross-attention pass over both modalities.
 
     Correlation of each modality with the joint stack is squashed through tanh
     after 1/sqrt(joint_dim) scaling; the resulting segment-by-segment map gates
     a ReLU recombination of the modality, which is mixed and added residually
-    onto the input.  All-zero weights therefore reduce to the identity.
+    onto the input.  All-zero weights therefore reduce to the identity.  Each
+    modality's pass is one fused ``ad.attend`` record.  ``joint`` may be given
+    when the caller already holds the stack of ``audio`` over ``visual``.
+    Inputs are (dim, segments) matrices or (B, dim, segments) batches.
     """
-    d_a, d_v = audio.shape[0], visual.shape[0]
-    L = audio.shape[1]
-    params.validate(d_a, d_v, L)
-    joint = joint_representation(audio, visual)
+    d_a, d_v = audio.shape[-2], visual.shape[-2]
+    params.validate(d_a, d_v, audio.shape[-1])
+    if joint is None:
+        joint = joint_representation(audio, visual)
     inv_sqrt_d = 1.0 / math.sqrt(d_a + d_v)
-
-    def attend(feats: Tensor, corr_proj: Tensor, attn_mix: Tensor, out_mix: Tensor) -> Tensor:
-        corr = ad.tanh(ad.scale(ad.matmul(ad.transpose(feats), ad.matmul(corr_proj, joint)), inv_sqrt_d))
-        attn = ad.relu(ad.matmul(ad.matmul(feats, attn_mix), corr))
-        return ad.add(ad.matmul(attn, out_mix), feats)
-
-    att_audio = attend(audio, params.corr_proj_audio, params.attn_mix_audio, params.out_mix_audio)
-    att_visual = attend(visual, params.corr_proj_visual, params.attn_mix_visual, params.out_mix_visual)
+    att_audio = ad.attend(audio, joint, params.corr_proj_audio, params.attn_mix_audio,
+                          params.out_mix_audio, inv_sqrt_d)
+    att_visual = ad.attend(visual, joint, params.corr_proj_visual, params.attn_mix_visual,
+                           params.out_mix_visual, inv_sqrt_d)
     return FusedFeatures(att_audio, att_visual, ad.concat_rows(att_audio, att_visual))
 
 
 def rjca_forward(audio: Tensor, visual: Tensor, step_params: Sequence[JcaStepParams]) -> FusedFeatures:
-    """Recursive refinement: each step's attended outputs feed the next step."""
+    """Recursive refinement: each step's attended outputs, and their joint stack, feed the next step.
+
+    T steps add 3T + 1 tape records: the first joint stack, then two
+    ``attend`` records and one stack per step.
+    """
     if not step_params:
         raise ConfigError("rjca_forward needs at least one step's parameters")
     fused = None
+    joint = None
     for params in step_params:
-        fused = jca_step(audio, visual, params)
-        audio, visual = fused.audio, fused.visual
+        fused = jca_step(audio, visual, params, joint)
+        audio, visual, joint = fused.audio, fused.visual, fused.joint
     return fused
 
 
 def correlation_maps(audio: Tensor, visual: Tensor, params: JcaStepParams) -> tuple[np.ndarray, np.ndarray]:
-    """Forward-only segment correlation maps of one step (for inspection/demos)."""
-    joint = joint_representation(audio, visual)
-    inv = 1.0 / math.sqrt(audio.shape[0] + visual.shape[0])
-    corr_a = ad.tanh(ad.scale(ad.matmul(ad.transpose(audio), ad.matmul(params.corr_proj_audio, joint)), inv))
-    corr_v = ad.tanh(ad.scale(ad.matmul(ad.transpose(visual), ad.matmul(params.corr_proj_visual, joint)), inv))
-    return corr_a.data.copy(), corr_v.data.copy()
+    """Forward-only segment correlation maps of one step (for inspection), from ``ad.attention_map``."""
+    joint = np.concatenate([audio.data, visual.data], axis=-2)
+    inv = 1.0 / math.sqrt(joint.shape[-2])
+    return (ad.attention_map(audio.data, joint, params.corr_proj_audio.data, inv),
+            ad.attention_map(visual.data, joint, params.corr_proj_visual.data, inv))
 
 
 # ---------------------------------------------------------------------------
@@ -225,23 +232,20 @@ class CrossAttentionParams:
 def cross_attention_step(audio: Tensor, visual: Tensor, params: CrossAttentionParams) -> FusedFeatures:
     """Cross-attention baseline: correlate each modality with the other only.
 
-    Correlation scaling uses the opposite modality's feature dimension, since
-    that is the contraction depth here.
+    The same ``ad.attend`` body as ``jca_step`` with the other modality as the
+    key; correlation scaling uses the other modality's feature dimension,
+    since that is the contraction depth here.
     """
-    d_a, d_v = audio.shape[0], visual.shape[0]
-
-    def attend(feats, other, cross_proj, attn_mix, out_mix, depth):
-        corr = ad.tanh(ad.scale(ad.matmul(ad.transpose(feats), ad.matmul(cross_proj, other)), 1.0 / math.sqrt(depth)))
-        attn = ad.relu(ad.matmul(ad.matmul(feats, attn_mix), corr))
-        return ad.add(ad.matmul(attn, out_mix), feats)
-
-    att_audio = attend(audio, visual, params.cross_proj_audio, params.attn_mix_audio, params.out_mix_audio, d_v)
-    att_visual = attend(visual, audio, params.cross_proj_visual, params.attn_mix_visual, params.out_mix_visual, d_a)
+    d_a, d_v = audio.shape[-2], visual.shape[-2]
+    att_audio = ad.attend(audio, visual, params.cross_proj_audio, params.attn_mix_audio,
+                          params.out_mix_audio, 1.0 / math.sqrt(d_v))
+    att_visual = ad.attend(visual, audio, params.cross_proj_visual, params.attn_mix_visual,
+                           params.out_mix_visual, 1.0 / math.sqrt(d_a))
     return FusedFeatures(att_audio, att_visual, ad.concat_rows(att_audio, att_visual))
 
 
-def score_level_fusion(audio_score: float, visual_score: float, weight: float = 0.5) -> float:
-    """Convex combination of per-modality trial scores."""
+def score_level_fusion(audio_score, visual_score, weight: float = 0.5):
+    """Convex combination of per-modality trial scores (floats or arrays of them)."""
     if not 0.0 <= weight <= 1.0:
         raise ConfigError(f"score fusion weight must lie in [0, 1], got {weight}")
     return weight * audio_score + (1.0 - weight) * visual_score

@@ -3,7 +3,9 @@
 Each check builds a tiny random instance of one layer, differentiates a scalar
 probe loss through the tape, and compares against central differences taken by
 re-running the forward with perturbed inputs.  Layers are checked at dims
-small enough that the whole suite runs in seconds.
+small enough that the whole suite runs in seconds; the jca step, BLSTM, ASP
+and AAM head are also checked on a rank-3 batch of two, which covers the
+batch-axis broadcasts and the weight gradients summed over the batch.
 """
 
 from __future__ import annotations
@@ -93,20 +95,20 @@ def check_concat(rng) -> float:
     return check_function(lambda: _probe_loss(ad.concat_rows(a, b), probe), {"a": a, "b": b})
 
 
-def _rjca_instance(rng, steps: int):
+def _rjca_instance(rng, steps: int, batch: tuple[int, ...] = ()):
     config = RjcaConfig(audio_dim=3, visual_dim=2, segments=4)
-    audio = Tensor(rng.uniform(-1, 1, size=(3, 4)))
-    visual = Tensor(rng.uniform(-1, 1, size=(2, 4)))
+    audio = Tensor(rng.uniform(-1, 1, size=batch + (3, 4)))
+    visual = Tensor(rng.uniform(-1, 1, size=batch + (2, 4)))
     chain = [JcaStepParams.init(config, rng) for _ in range(steps)]
-    probe = Tensor(rng.uniform(-1, 1, size=(5, 4)))
+    probe = Tensor(rng.uniform(-1, 1, size=batch + (5, 4)))
     tensors = {"audio": audio, "visual": visual}
     for i, step in enumerate(chain):
         tensors.update({f"step{i}.{k}": t for k, t in step.tensors().items()})
     return audio, visual, chain, probe, tensors
 
 
-def check_jca_step(rng) -> float:
-    audio, visual, chain, probe, tensors = _rjca_instance(rng, steps=1)
+def check_jca_step(rng, batch: tuple[int, ...] = ()) -> float:
+    audio, visual, chain, probe, tensors = _rjca_instance(rng, steps=1, batch=batch)
     return check_function(
         lambda: _probe_loss(rjca_forward(audio, visual, chain).joint, probe), tensors)
 
@@ -128,18 +130,18 @@ def check_cross_attention(rng) -> float:
         lambda: _probe_loss(cross_attention_step(audio, visual, params).joint, probe), tensors)
 
 
-def check_blstm(rng) -> float:
+def check_blstm(rng, batch: tuple[int, ...] = ()) -> float:
     params = BlstmParams.init(input_dim=3, hidden=3, rng=rng)
-    x = Tensor(rng.uniform(-1, 1, size=(3, 5)))
-    probe = Tensor(rng.uniform(-1, 1, size=(6, 5)))
+    x = Tensor(rng.uniform(-1, 1, size=batch + (3, 5)))
+    probe = Tensor(rng.uniform(-1, 1, size=batch + (6, 5)))
     tensors = {"x": x, **params.tensors()}
     return check_function(lambda: _probe_loss(blstm_forward(x, params), probe), tensors)
 
 
-def check_asp(rng) -> float:
+def check_asp(rng, batch: tuple[int, ...] = ()) -> float:
     params = AspParams.init(input_dim=4, bottleneck=3, rng=rng)
-    x = Tensor(rng.uniform(-1, 1, size=(4, 5)))
-    probe = Tensor(rng.uniform(-1, 1, size=(8, 1)))
+    x = Tensor(rng.uniform(-1, 1, size=batch + (4, 5)))
+    probe = Tensor(rng.uniform(-1, 1, size=batch + (8, 1)))
     tensors = {"x": x, **params.tensors()}
     return check_function(lambda: _probe_loss(asp(x, params), probe), tensors)
 
@@ -152,11 +154,17 @@ def check_projection(rng) -> float:
     return check_function(lambda: _probe_loss(project_embedding(pooled, params), probe), tensors)
 
 
-def check_aam(rng) -> float:
+def check_aam(rng, batch: tuple[int, ...] = ()) -> float:
     head = AamHead.init(n_classes=4, embed_dim=5, rng=rng)
-    embedding = Tensor(rng.uniform(0.2, 1.0, size=(5, 1)))
+    embedding = Tensor(rng.uniform(0.2, 1.0, size=batch + (5, 1)))
+    labels = np.array([2, 0])[:batch[0]] if batch else 2
     tensors = {"embedding": embedding, "weights": head.weights}
-    return check_function(lambda: aam_loss(embedding, 2, head), tensors)
+    return check_function(lambda: ad.sum_all(aam_loss(embedding, labels, head)), tensors)
+
+
+def _batched(check: Callable) -> Callable:
+    """The same check on a rank-3 batch of two items."""
+    return lambda rng: check(rng, batch=(2,))
 
 
 LAYER_CHECKS: dict[str, Callable] = {
@@ -164,12 +172,16 @@ LAYER_CHECKS: dict[str, Callable] = {
     "activations": check_activations,
     "concat_rows": check_concat,
     "jca_step": check_jca_step,
+    "jca_step_batch": _batched(check_jca_step),
     "rjca_stack_t3": check_rjca_stack,
     "cross_attention": check_cross_attention,
     "blstm_bptt": check_blstm,
+    "blstm_bptt_batch": _batched(check_blstm),
     "asp": check_asp,
+    "asp_batch": _batched(check_asp),
     "projection": check_projection,
     "aam_loss": check_aam,
+    "aam_loss_batch": _batched(check_aam),
 }
 
 

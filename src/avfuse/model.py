@@ -1,5 +1,8 @@
 """Full verification model: fusion -> optional BLSTM -> pooling -> embedding -> margin head.
 
+The forward runs on one (dim, segments) utterance or on a (B, dim, segments)
+mini-batch through the same ops.
+
 Parameters are built deterministically from a config and seed, exposed as a
 flat name -> tensor mapping for checkpointing, and can be quantized through
 the on-disk single precision so in-memory state matches a reloaded checkpoint
@@ -85,12 +88,18 @@ class VerificationModel:
         return project_embedding(pooled, self.projection)
 
     def embed(self, audio: np.ndarray, visual: np.ndarray) -> np.ndarray:
-        """Inference-path embedding as a flat float64 vector (no tape required)."""
-        out = self.embed_tensors(Tensor(audio), Tensor(visual))
-        return out.data[:, 0].copy()
+        """Inference-path embedding (no tape required).
 
-    def loss(self, audio: np.ndarray, visual: np.ndarray, speaker_index: int) -> Tensor:
-        return aam_loss(self.embed_tensors(Tensor(audio), Tensor(visual)), speaker_index, self.aam)
+        One (dim, segments) utterance gives a flat float64 vector; a
+        (B, dim, segments) batch gives a (B, embed_dim) matrix.
+        """
+        out = self.embed_tensors(Tensor(audio), Tensor(visual))
+        return out.data[..., 0].copy()
+
+    def loss(self, audio: np.ndarray, visual: np.ndarray, labels) -> Tensor:
+        """Per-utterance losses: (1, 1) for one utterance and an int label,
+        (B, 1, 1) for a (B, dim, segments) batch and B labels."""
+        return aam_loss(self.embed_tensors(Tensor(audio), Tensor(visual)), labels, self.aam)
 
     # -- parameter plumbing -------------------------------------------------
 

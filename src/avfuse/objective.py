@@ -58,39 +58,47 @@ class AamHead:
         return {"weights": self.weights}
 
 
-def aam_loss(embedding: Tensor, label: int, head: AamHead) -> Tensor:
-    """Margin-penalized softmax cross-entropy for one embedding, as (1, 1).
+def aam_loss(embedding: Tensor, label, head: AamHead) -> Tensor:
+    """Margin-penalized softmax cross-entropy per embedding.
 
-    The target logit is scale * cos(angle + margin), expanded as
+    An (embed_dim, 1) embedding with an int label gives a (1, 1) loss; a
+    (B, embed_dim, 1) batch with B labels gives the B per-utterance losses as
+    (B, 1, 1).  The target logit is scale * cos(angle + margin), expanded as
     cos*cos(margin) - sin*sin(margin) with sin from the clamped cosine;
     non-target logits are scale * cos.  Gradients flow through both
     normalizations and the margin path.
     """
     n = head.n_classes
-    if not 0 <= label < n:
+    labels = np.asarray(label)
+    if embedding.ndim not in (2, 3) or embedding.shape[-1] != 1:
+        raise ad.ShapeError(f"aam_loss: expected (embed_dim, 1) embeddings, got {embedding.shape}")
+    if labels.shape != embedding.shape[:-2] or labels.dtype.kind not in "iu":
+        raise ConfigError(f"aam_loss: need one integer label per embedding, got {label!r}")
+    if ((labels < 0) | (labels >= n)).any():
         raise ConfigError(f"label {label} out of range for {n} classes")
-    if embedding.ndim != 2 or embedding.shape[1] != 1:
-        raise ad.ShapeError(f"aam_loss: expected (embed_dim, 1) embedding, got {embedding.shape}")
-    if not np.linalg.norm(embedding.data):
+    if not np.linalg.norm(embedding.data, axis=-2).all():
         raise NormalizationError("aam_loss: zero-norm embedding")
     if (np.linalg.norm(head.weights.data, axis=1) == 0.0).any():
         raise NormalizationError("aam_loss: zero-norm class weight row")
 
+    # One-hot columns of the targets: their transpose picks each target
+    # cosine, and they place each margin correction on its target logit.
+    one_hot = np.zeros(embedding.shape[:-2] + (n, 1))
+    np.put_along_axis(one_hot, labels[..., None, None], 1.0, axis=-2)
+
     unit_emb = ad.l2_normalize_columns(embedding)
     unit_classes = ad.l2_normalize_columns(ad.transpose(head.weights))   # embed_dim x n
-    cosines = ad.matmul(ad.transpose(unit_classes), unit_emb)            # n x 1
+    cosines = ad.matmul(ad.transpose(unit_classes), unit_emb)            # [B x] n x 1
 
-    target_cos = ad.rows(cosines, label, label + 1)                      # 1 x 1
+    target_cos = ad.matmul(Tensor(np.swapaxes(one_hot, -1, -2)), cosines)  # [B x] 1 x 1
     bounded = ad.clamp(target_cos, -COS_BOUND, COS_BOUND)
     target_sin = ad.sqrt(ad.scale_shift(ad.mul(bounded, bounded), -1.0, 1.0))
     margined = ad.sub(ad.scale(target_cos, math.cos(head.margin)),
                       ad.scale(target_sin, math.sin(head.margin)))
     delta = ad.sub(margined, target_cos)
 
-    one_hot = np.zeros((n, 1))
-    one_hot[label] = 1.0
     logits = ad.scale(ad.add(cosines, ad.matmul(Tensor(one_hot), delta)), head.scale)
-    return ad.cross_entropy_index(logits, label)
+    return ad.cross_entropy_index(logits, labels)
 
 
 def cosine_score(enroll: np.ndarray, test: np.ndarray) -> float:

@@ -112,7 +112,11 @@ def generate_dataset(spec: SyntheticSpec, out_dir) -> list[ManifestEntry]:
 def _build_trials(spec: SyntheticSpec, rng: np.random.Generator,
                   eval_ids_by_speaker: list[list[str]]) -> list[TrialPair]:
     """All same-speaker pairs among held-out utterances, plus sampled
-    cross-speaker pairs at the configured ratio."""
+    cross-speaker pairs at the configured ratio.
+
+    Raises ConfigError when the sampler cannot find that many distinct
+    cross-speaker pairs, instead of returning fewer.
+    """
     targets = [
         TrialPair(True, a, b)
         for ids in eval_ids_by_speaker
@@ -133,4 +137,10 @@ def _build_trials(spec: SyntheticSpec, rng: np.random.Generator,
             continue
         seen.add(key)
         nontargets.append(TrialPair(False, *key))
+    if len(nontargets) < wanted:
+        raise ConfigError(
+            f"requested {wanted} nontarget trials ({spec.nontargets_per_target} per target) "
+            f"but found only {len(nontargets)} distinct cross-speaker pairs; "
+            f"lower nontargets_per_target or hold out more utterances"
+        )
     return targets + nontargets

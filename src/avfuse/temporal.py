@@ -73,14 +73,15 @@ class BlstmParams:
 
 
 def blstm_forward(x: Tensor, params: BlstmParams) -> Tensor:
-    """Bidirectional pass over a (input_dim, segments) tensor -> (2h, segments).
+    """Bidirectional pass over (input_dim, segments) -> (2h, segments), or a (B, ...) batch.
 
     Forward-direction outputs occupy the top h rows, backward the bottom h;
     initial states are zero in both directions.  Each direction is one fused
-    ``ad.lstm`` op, so the layer adds three tape records whatever the length.
+    ``ad.lstm`` op, so the layer adds three tape records whatever the length
+    and batch size.
     """
-    if x.ndim != 2:
-        raise ShapeError(f"blstm_forward: rank-2 input required, got {x.shape}")
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"blstm_forward: rank-2 or rank-3 input required, got {x.shape}")
     fw, bw = params.fw, params.bw
     return ad.concat_rows(ad.lstm(x, fw.w_input, fw.w_recurrent, fw.bias, reverse=False),
                           ad.lstm(x, bw.w_input, bw.w_recurrent, bw.bias, reverse=True))
@@ -107,17 +108,17 @@ class AspParams:
 
 
 def asp(features: Tensor, params: AspParams) -> Tensor:
-    """Attentive statistics pooling of (dim, segments) -> (2*dim, 1).
+    """Attentive statistics pooling of (dim, segments) -> (2*dim, 1), or of a (B, ...) batch.
 
     Attention weights are a softmax over segments of a scored tanh bottleneck;
     the output stacks the weighted mean over the weighted standard deviation,
     whose variance is floored at VARIANCE_FLOOR.
     """
-    if features.ndim != 2:
-        raise ShapeError(f"asp: rank-2 input required, got {features.shape}")
+    if features.ndim not in (2, 3):
+        raise ShapeError(f"asp: rank-2 or rank-3 input required, got {features.shape}")
     hidden = ad.tanh(ad.add_bias(ad.matmul(params.proj, features), params.bias))
-    scores = ad.matmul(ad.transpose(params.score), hidden)       # 1 x segments
-    weights = ad.softmax_columns(ad.transpose(scores))           # segments x 1
+    scores = ad.matmul(ad.transpose(params.score), hidden)       # [B x] 1 x segments
+    weights = ad.softmax_columns(ad.transpose(scores))           # [B x] segments x 1
     mean = ad.matmul(features, weights)
     second_moment = ad.matmul(ad.mul(features, features), weights)
     variance = ad.clamp_min(ad.sub(second_moment, ad.mul(mean, mean)), VARIANCE_FLOOR)
@@ -128,7 +129,7 @@ def attention_weights(features: Tensor, params: AspParams) -> np.ndarray:
     """Forward-only per-segment attention weights (for inspection/demos)."""
     hidden = ad.tanh(ad.add_bias(ad.matmul(params.proj, features), params.bias))
     scores = ad.matmul(ad.transpose(params.score), hidden)
-    return ad.softmax_columns(ad.transpose(scores)).data[:, 0].copy()
+    return ad.softmax_columns(ad.transpose(scores)).data[..., 0].copy()
 
 
 @dataclass
@@ -150,5 +151,5 @@ class EmbeddingProjection:
 
 
 def project_embedding(pooled: Tensor, params: EmbeddingProjection) -> Tensor:
-    """pooled (input_dim, 1) -> embedding (embed_dim, 1)."""
+    """pooled (input_dim, 1) -> embedding (embed_dim, 1), or the same over a (B, ...) batch."""
     return ad.add(ad.matmul(params.weight, pooled), params.bias)

@@ -1,12 +1,14 @@
 """Mini-batch training of the verification model on the margin objective.
 
-One tape per sample; per-sample backward seeds 1/batch so parameter gradients
-accumulate to the batch-mean gradient before each optimizer step, which is
-refused with a DivergenceError if any gradient is NaN or Inf.  Everything
-is driven by one seeded generator, so a fixed config reproduces the loss log
-and checkpoints exactly.  Parameters pass through checkpoint precision at
-every epoch boundary, keeping the in-memory model identical to its last
-saved checkpoint.
+One tape per mini-batch: the batch's features are stacked into
+(B, dim, segments) arrays and run through one forward, which returns the B
+per-utterance losses; one backward of their sum, seeded 1/B, leaves the
+batch-mean gradient in the parameters.  A non-finite loss raises a
+DivergenceError naming its utterance, and the optimizer step is refused with
+one if any gradient is NaN or Inf.  Everything is driven by one seeded
+generator, so a fixed config reproduces the loss log and checkpoints exactly.
+Parameters pass through checkpoint precision at every epoch boundary, keeping
+the in-memory model identical to its last saved checkpoint.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from avfuse import autodiff as ad
 from avfuse.autodiff import Tape, Tensor
 from avfuse.config import TrainConfig
 from avfuse.featio import Utterance
@@ -112,17 +115,21 @@ def train(config: TrainConfig, train_utts: list[Utterance], out_dir,
         sample_losses: list[float] = []
         for start in range(0, len(perm), config.batch_size):
             batch = [train_utts[order[i]] for i in perm[start:start + config.batch_size]]
+            audio = np.stack([u.audio for u in batch])
+            visual = np.stack([u.visual for u in batch])
+            labels = np.array([speakers[u.speaker_id] for u in batch])
             model.zero_grads()
-            for utt in batch:
-                with Tape() as tape:
-                    loss = model.loss(utt.audio, utt.visual, speakers[utt.speaker_id])
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise DivergenceError(
-                        f"non-finite loss at epoch {epoch}, utterance {utt.utt_id}"
-                    )
-                tape.backward(loss, seed=1.0 / len(batch))
-                sample_losses.append(value)
+            with Tape() as tape:
+                losses = model.loss(audio, visual, labels)
+                total = ad.sum_all(losses)
+            values = losses.data.reshape(-1)
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise DivergenceError(
+                    f"non-finite loss at epoch {epoch}, utterance {batch[bad[0]].utt_id}"
+                )
+            tape.backward(total, seed=1.0 / len(batch))
+            sample_losses.extend(values.tolist())
             _check_finite_gradients(named_params, epoch)
             optimizer.step()
         mean_loss = float(np.mean(sample_losses))

@@ -195,9 +195,6 @@ class TestBackwardVsFiniteDifferences:
         probe = self.rng.uniform(-1, 1, size=(4, 2))
         check_op_gradient(lambda x: ad.mul(ad.transpose(x), Tensor(probe)), [self._u(2, 4)])
 
-    def test_column_and_rows(self):
-        check_op_gradient(lambda x: ad.rows(x, 1, 3), [self._u(4, 2)])
-
     def test_add_bias(self):
         check_op_gradient(ad.add_bias, [self._u(3, 5), self._u(3, 1)])
 
@@ -257,6 +254,40 @@ class TestTape:
         tape.zero_grads()
         tape.backward(loss)
         assert a.grad.tobytes() == first
+
+    def test_backward_releases_op_output_gradients_only(self):
+        a = Tensor([[0.5, -1.0]])
+        with Tape() as tape:
+            hidden = ad.tanh(a)
+            out = ad.mul(hidden, hidden)
+            loss = ad.sum_all(out)
+        tape.backward(loss)
+        assert hidden.grad is None and out.grad is None and loss.grad is None
+        assert np.allclose(a.grad, 2 * np.tanh(a.data) * (1 - np.tanh(a.data) ** 2))
+
+    def test_batch_weight_gradients_sum_over_items(self):
+        rng = np.random.default_rng(3)
+        w = Tensor(rng.uniform(-1, 1, size=(2, 3)))
+        x = Tensor(rng.uniform(-1, 1, size=(4, 3, 5)))
+        bias = Tensor(rng.uniform(-1, 1, size=(2, 1)))
+        with Tape() as tape:
+            loss = ad.sum_all(ad.add_bias(ad.matmul(w, x), bias))
+        tape.backward(loss)
+        assert np.allclose(w.grad, x.data.sum(axis=(0, 2))[None, :].repeat(2, axis=0))
+        assert np.allclose(bias.grad, np.full((2, 1), 20.0))
+        assert np.allclose(x.grad, np.broadcast_to(w.data.sum(axis=0)[:, None], (4, 3, 5)))
+
+    def test_cross_entropy_index_over_a_batch(self):
+        rng = np.random.default_rng(4)
+        logits = rng.uniform(-1, 1, size=(3, 5, 1))
+        labels = np.array([4, 0, 2])
+        batch = ad.cross_entropy_index(Tensor(logits), labels).data
+        assert batch.shape == (3, 1, 1)
+        for b in range(3):
+            single = ad.cross_entropy_index(Tensor(logits[b]), int(labels[b])).data
+            assert batch[b, 0, 0] == single[0, 0]
+        with pytest.raises(ShapeError):
+            ad.cross_entropy_index(Tensor(logits), 1)
 
     def test_no_tape_means_no_grads(self):
         a = Tensor([[1.0, 2.0]])

@@ -223,3 +223,106 @@ class TestBaselines:
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
             baseline_fuse("gated")
+
+
+def composed_attend(feats, key, proj, attn_mix, out_mix, inv_scale):
+    """The attention body written on unfused tape ops: the oracle ``ad.attend`` fuses."""
+    corr = ad.tanh(ad.scale(ad.matmul(ad.transpose(feats), ad.matmul(proj, key)), inv_scale))
+    attn = ad.relu(ad.matmul(ad.matmul(feats, attn_mix), corr))
+    return ad.add(ad.matmul(attn, out_mix), feats)
+
+
+ATTEND_ARGS = ("feats", "key", "proj", "attn_mix", "out_mix")
+
+
+def _attend_data(rng, batch):
+    return {
+        "feats": rng.uniform(-1, 1, size=batch + (3, 4)),
+        "key": rng.uniform(-1, 1, size=batch + (5, 4)),
+        "proj": rng.uniform(-1, 1, size=(3, 5)),
+        "attn_mix": rng.uniform(-1, 1, size=(4, 4)),
+        "out_mix": rng.uniform(-1, 1, size=(4, 4)),
+    }
+
+
+def _run_attend(fn, data, probe, inv_scale):
+    tensors = {name: Tensor(data[name]) for name in ATTEND_ARGS}
+    with Tape() as tape:
+        out = fn(*(tensors[name] for name in ATTEND_ARGS), inv_scale)
+        loss = ad.sum_all(ad.mul(out, Tensor(probe)))
+    tape.backward(loss)
+    return out.data, {name: t.grad for name, t in tensors.items()}
+
+
+class TestAttend:
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_matches_composed_ops(self, batch):
+        rng = np.random.default_rng([7, len(batch)])
+        data = _attend_data(rng, batch)
+        probe = rng.uniform(-1, 1, size=batch + (3, 4))
+        inv_scale = 1.0 / math.sqrt(5)
+        out, grads = _run_attend(ad.attend, data, probe, inv_scale)
+        if batch:
+            # Oracle per item on rank-2 slices; shared weights sum over items.
+            items = [_run_attend(composed_attend, {**data, "feats": data["feats"][b], "key": data["key"][b]},
+                                 probe[b], inv_scale) for b in range(batch[0])]
+            ref_out = np.stack([o for o, _ in items])
+            ref_grads = {name: (np.stack if name in ("feats", "key") else sum)([g[name] for _, g in items])
+                         for name in ATTEND_ARGS}
+        else:
+            ref_out, ref_grads = _run_attend(composed_attend, data, probe, inv_scale)
+        assert np.abs(out - ref_out).max() <= 1e-12
+        for name in ATTEND_ARGS:
+            assert grads[name] is not None, name
+            assert grads[name].shape == data[name].shape, name
+            assert np.abs(grads[name] - ref_grads[name]).max() <= 1e-12, name
+
+    def test_is_one_tape_record(self):
+        data = _attend_data(np.random.default_rng(8), (2,))
+        with Tape() as tape:
+            ad.attend(*(Tensor(data[name]) for name in ATTEND_ARGS), 0.5)
+        assert len(tape) == 1
+
+    def test_shape_errors_name_the_operand(self):
+        data = {name: Tensor(v) for name, v in _attend_data(np.random.default_rng(9), ()).items()}
+        args = [data[name] for name in ATTEND_ARGS]
+        with pytest.raises(ad.ShapeError, match="projection"):
+            ad.attend(args[0], args[1], Tensor(np.ones((3, 4))), *args[3:], 0.5)
+        with pytest.raises(ad.ShapeError, match="out_mix"):
+            ad.attend(*args[:4], Tensor(np.ones((3, 3))), 0.5)
+        with pytest.raises(ad.ShapeError, match="batch"):
+            ad.attend(Tensor(np.ones((2, 3, 4))), *args[1:], 0.5)
+
+
+class TestRecordCounts:
+    @pytest.mark.parametrize("steps, records", [(1, 4), (3, 10), (5, 16)])
+    def test_rjca_forward_adds_three_records_per_step_plus_one(self, steps, records):
+        config = RjcaConfig(audio_dim=3, visual_dim=2, segments=4)
+        audio, visual = random_inputs(config)
+        chain = [JcaStepParams.init(config, np.random.default_rng(steps)) for _ in range(steps)]
+        with Tape() as tape:
+            rjca_forward(audio, visual, chain)
+        assert len(tape) == records
+
+    def test_batched_recursion_rows_match_single_utterances(self):
+        config = RjcaConfig(audio_dim=3, visual_dim=2, segments=4)
+        rng = np.random.default_rng(10)
+        audio = rng.uniform(-1, 1, size=(3, 3, 4))
+        visual = rng.uniform(-1, 1, size=(3, 2, 4))
+        chain = [JcaStepParams.init(config, rng) for _ in range(3)]
+        joint = rjca_forward(Tensor(audio), Tensor(visual), chain).joint.data
+        for b in range(3):
+            single = rjca_forward(Tensor(audio[b]), Tensor(visual[b]), chain).joint.data
+            assert np.abs(joint[b] - single).max() <= 1e-12
+
+    def test_correlation_maps_of_a_batch(self):
+        config = RjcaConfig(audio_dim=3, visual_dim=2, segments=4)
+        rng = np.random.default_rng(11)
+        audio = rng.uniform(-1, 1, size=(2, 3, 4))
+        visual = rng.uniform(-1, 1, size=(2, 2, 4))
+        params = JcaStepParams.init(config, rng)
+        corr_a, corr_v = correlation_maps(Tensor(audio), Tensor(visual), params)
+        assert corr_a.shape == corr_v.shape == (2, 4, 4)
+        single_a, single_v = correlation_maps(Tensor(audio[1]), Tensor(visual[1]), params)
+        assert np.abs(corr_a[1] - single_a).max() <= 1e-12
+        assert np.abs(corr_v[1] - single_v).max() <= 1e-12

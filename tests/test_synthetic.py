@@ -1,0 +1,26 @@
+"""Synthetic data generation: the trial list delivers what it was asked for."""
+
+import pytest
+
+from avfuse.featio import parse_trial_list
+from avfuse.fusion import ConfigError
+from avfuse.synthetic import SyntheticSpec, generate_dataset
+
+
+def test_too_few_cross_speaker_pairs_raise_with_both_counts(tmp_path):
+    # 2 speakers x 2 held-out utterances: 2 target trials, so 20 nontargets
+    # are requested, but only 8 ordered cross-speaker pairs exist.
+    spec = SyntheticSpec(n_speakers=2, utts_per_speaker=3, eval_utts_per_speaker=2,
+                         nontargets_per_target=10)
+    with pytest.raises(ConfigError, match=r"requested 20 nontarget.*found only 8"):
+        generate_dataset(spec, tmp_path)
+
+
+def test_default_ratio_delivers_every_requested_nontarget(tmp_path):
+    spec = SyntheticSpec(n_speakers=4, utts_per_speaker=3, audio_dim=3, visual_dim=2,
+                         segments=4, latent_dim=2, eval_utts_per_speaker=2)
+    generate_dataset(spec, tmp_path)
+    trials = parse_trial_list(tmp_path / "trials.txt")
+    targets = sum(t.is_target for t in trials)
+    assert targets == 4
+    assert len(trials) - targets == 4 * spec.nontargets_per_target

@@ -54,13 +54,15 @@ def reference_lstm(x, w_input, w_recurrent, bias, reverse):
     c_prev = Tensor(np.zeros((hidden, 1)))
     order = range(length - 1, -1, -1) if reverse else range(length)
     outputs = [None] * length
+    # Row selectors picking each gate's block out of the stacked pre-activations.
+    gate_rows = [Tensor(np.eye(4 * hidden)[k * hidden:(k + 1) * hidden]) for k in range(4)]
     for t in order:
         x_t = ad.matmul(x, Tensor(np.eye(length)[:, t:t + 1]))
         pre = ad.add(ad.add(ad.matmul(w_input, x_t), ad.matmul(w_recurrent, h_prev)), bias)
-        gate_in = ad.sigmoid(ad.rows(pre, 0, hidden))
-        gate_forget = ad.sigmoid(ad.rows(pre, hidden, 2 * hidden))
-        cell_cand = ad.tanh(ad.rows(pre, 2 * hidden, 3 * hidden))
-        gate_out = ad.sigmoid(ad.rows(pre, 3 * hidden, 4 * hidden))
+        gate_in = ad.sigmoid(ad.matmul(gate_rows[0], pre))
+        gate_forget = ad.sigmoid(ad.matmul(gate_rows[1], pre))
+        cell_cand = ad.tanh(ad.matmul(gate_rows[2], pre))
+        gate_out = ad.sigmoid(ad.matmul(gate_rows[3], pre))
         c_prev = ad.add(ad.mul(gate_forget, c_prev), ad.mul(gate_in, cell_cand))
         h_prev = ad.mul(gate_out, ad.tanh(c_prev))
         outputs[t] = h_prev
@@ -107,6 +109,33 @@ class TestFusedLstm:
             assert fused_grads[name] is not None, name
             assert np.abs(fused_grads[name] - ref_grads[name]).max() <= 1e-12, name
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_batch_matches_per_item_calls(self, reverse):
+        rng = np.random.default_rng([11, int(reverse)])
+        batch, dim, hidden, length = 3, 3, 4, 5
+        weights = {
+            "w_input": rng.uniform(-1, 1, size=(4 * hidden, dim)),
+            "w_recurrent": rng.uniform(-1, 1, size=(4 * hidden, hidden)),
+            "bias": rng.uniform(-1, 1, size=(4 * hidden, 1)),
+        }
+        x = rng.uniform(-1, 1, size=(batch, dim, length))
+        probe = rng.uniform(-1, 1, size=(batch, hidden, length))
+
+        def run(x_data, probe_data):
+            tensors = {"x": Tensor(x_data), **{k: Tensor(v) for k, v in weights.items()}}
+            with Tape() as tape:
+                out, loss = _fused_run(tensors, probe_data, reverse)
+            tape.backward(loss)
+            return out, {name: t.grad for name, t in tensors.items()}
+
+        out, grads = run(x, probe)
+        items = [run(x[b], probe[b]) for b in range(batch)]
+        assert out.shape == (batch, hidden, length)
+        assert np.abs(out - np.stack([o for o, _ in items])).max() <= 1e-12
+        assert np.abs(grads["x"] - np.stack([g["x"] for _, g in items])).max() <= 1e-12
+        for name in weights:
+            assert np.abs(grads[name] - sum(g[name] for _, g in items)).max() <= 1e-12, name
+
     def test_blstm_is_three_tape_records(self):
         params = BlstmParams.init(3, 4, np.random.default_rng(9))
         with Tape() as tape:
@@ -146,30 +175,6 @@ class TestBlstm:
         out = blstm_forward(Tensor(x), params).data
         out_perm = blstm_forward(Tensor(x[:, perm].copy()), params).data
         assert not np.allclose(out_perm, out[:, perm])
-
-    def test_bptt_gradients_match_finite_differences(self):
-        rng = np.random.default_rng(3)
-        params = BlstmParams.init(3, 3, rng)
-        x = Tensor(rng.uniform(-1, 1, size=(3, 5)))
-        probe = Tensor(rng.uniform(-1, 1, size=(6, 5)))
-
-        def loss_value():
-            return ad.sum_all(ad.mul(blstm_forward(x, params), probe))
-
-        with Tape() as tape:
-            loss = loss_value()
-        tape.backward(loss)
-        for name, t in {"x": x, **params.tensors()}.items():
-            saved = t.data
-            def f(pt, t=t):
-                t.data = pt.data
-                try:
-                    return loss_value().item()
-                finally:
-                    t.data = saved
-            analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
-            err = relative_error(analytic, numeric_gradient(f, t))
-            assert err < 1e-4, f"{name}: relative error {err}"
 
 
 class TestAsp:

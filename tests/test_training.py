@@ -1,13 +1,15 @@
-"""Training: bitwise reproducibility and the non-finite gradient guard."""
+"""Training: bitwise reproducibility, the per-sample reference, and the non-finite guards."""
 
 import numpy as np
 import pytest
 
 from avfuse import autodiff as ad
+from avfuse.autodiff import Tape
 from avfuse.config import TrainConfig
 from avfuse.featio import load_dataset, manifest_entries
+from avfuse.model import VerificationModel
 from avfuse.synthetic import SyntheticSpec, generate_dataset
-from avfuse.training import DivergenceError, train
+from avfuse.training import DivergenceError, Optimizer, speaker_index_map, train
 
 
 @pytest.fixture(scope="module")
@@ -53,4 +55,57 @@ def test_non_finite_gradient_stops_training_and_names_the_parameter(tiny_train_s
     monkeypatch.setattr(ad, "lstm", poisoned_lstm)
     with pytest.raises(DivergenceError, match=r"epoch 0, parameter blstm\.bw\.w_recurrent"):
         train(tiny_config(), tiny_train_set, tmp_path)
+    assert not (tmp_path / "final.ckpt").exists()
+
+
+def reference_epoch_losses(config, utts):
+    """The per-sample loop batched training replaced: one tape per utterance."""
+    speakers = speaker_index_map(utts)
+    model = VerificationModel(config, n_speakers=len(speakers))
+    optimizer = Optimizer(list(model.named_parameters().values()), config)
+    shuffle_rng = np.random.default_rng(config.seed + 1)
+    order = sorted(range(len(utts)), key=lambda i: utts[i].utt_id)
+    epoch_losses = []
+    for _ in range(config.epochs):
+        perm = shuffle_rng.permutation(len(order))
+        losses = []
+        for start in range(0, len(perm), config.batch_size):
+            batch = [utts[order[i]] for i in perm[start:start + config.batch_size]]
+            model.zero_grads()
+            for utt in batch:
+                with Tape() as tape:
+                    loss = model.loss(utt.audio, utt.visual, speakers[utt.speaker_id])
+                tape.backward(loss, seed=1.0 / len(batch))
+                losses.append(loss.item())
+            optimizer.step()
+        epoch_losses.append(float(np.mean(losses)))
+        model.quantize_single_precision()
+    return epoch_losses
+
+
+def test_batched_training_matches_per_sample_loop(tiny_train_set, tmp_path):
+    config = tiny_config()
+    result = train(config, tiny_train_set, tmp_path)
+    reference = reference_epoch_losses(config, tiny_train_set)
+    assert len(result.epoch_losses) == len(reference) == 2
+    for got, want in zip(result.epoch_losses, reference):
+        assert abs(got - want) <= 1e-9 * abs(want)
+
+
+def test_non_finite_loss_names_its_utterance(tiny_train_set, tmp_path, monkeypatch):
+    config = tiny_config()
+    real_cross_entropy = ad.cross_entropy_index
+
+    def poisoned(logits, index):
+        # NaN in the second utterance of the batch, the others left finite.
+        out = real_cross_entropy(logits, index)
+        out.data[1] = np.nan
+        return out
+
+    monkeypatch.setattr(ad, "cross_entropy_index", poisoned)
+    order = sorted(tiny_train_set, key=lambda u: u.utt_id)
+    perm = np.random.default_rng(config.seed + 1).permutation(len(order))
+    second = order[perm[1]].utt_id
+    with pytest.raises(DivergenceError, match=rf"epoch 0, utterance {second}$"):
+        train(config, tiny_train_set, tmp_path)
     assert not (tmp_path / "final.ckpt").exists()
