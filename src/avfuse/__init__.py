@@ -3,7 +3,7 @@ temporal pooling, angular-margin training, and trial-based evaluation."""
 
 from avfuse.autodiff import Tape, Tensor
 from avfuse.config import TrainConfig
-from avfuse.fusion import FusedFeatures, JcaStepParams, RjcaConfig, jca_step, rjca_forward
+from avfuse.fusion import FusedFeatures, JcaStepParams, jca_step, rjca_forward
 from avfuse.metrics import DcfParams, ScoreSet, compute_report, eer, min_dcf
 from avfuse.model import VerificationModel
 
@@ -11,7 +11,6 @@ __all__ = [
     "DcfParams",
     "FusedFeatures",
     "JcaStepParams",
-    "RjcaConfig",
     "ScoreSet",
     "Tape",
     "Tensor",

@@ -31,6 +31,7 @@ tensors may run concurrently across threads.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from typing import Callable
 
@@ -116,6 +117,23 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
+def named_tensors(params, prefix: str = "") -> dict[str, Tensor]:
+    """Every ``Tensor`` field of a parameter dataclass by dotted name, in field order.
+
+    Nested dataclass fields recurse under their own name, so the ``w_input``
+    of a ``fw`` field comes out as ``prefix + "fw.w_input"``; other fields
+    (hyperparameters) are skipped.
+    """
+    named: dict[str, Tensor] = {}
+    for field in dataclasses.fields(params):
+        value = getattr(params, field.name)
+        if isinstance(value, Tensor):
+            named[prefix + field.name] = value
+        elif dataclasses.is_dataclass(value):
+            named.update(named_tensors(value, f"{prefix}{field.name}."))
+    return named
+
+
 class Tape:
     """Ordered record of executed ops sufficient to replay backward.
 
@@ -159,18 +177,6 @@ class Tape:
             produced = tensors[-1]
             if not produced.is_leaf:
                 produced.grad = None
-
-    def tensors(self) -> list[Tensor]:
-        """All distinct tensors touched by recorded ops, in first-use order."""
-        seen: dict[int, Tensor] = {}
-        for _, ts in self._records:
-            for t in ts:
-                seen.setdefault(id(t), t)
-        return list(seen.values())
-
-    def zero_grads(self) -> None:
-        for t in self.tensors():
-            t.grad = None
 
 
 def _accumulate(t: Tensor, delta: np.ndarray) -> None:
@@ -324,11 +330,6 @@ def scale_shift(x: Tensor, scale: float = 1.0, shift: float = 0.0) -> Tensor:
     return out
 
 
-def scale(x: Tensor, factor: float) -> Tensor:
-    """Elementwise multiplication by a constant."""
-    return scale_shift(x, scale=factor)
-
-
 def tanh(x: Tensor) -> Tensor:
     out = Tensor._wrap(np.tanh(x.data))
 
@@ -388,18 +389,6 @@ def softmax_columns(x: Tensor) -> Tensor:
 
     _record(backward, (x, out))
     return out
-
-
-_ACTIVATIONS = {"tanh": tanh, "relu": relu, "softmax_columns": softmax_columns}
-
-
-def activation(x: Tensor, kind: str) -> Tensor:
-    """Dispatch to tanh, relu, or per-column softmax."""
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ShapeError(f"unknown activation kind {kind!r}") from None
-    return fn(x)
 
 
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:
@@ -466,10 +455,6 @@ def clamp(x: Tensor, lo: float = -np.inf, hi: float = np.inf) -> Tensor:
 
     _record(backward, (x, out))
     return out
-
-
-def clamp_min(x: Tensor, lo: float) -> Tensor:
-    return clamp(x, lo=lo)
 
 
 def sqrt(x: Tensor) -> Tensor:

@@ -9,37 +9,29 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from avfuse.config import TrainConfig, load_config
-from avfuse.evaluation import RAW_SYSTEMS, TRAINED_SYSTEMS, evaluate
+from avfuse.config import ConfigError, TrainConfig, load_config
+from avfuse.evaluation import RAW_SYSTEMS, TRAINED_SYSTEMS, embed_utterances, evaluate
 from avfuse.featio import load_dataset, manifest_entries, parse_trial_list, save_features
-from avfuse.fusion import ConfigError
 from avfuse.gradcheck import format_suite_report, run_suite
 from avfuse.metrics import DcfParams, format_report
 from avfuse.model import VerificationModel
 from avfuse.synthetic import SyntheticSpec, generate_dataset
 from avfuse.training import train
 
-_CONFIG_FLAGS = {
-    "audio_dim": int, "visual_dim": int, "segments": int, "iterations": int,
-    "use_blstm": str, "share_fusion_weights": str, "fusion": str,
-    "blstm_hidden": int, "asp_hidden": int, "embed_dim": int,
-    "aam_scale": float, "aam_margin": float, "optimizer": str,
-    "learning_rate": float, "momentum": float, "batch_size": int,
-    "epochs": int, "seed": int, "score_fusion_weight": float,
-}
-
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """One ``--flag`` per TrainConfig field; values stay strings until ``load_config`` parses them."""
     parser.add_argument("--config", type=Path, help="flat `key = value` config file")
-    for name, kind in _CONFIG_FLAGS.items():
-        parser.add_argument(f"--{name.replace('_', '-')}", dest=name, type=kind, default=None)
+    for field in fields(TrainConfig):
+        parser.add_argument(f"--{field.name.replace('_', '-')}", dest=field.name, default=None)
 
 
 def _resolve_config(args: argparse.Namespace) -> TrainConfig:
-    overrides = {name: getattr(args, name) for name in _CONFIG_FLAGS
-                 if getattr(args, name, None) is not None}
+    overrides = {f.name: getattr(args, f.name) for f in fields(TrainConfig)
+                 if getattr(args, f.name, None) is not None}
     return load_config(args.config, overrides)
 
 
@@ -109,8 +101,8 @@ def _cmd_embed(args) -> int:
     utterances = load_dataset(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for utt_id, utt in sorted(utterances.items()):
-        emb = model.embed(utt.audio, utt.visual)
+    ids = sorted(utterances)
+    for utt_id, emb in zip(ids, embed_utterances(model, ids, utterances)):
         save_features(out_dir / f"{utt_id}.emb.avf", emb.reshape(-1, 1))
     print(f"embedded {len(utterances)} utterances to {out_dir}")
     return 0

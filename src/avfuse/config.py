@@ -5,7 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from avfuse.fusion import ConfigError
+
+class ConfigError(ValueError):
+    """Invalid model, data or run configuration."""
+
 
 FUSION_MODES = ("rjca", "concat", "cross_attention")
 OPTIMIZERS = ("adam", "momentum")

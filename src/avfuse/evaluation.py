@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from avfuse.config import TrainConfig
+from avfuse.config import ConfigError, TrainConfig
 from avfuse.featio import TrialPair, Utterance
-from avfuse.fusion import ConfigError, score_level_fusion
+from avfuse.fusion import score_level_fusion
 from avfuse.metrics import DcfParams, MetricsReport, ScoreSet, compute_report, write_scores
 from avfuse.model import VerificationModel
 from avfuse.objective import NormalizationError
@@ -49,16 +49,17 @@ def _check_ids(trials: list[TrialPair], utterances: dict[str, Utterance]) -> Non
         raise ResolutionError(f"trial utterances not found: {missing}")
 
 
-def _model_vectors(model: VerificationModel, ids: list[str],
-                   utterances: dict[str, Utterance]) -> np.ndarray:
-    """Embeddings of the given utterances, one row each, embedded in batches of ``batch_size``."""
+def embed_utterances(model: VerificationModel, ids: list[str],
+                     utterances: dict[str, Utterance]) -> np.ndarray:
+    """Embeddings of the given utterances, one row each in ``ids`` order, embedded in
+    batches of the model's ``batch_size``."""
     size = model.config.batch_size
     chunks = []
     for start in range(0, len(ids), size):
         batch = [utterances[u] for u in ids[start:start + size]]
         chunks.append(model.embed(np.stack([u.audio for u in batch]),
                                   np.stack([u.visual for u in batch])))
-    return np.concatenate(chunks)
+    return np.concatenate(chunks) if chunks else np.empty((0, model.config.embed_dim))
 
 
 def _cosines(trials: list[TrialPair], index: dict[str, int], vectors: np.ndarray) -> np.ndarray:
@@ -100,7 +101,7 @@ def score_trials(system: str, trials: list[TrialPair], utterances: dict[str, Utt
             raise ConfigError(
                 f"checkpoint was trained with fusion {model.config.fusion!r}, not {system!r}"
             )
-        scores = _cosines(trials, index, _model_vectors(model, ids, utterances))
+        scores = _cosines(trials, index, embed_utterances(model, ids, utterances))
     elif system in RAW_SYSTEMS:
         def raw(modality: str) -> np.ndarray:
             stacked = np.stack([getattr(utterances[u], modality) for u in ids])

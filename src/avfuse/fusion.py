@@ -24,32 +24,7 @@ import numpy as np
 
 from avfuse import autodiff as ad
 from avfuse.autodiff import ShapeError, Tensor
-
-
-class ConfigError(ValueError):
-    """Invalid model or fusion configuration."""
-
-
-@dataclass
-class RjcaConfig:
-    """Dimensions and switches of the recursive fusion stack."""
-
-    audio_dim: int
-    visual_dim: int
-    segments: int
-    iterations: int = 3
-    share_weights: bool = False
-
-    def __post_init__(self):
-        for name in ("audio_dim", "visual_dim", "segments"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.iterations < 1:
-            raise ConfigError("iterations must be >= 1")
-
-    @property
-    def joint_dim(self) -> int:
-        return self.audio_dim + self.visual_dim
+from avfuse.config import ConfigError
 
 
 def init_weight(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
@@ -74,51 +49,22 @@ class JcaStepParams:
     out_mix_audio: Tensor
     out_mix_visual: Tensor
 
-    @classmethod
-    def init(cls, config: RjcaConfig, rng: np.random.Generator) -> "JcaStepParams":
-        d_a, d_v, d, L = config.audio_dim, config.visual_dim, config.joint_dim, config.segments
-        return cls(
-            corr_proj_audio=init_weight(rng, d_a, d),
-            corr_proj_visual=init_weight(rng, d_v, d),
-            attn_mix_audio=init_weight(rng, L, L),
-            attn_mix_visual=init_weight(rng, L, L),
-            out_mix_audio=init_weight(rng, L, L),
-            out_mix_visual=init_weight(rng, L, L),
-        )
+    @staticmethod
+    def shapes(audio_dim: int, visual_dim: int, segments: int) -> dict[str, tuple[int, int]]:
+        """Shape of every weight, in field order (the order ``init`` draws them)."""
+        joint, mix = audio_dim + visual_dim, (segments, segments)
+        return {"corr_proj_audio": (audio_dim, joint), "corr_proj_visual": (visual_dim, joint),
+                "attn_mix_audio": mix, "attn_mix_visual": mix,
+                "out_mix_audio": mix, "out_mix_visual": mix}
 
     @classmethod
-    def zeros(cls, config: RjcaConfig) -> "JcaStepParams":
-        d_a, d_v, d, L = config.audio_dim, config.visual_dim, config.joint_dim, config.segments
-        return cls(
-            corr_proj_audio=Tensor(np.zeros((d_a, d))),
-            corr_proj_visual=Tensor(np.zeros((d_v, d))),
-            attn_mix_audio=Tensor(np.zeros((L, L))),
-            attn_mix_visual=Tensor(np.zeros((L, L))),
-            out_mix_audio=Tensor(np.zeros((L, L))),
-            out_mix_visual=Tensor(np.zeros((L, L))),
-        )
-
-    def tensors(self) -> dict[str, Tensor]:
-        return {
-            "corr_proj_audio": self.corr_proj_audio,
-            "corr_proj_visual": self.corr_proj_visual,
-            "attn_mix_audio": self.attn_mix_audio,
-            "attn_mix_visual": self.attn_mix_visual,
-            "out_mix_audio": self.out_mix_audio,
-            "out_mix_visual": self.out_mix_visual,
-        }
+    def init(cls, audio_dim: int, visual_dim: int, segments: int,
+             rng: np.random.Generator) -> "JcaStepParams":
+        shapes = cls.shapes(audio_dim, visual_dim, segments)
+        return cls(**{name: init_weight(rng, *shape) for name, shape in shapes.items()})
 
     def validate(self, audio_dim: int, visual_dim: int, segments: int) -> None:
-        d = audio_dim + visual_dim
-        expected = {
-            "corr_proj_audio": (audio_dim, d),
-            "corr_proj_visual": (visual_dim, d),
-            "attn_mix_audio": (segments, segments),
-            "attn_mix_visual": (segments, segments),
-            "out_mix_audio": (segments, segments),
-            "out_mix_visual": (segments, segments),
-        }
-        for name, shape in expected.items():
+        for name, shape in self.shapes(audio_dim, visual_dim, segments).items():
             actual = getattr(self, name).shape
             if actual != shape:
                 raise ShapeError(f"fusion weight {name}: expected shape {shape}, got {actual}")
@@ -207,26 +153,16 @@ class CrossAttentionParams:
     out_mix_visual: Tensor
 
     @classmethod
-    def init(cls, config: RjcaConfig, rng: np.random.Generator) -> "CrossAttentionParams":
-        d_a, d_v, L = config.audio_dim, config.visual_dim, config.segments
+    def init(cls, audio_dim: int, visual_dim: int, segments: int,
+             rng: np.random.Generator) -> "CrossAttentionParams":
         return cls(
-            cross_proj_audio=init_weight(rng, d_a, d_v),
-            cross_proj_visual=init_weight(rng, d_v, d_a),
-            attn_mix_audio=init_weight(rng, L, L),
-            attn_mix_visual=init_weight(rng, L, L),
-            out_mix_audio=init_weight(rng, L, L),
-            out_mix_visual=init_weight(rng, L, L),
+            cross_proj_audio=init_weight(rng, audio_dim, visual_dim),
+            cross_proj_visual=init_weight(rng, visual_dim, audio_dim),
+            attn_mix_audio=init_weight(rng, segments, segments),
+            attn_mix_visual=init_weight(rng, segments, segments),
+            out_mix_audio=init_weight(rng, segments, segments),
+            out_mix_visual=init_weight(rng, segments, segments),
         )
-
-    def tensors(self) -> dict[str, Tensor]:
-        return {
-            "cross_proj_audio": self.cross_proj_audio,
-            "cross_proj_visual": self.cross_proj_visual,
-            "attn_mix_audio": self.attn_mix_audio,
-            "attn_mix_visual": self.attn_mix_visual,
-            "out_mix_audio": self.out_mix_audio,
-            "out_mix_visual": self.out_mix_visual,
-        }
 
 
 def cross_attention_step(audio: Tensor, visual: Tensor, params: CrossAttentionParams) -> FusedFeatures:
@@ -250,20 +186,3 @@ def score_level_fusion(audio_score, visual_score, weight: float = 0.5):
         raise ConfigError(f"score fusion weight must lie in [0, 1], got {weight}")
     return weight * audio_score + (1.0 - weight) * visual_score
 
-
-def baseline_fuse(mode: str, **kwargs):
-    """Dispatch a baseline fusion strategy by name.
-
-    Modes: ``score_level`` (audio_score, visual_score, weight), ``concat``
-    (audio, visual), ``cross_attention`` (audio, visual, params).
-    """
-    if mode == "score_level":
-        return score_level_fusion(
-            kwargs["audio_score"], kwargs["visual_score"], kwargs.get("weight", 0.5)
-        )
-    if mode == "concat":
-        audio, visual = kwargs["audio"], kwargs["visual"]
-        return FusedFeatures(audio, visual, joint_representation(audio, visual))
-    if mode == "cross_attention":
-        return cross_attention_step(kwargs["audio"], kwargs["visual"], kwargs["params"])
-    raise ConfigError(f"unknown fusion mode {mode!r}")

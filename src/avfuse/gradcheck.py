@@ -16,8 +16,8 @@ from typing import Callable
 import numpy as np
 
 from avfuse import autodiff as ad
-from avfuse.autodiff import Tape, Tensor, numeric_gradient, relative_error
-from avfuse.fusion import CrossAttentionParams, JcaStepParams, RjcaConfig, cross_attention_step, rjca_forward
+from avfuse.autodiff import Tape, Tensor, named_tensors, numeric_gradient, relative_error
+from avfuse.fusion import CrossAttentionParams, JcaStepParams, cross_attention_step, rjca_forward
 from avfuse.objective import AamHead, aam_loss
 from avfuse.temporal import AspParams, BlstmParams, EmbeddingProjection, asp, blstm_forward, project_embedding
 
@@ -96,14 +96,13 @@ def check_concat(rng) -> float:
 
 
 def _rjca_instance(rng, steps: int, batch: tuple[int, ...] = ()):
-    config = RjcaConfig(audio_dim=3, visual_dim=2, segments=4)
     audio = Tensor(rng.uniform(-1, 1, size=batch + (3, 4)))
     visual = Tensor(rng.uniform(-1, 1, size=batch + (2, 4)))
-    chain = [JcaStepParams.init(config, rng) for _ in range(steps)]
+    chain = [JcaStepParams.init(3, 2, 4, rng) for _ in range(steps)]
     probe = Tensor(rng.uniform(-1, 1, size=batch + (5, 4)))
     tensors = {"audio": audio, "visual": visual}
     for i, step in enumerate(chain):
-        tensors.update({f"step{i}.{k}": t for k, t in step.tensors().items()})
+        tensors.update(named_tensors(step, f"step{i}."))
     return audio, visual, chain, probe, tensors
 
 
@@ -120,12 +119,11 @@ def check_rjca_stack(rng, steps: int = 3) -> float:
 
 
 def check_cross_attention(rng) -> float:
-    config = RjcaConfig(audio_dim=3, visual_dim=2, segments=4)
     audio = Tensor(rng.uniform(-1, 1, size=(3, 4)))
     visual = Tensor(rng.uniform(-1, 1, size=(2, 4)))
-    params = CrossAttentionParams.init(config, rng)
+    params = CrossAttentionParams.init(3, 2, 4, rng)
     probe = Tensor(rng.uniform(-1, 1, size=(5, 4)))
-    tensors = {"audio": audio, "visual": visual, **params.tensors()}
+    tensors = {"audio": audio, "visual": visual, **named_tensors(params)}
     return check_function(
         lambda: _probe_loss(cross_attention_step(audio, visual, params).joint, probe), tensors)
 
@@ -134,7 +132,7 @@ def check_blstm(rng, batch: tuple[int, ...] = ()) -> float:
     params = BlstmParams.init(input_dim=3, hidden=3, rng=rng)
     x = Tensor(rng.uniform(-1, 1, size=batch + (3, 5)))
     probe = Tensor(rng.uniform(-1, 1, size=batch + (6, 5)))
-    tensors = {"x": x, **params.tensors()}
+    tensors = {"x": x, **named_tensors(params)}
     return check_function(lambda: _probe_loss(blstm_forward(x, params), probe), tensors)
 
 
@@ -142,7 +140,7 @@ def check_asp(rng, batch: tuple[int, ...] = ()) -> float:
     params = AspParams.init(input_dim=4, bottleneck=3, rng=rng)
     x = Tensor(rng.uniform(-1, 1, size=batch + (4, 5)))
     probe = Tensor(rng.uniform(-1, 1, size=batch + (8, 1)))
-    tensors = {"x": x, **params.tensors()}
+    tensors = {"x": x, **named_tensors(params)}
     return check_function(lambda: _probe_loss(asp(x, params), probe), tensors)
 
 
@@ -150,7 +148,7 @@ def check_projection(rng) -> float:
     params = EmbeddingProjection.init(input_dim=6, embed_dim=4, rng=rng)
     pooled = Tensor(rng.uniform(-1, 1, size=(6, 1)))
     probe = Tensor(rng.uniform(-1, 1, size=(4, 1)))
-    tensors = {"pooled": pooled, **params.tensors()}
+    tensors = {"pooled": pooled, **named_tensors(params)}
     return check_function(lambda: _probe_loss(project_embedding(pooled, params), probe), tensors)
 
 

@@ -16,12 +16,10 @@ import numpy as np
 from avfuse import autodiff as ad
 from avfuse.autodiff import Tensor
 from avfuse.checkpoint import load_checkpoint, quantize_like_checkpoint, save_checkpoint
-from avfuse.config import TrainConfig, config_to_text, parse_config_text
+from avfuse.config import ConfigError, TrainConfig, config_to_text, parse_config_text
 from avfuse.fusion import (
-    ConfigError,
     CrossAttentionParams,
     JcaStepParams,
-    RjcaConfig,
     cross_attention_step,
     joint_representation,
     rjca_forward,
@@ -39,25 +37,18 @@ class VerificationModel:
         self.config = config
         self.n_speakers = n_speakers
         rng = np.random.default_rng(config.seed if seed is None else seed)
-        rjca = RjcaConfig(
-            audio_dim=config.audio_dim,
-            visual_dim=config.visual_dim,
-            segments=config.segments,
-            iterations=config.iterations,
-            share_weights=config.share_fusion_weights,
-        )
-        self.rjca_config = rjca
+        dims = (config.audio_dim, config.visual_dim, config.segments)
 
         self.fusion_steps: list[JcaStepParams] = []
         self.cross_params: CrossAttentionParams | None = None
         if config.fusion == "rjca":
             n_steps = 1 if config.share_fusion_weights else config.iterations
-            self.fusion_steps = [JcaStepParams.init(rjca, rng) for _ in range(n_steps)]
+            self.fusion_steps = [JcaStepParams.init(*dims, rng) for _ in range(n_steps)]
         elif config.fusion == "cross_attention":
-            self.cross_params = CrossAttentionParams.init(rjca, rng)
+            self.cross_params = CrossAttentionParams.init(*dims, rng)
         # "concat" has no fusion parameters.
 
-        fused_dim = rjca.joint_dim
+        fused_dim = config.audio_dim + config.visual_dim
         self.blstm: BlstmParams | None = None
         head_in = fused_dim
         if config.use_blstm:
@@ -104,22 +95,14 @@ class VerificationModel:
     # -- parameter plumbing -------------------------------------------------
 
     def named_parameters(self) -> dict[str, Tensor]:
+        """Every parameter by checkpoint name: component prefix plus dataclass field path."""
+        components = [(f"fusion.step{i}.", step) for i, step in enumerate(self.fusion_steps)]
+        components += [("fusion.cross.", self.cross_params), ("blstm.", self.blstm),
+                       ("asp.", self.asp), ("projection.", self.projection), ("aam.", self.aam)]
         params: dict[str, Tensor] = {}
-        for i, step in enumerate(self.fusion_steps):
-            for key, tensor in step.tensors().items():
-                params[f"fusion.step{i}.{key}"] = tensor
-        if self.cross_params is not None:
-            for key, tensor in self.cross_params.tensors().items():
-                params[f"fusion.cross.{key}"] = tensor
-        if self.blstm is not None:
-            for key, tensor in self.blstm.tensors().items():
-                params[f"blstm.{key}"] = tensor
-        for key, tensor in self.asp.tensors().items():
-            params[f"asp.{key}"] = tensor
-        for key, tensor in self.projection.tensors().items():
-            params[f"projection.{key}"] = tensor
-        for key, tensor in self.aam.tensors().items():
-            params[f"aam.{key}"] = tensor
+        for prefix, component in components:
+            if component is not None:
+                params.update(ad.named_tensors(component, prefix))
         return params
 
     def zero_grads(self) -> None:

@@ -16,7 +16,8 @@ import numpy as np
 
 from avfuse import autodiff as ad
 from avfuse.autodiff import Tensor
-from avfuse.fusion import ConfigError, init_weight
+from avfuse.config import ConfigError
+from avfuse.fusion import init_weight
 
 # Keep the target cosine strictly inside (-1, 1) so sin = sqrt(1 - cos^2)
 # has a finite derivative at the poles.
@@ -54,9 +55,6 @@ class AamHead:
     def n_classes(self) -> int:
         return self.weights.shape[0]
 
-    def tensors(self) -> dict[str, Tensor]:
-        return {"weights": self.weights}
-
 
 def aam_loss(embedding: Tensor, label, head: AamHead) -> Tensor:
     """Margin-penalized softmax cross-entropy per embedding.
@@ -93,11 +91,11 @@ def aam_loss(embedding: Tensor, label, head: AamHead) -> Tensor:
     target_cos = ad.matmul(Tensor(np.swapaxes(one_hot, -1, -2)), cosines)  # [B x] 1 x 1
     bounded = ad.clamp(target_cos, -COS_BOUND, COS_BOUND)
     target_sin = ad.sqrt(ad.scale_shift(ad.mul(bounded, bounded), -1.0, 1.0))
-    margined = ad.sub(ad.scale(target_cos, math.cos(head.margin)),
-                      ad.scale(target_sin, math.sin(head.margin)))
+    margined = ad.sub(ad.scale_shift(target_cos, math.cos(head.margin)),
+                      ad.scale_shift(target_sin, math.sin(head.margin)))
     delta = ad.sub(margined, target_cos)
 
-    logits = ad.scale(ad.add(cosines, ad.matmul(Tensor(one_hot), delta)), head.scale)
+    logits = ad.scale_shift(ad.add(cosines, ad.matmul(Tensor(one_hot), delta)), head.scale)
     return ad.cross_entropy_index(logits, labels)
 
 

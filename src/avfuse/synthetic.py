@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from avfuse.config import ConfigError
 from avfuse.featio import ManifestEntry, TrialPair, save_features, write_manifest, write_trial_list
-from avfuse.fusion import ConfigError
 
 
 @dataclass
@@ -71,11 +71,10 @@ def utterance_name(speaker_index: int, utt_index: int) -> str:
 def generate_dataset(spec: SyntheticSpec, out_dir) -> list[ManifestEntry]:
     """Write feature files, manifest, and trial list; returns the manifest rows.
 
-    The same spec (including seed) regenerates byte-identical files.
+    The same spec (including seed) regenerates byte-identical files.  Every
+    feature matrix and the trial list are drawn in memory first, so a spec
+    whose trial list cannot be built raises before any file is written.
     """
-    out_dir = Path(out_dir)
-    feats_dir = out_dir / "feats"
-    feats_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
 
     scale = 1.0 / np.sqrt(spec.latent_dim)
@@ -84,6 +83,7 @@ def generate_dataset(spec: SyntheticSpec, out_dir) -> list[ManifestEntry]:
     smooth = _smoothing_matrix(spec.segments)
 
     entries = []
+    features: list[tuple[str, np.ndarray, np.ndarray]] = []
     eval_ids_by_speaker: list[list[str]] = []
     for s in range(spec.n_speakers):
         identity = rng.normal(0.0, 1.0, size=spec.latent_dim)
@@ -94,18 +94,23 @@ def generate_dataset(spec: SyntheticSpec, out_dir) -> list[ManifestEntry]:
             utt_id = utterance_name(s, u)
             audio_noise = rng.standard_normal((spec.audio_dim, spec.segments)) @ smooth.T
             visual_noise = rng.standard_normal((spec.visual_dim, spec.segments))
-            audio = audio_base + spec.audio_noise * audio_noise
-            visual = visual_base + spec.visual_noise * visual_noise
-            save_features(feats_dir / f"{utt_id}.audio.avf", audio)
-            save_features(feats_dir / f"{utt_id}.visual.avf", visual)
+            features.append((utt_id, audio_base + spec.audio_noise * audio_noise,
+                             visual_base + spec.visual_noise * visual_noise))
             held_out = u >= spec.utts_per_speaker - spec.eval_utts_per_speaker
             entries.append(ManifestEntry(utt_id, speaker_name(s), "eval" if held_out else "train"))
             if held_out:
                 eval_ids.append(utt_id)
         eval_ids_by_speaker.append(eval_ids)
+    trials = _build_trials(spec, rng, eval_ids_by_speaker)
 
+    out_dir = Path(out_dir)
+    feats_dir = out_dir / "feats"
+    feats_dir.mkdir(parents=True, exist_ok=True)
+    for utt_id, audio, visual in features:
+        save_features(feats_dir / f"{utt_id}.audio.avf", audio)
+        save_features(feats_dir / f"{utt_id}.visual.avf", visual)
     write_manifest(out_dir / "manifest.tsv", entries)
-    write_trial_list(out_dir / "trials.txt", _build_trials(spec, rng, eval_ids_by_speaker))
+    write_trial_list(out_dir / "trials.txt", trials)
     return entries
 
 

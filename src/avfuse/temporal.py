@@ -51,25 +51,13 @@ class BlstmParams:
 
     fw: LstmDirectionParams
     bw: LstmDirectionParams
-    hidden: int
 
     @classmethod
     def init(cls, input_dim: int, hidden: int, rng: np.random.Generator) -> "BlstmParams":
         return cls(
             fw=LstmDirectionParams.init(input_dim, hidden, rng),
             bw=LstmDirectionParams.init(input_dim, hidden, rng),
-            hidden=hidden,
         )
-
-    def tensors(self) -> dict[str, Tensor]:
-        return {
-            "fw.w_input": self.fw.w_input,
-            "fw.w_recurrent": self.fw.w_recurrent,
-            "fw.bias": self.fw.bias,
-            "bw.w_input": self.bw.w_input,
-            "bw.w_recurrent": self.bw.w_recurrent,
-            "bw.bias": self.bw.bias,
-        }
 
 
 def blstm_forward(x: Tensor, params: BlstmParams) -> Tensor:
@@ -103,8 +91,12 @@ class AspParams:
             score=init_weight(rng, bottleneck, 1),
         )
 
-    def tensors(self) -> dict[str, Tensor]:
-        return {"proj": self.proj, "bias": self.bias, "score": self.score}
+
+def _attention(features: Tensor, params: AspParams) -> Tensor:
+    """Softmax over segments of the scored tanh bottleneck: [B x] segments x 1."""
+    hidden = ad.tanh(ad.add_bias(ad.matmul(params.proj, features), params.bias))
+    scores = ad.matmul(ad.transpose(params.score), hidden)       # [B x] 1 x segments
+    return ad.softmax_columns(ad.transpose(scores))
 
 
 def asp(features: Tensor, params: AspParams) -> Tensor:
@@ -116,20 +108,16 @@ def asp(features: Tensor, params: AspParams) -> Tensor:
     """
     if features.ndim not in (2, 3):
         raise ShapeError(f"asp: rank-2 or rank-3 input required, got {features.shape}")
-    hidden = ad.tanh(ad.add_bias(ad.matmul(params.proj, features), params.bias))
-    scores = ad.matmul(ad.transpose(params.score), hidden)       # [B x] 1 x segments
-    weights = ad.softmax_columns(ad.transpose(scores))           # [B x] segments x 1
+    weights = _attention(features, params)
     mean = ad.matmul(features, weights)
     second_moment = ad.matmul(ad.mul(features, features), weights)
-    variance = ad.clamp_min(ad.sub(second_moment, ad.mul(mean, mean)), VARIANCE_FLOOR)
+    variance = ad.clamp(ad.sub(second_moment, ad.mul(mean, mean)), lo=VARIANCE_FLOOR)
     return ad.concat_rows(mean, ad.sqrt(variance))
 
 
 def attention_weights(features: Tensor, params: AspParams) -> np.ndarray:
-    """Forward-only per-segment attention weights (for inspection/demos)."""
-    hidden = ad.tanh(ad.add_bias(ad.matmul(params.proj, features), params.bias))
-    scores = ad.matmul(ad.transpose(params.score), hidden)
-    return ad.softmax_columns(ad.transpose(scores)).data[..., 0].copy()
+    """Forward-only per-segment attention weights of ``asp``, for inspection."""
+    return _attention(features, params).data[..., 0].copy()
 
 
 @dataclass
@@ -145,9 +133,6 @@ class EmbeddingProjection:
             weight=init_weight(rng, embed_dim, input_dim),
             bias=Tensor(np.zeros((embed_dim, 1))),
         )
-
-    def tensors(self) -> dict[str, Tensor]:
-        return {"weight": self.weight, "bias": self.bias}
 
 
 def project_embedding(pooled: Tensor, params: EmbeddingProjection) -> Tensor:

@@ -20,9 +20,8 @@ import numpy as np
 
 from avfuse import autodiff as ad
 from avfuse.autodiff import Tape, Tensor
-from avfuse.config import TrainConfig
+from avfuse.config import ConfigError, TrainConfig
 from avfuse.featio import Utterance
-from avfuse.fusion import ConfigError
 from avfuse.model import VerificationModel
 
 

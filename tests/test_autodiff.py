@@ -10,8 +10,8 @@ from avfuse.autodiff import (
     Tape,
     Tensor,
     numeric_gradient,
-    relative_error,
 )
+from avfuse.gradcheck import check_function
 
 GRAD_TOL = 1e-4
 EPS = 1e-5
@@ -19,18 +19,8 @@ EPS = 1e-5
 
 def check_op_gradient(build, inputs, tol=GRAD_TOL):
     """Compare tape gradients of sum(build(*inputs)) against central differences."""
-    with Tape() as tape:
-        loss = ad.sum_all(build(*inputs))
-    tape.backward(loss)
-    worst = 0.0
-    for i, t in enumerate(inputs):
-        def f(probe, i=i):
-            args = list(inputs)
-            args[i] = probe
-            return ad.sum_all(build(*args)).item()
-
-        analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
-        worst = max(worst, relative_error(analytic, numeric_gradient(f, t, EPS)))
+    worst = check_function(lambda: ad.sum_all(build(*inputs)),
+                           {str(i): t for i, t in enumerate(inputs)}, EPS)
     assert worst < tol, f"worst relative error {worst}"
 
 
@@ -72,13 +62,6 @@ class TestForwardValues:
         y = ad.softmax_columns(x).data
         assert (y >= 0).all()
         assert np.abs(y.sum(axis=0) - 1.0).max() < 1e-9
-
-    def test_activation_dispatch(self):
-        x = Tensor([[0.3, -0.4]])
-        assert np.array_equal(ad.activation(x, "tanh").data, np.tanh(x.data))
-        assert np.array_equal(ad.activation(x, "relu").data, [[0.3, 0.0]])
-        with pytest.raises(ShapeError):
-            ad.activation(x, "gelu")
 
     def test_lstm_shape_errors_name_the_operand(self):
         x = Tensor(np.ones((3, 4)))
@@ -213,11 +196,7 @@ class TestBackwardVsFiniteDifferences:
 
     def test_cross_entropy_index(self):
         x = self._u(6, 1)
-        with Tape() as tape:
-            loss = ad.cross_entropy_index(x, 2)
-        tape.backward(loss)
-        numeric = numeric_gradient(lambda t: ad.cross_entropy_index(t, 2).item(), x, EPS)
-        assert relative_error(x.grad, numeric) < GRAD_TOL
+        assert check_function(lambda: ad.cross_entropy_index(x, 2), {"x": x}, EPS) < GRAD_TOL
 
 
 class TestTape:
@@ -251,7 +230,7 @@ class TestTape:
             loss = ad.sum_all(ad.tanh(ad.matmul(a, a)))
         tape.backward(loss)
         first = a.grad.tobytes()
-        tape.zero_grads()
+        a.grad = None
         tape.backward(loss)
         assert a.grad.tobytes() == first
 
@@ -304,10 +283,10 @@ class TestTape:
     def test_debug_mode_flags_nonfinite_results(self):
         big = Tensor([[1e308]])
         with np.errstate(over="ignore"):
-            assert np.isinf(ad.scale(big, 10.0).data).all()  # silent overflow by default
+            assert np.isinf(ad.scale_shift(big, 10.0).data).all()  # silent overflow by default
             ad.set_debug_checks(True)
             try:
                 with pytest.raises(NonFiniteError):
-                    ad.scale(big, 10.0)
+                    ad.scale_shift(big, 10.0)
             finally:
                 ad.set_debug_checks(False)

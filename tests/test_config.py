@@ -1,0 +1,39 @@
+"""Training config: field validation, CLI flags derived from the fields, text round trip."""
+
+from dataclasses import fields
+
+import pytest
+
+from avfuse import cli
+from avfuse.config import ConfigError, TrainConfig, config_to_text, parse_config_text
+
+
+def parse_train_args(*flags):
+    return cli.build_parser().parse_args(["train", "--data", "d", "--out", "o", *flags])
+
+
+def test_unknown_fusion_mode_rejected():
+    with pytest.raises(ConfigError, match="fusion"):
+        TrainConfig(fusion="gated")
+
+
+def test_every_field_has_a_cli_flag():
+    for field in fields(TrainConfig):
+        args = parse_train_args(f"--{field.name.replace('_', '-')}", "7")
+        assert getattr(args, field.name) == "7", field.name
+
+
+def test_flags_reach_the_resolved_config():
+    config = cli._resolve_config(parse_train_args("--use-blstm", "false", "--iterations", "2"))
+    assert config == TrainConfig(use_blstm=False, iterations=2)
+
+
+def test_malformed_flag_value_is_a_reported_error(tmp_path, capsys):
+    code = cli.main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "run"),
+                     "--iterations", "x"])
+    assert code == 2
+    assert "error: iterations: expected an integer, got 'x'" in capsys.readouterr().err
+
+
+def test_default_config_text_round_trip():
+    assert TrainConfig(**parse_config_text(config_to_text(TrainConfig()))) == TrainConfig()

@@ -5,10 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from avfuse.config import TrainConfig
-from avfuse.evaluation import evaluate, pooled_raw_embedding, score_trials
+from avfuse.config import ConfigError, TrainConfig
+from avfuse.evaluation import embed_utterances, evaluate, pooled_raw_embedding, score_trials
 from avfuse.featio import TrialPair, load_dataset
-from avfuse.fusion import ConfigError, score_level_fusion
+from avfuse.fusion import score_level_fusion
 from avfuse.model import VerificationModel
 from avfuse.objective import cosine_score
 from avfuse.synthetic import SyntheticSpec, generate_dataset
@@ -63,3 +63,8 @@ def test_raw_scores_match_per_trial_cosines(utterances, system):
 def test_trained_system_needs_a_model(utterances):
     with pytest.raises(ConfigError):
         score_trials("rjca", all_pairs(utterances), utterances)
+
+
+def test_embedding_no_utterances_gives_no_rows():
+    config = TrainConfig(audio_dim=3, visual_dim=2, segments=4, embed_dim=4)
+    assert embed_utterances(VerificationModel(config, n_speakers=2), [], {}).shape == (0, 4)

@@ -6,28 +6,33 @@ import numpy as np
 import pytest
 
 from avfuse import autodiff as ad
-from avfuse.autodiff import Tape, Tensor, numeric_gradient, relative_error
+from avfuse.autodiff import Tape, Tensor, named_tensors
+from avfuse.config import ConfigError
 from avfuse.fusion import (
-    ConfigError,
     CrossAttentionParams,
-    FusedFeatures,
     JcaStepParams,
-    RjcaConfig,
-    baseline_fuse,
     correlation_maps,
     cross_attention_step,
     jca_step,
     joint_representation,
     rjca_forward,
+    score_level_fusion,
 )
+from avfuse.gradcheck import check_function
 
 RNG = np.random.default_rng(2024)
 
 
-def random_inputs(config, rng=RNG):
-    audio = Tensor(rng.uniform(-1, 1, size=(config.audio_dim, config.segments)))
-    visual = Tensor(rng.uniform(-1, 1, size=(config.visual_dim, config.segments)))
+def random_inputs(audio_dim, visual_dim, segments, rng=RNG):
+    audio = Tensor(rng.uniform(-1, 1, size=(audio_dim, segments)))
+    visual = Tensor(rng.uniform(-1, 1, size=(visual_dim, segments)))
     return audio, visual
+
+
+def zero_step(audio_dim, visual_dim, segments):
+    """All-zero weights of one step, shaped by the step's own shape table."""
+    shapes = JcaStepParams.shapes(audio_dim, visual_dim, segments)
+    return JcaStepParams(**{name: Tensor(np.zeros(shape)) for name, shape in shapes.items()})
 
 
 class TestJointRepresentation:
@@ -53,17 +58,15 @@ class TestJointRepresentation:
 
 class TestJcaStep:
     def test_zero_weights_are_exact_identity(self):
-        config = RjcaConfig(audio_dim=3, visual_dim=2, segments=5)
-        audio, visual = random_inputs(config)
-        fused = jca_step(audio, visual, JcaStepParams.zeros(config))
+        audio, visual = random_inputs(3, 2, 5)
+        fused = jca_step(audio, visual, zero_step(3, 2, 5))
         assert np.array_equal(fused.audio.data, audio.data)
         assert np.array_equal(fused.visual.data, visual.data)
         assert np.array_equal(fused.joint.data, np.concatenate([audio.data, visual.data]))
 
     def test_shape_contract(self):
-        config = RjcaConfig(audio_dim=2, visual_dim=3, segments=4)
-        audio, visual = random_inputs(config)
-        params = JcaStepParams.init(config, np.random.default_rng(0))
+        audio, visual = random_inputs(2, 3, 4)
+        params = JcaStepParams.init(2, 3, 4, np.random.default_rng(0))
         corr_a, corr_v = correlation_maps(audio, visual, params)
         assert corr_a.shape == (4, 4) and corr_v.shape == (4, 4)
         fused = jca_step(audio, visual, params)
@@ -84,104 +87,78 @@ class TestJcaStep:
         assert fused.audio.data[0, 0] == pytest.approx(1.88839, abs=5e-6)
 
     def test_correlation_entries_inside_open_unit_interval(self):
-        config = RjcaConfig(audio_dim=4, visual_dim=3, segments=6)
-        audio, visual = random_inputs(config)
-        params = JcaStepParams.init(config, np.random.default_rng(1))
+        audio, visual = random_inputs(4, 3, 6)
+        params = JcaStepParams.init(4, 3, 6, np.random.default_rng(1))
         corr_a, corr_v = correlation_maps(audio, visual, params)
         for corr in (corr_a, corr_v):
             assert (corr > -1.0).all() and (corr < 1.0).all()
 
     def test_shape_error_names_offending_weight(self):
-        config = RjcaConfig(audio_dim=2, visual_dim=2, segments=3)
-        params = JcaStepParams.zeros(config)
+        params = zero_step(2, 2, 3)
         params.attn_mix_audio = Tensor(np.zeros((4, 4)))
-        audio, visual = random_inputs(config)
+        audio, visual = random_inputs(2, 2, 3)
         with pytest.raises(ad.ShapeError, match="attn_mix_audio"):
             jca_step(audio, visual, params)
 
 
 class TestRecursion:
     def test_single_step_matches_jca_step_bitwise(self):
-        config = RjcaConfig(audio_dim=3, visual_dim=2, segments=4, iterations=1)
-        audio, visual = random_inputs(config)
-        params = JcaStepParams.init(config, np.random.default_rng(2))
+        audio, visual = random_inputs(3, 2, 4)
+        params = JcaStepParams.init(3, 2, 4, np.random.default_rng(2))
         direct = jca_step(audio, visual, params)
         recursive = rjca_forward(audio, visual, [params])
         assert direct.joint.data.tobytes() == recursive.joint.data.tobytes()
 
     @pytest.mark.parametrize("steps", [1, 2, 3, 4, 5])
     def test_zero_weights_identity_telescopes(self, steps):
-        config = RjcaConfig(audio_dim=2, visual_dim=3, segments=4)
-        audio, visual = random_inputs(config)
-        chain = [JcaStepParams.zeros(config) for _ in range(steps)]
+        audio, visual = random_inputs(2, 3, 4)
+        chain = [zero_step(2, 3, 4) for _ in range(steps)]
         fused = rjca_forward(audio, visual, chain)
         assert np.array_equal(fused.audio.data, audio.data)
         assert np.array_equal(fused.visual.data, visual.data)
 
     def test_shape_closure_over_depth(self):
-        config = RjcaConfig(audio_dim=3, visual_dim=5, segments=4)
-        audio, visual = random_inputs(config)
+        audio, visual = random_inputs(3, 5, 4)
         rng = np.random.default_rng(3)
-        chain = [JcaStepParams.init(config, rng) for _ in range(4)]
+        chain = [JcaStepParams.init(3, 5, 4, rng) for _ in range(4)]
         fused = rjca_forward(audio, visual, chain)
         assert fused.audio.shape == audio.shape
         assert fused.visual.shape == visual.shape
 
     def test_empty_params_rejected(self):
-        config = RjcaConfig(audio_dim=2, visual_dim=2, segments=2)
-        audio, visual = random_inputs(config)
+        audio, visual = random_inputs(2, 2, 2)
         with pytest.raises(ConfigError):
             rjca_forward(audio, visual, [])
 
     @pytest.mark.parametrize("steps", [1, 3, 4])
     def test_gradients_match_finite_differences(self, steps):
-        config = RjcaConfig(audio_dim=3, visual_dim=2, segments=3)
         rng = np.random.default_rng(40 + steps)
         audio = Tensor(rng.uniform(-1, 1, size=(3, 3)))
         visual = Tensor(rng.uniform(-1, 1, size=(2, 3)))
-        chain = [JcaStepParams.init(config, rng) for _ in range(steps)]
+        chain = [JcaStepParams.init(3, 2, 3, rng) for _ in range(steps)]
         probe = Tensor(rng.uniform(-1, 1, size=(5, 3)))
-
-        def loss_value():
-            fused = rjca_forward(audio, visual, chain)
-            return ad.sum_all(ad.mul(fused.joint, probe))
-
-        with Tape() as tape:
-            loss = loss_value()
-        tape.backward(loss)
-
         checked = {"audio": audio, "visual": visual}
         for i, p in enumerate(chain):
-            checked.update({f"step{i}.{k}": t for k, t in p.tensors().items()})
-        for name, t in checked.items():
-            saved = t.data
-            def f(probe_tensor, t=t):
-                t.data = probe_tensor.data
-                try:
-                    return loss_value().item()
-                finally:
-                    t.data = saved
-            analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
-            err = relative_error(analytic, numeric_gradient(f, t))
-            assert err < 1e-4, f"{name}: relative error {err}"
+            checked.update(named_tensors(p, f"step{i}."))
+        err = check_function(
+            lambda: ad.sum_all(ad.mul(rjca_forward(audio, visual, chain).joint, probe)), checked)
+        assert err < 1e-4, f"worst relative error {err}"
 
 
 class TestBaselines:
     def test_score_level_weight_one_returns_audio_score(self):
-        assert baseline_fuse("score_level", audio_score=0.73, visual_score=-0.4, weight=1.0) == 0.73
+        assert score_level_fusion(0.73, -0.4, weight=1.0) == 0.73
 
     def test_score_level_weight_bounds(self):
         with pytest.raises(ConfigError):
-            baseline_fuse("score_level", audio_score=0.0, visual_score=0.0, weight=1.5)
+            score_level_fusion(0.0, 0.0, weight=1.5)
 
     def test_concat_shapes(self):
-        fused = baseline_fuse("concat", audio=Tensor(np.ones((2, 4))), visual=Tensor(np.ones((3, 4))))
-        assert isinstance(fused, FusedFeatures)
-        assert fused.joint.shape == (5, 4)
+        joint = joint_representation(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))))
+        assert joint.shape == (5, 4)
 
     def test_cross_attention_zero_weights_identity(self):
-        config = RjcaConfig(audio_dim=3, visual_dim=2, segments=4)
-        audio, visual = random_inputs(config)
+        audio, visual = random_inputs(3, 2, 4)
         zeros = CrossAttentionParams(
             cross_proj_audio=Tensor(np.zeros((3, 2))),
             cross_proj_visual=Tensor(np.zeros((2, 3))),
@@ -190,44 +167,25 @@ class TestBaselines:
             out_mix_audio=Tensor(np.zeros((4, 4))),
             out_mix_visual=Tensor(np.zeros((4, 4))),
         )
-        fused = baseline_fuse("cross_attention", audio=audio, visual=visual, params=zeros)
+        fused = cross_attention_step(audio, visual, zeros)
         assert np.array_equal(fused.audio.data, audio.data)
         assert np.array_equal(fused.visual.data, visual.data)
 
     def test_cross_attention_gradients(self):
         rng = np.random.default_rng(9)
-        config = RjcaConfig(audio_dim=2, visual_dim=3, segments=3)
         audio = Tensor(rng.uniform(-1, 1, size=(2, 3)))
         visual = Tensor(rng.uniform(-1, 1, size=(3, 3)))
-        params = CrossAttentionParams.init(config, rng)
+        params = CrossAttentionParams.init(2, 3, 3, rng)
         probe = Tensor(rng.uniform(-1, 1, size=(5, 3)))
-
-        def loss_value():
-            fused = cross_attention_step(audio, visual, params)
-            return ad.sum_all(ad.mul(fused.joint, probe))
-
-        with Tape() as tape:
-            loss = loss_value()
-        tape.backward(loss)
-        for name, t in {"audio": audio, "visual": visual, **params.tensors()}.items():
-            saved = t.data
-            def f(pt, t=t):
-                t.data = pt.data
-                try:
-                    return loss_value().item()
-                finally:
-                    t.data = saved
-            analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
-            assert relative_error(analytic, numeric_gradient(f, t)) < 1e-4, name
-
-    def test_unknown_mode(self):
-        with pytest.raises(ConfigError):
-            baseline_fuse("gated")
+        err = check_function(
+            lambda: ad.sum_all(ad.mul(cross_attention_step(audio, visual, params).joint, probe)),
+            {"audio": audio, "visual": visual, **named_tensors(params)})
+        assert err < 1e-4, f"worst relative error {err}"
 
 
 def composed_attend(feats, key, proj, attn_mix, out_mix, inv_scale):
     """The attention body written on unfused tape ops: the oracle ``ad.attend`` fuses."""
-    corr = ad.tanh(ad.scale(ad.matmul(ad.transpose(feats), ad.matmul(proj, key)), inv_scale))
+    corr = ad.tanh(ad.scale_shift(ad.matmul(ad.transpose(feats), ad.matmul(proj, key)), inv_scale))
     attn = ad.relu(ad.matmul(ad.matmul(feats, attn_mix), corr))
     return ad.add(ad.matmul(attn, out_mix), feats)
 
@@ -297,30 +255,27 @@ class TestAttend:
 class TestRecordCounts:
     @pytest.mark.parametrize("steps, records", [(1, 4), (3, 10), (5, 16)])
     def test_rjca_forward_adds_three_records_per_step_plus_one(self, steps, records):
-        config = RjcaConfig(audio_dim=3, visual_dim=2, segments=4)
-        audio, visual = random_inputs(config)
-        chain = [JcaStepParams.init(config, np.random.default_rng(steps)) for _ in range(steps)]
+        audio, visual = random_inputs(3, 2, 4)
+        chain = [JcaStepParams.init(3, 2, 4, np.random.default_rng(steps)) for _ in range(steps)]
         with Tape() as tape:
             rjca_forward(audio, visual, chain)
         assert len(tape) == records
 
     def test_batched_recursion_rows_match_single_utterances(self):
-        config = RjcaConfig(audio_dim=3, visual_dim=2, segments=4)
         rng = np.random.default_rng(10)
         audio = rng.uniform(-1, 1, size=(3, 3, 4))
         visual = rng.uniform(-1, 1, size=(3, 2, 4))
-        chain = [JcaStepParams.init(config, rng) for _ in range(3)]
+        chain = [JcaStepParams.init(3, 2, 4, rng) for _ in range(3)]
         joint = rjca_forward(Tensor(audio), Tensor(visual), chain).joint.data
         for b in range(3):
             single = rjca_forward(Tensor(audio[b]), Tensor(visual[b]), chain).joint.data
             assert np.abs(joint[b] - single).max() <= 1e-12
 
     def test_correlation_maps_of_a_batch(self):
-        config = RjcaConfig(audio_dim=3, visual_dim=2, segments=4)
         rng = np.random.default_rng(11)
         audio = rng.uniform(-1, 1, size=(2, 3, 4))
         visual = rng.uniform(-1, 1, size=(2, 2, 4))
-        params = JcaStepParams.init(config, rng)
+        params = JcaStepParams.init(3, 2, 4, rng)
         corr_a, corr_v = correlation_maps(Tensor(audio), Tensor(visual), params)
         assert corr_a.shape == corr_v.shape == (2, 4, 4)
         single_a, single_v = correlation_maps(Tensor(audio[1]), Tensor(visual[1]), params)

@@ -2,8 +2,8 @@
 
 import pytest
 
+from avfuse.config import ConfigError
 from avfuse.featio import parse_trial_list
-from avfuse.fusion import ConfigError
 from avfuse.synthetic import SyntheticSpec, generate_dataset
 
 
@@ -12,8 +12,10 @@ def test_too_few_cross_speaker_pairs_raise_with_both_counts(tmp_path):
     # are requested, but only 8 ordered cross-speaker pairs exist.
     spec = SyntheticSpec(n_speakers=2, utts_per_speaker=3, eval_utts_per_speaker=2,
                          nontargets_per_target=10)
+    out_dir = tmp_path / "data"
     with pytest.raises(ConfigError, match=r"requested 20 nontarget.*found only 8"):
-        generate_dataset(spec, tmp_path)
+        generate_dataset(spec, out_dir)
+    assert list(tmp_path.rglob("*")) == [], "a failed spec must leave no files behind"
 
 
 def test_default_ratio_delivers_every_requested_nontarget(tmp_path):

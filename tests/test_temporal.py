@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from avfuse import autodiff as ad
-from avfuse.autodiff import Tape, Tensor, numeric_gradient, relative_error
+from avfuse.autodiff import Tape, Tensor, named_tensors
+from avfuse.gradcheck import check_function
 from avfuse.temporal import (
     VARIANCE_FLOOR,
     AspParams,
@@ -29,7 +30,7 @@ def zero_blstm(input_dim, hidden):
             w_recurrent=Tensor(np.zeros((4 * hidden, hidden))),
             bias=Tensor(np.zeros((4 * hidden, 1))),
         )
-    return BlstmParams(fw=direction(), bw=direction(), hidden=hidden)
+    return BlstmParams(fw=direction(), bw=direction())
 
 
 def zero_asp(input_dim, bottleneck=3):
@@ -159,7 +160,7 @@ class TestBlstm:
         # time swaps the directional blocks and reverses them.
         rng = np.random.default_rng(1)
         shared = LstmDirectionParams.init(3, 2, rng)
-        params = BlstmParams(fw=shared, bw=shared, hidden=2)
+        params = BlstmParams(fw=shared, bw=shared)
         x = RNG.uniform(-1, 1, size=(3, 5))
         out = blstm_forward(Tensor(x), params).data
         out_rev = blstm_forward(Tensor(x[:, ::-1].copy()), params).data
@@ -191,6 +192,20 @@ class TestAsp:
         assert (w >= 0).all()
         assert abs(w.sum() - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("batch", [(), (2,)])
+    def test_inspection_weights_are_the_forward_weights(self, batch):
+        # The weighted mean asp returns is features @ attention_weights, so
+        # the inspection weights are the ones the forward pools with.
+        rng = np.random.default_rng([12, len(batch)])
+        params = AspParams.init(4, 3, rng)
+        features = Tensor(rng.uniform(-1, 1, size=batch + (4, 6)))
+        with Tape() as tape:
+            pooled = asp(features, params)
+        assert len(tape) == 15
+        mean = pooled.data[..., :4, 0]
+        weights = attention_weights(features, params)
+        assert np.abs(mean - (features.data @ weights[..., None])[..., 0]).max() <= 1e-12
+
     def test_single_segment_hits_variance_floor(self):
         x = Tensor(RNG.uniform(-1, 1, size=(3, 1)))
         out = asp(x, zero_asp(3)).data[:, 0]
@@ -215,24 +230,9 @@ class TestAsp:
         params = AspParams.init(3, 2, rng)
         x = Tensor(rng.uniform(-1, 1, size=(3, 5)))
         probe = Tensor(rng.uniform(-1, 1, size=(6, 1)))
-
-        def loss_value():
-            return ad.sum_all(ad.mul(asp(x, params), probe))
-
-        with Tape() as tape:
-            loss = loss_value()
-        tape.backward(loss)
-        for name, t in {"x": x, **params.tensors()}.items():
-            saved = t.data
-            def f(pt, t=t):
-                t.data = pt.data
-                try:
-                    return loss_value().item()
-                finally:
-                    t.data = saved
-            analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
-            err = relative_error(analytic, numeric_gradient(f, t))
-            assert err < 1e-4, f"{name}: relative error {err}"
+        err = check_function(lambda: ad.sum_all(ad.mul(asp(x, params), probe)),
+                             {"x": x, **named_tensors(params)})
+        assert err < 1e-4, f"worst relative error {err}"
 
 
 class TestProjection:
@@ -261,15 +261,5 @@ class TestProjection:
             out = project_embedding(pooled, params)
             return ad.sum_all(ad.mul(out, out))
 
-        with Tape() as tape:
-            loss = loss_value()
-        tape.backward(loss)
-        for name, t in {"pooled": pooled, **params.tensors()}.items():
-            saved = t.data
-            def f(pt, t=t):
-                t.data = pt.data
-                try:
-                    return loss_value().item()
-                finally:
-                    t.data = saved
-            assert relative_error(t.grad, numeric_gradient(f, t)) < 1e-4, name
+        err = check_function(loss_value, {"pooled": pooled, **named_tensors(params)})
+        assert err < 1e-4, f"worst relative error {err}"
