@@ -2,10 +2,14 @@
 
 Every operation the fusion model needs lives here as a pure function of
 ``Tensor`` inputs.  When a ``Tape`` is active (entered as a context manager),
-each op appends a backward closure; ``Tape.backward`` replays the closures in
-exact reverse order of forward execution, accumulating gradients additively
-into the ``grad`` buffers of the participating tensors.  Without an active
-tape, ops run as plain numpy forward passes (the inference path).
+each op records ``(closure, out)``: its output and a closure that takes the
+output's gradient and accumulates its inputs'.  ``Tape.backward`` replays the
+records in exact reverse order of forward execution and alone reads an output
+gradient: it skips an op whose output got none, calls the closure with it, then
+releases it.  Gradients accumulate by value, so an op may pass its output
+gradient, or a view of it, straight on to an input, and tensors may share one
+gradient array; hence nothing may mutate a ``.grad`` array in place.  Without
+an active tape, ops run as plain numpy forward passes (the inference path).
 
 Tensors have rank 1 to 3.  A rank-2 ``(rows, cols)`` tensor is one
 utterance's matrix; a rank-3 ``(B, rows, cols)`` tensor stacks B of them on a
@@ -19,10 +23,6 @@ Most ops are elementwise or matrix primitives with one closure each.  Fused
 layer ops (``lstm``, ``attend``) run a whole layer body in numpy and record a
 single closure holding its hand-derived backward, which cuts the per-record
 Python overhead that dominates at these matrix sizes.
-
-``Tape.backward`` releases the gradient of each op output once the op that
-produced it has run, since nothing later in the replay reads it; tensors built
-with ``Tensor(...)`` (parameters, inputs) keep theirs.
 
 A tape is single-threaded by design: one tape per training worker.  The active
 tape is tracked in thread-local storage, so read-only forwards on disjoint
@@ -68,13 +68,13 @@ def _active_tape() -> "Tape | None":
 class Tensor:
     """Dense float64 array of rank 1-3 with an optional gradient buffer.
 
-    Values are validated to be finite at construction; gradients share the
-    value's shape and are allocated lazily on first accumulation.  Tensors
-    built here are leaves; op results (``is_leaf`` false) have their gradient
-    released during ``Tape.backward``.
+    Values are validated to be finite at construction.  ``grad`` stays None
+    until backward hands the tensor a gradient (see the module docstring); an
+    op result's gradient is released once its op's closure has used it, while
+    tensors built here (parameters, inputs) keep theirs.
     """
 
-    __slots__ = ("data", "grad", "is_leaf")
+    __slots__ = ("data", "grad")
 
     def __init__(self, data):
         arr = np.array(data, dtype=np.float64, order="C")
@@ -84,7 +84,6 @@ class Tensor:
             raise NonFiniteError("tensor data contains NaN or Inf")
         self.data = arr
         self.grad = None
-        self.is_leaf = True
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
@@ -94,7 +93,6 @@ class Tensor:
         t = cls.__new__(cls)
         t.data = arr
         t.grad = None
-        t.is_leaf = False
         return t
 
     @property
@@ -109,9 +107,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
@@ -143,7 +138,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._records: list[tuple[Callable[[], None], tuple[Tensor, ...]]] = []
+        self._records: list[tuple[Callable[[np.ndarray], None], Tensor]] = []
 
     def __enter__(self) -> "Tape":
         stack = getattr(_ACTIVE, "stack", None)
@@ -156,9 +151,9 @@ class Tape:
     def __exit__(self, exc_type, exc, tb) -> None:
         _ACTIVE.stack.pop()
 
-    def record(self, backward: Callable[[], None], tensors: tuple[Tensor, ...]) -> None:
-        """Append one op: its closure and its tensors, the op's output last."""
-        self._records.append((backward, tensors))
+    def record(self, backward: Callable[[np.ndarray], None], out: Tensor) -> None:
+        """Append one op: the closure taking its output gradient, and that output."""
+        self._records.append((backward, out))
 
     def __len__(self) -> int:
         return len(self._records)
@@ -166,30 +161,27 @@ class Tape:
     def backward(self, output: Tensor, seed: float = 1.0) -> None:
         """Seed the scalar output gradient and run all closures in reverse.
 
-        Every consumer of an op output was recorded after the op, so once the
-        op's own closure has run its output gradient is dead and is dropped.
+        Ops whose output got no gradient are skipped; every consumer of an op output
+        was recorded after the op, so its gradient is dropped once its closure has run.
         """
         if output.data.size != 1:
             raise ShapeError(f"backward needs a scalar output, got shape {output.shape}")
         _accumulate(output, np.full_like(output.data, float(seed)))
-        for closure, tensors in reversed(self._records):
-            closure()
-            produced = tensors[-1]
-            if not produced.is_leaf:
-                produced.grad = None
+        for closure, out in reversed(self._records):
+            if out.grad is None:
+                continue
+            closure(out.grad)
+            out.grad = None
 
 
 def _accumulate(t: Tensor, delta: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = np.array(delta, dtype=np.float64, order="C")
-    else:
-        t.grad += delta
+    t.grad = delta if t.grad is None else t.grad + delta
 
 
-def _record(backward: Callable[[], None], tensors: tuple[Tensor, ...]) -> None:
+def _record(backward: Callable[[np.ndarray], None], out: Tensor) -> None:
     tape = _active_tape()
     if tape is not None:
-        tape.record(backward, tensors)
+        tape.record(backward, out)
 
 
 def _require_matrix(x: Tensor, op: str) -> None:
@@ -262,13 +254,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: inner extents disagree for shapes {a.shape} x {b.shape}")
     out = Tensor._wrap(_mm(a.data, b.data))
 
-    def backward():
-        if out.grad is None:
-            return
-        _accumulate(a, _left_grad(out.grad, b.data, a.ndim))
-        _accumulate(b, _right_grad(a.data, out.grad, b.ndim))
+    def backward(g):
+        _accumulate(a, _left_grad(g, b.data, a.ndim))
+        _accumulate(b, _right_grad(a.data, g, b.ndim))
 
-    _record(backward, (a, b, out))
+    _record(backward, out)
     return out
 
 
@@ -277,13 +267,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _broadcastable(a, b, "add")
     out = Tensor._wrap(a.data + b.data)
 
-    def backward():
-        if out.grad is None:
-            return
-        _accumulate(a, _unbroadcast(out.grad, a))
-        _accumulate(b, _unbroadcast(out.grad, b))
+    def backward(g):
+        _accumulate(a, _unbroadcast(g, a))
+        _accumulate(b, _unbroadcast(g, b))
 
-    _record(backward, (a, b, out))
+    _record(backward, out)
     return out
 
 
@@ -292,13 +280,11 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _broadcastable(a, b, "sub")
     out = Tensor._wrap(a.data - b.data)
 
-    def backward():
-        if out.grad is None:
-            return
-        _accumulate(a, _unbroadcast(out.grad, a))
-        _accumulate(b, _unbroadcast(-out.grad, b))
+    def backward(g):
+        _accumulate(a, _unbroadcast(g, a))
+        _accumulate(b, _unbroadcast(-g, b))
 
-    _record(backward, (a, b, out))
+    _record(backward, out)
     return out
 
 
@@ -307,13 +293,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _broadcastable(a, b, "mul")
     out = Tensor._wrap(a.data * b.data)
 
-    def backward():
-        if out.grad is None:
-            return
-        _accumulate(a, _unbroadcast(out.grad * b.data, a))
-        _accumulate(b, _unbroadcast(out.grad * a.data, b))
+    def backward(g):
+        _accumulate(a, _unbroadcast(g * b.data, a))
+        _accumulate(b, _unbroadcast(g * a.data, b))
 
-    _record(backward, (a, b, out))
+    _record(backward, out)
     return out
 
 
@@ -321,36 +305,30 @@ def scale_shift(x: Tensor, scale: float = 1.0, shift: float = 0.0) -> Tensor:
     """Elementwise affine map with constant coefficients: scale*x + shift."""
     out = Tensor._wrap(scale * x.data + shift)
 
-    def backward():
-        if out.grad is None:
-            return
-        _accumulate(x, scale * out.grad)
+    def backward(g):
+        _accumulate(x, scale * g)
 
-    _record(backward, (x, out))
+    _record(backward, out)
     return out
 
 
 def tanh(x: Tensor) -> Tensor:
     out = Tensor._wrap(np.tanh(x.data))
 
-    def backward():
-        if out.grad is None:
-            return
-        _accumulate(x, out.grad * (1.0 - out.data * out.data))
+    def backward(g):
+        _accumulate(x, g * (1.0 - out.data * out.data))
 
-    _record(backward, (x, out))
+    _record(backward, out)
     return out
 
 
 def relu(x: Tensor) -> Tensor:
     out = Tensor._wrap(np.maximum(x.data, 0.0))
 
-    def backward():
-        if out.grad is None:
-            return
-        _accumulate(x, out.grad * (x.data > 0.0))
+    def backward(g):
+        _accumulate(x, g * (x.data > 0.0))
 
-    _record(backward, (x, out))
+    _record(backward, out)
     return out
 
 
@@ -363,12 +341,10 @@ def _stable_sigmoid(d: np.ndarray) -> np.ndarray:
 def sigmoid(x: Tensor) -> Tensor:
     out = Tensor._wrap(_stable_sigmoid(x.data))
 
-    def backward():
-        if out.grad is None:
-            return
-        _accumulate(x, out.grad * out.data * (1.0 - out.data))
+    def backward(g):
+        _accumulate(x, g * out.data * (1.0 - out.data))
 
-    _record(backward, (x, out))
+    _record(backward, out)
     return out
 
 
@@ -380,14 +356,12 @@ def softmax_columns(x: Tensor) -> Tensor:
     y = e / e.sum(axis=-2, keepdims=True)
     out = Tensor._wrap(y)
 
-    def backward():
-        if out.grad is None:
-            return
+    def backward(g):
         # Per column: dx = y * (g - <y, g>)
-        inner = (out.data * out.grad).sum(axis=-2, keepdims=True)
-        _accumulate(x, out.data * (out.grad - inner))
+        inner = (out.data * g).sum(axis=-2, keepdims=True)
+        _accumulate(x, out.data * (g - inner))
 
-    _record(backward, (x, out))
+    _record(backward, out)
     return out
 
 
@@ -401,13 +375,11 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor._wrap(np.concatenate([a.data, b.data], axis=-2))
     split = a.shape[-2]
 
-    def backward():
-        if out.grad is None:
-            return
-        _accumulate(a, out.grad[..., :split, :])
-        _accumulate(b, out.grad[..., split:, :])
+    def backward(g):
+        _accumulate(a, g[..., :split, :])
+        _accumulate(b, g[..., split:, :])
 
-    _record(backward, (a, b, out))
+    _record(backward, out)
     return out
 
 
@@ -416,12 +388,10 @@ def transpose(x: Tensor) -> Tensor:
     _require_matrix(x, "transpose")
     out = Tensor._wrap(np.ascontiguousarray(_swap(x.data)))
 
-    def backward():
-        if out.grad is None:
-            return
-        _accumulate(x, _swap(out.grad))
+    def backward(g):
+        _accumulate(x, _swap(g))
 
-    _record(backward, (x, out))
+    _record(backward, out)
     return out
 
 
@@ -433,13 +403,11 @@ def add_bias(x: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"add_bias: bias shape {bias.shape} does not match rows of {x.shape}")
     out = Tensor._wrap(x.data + bias.data)
 
-    def backward():
-        if out.grad is None:
-            return
-        _accumulate(x, out.grad)
-        _accumulate(bias, _unbroadcast(out.grad.sum(axis=-1, keepdims=True), bias))
+    def backward(g):
+        _accumulate(x, g)
+        _accumulate(bias, _unbroadcast(g.sum(axis=-1, keepdims=True), bias))
 
-    _record(backward, (x, bias, out))
+    _record(backward, out)
     return out
 
 
@@ -447,13 +415,11 @@ def clamp(x: Tensor, lo: float = -np.inf, hi: float = np.inf) -> Tensor:
     """Elementwise clip; gradient passes only strictly inside the interval."""
     out = Tensor._wrap(np.clip(x.data, lo, hi))
 
-    def backward():
-        if out.grad is None:
-            return
+    def backward(g):
         inside = (x.data > lo) & (x.data < hi)
-        _accumulate(x, out.grad * inside)
+        _accumulate(x, g * inside)
 
-    _record(backward, (x, out))
+    _record(backward, out)
     return out
 
 
@@ -463,12 +429,10 @@ def sqrt(x: Tensor) -> Tensor:
     y = np.sqrt(x.data)
     out = Tensor._wrap(y)
 
-    def backward():
-        if out.grad is None:
-            return
-        _accumulate(x, out.grad * 0.5 / out.data)
+    def backward(g):
+        _accumulate(x, g * 0.5 / out.data)
 
-    _record(backward, (x, out))
+    _record(backward, out)
     return out
 
 
@@ -476,12 +440,10 @@ def sum_all(x: Tensor) -> Tensor:
     """Sum of all elements, as a (1, 1) tensor."""
     out = Tensor._wrap(np.array([[x.data.sum()]]))
 
-    def backward():
-        if out.grad is None:
-            return
-        _accumulate(x, np.full_like(x.data, out.grad.reshape(-1)[0]))
+    def backward(g):
+        _accumulate(x, np.full_like(x.data, g.reshape(-1)[0]))
 
-    _record(backward, (x, out))
+    _record(backward, out)
     return out
 
 
@@ -494,14 +456,12 @@ def l2_normalize_columns(x: Tensor) -> Tensor:
     y = x.data / norms
     out = Tensor._wrap(y)
 
-    def backward():
-        if out.grad is None:
-            return
+    def backward(g):
         # dL/dx = (g - y * <y, g>) / norm, per column.
-        inner = (out.data * out.grad).sum(axis=-2, keepdims=True)
-        _accumulate(x, (out.grad - out.data * inner) / norms)
+        inner = (out.data * g).sum(axis=-2, keepdims=True)
+        _accumulate(x, (g - out.data * inner) / norms)
 
-    _record(backward, (x, out))
+    _record(backward, out)
     return out
 
 
@@ -529,14 +489,12 @@ def cross_entropy_index(logits: Tensor, index) -> Tensor:
     lse = m + np.log(e.sum(axis=-1, keepdims=True))
     out = Tensor._wrap((lse - np.take_along_axis(z, pos, axis=-1))[..., None])
 
-    def backward():
-        if out.grad is None:
-            return
+    def backward(g):
         p = e / e.sum(axis=-1, keepdims=True)
         np.put_along_axis(p, pos, np.take_along_axis(p, pos, axis=-1) - 1.0, axis=-1)
-        _accumulate(logits, (out.grad[..., 0] * p)[..., None])
+        _accumulate(logits, (g[..., 0] * p)[..., None])
 
-    _record(backward, (logits, out))
+    _record(backward, out)
     return out
 
 
@@ -610,9 +568,7 @@ def lstm(x: Tensor, w_input: Tensor, w_recurrent: Tensor, bias: Tensor, reverse:
         hs[t] = h_prev
     out = Tensor._wrap(np.ascontiguousarray(hs.T if x.ndim == 2 else hs.transpose(2, 1, 0)))
 
-    def backward():
-        if out.grad is None:
-            return
+    def backward(grad):
         # States entering each step: the neighbouring step's, zero at the start.
         zero = np.zeros((1, hidden) + tail)
         if reverse:
@@ -628,7 +584,7 @@ def lstm(x: Tensor, w_input: Tensor, w_recurrent: Tensor, bias: Tensor, reverse:
         local = np.concatenate([g * i * (1.0 - i), cells_prev * f * (1.0 - f),
                                 i * (1.0 - g * g), tanh_cells * o * (1.0 - o)], axis=1)
         dc_from_h = o * (1.0 - tanh_cells * tanh_cells)
-        d_out = out.grad.T if x.ndim == 2 else out.grad.transpose(2, 1, 0)
+        d_out = grad.T if x.ndim == 2 else grad.transpose(2, 1, 0)
         dpre = np.empty((length, 4 * hidden) + tail)
         # Gate-block views: [t, k] is block k (i, f, g, o) of step t.
         local_blocks = local.reshape((length, 4, hidden) + tail)
@@ -651,7 +607,7 @@ def lstm(x: Tensor, w_input: Tensor, w_recurrent: Tensor, bias: Tensor, reverse:
         _accumulate(w_recurrent, dpre_cols @ columns(hs_prev).T)
         _accumulate(bias, dpre_cols.sum(axis=1, keepdims=True))
 
-    _record(backward, (x, w_input, w_recurrent, bias, out))
+    _record(backward, out)
     return out
 
 
@@ -690,10 +646,7 @@ def attend(feats: Tensor, key: Tensor, proj: Tensor, attn_mix: Tensor, out_mix: 
     gated = np.maximum(_mm(_mm(feats.data, attn_mix.data), corr), 0.0)
     out = Tensor._wrap(feats.data + _mm(gated, out_mix.data))
 
-    def backward():
-        if out.grad is None:
-            return
-        g = out.grad
+    def backward(g):
         mixed = _mm(feats.data, attn_mix.data)
         pre_relu = mixed @ corr
         d_pre = _mm(g, out_mix.data.T) * (pre_relu > 0.0)
@@ -707,7 +660,7 @@ def attend(feats: Tensor, key: Tensor, proj: Tensor, attn_mix: Tensor, out_mix: 
         _accumulate(proj, _left_grad(d_projected, key.data, 2))
         _accumulate(key, proj.data.T @ d_projected)
 
-    _record(backward, (feats, key, proj, attn_mix, out_mix, out))
+    _record(backward, out)
     return out
 
 

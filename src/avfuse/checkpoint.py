@@ -11,6 +11,7 @@ previous file at that path intact.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -68,6 +69,12 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
+    def text(self, n: int, what: str) -> str:
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{self.path}: {what} is not UTF-8 ({exc.reason})") from exc
+
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
     """Read tensors (widened to float64) and the config snapshot text."""
@@ -77,15 +84,15 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
     version = reader.u32()
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    config_text = reader.take(reader.u32()).decode("utf-8")
+    config_text = reader.text(reader.u32(), "config snapshot")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(reader.u32()):
-        name = reader.take(struct.unpack("<H", reader.take(2))[0]).decode("utf-8")
+        name = reader.text(struct.unpack("<H", reader.take(2))[0], "tensor name")
         rank = struct.unpack("<B", reader.take(1))[0]
         if not 1 <= rank <= 3:
             raise CheckpointError(f"{path}: tensor {name!r} has rank {rank}")
         shape = struct.unpack(f"<{rank}I", reader.take(4 * rank))
-        count = int(np.prod(shape))
+        count = math.prod(shape)  # Python ints: extents cannot wrap around
         values = np.frombuffer(reader.take(4 * count), dtype="<f4")
         tensors[name] = values.astype(np.float64).reshape(shape)
     if reader.offset != len(reader.blob):

@@ -1,8 +1,8 @@
 """Command-line entry points: synth, train, evaluate, embed, gradcheck.
 
-Every command reads an optional flat `key = value` config file; any flag given
-on the command line overrides the file.  The effective seed is always echoed
-so runs can be reproduced.
+``train`` and raw-system ``evaluate`` read an optional `key = value` config file,
+overridden by flags; a trained system's config is its checkpoint's, so ``evaluate``
+rejects config input for one.  The effective seed is always echoed for reproduction.
 """
 
 from __future__ import annotations
@@ -29,10 +29,14 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(f"--{field.name.replace('_', '-')}", dest=field.name, default=None)
 
 
+def _config_flags(args: argparse.Namespace) -> dict[str, str]:
+    """The TrainConfig flags given on the command line, by field name."""
+    return {f.name: getattr(args, f.name) for f in fields(TrainConfig)
+            if getattr(args, f.name) is not None}
+
+
 def _resolve_config(args: argparse.Namespace) -> TrainConfig:
-    overrides = {f.name: getattr(args, f.name) for f in fields(TrainConfig)
-                 if getattr(args, f.name, None) is not None}
-    return load_config(args.config, overrides)
+    return load_config(args.config, _config_flags(args))
 
 
 def _cmd_synth(args) -> int:
@@ -72,6 +76,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    if args.system in TRAINED_SYSTEMS:
+        given = ["--config"] * (args.config is not None) + \
+            [f"--{name.replace('_', '-')}" for name in _config_flags(args)]
+        if given:
+            raise ConfigError(f"{args.system} uses its checkpoint's config; remove {' '.join(given)}")
     utterances = load_dataset(args.data)
     trials = parse_trial_list(args.trials)
     model = None

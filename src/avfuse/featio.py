@@ -76,7 +76,15 @@ def load_features(path) -> np.ndarray:
 
 
 class TrialParseError(ValueError):
-    """Malformed trial-list line; message carries the line number."""
+    """Malformed trial-list or manifest text; message carries the file and line number."""
+
+
+def _text_lines(path) -> list[str]:
+    """Lines of a UTF-8 text file (universal newlines); undecodable bytes raise TrialParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise TrialParseError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
 
 
 @dataclass(frozen=True)
@@ -91,18 +99,17 @@ class TrialPair:
 def parse_trial_list(path) -> list[TrialPair]:
     """Parse `label enroll_id test_id` lines, label 1 = target, 0 = nontarget."""
     trials = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise TrialParseError(f"{path}: line {lineno}: expected 3 fields, got {len(parts)}")
-            label, enroll_id, test_id = parts
-            if label not in ("0", "1"):
-                raise TrialParseError(f"{path}: line {lineno}: label must be 0 or 1, got {label!r}")
-            trials.append(TrialPair(label == "1", enroll_id, test_id))
+    for lineno, raw in enumerate(_text_lines(path), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise TrialParseError(f"{path}: line {lineno}: expected 3 fields, got {len(parts)}")
+        label, enroll_id, test_id = parts
+        if label not in ("0", "1"):
+            raise TrialParseError(f"{path}: line {lineno}: label must be 0 or 1, got {label!r}")
+        trials.append(TrialPair(label == "1", enroll_id, test_id))
     return trials
 
 
@@ -143,18 +150,17 @@ def write_manifest(path, entries) -> None:
 def read_manifest(path) -> list[ManifestEntry]:
     entries = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or parts[2] not in ("train", "eval"):
-                raise TrialParseError(f"{path}: line {lineno}: malformed manifest row")
-            if parts[0] in seen:
-                raise TrialParseError(f"{path}: line {lineno}: duplicate utterance id {parts[0]!r}")
-            seen.add(parts[0])
-            entries.append(ManifestEntry(*parts))
+    for lineno, raw in enumerate(_text_lines(path), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3 or parts[2] not in ("train", "eval"):
+            raise TrialParseError(f"{path}: line {lineno}: malformed manifest row")
+        if parts[0] in seen:
+            raise TrialParseError(f"{path}: line {lineno}: duplicate utterance id {parts[0]!r}")
+        seen.add(parts[0])
+        entries.append(ManifestEntry(*parts))
     return entries
 
 

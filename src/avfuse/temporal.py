@@ -10,7 +10,6 @@ affine projection produces the fixed-size embedding used for scoring.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -244,6 +244,48 @@ class TestTape:
         assert hidden.grad is None and out.grad is None and loss.grad is None
         assert np.allclose(a.grad, 2 * np.tanh(a.data) * (1 - np.tanh(a.data) ** 2))
 
+    def test_op_whose_output_gets_no_gradient_is_skipped(self):
+        calls = []
+
+        def recorded_identity(x):
+            out = Tensor._wrap(x.data.copy())
+
+            def backward(g):
+                calls.append(g)
+                ad._accumulate(x, g)
+
+            ad._record(backward, out)
+            return out
+
+        a, b = Tensor([[0.5, -1.0]]), Tensor([[2.0, 3.0]])
+        with Tape() as tape:
+            dead = recorded_identity(b)
+            loss = ad.sum_all(ad.mul(recorded_identity(a), a))
+        tape.backward(loss)
+        assert len(calls) == 1  # only the identity on the loss path ran
+        assert b.grad is None and dead.grad is None
+        assert np.allclose(a.grad, 2 * a.data)
+
+    def test_gradient_arrays_handed_to_two_inputs_stay_separate(self):
+        # add hands one gradient array to both of its inputs.
+        rng = np.random.default_rng(7)
+        a = Tensor(rng.uniform(-1, 1, size=(3, 4)))
+        b = Tensor(rng.uniform(-1, 1, size=(3, 4)))
+        with Tape() as tape:
+            loss = ad.sum_all(ad.mul(ad.add(a, b), a))
+        tape.backward(loss)
+        assert np.allclose(a.grad, 2 * a.data + b.data) and np.allclose(b.grad, a.data)
+        # Here a also feeds an op recorded before add, so its second gradient
+        # arrives after b already holds the shared array.
+        a.grad = b.grad = None
+        with Tape() as tape:
+            squashed = ad.tanh(a)
+            loss = ad.sum_all(ad.mul(ad.add(a, b), squashed))
+        tape.backward(loss)
+        t = np.tanh(a.data)
+        assert np.allclose(b.grad, t)
+        assert np.allclose(a.grad, t + (a.data + b.data) * (1 - t * t))
+
     def test_batch_weight_gradients_sum_over_items(self):
         rng = np.random.default_rng(3)
         w = Tensor(rng.uniform(-1, 1, size=(2, 3)))

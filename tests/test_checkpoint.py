@@ -1,12 +1,14 @@
-"""Checkpoint container: round trip and atomic replacement on a failed save."""
+"""Checkpoint container: round trip, atomic replacement on a failed save, malformed headers."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from avfuse import checkpoint
-from avfuse.checkpoint import load_checkpoint, save_checkpoint
+from avfuse.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from avfuse.featio import TruncatedPayloadError
 
 
 def test_round_trip_is_canonical(tmp_path):
@@ -50,3 +52,24 @@ def test_failed_save_keeps_previous_file_and_leaves_no_temp_file(tmp_path, monke
         save_checkpoint(target, {"w": np.zeros((3, 3))}, "seed = 2\n")
     assert target.read_bytes() == previous
     assert os.listdir(tmp_path) == ["final.ckpt"]
+
+
+def checkpoint_bytes(config: bytes, name: bytes, shape: tuple[int, ...]) -> bytes:
+    """A hand-built AVCK file with one tensor header and no payload."""
+    return (b"AVCK" + struct.pack("<II", 1, len(config)) + config + struct.pack("<I", 1)
+            + struct.pack("<H", len(name)) + name + struct.pack(f"<B{len(shape)}I", len(shape), *shape))
+
+
+@pytest.mark.parametrize("config, name, what", [(b"seed = \xff\n", b"w", "config snapshot"),
+                                                (b"seed = 1\n", b"w\xc3", "tensor name")])
+def test_undecodable_text_is_a_checkpoint_error(tmp_path, config, name, what):
+    (tmp_path / "bad.ckpt").write_bytes(checkpoint_bytes(config, name, (1,)))
+    with pytest.raises(CheckpointError, match=f"bad.ckpt: {what} is not UTF-8"):
+        load_checkpoint(tmp_path / "bad.ckpt")
+
+
+def test_extents_whose_product_overflows_int64_are_a_truncated_payload(tmp_path):
+    # 2**31 * 2**31 * 4 wraps to 0 in int64, which would read an empty payload.
+    (tmp_path / "huge.ckpt").write_bytes(checkpoint_bytes(b"", b"w", (2**31, 2**31, 4)))
+    with pytest.raises(TruncatedPayloadError, match="huge.ckpt: checkpoint truncated"):
+        load_checkpoint(tmp_path / "huge.ckpt")

@@ -1,22 +1,32 @@
-"""Command line end to end: synth, then train, then embed, on a tiny dataset."""
+"""Command line end to end: synth, then train, then embed and evaluate, on a tiny dataset."""
 
 import numpy as np
+import pytest
 
 from avfuse import cli
-from avfuse.featio import load_dataset, load_features
+from avfuse.featio import TrialPair, load_dataset, load_features, write_trial_list
 from avfuse.model import VerificationModel
 
+DIMS = ["--audio-dim", "3", "--visual-dim", "2", "--segments", "4"]
 
-def test_synth_train_embed(tmp_path):
-    data, run, emb = tmp_path / "data", tmp_path / "run", tmp_path / "emb"
-    dims = ["--audio-dim", "3", "--visual-dim", "2", "--segments", "4"]
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A synthesized dataset and the final checkpoint of one training epoch on it."""
+    root = tmp_path_factory.mktemp("cli")
+    data, run = root / "data", root / "run"
     assert cli.main(["synth", "--out", str(data), "--speakers", "3", "--utts-per-speaker", "3",
-                     "--latent-dim", "2", "--eval-utts-per-speaker", "1", *dims]) == 0
+                     "--latent-dim", "2", "--eval-utts-per-speaker", "1", *DIMS]) == 0
     # batch_size 4 over 9 utterances: embed runs two full batches and a partial one.
     assert cli.main(["train", "--data", str(data), "--out", str(run), "--epochs", "1",
                      "--iterations", "2", "--blstm-hidden", "3", "--asp-hidden", "3",
-                     "--embed-dim", "4", "--batch-size", "4", *dims]) == 0
-    checkpoint = run / "final.ckpt"
+                     "--embed-dim", "4", "--batch-size", "4", *DIMS]) == 0
+    return data, run / "final.ckpt"
+
+
+def test_synth_train_embed(trained, tmp_path):
+    data, checkpoint = trained
+    emb = tmp_path / "emb"
     assert cli.main(["embed", "--checkpoint", str(checkpoint), "--data", str(data),
                      "--out", str(emb)]) == 0
 
@@ -27,3 +37,31 @@ def test_synth_train_embed(tmp_path):
         stored = load_features(emb / f"{utt_id}.emb.avf")
         assert stored.shape == (4, 1)
         np.testing.assert_allclose(stored[:, 0], model.embed(utt.audio, utt.visual), rtol=1e-6)
+
+
+def evaluate_args(data, tmp_path, *flags):
+    utts = load_dataset(data)
+    by_speaker = sorted(utts, key=lambda u: (utts[u].speaker_id, u))
+    enroll, same, other = by_speaker[0], by_speaker[1], by_speaker[-1]
+    write_trial_list(tmp_path / "trials.txt", [TrialPair(True, enroll, same),
+                                               TrialPair(False, enroll, other)])
+    return ["evaluate", "--data", str(data), "--trials", str(tmp_path / "trials.txt"), *flags]
+
+
+def test_evaluate_rejects_config_input_for_a_trained_system(trained, tmp_path, capsys):
+    data, checkpoint = trained
+    args = evaluate_args(data, tmp_path, "--system", "rjca", "--checkpoint", str(checkpoint))
+    assert cli.main(args) == 0
+    capsys.readouterr()
+    assert cli.main(args + ["--config", str(tmp_path / "nonexistent.cfg"),
+                            "--iterations", "x"]) == 2
+    assert capsys.readouterr().err == ("error: rjca uses its checkpoint's config; "
+                                       "remove --config --iterations\n")
+
+
+def test_evaluate_raw_system_takes_config_flags(trained, tmp_path, capsys):
+    data, _ = trained
+    args = evaluate_args(data, tmp_path, "--system", "score_level")
+    assert cli.main(args + ["--score-fusion-weight", "0.3"]) == 0
+    assert cli.main(args + ["--score-fusion-weight", "x"]) == 2
+    assert "error: score_fusion_weight" in capsys.readouterr().err

@@ -1,0 +1,120 @@
+"""On-disk formats: AVF1 feature files, trial lists, manifests and dataset loading."""
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from avfuse.checkpoint import load_checkpoint
+from avfuse.featio import (
+    BadMagicError,
+    ExtentError,
+    FeatureFileError,
+    ManifestEntry,
+    TrialParseError,
+    TruncatedPayloadError,
+    load_dataset,
+    load_features,
+    parse_trial_list,
+    read_manifest,
+    save_features,
+    write_manifest,
+)
+
+
+def avf(rows, cols, values=()):
+    return b"AVF1" + struct.pack("<II", rows, cols) + np.asarray(values, "<f4").tobytes()
+
+
+def test_feature_file_round_trips_at_single_precision(tmp_path):
+    matrix = np.random.default_rng(0).standard_normal((3, 5))
+    save_features(tmp_path / "m.avf", matrix)
+    loaded = load_features(tmp_path / "m.avf")
+    assert loaded.dtype == np.float64 and loaded.shape == (3, 5)
+    assert np.array_equal(loaded, matrix.astype(np.float32).astype(np.float64))
+
+
+@pytest.mark.parametrize("blob, error", [
+    (b"AVF2" + avf(1, 2, [0.0, 1.0])[4:], BadMagicError),
+    (b"AVF1\x01\x00\x00\x00", TruncatedPayloadError),
+    (avf(2, 2, [0.0, 1.0, 2.0]), TruncatedPayloadError),
+    (avf(0, 3), ExtentError),
+    (avf(3, 0), ExtentError),
+    (avf(1, 2, [0.0, 1.0]) + b"\x00", FeatureFileError),
+], ids=["bad_magic", "short_header", "short_payload", "zero_rows", "zero_cols", "trailing"])
+def test_malformed_feature_file_raises_its_error(tmp_path, blob, error):
+    (tmp_path / "bad.avf").write_bytes(blob)
+    with pytest.raises(error, match="bad.avf"):
+        load_features(tmp_path / "bad.avf")
+
+
+def test_only_rank_two_matrices_are_saved(tmp_path):
+    with pytest.raises(FeatureFileError, match="rank 2"):
+        save_features(tmp_path / "cube.avf", np.zeros((2, 2, 2)))
+    assert not (tmp_path / "cube.avf").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1 a b\n0 a\n", "line 2: expected 3 fields, got 2"),
+    ("\n1 a b\n2 a c\n", "line 3: label must be 0 or 1, got '2'"),
+])
+def test_malformed_trial_line_names_its_line(tmp_path, text, message):
+    (tmp_path / "trials.txt").write_text(text, encoding="utf-8")
+    with pytest.raises(TrialParseError, match=message):
+        parse_trial_list(tmp_path / "trials.txt")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("u1\tspk\ttrain\nu1\tspk\teval\n", "line 2: duplicate utterance id 'u1'"),
+    ("u1\tspk\ttest\n", "line 1: malformed manifest row"),
+])
+def test_malformed_manifest_row_names_its_line(tmp_path, text, message):
+    (tmp_path / "manifest.tsv").write_text(text, encoding="utf-8")
+    with pytest.raises(TrialParseError, match=message):
+        read_manifest(tmp_path / "manifest.tsv")
+
+
+@pytest.mark.parametrize("name, reader", [("trials.txt", parse_trial_list),
+                                          ("manifest.tsv", read_manifest)])
+def test_undecodable_text_names_the_file(tmp_path, name, reader):
+    (tmp_path / name).write_bytes(b"1 a b\n\xff\xfe\n")
+    with pytest.raises(TrialParseError, match=f"{name}: not UTF-8 text at byte 6"):
+        reader(tmp_path / name)
+
+
+def test_dataset_with_disagreeing_segment_counts_is_rejected(tmp_path):
+    (tmp_path / "feats").mkdir()
+    write_manifest(tmp_path / "manifest.tsv", [ManifestEntry("u1", "spk", "train")])
+    save_features(tmp_path / "feats" / "u1.audio.avf", np.zeros((3, 4)))
+    save_features(tmp_path / "feats" / "u1.visual.avf", np.zeros((2, 5)))
+    with pytest.raises(FeatureFileError, match=r"u1: segment counts disagree \(4 vs 5\)"):
+        load_dataset(tmp_path)
+
+
+@pytest.fixture(scope="module")
+def blob_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "blob.bin"
+
+
+# Besides raw bytes, inputs that get past the magic: AVF1 plus anything, and an
+# AVCK header whose config length matches the config bytes that follow.
+_BLOBS = st.one_of(
+    st.binary(max_size=48),
+    st.binary(max_size=48).map(lambda rest: b"AVF1" + rest),
+    st.tuples(st.binary(max_size=8), st.binary(max_size=40)).map(
+        lambda t: b"AVCK" + struct.pack("<II", 1, len(t[0])) + t[0] + t[1]),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(blob=_BLOBS)
+def test_arbitrary_bytes_load_or_raise_a_format_error(blob_path, blob):
+    # CheckpointError is a FeatureFileError, so both readers share one contract.
+    blob_path.write_bytes(blob)
+    for reader in (load_features, load_checkpoint):
+        try:
+            reader(blob_path)
+        except FeatureFileError:
+            pass

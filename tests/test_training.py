@@ -44,13 +44,20 @@ def test_non_finite_gradient_stops_training_and_names_the_parameter(tiny_train_s
     real_lstm = ad.lstm
 
     def poisoned_lstm(x, w_input, w_recurrent, bias, reverse=False):
-        # A backward that emits NaN for the backward direction's recurrent
-        # weights while leaving the forward value, and so the loss, finite.
+        # The reverse direction's output passes through one more recorded op
+        # whose backward hands its gradient on unchanged and emits NaN for the
+        # recurrent weights; the forward value, and so the loss, stays finite.
         out = real_lstm(x, w_input, w_recurrent, bias, reverse)
-        if reverse:
-            ad._record(lambda: ad._accumulate(w_recurrent, np.full(w_recurrent.shape, np.nan)),
-                       (w_recurrent,))
-        return out
+        if not reverse:
+            return out
+        passed = ad.Tensor._wrap(out.data)
+
+        def backward(g):
+            ad._accumulate(out, g)
+            ad._accumulate(w_recurrent, np.full(w_recurrent.shape, np.nan))
+
+        ad._record(backward, passed)
+        return passed
 
     monkeypatch.setattr(ad, "lstm", poisoned_lstm)
     with pytest.raises(DivergenceError, match=r"epoch 0, parameter blstm\.bw\.w_recurrent"):
