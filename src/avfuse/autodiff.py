@@ -20,9 +20,12 @@ tape records a whole mini-batch with the same ops, and the same code runs a
 single utterance.
 
 Most ops are elementwise or matrix primitives with one closure each.  Fused
-layer ops (``lstm``, ``attend``) run a whole layer body in numpy and record a
-single closure holding its hand-derived backward, which cuts the per-record
-Python overhead that dominates at these matrix sizes.
+layer ops (``lstm``, ``attend``, ``attentive_pool``, ``aam_cross_entropy``)
+run a whole layer body in numpy and record a single closure holding its
+hand-derived backward, which cuts the per-record Python overhead that
+dominates at these matrix sizes.  Forward-only helpers (``attention_map``,
+``pooling_attention``) compute the quantities these ops attend or pool with,
+for readers that inspect them without a tape.
 
 A tape is single-threaded by design: one tape per training worker.  The active
 tape is tracked in thread-local storage, so read-only forwards on disjoint
@@ -32,6 +35,7 @@ tensors may run concurrently across threads.
 from __future__ import annotations
 
 import dataclasses
+import math
 import threading
 from typing import Callable
 
@@ -659,6 +663,131 @@ def attend(feats: Tensor, key: Tensor, proj: Tensor, attn_mix: Tensor, out_mix: 
         d_projected = feats.data @ d_corr
         _accumulate(proj, _left_grad(d_projected, key.data, 2))
         _accumulate(key, proj.data.T @ d_projected)
+
+    _record(backward, out)
+    return out
+
+
+def pooling_attention(feats: np.ndarray, proj: np.ndarray, bias: np.ndarray,
+                      score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tanh bottleneck and segment weights of ``attentive_pool``.
+
+    Forward only, on raw arrays: ``feats`` (d, L) or (B, d, L), ``proj``
+    (k, d), ``bias`` and ``score`` (k, 1).  Returns the bottleneck
+    tanh(proj @ feats + bias), (k, L) per item, and the weights
+    softmax(score^T bottleneck) over segments, one (L, 1) column summing to
+    one per item.
+    """
+    hidden = np.tanh(proj @ feats + bias)
+    scores = _swap(score.T @ hidden)
+    e = np.exp(scores - scores.max(axis=-2, keepdims=True))
+    return hidden, e / e.sum(axis=-2, keepdims=True)
+
+
+def attentive_pool(feats: Tensor, proj: Tensor, bias: Tensor, score: Tensor, floor: float) -> Tensor:
+    """Attentive statistics pooling of (d, L) -> (2d, 1), or of a (B, d, L) batch, as one tape record.
+
+    With w the weights of ``pooling_attention(feats, proj, bias, score)``,
+    the output stacks the weighted mean mu = feats @ w over the weighted
+    standard deviation sqrt(max((feats * feats) @ w - mu * mu, floor)); the
+    variance gets gradient only where it lies above ``floor``.
+    """
+    _require_matrix(feats, "attentive_pool")
+    dim = feats.shape[-2]
+    bottleneck = proj.shape[0]
+    if proj.shape != (bottleneck, dim):
+        raise ShapeError(f"attentive_pool: projection must be (k, {dim}), got {proj.shape}")
+    for name, column in (("bias", bias), ("score", score)):
+        if column.shape != (bottleneck, 1):
+            raise ShapeError(f"attentive_pool: {name} must be {(bottleneck, 1)}, got {column.shape}")
+    x = feats.data
+    hidden, weights = pooling_attention(x, proj.data, bias.data, score.data)
+    squares = x * x
+    mean = x @ weights
+    variance = squares @ weights - mean * mean
+    sigma = np.sqrt(np.maximum(variance, floor))
+    out = Tensor._wrap(np.concatenate([mean, sigma], axis=-2))
+
+    def backward(g):
+        # Gradients of the two pooled statistics: the mean, and the second
+        # moment squares @ w, from which the variance subtracts mu * mu.
+        d_second = g[..., dim:, :] * 0.5 / sigma * (variance > floor)
+        d_mean = g[..., :dim, :] - 2.0 * d_second * mean
+        d_weights = _swap(x) @ d_mean + _swap(squares) @ d_second
+        # Softmax over segments, then scores = score^T hidden.
+        d_scores = weights * (d_weights - (weights * d_weights).sum(axis=-2, keepdims=True))
+        _accumulate(score, _unbroadcast(hidden @ d_scores, score))
+        d_pre = 1.0 - hidden * hidden
+        d_pre *= score.data * _swap(d_scores)
+        d_x = x * (2.0 * d_second)
+        d_x += d_mean
+        d_x *= _swap(weights)
+        d_x += proj.data.T @ d_pre
+        _accumulate(feats, d_x)
+        _accumulate(proj, _left_grad(d_pre, x, 2))
+        _accumulate(bias, _unbroadcast(d_pre.sum(axis=-1, keepdims=True), bias))
+
+    _record(backward, out)
+    return out
+
+
+def aam_cross_entropy(embedding: Tensor, weights: Tensor, labels: np.ndarray, scale: float,
+                      margin: float, cos_bound: float) -> Tensor:
+    """Additive-angular-margin softmax cross-entropy per embedding, as one tape record.
+
+    ``embedding`` (e, 1) with an int label gives a (1, 1) loss; a batch
+    (B, e, 1) with B labels gives (B, 1, 1).  The logits are ``scale`` times
+    the cosines between the unit embedding and the unit rows of the (n, e)
+    class ``weights``, the target's moved by delta = cos(theta + margin) -
+    cos(theta), expanded as cos*cos(margin) - sin*sin(margin) - cos with sin
+    taken from the cosine clamped to [-cos_bound, cos_bound].  Labels must be
+    valid class indices and no norm zero; the caller checks both.
+    """
+    _require_matrix(embedding, "aam_cross_entropy")
+    _require_rank2(weights, "aam_cross_entropy")
+    if embedding.shape[-1] != 1 or weights.shape[1] != embedding.shape[-2]:
+        raise ShapeError(f"aam_cross_entropy: need (e, 1) embeddings and (n, e) class weights, "
+                         f"got {embedding.shape} and {weights.shape}")
+    x = embedding.data
+    emb_norms = np.sqrt((x * x).sum(axis=-2, keepdims=True))
+    unit_emb = x / emb_norms                                              # [B x] e x 1
+    # Contiguous copies keep every reduction in the summation order of the
+    # unfused primitives (l2_normalize_columns of the transposed weights), so
+    # the loss is bitwise equal to theirs.
+    columns = np.ascontiguousarray(weights.data.T)                        # e x n
+    class_norms = np.sqrt((columns * columns).sum(axis=-2, keepdims=True))
+    unit_classes = np.ascontiguousarray((columns / class_norms).T)        # n x e
+    cosines = _mm(unit_classes, unit_emb)[..., 0]                         # [B x] n
+    pos = np.asarray(labels)[..., None]
+    target = np.take_along_axis(cosines, pos, axis=-1)
+    bounded = np.clip(target, -cos_bound, cos_bound)
+    sine = np.sqrt(1.0 - bounded * bounded)
+    delta = (math.cos(margin) * target - math.sin(margin) * sine) - target
+    logits = scale * cosines
+    np.put_along_axis(logits, pos, scale * (target + delta), axis=-1)
+    # Cross-entropy through a max-shifted log-sum-exp.
+    top = logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits - top)
+    lse = top + np.log(e.sum(axis=-1, keepdims=True))
+    out = Tensor._wrap((lse - np.take_along_axis(logits, pos, axis=-1))[..., None])
+
+    def backward(g):
+        p = e / e.sum(axis=-1, keepdims=True)
+        np.put_along_axis(p, pos, np.take_along_axis(p, pos, axis=-1) - 1.0, axis=-1)
+        d_cos = scale * g[..., 0] * p
+        # The target logit's slope in its cosine: cos(margin) plus the sine
+        # path, open only strictly inside the clamp.
+        inside = (target > -cos_bound) & (target < cos_bound)
+        slope = math.cos(margin) + math.sin(margin) * bounded / sine * inside
+        np.put_along_axis(d_cos, pos, np.take_along_axis(d_cos, pos, axis=-1) * slope, axis=-1)
+        d_cos = d_cos[..., None]
+        # Back through both unit normalizations: (g - y <y, g>) / norm.
+        d_unit_emb = _mm(unit_classes.T, d_cos)
+        inner = (unit_emb * d_unit_emb).sum(axis=-2, keepdims=True)
+        _accumulate(embedding, (d_unit_emb - unit_emb * inner) / emb_norms)
+        d_unit_classes = _left_grad(d_cos, unit_emb, 2)                  # n x e
+        inner = (unit_classes * d_unit_classes).sum(axis=-1, keepdims=True)
+        _accumulate(weights, (d_unit_classes - unit_classes * inner) / class_norms.T)
 
     _record(backward, out)
     return out

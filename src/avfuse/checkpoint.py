@@ -4,9 +4,10 @@ Layout (all little-endian): magic ``AVCK``, u32 format version, u32 config
 byte length + UTF-8 config text, u32 tensor count, then per tensor sorted by
 name: u16 name length + UTF-8 name, u8 rank, rank u32 extents, and the
 single-precision payload.  Serialization is canonical, so save(load(x))
-reproduces x byte for byte.  A save writes a temporary file in the target's
-directory and renames it over the target, so a failed save leaves any
-previous file at that path intact.
+reproduces x byte for byte, and the reader rejects names that are not
+strictly increasing, which also rules out a name given twice.  A save writes
+a temporary file in the target's directory and renames it over the target,
+so a failed save leaves any previous file at that path intact.
 """
 
 from __future__ import annotations
@@ -86,8 +87,13 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     config_text = reader.text(reader.u32(), "config snapshot")
     tensors: dict[str, np.ndarray] = {}
+    previous = None
     for _ in range(reader.u32()):
         name = reader.text(struct.unpack("<H", reader.take(2))[0], "tensor name")
+        if previous is not None and name <= previous:
+            raise CheckpointError(f"{path}: tensor names not strictly increasing: "
+                                  f"{previous!r} then {name!r}")
+        previous = name
         rank = struct.unpack("<B", reader.take(1))[0]
         if not 1 <= rank <= 3:
             raise CheckpointError(f"{path}: tensor {name!r} has rank {rank}")

@@ -8,6 +8,7 @@ One file per modality per utterance: ``<id>.audio.avf`` / ``<id>.visual.avf``.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,7 +51,7 @@ def save_features(path, matrix: np.ndarray) -> None:
 
 
 def load_features(path) -> np.ndarray:
-    """Read a feature file back as float64, validating magic, extents, payload."""
+    """Read a feature file back as float64, validating magic, extents, payload and finiteness."""
     blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size:
         raise TruncatedPayloadError(f"{path}: file shorter than header")
@@ -66,8 +67,15 @@ def load_features(path) -> np.ndarray:
         )
     if len(blob) > expected:
         raise FeatureFileError(f"{path}: {len(blob) - expected} trailing bytes")
-    values = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size)
-    return values.astype(np.float64).reshape(rows, cols)
+    values = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).astype(np.float64)
+    matrix = values.reshape(rows, cols)
+    # Squares of widened single-precision values cannot overflow a double sum,
+    # so the sum of squares is finite exactly when every value is; a dot
+    # product is the cheapest such sum, and only a bad file pays for the scan.
+    if not math.isfinite(values.dot(values)):
+        row, col = np.argwhere(~np.isfinite(matrix))[0]
+        raise FeatureFileError(f"{path}: non-finite value {matrix[row, col]} at row {row}, col {col}")
+    return matrix
 
 
 # ---------------------------------------------------------------------------
@@ -79,12 +87,12 @@ class TrialParseError(ValueError):
     """Malformed trial-list or manifest text; message carries the file and line number."""
 
 
-def _text_lines(path) -> list[str]:
-    """Lines of a UTF-8 text file (universal newlines); undecodable bytes raise TrialParseError."""
+def text_lines(path, error: type[Exception] = TrialParseError) -> list[str]:
+    """Lines of a UTF-8 text file (universal newlines); undecodable bytes raise ``error``."""
     try:
         return Path(path).read_text(encoding="utf-8").split("\n")
     except UnicodeDecodeError as exc:
-        raise TrialParseError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
+        raise error(f"{path}: not UTF-8 text at byte {exc.start}") from exc
 
 
 @dataclass(frozen=True)
@@ -99,7 +107,7 @@ class TrialPair:
 def parse_trial_list(path) -> list[TrialPair]:
     """Parse `label enroll_id test_id` lines, label 1 = target, 0 = nontarget."""
     trials = []
-    for lineno, raw in enumerate(_text_lines(path), start=1):
+    for lineno, raw in enumerate(text_lines(path), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -150,7 +158,7 @@ def write_manifest(path, entries) -> None:
 def read_manifest(path) -> list[ManifestEntry]:
     entries = []
     seen = set()
-    for lineno, raw in enumerate(_text_lines(path), start=1):
+    for lineno, raw in enumerate(text_lines(path), start=1):
         line = raw.strip()
         if not line:
             continue

@@ -9,9 +9,12 @@ better do-nothing decision, so it never exceeds one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from avfuse.featio import text_lines
 
 
 class ScoreSetError(ValueError):
@@ -181,19 +184,24 @@ def write_scores(path, score_set: ScoreSet) -> None:
 
 
 def read_scores(path) -> ScoreSet:
-    """Parse a `label score` file written by :func:`write_scores`."""
+    """Parse a `label score` file written by :func:`write_scores`; every error names the file."""
     labels, scores = [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2 or parts[0] not in ("0", "1"):
-                raise ScoreSetError(f"{path}: malformed score line {lineno}: {raw.rstrip()!r}")
-            labels.append(int(parts[0]))
-            try:
-                scores.append(float(parts[1]))
-            except ValueError:
-                raise ScoreSetError(f"{path}: bad score on line {lineno}") from None
-    return ScoreSet(np.array(scores), np.array(labels))
+    for lineno, raw in enumerate(text_lines(path, ScoreSetError), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2 or parts[0] not in ("0", "1"):
+            raise ScoreSetError(f"{path}: malformed score line {lineno}: {raw.rstrip()!r}")
+        labels.append(int(parts[0]))
+        try:
+            score = float(parts[1])
+        except ValueError:
+            raise ScoreSetError(f"{path}: bad score on line {lineno}") from None
+        if not math.isfinite(score):
+            raise ScoreSetError(f"{path}: non-finite score on line {lineno}")
+        scores.append(score)
+    try:
+        return ScoreSet(np.array(scores), np.array(labels))
+    except ScoreSetError as exc:
+        raise ScoreSetError(f"{path}: {exc}") from None

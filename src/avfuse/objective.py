@@ -3,7 +3,8 @@
 The loss places both the embedding and every class weight row on the unit
 sphere, adds a fixed angular margin to the target class angle, scales all
 cosines, and applies softmax cross-entropy.  Margin zero reduces exactly to
-scaled-softmax cross-entropy.  Trial scoring is the cosine between two
+scaled-softmax cross-entropy.  The whole head is one fused autodiff op with a
+hand-derived backward.  Trial scoring is the cosine between two
 utterance embeddings taken before this head.
 """
 
@@ -64,7 +65,8 @@ def aam_loss(embedding: Tensor, label, head: AamHead) -> Tensor:
     (B, 1, 1).  The target logit is scale * cos(angle + margin), expanded as
     cos*cos(margin) - sin*sin(margin) with sin from the clamped cosine;
     non-target logits are scale * cos.  Gradients flow through both
-    normalizations and the margin path.
+    normalizations and the margin path.  After the checks here, the head is
+    the one fused ``ad.aam_cross_entropy`` record.
     """
     n = head.n_classes
     labels = np.asarray(label)
@@ -79,24 +81,7 @@ def aam_loss(embedding: Tensor, label, head: AamHead) -> Tensor:
     if (np.linalg.norm(head.weights.data, axis=1) == 0.0).any():
         raise NormalizationError("aam_loss: zero-norm class weight row")
 
-    # One-hot columns of the targets: their transpose picks each target
-    # cosine, and they place each margin correction on its target logit.
-    one_hot = np.zeros(embedding.shape[:-2] + (n, 1))
-    np.put_along_axis(one_hot, labels[..., None, None], 1.0, axis=-2)
-
-    unit_emb = ad.l2_normalize_columns(embedding)
-    unit_classes = ad.l2_normalize_columns(ad.transpose(head.weights))   # embed_dim x n
-    cosines = ad.matmul(ad.transpose(unit_classes), unit_emb)            # [B x] n x 1
-
-    target_cos = ad.matmul(Tensor(np.swapaxes(one_hot, -1, -2)), cosines)  # [B x] 1 x 1
-    bounded = ad.clamp(target_cos, -COS_BOUND, COS_BOUND)
-    target_sin = ad.sqrt(ad.scale_shift(ad.mul(bounded, bounded), -1.0, 1.0))
-    margined = ad.sub(ad.scale_shift(target_cos, math.cos(head.margin)),
-                      ad.scale_shift(target_sin, math.sin(head.margin)))
-    delta = ad.sub(margined, target_cos)
-
-    logits = ad.scale_shift(ad.add(cosines, ad.matmul(Tensor(one_hot), delta)), head.scale)
-    return ad.cross_entropy_index(logits, labels)
+    return ad.aam_cross_entropy(embedding, head.weights, labels, head.scale, head.margin, COS_BOUND)
 
 
 def cosine_score(enroll: np.ndarray, test: np.ndarray) -> float:

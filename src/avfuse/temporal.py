@@ -4,7 +4,8 @@ A single bidirectional LSTM layer runs over the segment axis; each direction
 is the fused ``autodiff.lstm`` op, whose hand-derived backward does full
 backpropagation through time in one tape record.  Attentive statistics pooling
 collapses the sequence into one utterance-level vector: an attention-weighted
-mean concatenated with the attention-weighted standard deviation.  A final
+mean concatenated with the attention-weighted standard deviation, as the one
+fused ``autodiff.attentive_pool`` record with a hand-derived backward.  A final
 affine projection produces the fixed-size embedding used for scoring.
 """
 
@@ -91,32 +92,22 @@ class AspParams:
         )
 
 
-def _attention(features: Tensor, params: AspParams) -> Tensor:
-    """Softmax over segments of the scored tanh bottleneck: [B x] segments x 1."""
-    hidden = ad.tanh(ad.add_bias(ad.matmul(params.proj, features), params.bias))
-    scores = ad.matmul(ad.transpose(params.score), hidden)       # [B x] 1 x segments
-    return ad.softmax_columns(ad.transpose(scores))
-
-
 def asp(features: Tensor, params: AspParams) -> Tensor:
     """Attentive statistics pooling of (dim, segments) -> (2*dim, 1), or of a (B, ...) batch.
 
     Attention weights are a softmax over segments of a scored tanh bottleneck;
     the output stacks the weighted mean over the weighted standard deviation,
-    whose variance is floored at VARIANCE_FLOOR.
+    whose variance is floored at VARIANCE_FLOOR.  The layer is the one fused
+    ``ad.attentive_pool`` record.
     """
-    if features.ndim not in (2, 3):
-        raise ShapeError(f"asp: rank-2 or rank-3 input required, got {features.shape}")
-    weights = _attention(features, params)
-    mean = ad.matmul(features, weights)
-    second_moment = ad.matmul(ad.mul(features, features), weights)
-    variance = ad.clamp(ad.sub(second_moment, ad.mul(mean, mean)), lo=VARIANCE_FLOOR)
-    return ad.concat_rows(mean, ad.sqrt(variance))
+    return ad.attentive_pool(features, params.proj, params.bias, params.score, VARIANCE_FLOOR)
 
 
 def attention_weights(features: Tensor, params: AspParams) -> np.ndarray:
-    """Forward-only per-segment attention weights of ``asp``, for inspection."""
-    return _attention(features, params).data[..., 0].copy()
+    """Per-segment attention weights ``asp`` pools with, for inspection: (segments,) or (B, segments)."""
+    _, weights = ad.pooling_attention(features.data, params.proj.data, params.bias.data,
+                                      params.score.data)
+    return weights[..., 0]
 
 
 @dataclass

@@ -5,8 +5,11 @@ One tape per mini-batch: the batch's features are stacked into
 per-utterance losses; one backward of their sum, seeded 1/B, leaves the
 batch-mean gradient in the parameters.  A non-finite loss raises a
 DivergenceError naming its utterance, and the optimizer step is refused with
-one if any gradient is NaN or Inf.  Everything is driven by one seeded
-generator, so a fixed config reproduces the loss log and checkpoints exactly.
+one if any gradient is NaN or Inf; one sum per gradient screens for that, and
+only a non-finite total pays for the scan that names the parameter.  The
+optimizer updates parameters and moments in place.  Everything is driven by
+one seeded generator, so a fixed config reproduces the loss log and
+checkpoints exactly.
 Parameters pass through checkpoint precision at every epoch boundary, keeping
 the in-memory model identical to its last saved checkpoint.
 """
@@ -30,7 +33,12 @@ class DivergenceError(RuntimeError):
 
 
 class Optimizer:
-    """Adaptive-moment or classical-momentum gradient descent."""
+    """Adaptive-moment or classical-momentum gradient descent.
+
+    Moments and parameters are updated in place.  The temporaries of one
+    update live in two scratch buffers sized to the largest parameter and
+    shared by all of them, so a step allocates nothing.
+    """
 
     def __init__(self, params: list[Tensor], config: TrainConfig):
         self.params = params
@@ -41,22 +49,32 @@ class Optimizer:
         self.step_count = 0
         self._m = [np.zeros_like(p.data) for p in params]
         self._v = [np.zeros_like(p.data) for p in params]
+        largest = max((p.data.size for p in params), default=0)
+        buffers = (np.empty(largest), np.empty(largest))
+        self._scratch = [tuple(buf[:p.data.size].reshape(p.data.shape) for buf in buffers) for p in params]
 
     def step(self) -> None:
         self.step_count += 1
-        for i, p in enumerate(self.params):
-            grad = p.grad
+        correct1 = 1 - self.beta1 ** self.step_count
+        correct2 = 1 - self.beta2 ** self.step_count
+        for p, m, v, (a, b) in zip(self.params, self._m, self._v, self._scratch):
+            grad, data = p.grad, p.data
             if grad is None:
                 continue
             if self.kind == "adam":
-                self._m[i] = self.beta1 * self._m[i] + (1 - self.beta1) * grad
-                self._v[i] = self.beta2 * self._v[i] + (1 - self.beta2) * grad * grad
-                m_hat = self._m[i] / (1 - self.beta1 ** self.step_count)
-                v_hat = self._v[i] / (1 - self.beta2 ** self.step_count)
-                p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
+                np.multiply(m, self.beta1, out=m)
+                np.add(m, np.multiply(grad, 1 - self.beta1, out=a), out=m)
+                np.multiply(v, self.beta2, out=v)
+                np.multiply(grad, 1 - self.beta2, out=a)
+                np.add(v, np.multiply(a, grad, out=a), out=v)
+                # data -= lr (m / correct1) / (sqrt(v / correct2) + eps)
+                np.add(np.sqrt(np.divide(v, correct2, out=b), out=b), self.eps, out=b)
+                np.multiply(np.divide(m, correct1, out=a), self.lr, out=a)
+                np.subtract(data, np.divide(a, b, out=a), out=data)
             else:
-                self._m[i] = self.momentum * self._m[i] + grad
-                p.data = p.data - self.lr * self._m[i]
+                np.add(np.multiply(m, self.momentum, out=m), grad, out=m)
+                np.subtract(data, np.multiply(m, self.lr, out=a), out=data)
 
 
 @dataclass
@@ -78,8 +96,19 @@ def _check_finite_gradients(named_params: dict[str, Tensor], epoch: int) -> None
     """Raise DivergenceError naming the first parameter whose gradient is NaN or Inf.
 
     Op results are not checked for finiteness outside debug mode, so this is
-    what keeps a non-finite gradient from reaching the parameters.
+    what keeps a non-finite gradient from reaching the parameters.  One sum
+    per gradient screens them all: a NaN or Inf entry makes the total
+    non-finite, so a finite total proves every entry finite.  Only a
+    non-finite total, which finite gradients also give when their sum
+    overflows, runs the per-parameter scan that names the culprit.
     """
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for tensor in named_params.values():
+            if tensor.grad is not None:
+                total += tensor.grad.sum()
+    if np.isfinite(total):
+        return
     for name, tensor in named_params.items():
         if tensor.grad is not None and not np.isfinite(tensor.grad).all():
             raise DivergenceError(f"non-finite gradient at epoch {epoch}, parameter {name}")

@@ -54,22 +54,38 @@ def test_failed_save_keeps_previous_file_and_leaves_no_temp_file(tmp_path, monke
     assert os.listdir(tmp_path) == ["final.ckpt"]
 
 
-def checkpoint_bytes(config: bytes, name: bytes, shape: tuple[int, ...]) -> bytes:
-    """A hand-built AVCK file with one tensor header and no payload."""
-    return (b"AVCK" + struct.pack("<II", 1, len(config)) + config + struct.pack("<I", 1)
-            + struct.pack("<H", len(name)) + name + struct.pack(f"<B{len(shape)}I", len(shape), *shape))
+def tensor_entry(name: bytes, shape: tuple[int, ...], values=()) -> bytes:
+    """One hand-built AVCK tensor: name, rank, extents and the given payload values."""
+    return (struct.pack("<H", len(name)) + name + struct.pack(f"<B{len(shape)}I", len(shape), *shape)
+            + np.asarray(values, "<f4").tobytes())
+
+
+def checkpoint_bytes(config: bytes, *entries: bytes) -> bytes:
+    """A hand-built AVCK file holding the given tensor entries."""
+    return b"AVCK" + struct.pack("<II", 1, len(config)) + config + struct.pack("<I", len(entries)) + b"".join(entries)
 
 
 @pytest.mark.parametrize("config, name, what", [(b"seed = \xff\n", b"w", "config snapshot"),
                                                 (b"seed = 1\n", b"w\xc3", "tensor name")])
 def test_undecodable_text_is_a_checkpoint_error(tmp_path, config, name, what):
-    (tmp_path / "bad.ckpt").write_bytes(checkpoint_bytes(config, name, (1,)))
+    (tmp_path / "bad.ckpt").write_bytes(checkpoint_bytes(config, tensor_entry(name, (1,))))
     with pytest.raises(CheckpointError, match=f"bad.ckpt: {what} is not UTF-8"):
         load_checkpoint(tmp_path / "bad.ckpt")
 
 
 def test_extents_whose_product_overflows_int64_are_a_truncated_payload(tmp_path):
     # 2**31 * 2**31 * 4 wraps to 0 in int64, which would read an empty payload.
-    (tmp_path / "huge.ckpt").write_bytes(checkpoint_bytes(b"", b"w", (2**31, 2**31, 4)))
+    (tmp_path / "huge.ckpt").write_bytes(checkpoint_bytes(b"", tensor_entry(b"w", (2**31, 2**31, 4))))
     with pytest.raises(TruncatedPayloadError, match="huge.ckpt: checkpoint truncated"):
         load_checkpoint(tmp_path / "huge.ckpt")
+
+
+@pytest.mark.parametrize("first, second", [(b"w", b"w"), (b"w", b"b")], ids=["duplicate", "descending"])
+def test_names_not_strictly_increasing_are_a_checkpoint_error(tmp_path, first, second):
+    # A reader keeping the last of two same-named tensors would load the
+    # duplicate file as {"w": [2.0]}.
+    blob = checkpoint_bytes(b"seed = 1\n", tensor_entry(first, (1,), [1.0]), tensor_entry(second, (1,), [2.0]))
+    (tmp_path / "twice.ckpt").write_bytes(blob)
+    with pytest.raises(CheckpointError, match=f"twice.ckpt: tensor names not strictly increasing: "
+                                              f"{first.decode()!r} then {second.decode()!r}"):
+        load_checkpoint(tmp_path / "twice.ckpt")

@@ -3,6 +3,8 @@
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avfuse import cli
 from avfuse.config import ConfigError, TrainConfig, config_to_text, parse_config_text
@@ -37,3 +39,22 @@ def test_malformed_flag_value_is_a_reported_error(tmp_path, capsys):
 
 def test_default_config_text_round_trip():
     assert TrainConfig(**parse_config_text(config_to_text(TrainConfig()))) == TrainConfig()
+
+
+# Lines built from real keys, separators and values of every field type, plus arbitrary text.
+_CONFIG_TEXT = st.one_of(
+    st.text(max_size=48),
+    st.lists(st.sampled_from(["epochs", "use_blstm", "learning_rate", "fusion", "bogus", "=", " = ",
+                              "#", "3", "-1", "true", "no", "0.5", "nan", "1e999", "x", "\n", "\r",
+                              "\x0b", "\u2028"]),
+             max_size=16).map("".join),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(text=_CONFIG_TEXT)
+def test_arbitrary_config_text_parses_or_raises_a_config_error(text):
+    try:
+        parse_config_text(text)
+    except ConfigError:
+        pass

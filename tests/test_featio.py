@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avfuse.checkpoint import load_checkpoint
+from avfuse.metrics import ScoreSetError, read_scores
 from avfuse.featio import (
     BadMagicError,
     ExtentError,
@@ -48,6 +49,13 @@ def test_malformed_feature_file_raises_its_error(tmp_path, blob, error):
     (tmp_path / "bad.avf").write_bytes(blob)
     with pytest.raises(error, match="bad.avf"):
         load_features(tmp_path / "bad.avf")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_feature_value_names_the_file_and_its_position(tmp_path, bad):
+    (tmp_path / "u1.audio.avf").write_bytes(avf(2, 3, [0.0, 1.0, 2.0, 3.0, bad, 5.0]))
+    with pytest.raises(FeatureFileError, match=rf"u1\.audio\.avf: non-finite value {bad} at row 1, col 1"):
+        load_features(tmp_path / "u1.audio.avf")
 
 
 def test_only_rank_two_matrices_are_saved(tmp_path):
@@ -118,3 +126,26 @@ def test_arbitrary_bytes_load_or_raise_a_format_error(blob_path, blob):
             reader(blob_path)
         except FeatureFileError:
             pass
+
+
+# Text made of the tokens these formats use, plus raw bytes that need not be UTF-8.
+_TEXT_BLOBS = st.one_of(
+    st.binary(max_size=48),
+    st.lists(st.sampled_from(["0", "1", "2", "u1", "spk", "train", "eval", "0.5", "-1e3", "nan", "inf",
+                              "1e999", " ", "\t", "\n", "\r\n", "\x85", "\u2028", "\xe9"]),
+             max_size=16).map(lambda tokens: "".join(tokens).encode("utf-8")),
+)
+
+
+@pytest.mark.parametrize("reader, error", [(parse_trial_list, TrialParseError),
+                                           (read_manifest, TrialParseError),
+                                           (read_scores, ScoreSetError)],
+                         ids=["trial_list", "manifest", "scores"])
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(blob=_TEXT_BLOBS)
+def test_arbitrary_text_parses_or_raises_the_readers_error(blob_path, reader, error, blob):
+    blob_path.write_bytes(blob)
+    try:
+        reader(blob_path)
+    except error:
+        pass

@@ -206,3 +206,14 @@ class TestReportAndScoreFiles:
         path.write_text("1 0.5\n2 0.3\n")
         with pytest.raises(ScoreSetError, match="line 2"):
             read_scores(path)
+
+    @pytest.mark.parametrize("blob, message", [
+        (b"1 0.5\n0 nan\n", "bad.txt: non-finite score on line 2"),
+        (b"1 0.5\n0 \xff\n", "bad.txt: not UTF-8 text at byte 8"),
+        (b"1 0.5\n", "bad.txt: need at least one target and one nontarget"),
+    ], ids=["non_finite", "not_utf8", "one_class"])
+    def test_score_file_errors_name_the_file(self, tmp_path, blob, message):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(blob)
+        with pytest.raises(ScoreSetError, match=message):
+            read_scores(path)

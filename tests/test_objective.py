@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from avfuse.autodiff import Tensor
+from avfuse import autodiff as ad
+from avfuse.autodiff import Tape, Tensor
 from avfuse.config import ConfigError
 from avfuse.gradcheck import check_function
-from avfuse.objective import AamHead, NormalizationError, aam_loss, cosine_score
+from avfuse.objective import COS_BOUND, AamHead, NormalizationError, aam_loss, cosine_score
 
 
 def reference_scaled_softmax_ce(weights, embedding, label, scale):
@@ -23,6 +24,62 @@ def reference_scaled_softmax_ce(weights, embedding, label, scale):
 def random_head(rng, n_classes=5, dim=6, scale=30.0, margin=0.2):
     return AamHead(weights=Tensor(rng.uniform(-1, 1, size=(n_classes, dim))),
                    scale=scale, margin=margin)
+
+
+def composed_aam(embedding, weights, labels, scale, margin, cos_bound):
+    """The margin head written on unfused tape ops: the oracle ``ad.aam_cross_entropy`` fuses."""
+    labels = np.asarray(labels)
+    # One-hot columns of the targets: their transpose picks each target
+    # cosine, and they place each margin correction on its target logit.
+    one_hot = np.zeros(embedding.shape[:-2] + (weights.shape[0], 1))
+    np.put_along_axis(one_hot, labels[..., None, None], 1.0, axis=-2)
+    unit_emb = ad.l2_normalize_columns(embedding)
+    unit_classes = ad.l2_normalize_columns(ad.transpose(weights))       # embed_dim x n
+    cosines = ad.matmul(ad.transpose(unit_classes), unit_emb)           # [B x] n x 1
+    target_cos = ad.matmul(Tensor(np.swapaxes(one_hot, -1, -2)), cosines)
+    bounded = ad.clamp(target_cos, -cos_bound, cos_bound)
+    target_sin = ad.sqrt(ad.scale_shift(ad.mul(bounded, bounded), -1.0, 1.0))
+    margined = ad.sub(ad.scale_shift(target_cos, math.cos(margin)),
+                      ad.scale_shift(target_sin, math.sin(margin)))
+    delta = ad.sub(margined, target_cos)
+    logits = ad.scale_shift(ad.add(cosines, ad.matmul(Tensor(one_hot), delta)), scale)
+    return ad.cross_entropy_index(logits, labels)
+
+
+def _run_head(fn, embedding, weights, labels):
+    tensors = {"embedding": Tensor(embedding), "weights": Tensor(weights)}
+    with Tape() as tape:
+        out = fn(tensors["embedding"], tensors["weights"], labels, 30.0, 0.2, COS_BOUND)
+    records = len(tape)
+    with tape:
+        loss = ad.sum_all(out)
+    tape.backward(loss)
+    return out.data, {name: t.grad for name, t in tensors.items()}, records
+
+
+class TestFusedHead:
+    @pytest.mark.parametrize("batch", [(), (4,)])
+    def test_matches_composed_ops(self, batch):
+        rng = np.random.default_rng([18, len(batch)])
+        weights = rng.uniform(-1, 1, size=(5, 6))
+        embedding = rng.uniform(-1, 1, size=batch + (6, 1))
+        labels = np.array([3, 0, 4, 1])[:batch[0]] if batch else np.array(2)
+        # The last item lies within 1e-6 of its target row, so its cosine is
+        # clamped and the sine path must carry no gradient.
+        target_row = weights[labels.reshape(-1)[-1]]
+        embedding.reshape(-1, 6, 1)[-1, :, 0] = 2.0 * target_row + 1e-6 * rng.standard_normal(6)
+        out, grads, records = _run_head(ad.aam_cross_entropy, embedding, weights, labels)
+        ref_out, ref_grads, _ = _run_head(composed_aam, embedding, weights, labels)
+        assert records == 1
+        assert out.shape == batch + (1, 1)
+        assert np.abs(out - ref_out).max() <= 1e-12
+        for name, value in (("embedding", embedding), ("weights", weights)):
+            assert grads[name].shape == value.shape, name
+            assert np.abs(grads[name] - ref_grads[name]).max() <= 1e-12, name
+
+    def test_shape_error_names_both_shapes(self):
+        with pytest.raises(ad.ShapeError, match=r"\(5, 1\).*\(3, 4\)"):
+            ad.aam_cross_entropy(Tensor(np.ones((5, 1))), Tensor(np.ones((3, 4))), 0, 30.0, 0.2, COS_BOUND)
 
 
 class TestAamLoss:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from avfuse import autodiff as ad
-from avfuse.autodiff import Tape, Tensor, named_tensors
+from avfuse.autodiff import ShapeError, Tape, Tensor, named_tensors
 from avfuse.gradcheck import check_function
 from avfuse.temporal import (
     VARIANCE_FLOOR,
@@ -178,6 +178,62 @@ class TestBlstm:
         assert not np.allclose(out_perm, out[:, perm])
 
 
+def composed_asp(features, proj, bias, score, floor):
+    """Attentive statistics pooling written on unfused tape ops: the oracle ``ad.attentive_pool`` fuses."""
+    hidden = ad.tanh(ad.add_bias(ad.matmul(proj, features), bias))
+    scores = ad.matmul(ad.transpose(score), hidden)                    # [B x] 1 x segments
+    weights = ad.softmax_columns(ad.transpose(scores))
+    mean = ad.matmul(features, weights)
+    second_moment = ad.matmul(ad.mul(features, features), weights)
+    variance = ad.clamp(ad.sub(second_moment, ad.mul(mean, mean)), lo=floor)
+    return ad.concat_rows(mean, ad.sqrt(variance))
+
+
+POOL_ARGS = ("features", "proj", "bias", "score")
+
+
+def _run_pool(fn, data, probe):
+    tensors = {name: Tensor(data[name]) for name in POOL_ARGS}
+    with Tape() as tape:
+        out = fn(*(tensors[name] for name in POOL_ARGS), VARIANCE_FLOOR)
+    records = len(tape)
+    with tape:
+        loss = ad.sum_all(ad.mul(out, Tensor(probe)))
+    tape.backward(loss)
+    return out.data, {name: t.grad for name, t in tensors.items()}, records
+
+
+class TestAttentivePool:
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_matches_composed_ops(self, batch):
+        rng = np.random.default_rng([21, len(batch)])
+        data = {
+            "features": rng.uniform(-1, 1, size=batch + (4, 6)),
+            "proj": rng.uniform(-1, 1, size=(3, 4)),
+            "bias": rng.uniform(-1, 1, size=(3, 1)),
+            "score": rng.uniform(-1, 1, size=(3, 1)),
+        }
+        # A row varying by 1e-6: its variance lies below the floor and gets no gradient.
+        data["features"][..., 1, :] = 0.25 + 1e-6 * rng.standard_normal(batch + (6,))
+        probe = rng.uniform(-1, 1, size=batch + (8, 1))
+        out, grads, records = _run_pool(ad.attentive_pool, data, probe)
+        ref_out, ref_grads, _ = _run_pool(composed_asp, data, probe)
+        assert records == 1
+        assert np.array_equal(out, ref_out)
+        for name in POOL_ARGS:
+            assert grads[name].shape == data[name].shape, name
+            assert np.abs(grads[name] - ref_grads[name]).max() <= 1e-12, name
+
+    def test_shape_errors_name_the_operand(self):
+        x, column = Tensor(np.ones((4, 6))), Tensor(np.ones((3, 1)))
+        with pytest.raises(ShapeError, match="projection"):
+            ad.attentive_pool(x, Tensor(np.ones((3, 5))), column, column, VARIANCE_FLOOR)
+        with pytest.raises(ShapeError, match="score"):
+            ad.attentive_pool(x, Tensor(np.ones((3, 4))), column, Tensor(np.ones((2, 1))), VARIANCE_FLOOR)
+        with pytest.raises(ShapeError, match="rank-2 or rank-3"):
+            ad.attentive_pool(Tensor(np.ones(4)), Tensor(np.ones((3, 4))), column, column, VARIANCE_FLOOR)
+
+
 class TestAsp:
     def test_zero_scorer_gives_uniform_attention_and_plain_stats(self):
         x = RNG.uniform(-1, 1, size=(3, 7))
@@ -201,7 +257,7 @@ class TestAsp:
         features = Tensor(rng.uniform(-1, 1, size=batch + (4, 6)))
         with Tape() as tape:
             pooled = asp(features, params)
-        assert len(tape) == 15
+        assert len(tape) == 1
         mean = pooled.data[..., :4, 0]
         weights = attention_weights(features, params)
         assert np.abs(mean - (features.data @ weights[..., None])[..., 0]).max() <= 1e-12

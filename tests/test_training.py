@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from avfuse import autodiff as ad
-from avfuse.autodiff import Tape
+from avfuse.autodiff import Tape, Tensor
 from avfuse.config import TrainConfig
 from avfuse.featio import load_dataset, manifest_entries
 from avfuse.model import VerificationModel
 from avfuse.synthetic import SyntheticSpec, generate_dataset
-from avfuse.training import DivergenceError, Optimizer, speaker_index_map, train
+from avfuse.training import DivergenceError, Optimizer, _check_finite_gradients, speaker_index_map, train
 
 
 @pytest.fixture(scope="module")
@@ -101,18 +101,83 @@ def test_batched_training_matches_per_sample_loop(tiny_train_set, tmp_path):
 
 def test_non_finite_loss_names_its_utterance(tiny_train_set, tmp_path, monkeypatch):
     config = tiny_config()
-    real_cross_entropy = ad.cross_entropy_index
+    real_head = ad.aam_cross_entropy
 
-    def poisoned(logits, index):
+    def poisoned(*args):
         # NaN in the second utterance of the batch, the others left finite.
-        out = real_cross_entropy(logits, index)
+        out = real_head(*args)
         out.data[1] = np.nan
         return out
 
-    monkeypatch.setattr(ad, "cross_entropy_index", poisoned)
+    monkeypatch.setattr(ad, "aam_cross_entropy", poisoned)
     order = sorted(tiny_train_set, key=lambda u: u.utt_id)
     perm = np.random.default_rng(config.seed + 1).permutation(len(order))
     second = order[perm[1]].utt_id
     with pytest.raises(DivergenceError, match=rf"epoch 0, utterance {second}$"):
         train(config, tiny_train_set, tmp_path)
     assert not (tmp_path / "final.ckpt").exists()
+
+
+class OutOfPlaceOptimizer:
+    """The optimizer step with every update building new arrays: the oracle of the in-place one."""
+
+    def __init__(self, params, config):
+        self.params = params
+        self.kind = config.optimizer
+        self.lr = config.learning_rate
+        self.momentum = config.momentum
+        self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
+        self.step_count = 0
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
+
+    def step(self):
+        self.step_count += 1
+        for i, p in enumerate(self.params):
+            grad = p.grad
+            if grad is None:
+                continue
+            if self.kind == "adam":
+                self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * grad
+                self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * grad * grad
+                m_hat = self.m[i] / (1 - self.beta1 ** self.step_count)
+                v_hat = self.v[i] / (1 - self.beta2 ** self.step_count)
+                p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            else:
+                self.m[i] = self.momentum * self.m[i] + grad
+                p.data = p.data - self.lr * self.m[i]
+
+
+@pytest.mark.parametrize("kind", ["adam", "momentum"])
+def test_in_place_step_is_bitwise_the_out_of_place_formula(kind):
+    rng = np.random.default_rng(31)
+    shapes = [(40, 30), (64, 1), (2, 2), (50,)]
+    # Small parameters, so the last bits of every update survive the subtraction.
+    initial = [1e-3 * rng.standard_normal(shape) for shape in shapes]
+    config = TrainConfig(optimizer=kind, learning_rate=0.01)
+    params = [Tensor(a) for a in initial]
+    reference_params = [Tensor(a) for a in initial]
+    optimizer = Optimizer(params, config)
+    reference = OutOfPlaceOptimizer(reference_params, config)
+    for _ in range(6):
+        grads = [rng.standard_normal(shape) for shape in shapes]
+        grads[2] = None  # a parameter no gradient reached
+        for p, q, g in zip(params, reference_params, grads):
+            p.grad = q.grad = g
+        optimizer.step()
+        reference.step()
+        for p, q in zip(params, reference_params):
+            assert p.data.tobytes() == q.data.tobytes()
+    assert params[2].data.tobytes() == initial[2].tobytes()
+    for mine, theirs in ((optimizer._m, reference.m), (optimizer._v, reference.v)):
+        assert [a.tobytes() for a in mine] == [a.tobytes() for a in theirs]
+
+
+def test_guard_names_a_nan_gradient_but_passes_finite_ones_whose_sum_overflows():
+    params = {"a": Tensor(np.ones(3)), "b": Tensor(np.ones((2, 2))), "c": Tensor(np.ones(1))}
+    params["a"].grad = np.full(3, 1e308)  # finite entries whose sums overflow to +inf and -inf
+    params["b"].grad = np.full((2, 2), -1e308)
+    _check_finite_gradients(params, epoch=3)
+    params["c"].grad = np.array([np.nan])
+    with pytest.raises(DivergenceError, match=r"epoch 3, parameter c$"):
+        _check_finite_gradients(params, epoch=3)
