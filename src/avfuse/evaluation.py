@@ -3,9 +3,13 @@
 Besides the trained fusion systems (recursive joint cross-attention, plain
 concatenation, two-way cross-attention), the harness scores the untrained
 reference systems: single-modality statistics of the raw features, and
-score-level fusion of the two single-modality cosines.  Trial utterances are
-embedded in mini-batches through ``VerificationModel.embed``, each one once,
-and scored as cosines grouped by enrollment utterance.
+score-level fusion of the two single-modality cosines.  One pass over the
+trial list gives the distinct utterance ids and each trial's enrollment and
+test rows; every trial utterance is then embedded once, in mini-batches
+through ``VerificationModel.embed``.  Trials are grouped by enrollment row, and
+each group's cosines are one matrix-vector product over its test rows in trial
+order: a score depends only on its enrollment's trials, not on where other
+enrollments sit in the list, bit for bit.
 """
 
 from __future__ import annotations
@@ -30,6 +34,10 @@ RAW_SYSTEMS = ("audio", "visual", "score_level")
 class ResolutionError(KeyError):
     """Trial references utterance ids absent from the evaluation set."""
 
+    def __str__(self) -> str:
+        # KeyError quotes its argument as a key; this one is a message.
+        return Exception.__str__(self)
+
 
 def pooled_raw_embedding(features: np.ndarray) -> np.ndarray:
     """Untrained utterance vector: per-dimension mean and std over segments.
@@ -40,13 +48,24 @@ def pooled_raw_embedding(features: np.ndarray) -> np.ndarray:
     return np.concatenate([features.mean(axis=-1), features.std(axis=-1)], axis=-1)
 
 
-def _check_ids(trials: list[TrialPair], utterances: dict[str, Utterance]) -> None:
-    missing = sorted(
-        {t.enroll_id for t in trials if t.enroll_id not in utterances}
-        | {t.test_id for t in trials if t.test_id not in utterances}
-    )
+def _resolve(trials: list[TrialPair], utterances: dict[str, Utterance]
+             ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """One pass over the trials -> (sorted distinct ids, enrollment rows, test
+    rows, labels); rows index the sorted ids."""
+    first_seen: dict[str, int] = {}
+    rows, labels = [], []
+    for t in trials:
+        rows.append(first_seen.setdefault(t.enroll_id, len(first_seen)))
+        rows.append(first_seen.setdefault(t.test_id, len(first_seen)))
+        labels.append(t.is_target)
+    ids = sorted(first_seen)
+    missing = [u for u in ids if u not in utterances]
     if missing:
         raise ResolutionError(f"trial utterances not found: {missing}")
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[[first_seen[u] for u in ids]] = np.arange(len(ids))
+    pairs = rank[np.array(rows)].reshape(-1, 2)
+    return ids, pairs[:, 0], pairs[:, 1], np.array(labels, dtype=np.int64)
 
 
 def embed_utterances(model: VerificationModel, ids: list[str],
@@ -62,23 +81,23 @@ def embed_utterances(model: VerificationModel, ids: list[str],
     return np.concatenate(chunks) if chunks else np.empty((0, model.config.embed_dim))
 
 
-def _cosines(trials: list[TrialPair], index: dict[str, int], vectors: np.ndarray) -> np.ndarray:
+def _cosines(enroll_rows: np.ndarray, test_rows: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Cosine score of every trial, in trial order.
 
     Rows are scaled to unit length once; the trials of each enrollment
-    utterance are then one (n_tests, e) @ (e,) product.
+    utterance are then one (n_tests, e) @ (e,) product, test rows in trial order.
     """
     norms = np.linalg.norm(vectors, axis=1, keepdims=True)
     if not norms.all():
         raise NormalizationError("cosine scoring: zero-norm embedding")
     unit = vectors / norms
-    by_enroll: dict[str, list[int]] = {}
-    for k, t in enumerate(trials):
-        by_enroll.setdefault(t.enroll_id, []).append(k)
-    scores = np.empty(len(trials))
-    for enroll_id, positions in by_enroll.items():
-        tests = [index[trials[k].test_id] for k in positions]
-        scores[positions] = unit[tests] @ unit[index[enroll_id]]
+    order = np.argsort(enroll_rows, kind="stable")
+    grouped_enroll = enroll_rows[order]
+    grouped_tests = test_rows[order]
+    bounds = [0, *(np.flatnonzero(np.diff(grouped_enroll)) + 1).tolist(), len(order)]
+    scores = np.empty(len(order))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        scores[order[lo:hi]] = unit[grouped_tests[lo:hi]] @ unit[grouped_enroll[lo]]
     return scores
 
 
@@ -91,9 +110,7 @@ def score_trials(system: str, trials: list[TrialPair], utterances: dict[str, Utt
     """
     if not trials:
         raise ConfigError("empty trial list")
-    _check_ids(trials, utterances)
-    ids = sorted({t.enroll_id for t in trials} | {t.test_id for t in trials})
-    index = {u: i for i, u in enumerate(ids)}
+    ids, enroll_rows, test_rows, labels = _resolve(trials, utterances)
     if system in TRAINED_SYSTEMS:
         if model is None:
             raise ConfigError(f"system {system!r} needs a trained model")
@@ -101,11 +118,11 @@ def score_trials(system: str, trials: list[TrialPair], utterances: dict[str, Utt
             raise ConfigError(
                 f"checkpoint was trained with fusion {model.config.fusion!r}, not {system!r}"
             )
-        scores = _cosines(trials, index, embed_utterances(model, ids, utterances))
+        scores = _cosines(enroll_rows, test_rows, embed_utterances(model, ids, utterances))
     elif system in RAW_SYSTEMS:
         def raw(modality: str) -> np.ndarray:
             stacked = np.stack([getattr(utterances[u], modality) for u in ids])
-            return _cosines(trials, index, pooled_raw_embedding(stacked))
+            return _cosines(enroll_rows, test_rows, pooled_raw_embedding(stacked))
 
         if system == "score_level":
             scores = score_level_fusion(raw("audio"), raw("visual"), weight)
@@ -113,7 +130,6 @@ def score_trials(system: str, trials: list[TrialPair], utterances: dict[str, Utt
             scores = raw(system)
     else:
         raise ConfigError(f"unknown evaluation system {system!r}")
-    labels = np.array([int(t.is_target) for t in trials])
     return ScoreSet(scores, labels)
 
 

@@ -4,7 +4,10 @@ Conventions, fixed for determinism: a trial is accepted when score >= threshold
 (ties accept); the threshold sweep visits every distinct score plus -inf/+inf
 sentinels; the equal-error point is found by linear interpolation between
 adjacent sweep points; the detection cost is normalized by the cost of the
-better do-nothing decision, so it never exceeds one.
+better do-nothing decision, so it never exceeds one.  ``compute_report`` runs
+the sweep once and reads EER, minDCF and the DET curve from it; ``eer`` and
+``min_dcf`` read the same sweep through the same helpers, so their values are
+equal to the report's.
 """
 
 from __future__ import annotations
@@ -87,13 +90,7 @@ def det_points(score_set: ScoreSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return thresholds, far, frr
 
 
-def eer(score_set: ScoreSet) -> tuple[float, float]:
-    """Equal error rate and its threshold.
-
-    FAR - FRR is non-increasing along the sweep from +1 to -1; the crossing is
-    linearly interpolated between the adjacent sweep points when not exact.
-    """
-    thresholds, far, frr = det_points(score_set)
+def _eer(thresholds: np.ndarray, far: np.ndarray, frr: np.ndarray) -> tuple[float, float]:
     diff = far - frr
     k = int(np.argmax(diff <= 0.0))  # first non-positive difference; k >= 1
     if diff[k] == 0.0:
@@ -106,9 +103,8 @@ def eer(score_set: ScoreSet) -> tuple[float, float]:
     return float(rate), float(threshold)
 
 
-def min_dcf(score_set: ScoreSet, params: DcfParams = DcfParams()) -> tuple[float, float]:
-    """Minimum normalized detection cost over the sweep, and its threshold."""
-    thresholds, far, frr = det_points(score_set)
+def _min_dcf(thresholds: np.ndarray, far: np.ndarray, frr: np.ndarray,
+             params: DcfParams) -> tuple[float, float]:
     dcf = params.c_miss * frr * params.p_target + params.c_fa * far * (1.0 - params.p_target)
     k = int(np.argmin(dcf))
     threshold = thresholds[k]
@@ -119,32 +115,50 @@ def min_dcf(score_set: ScoreSet, params: DcfParams = DcfParams()) -> tuple[float
     return float(dcf[k] / params.normalizer), float(threshold)
 
 
+def eer(score_set: ScoreSet) -> tuple[float, float]:
+    """Equal error rate and its threshold.
+
+    FAR - FRR is non-increasing along the sweep from +1 to -1; the crossing is
+    linearly interpolated between the adjacent sweep points when not exact.
+    """
+    return _eer(*det_points(score_set))
+
+
+def min_dcf(score_set: ScoreSet, params: DcfParams = DcfParams()) -> tuple[float, float]:
+    """Minimum normalized detection cost over the sweep, and its threshold."""
+    return _min_dcf(*det_points(score_set), params)
+
+
 @dataclass
 class MetricsReport:
-    """Verification summary: EER, normalized minDCF, thresholds, DET curve."""
+    """Verification summary: EER, normalized minDCF, thresholds, DET curve.
+
+    ``det_curve`` is the sweep's ``(far, frr)`` pair of arrays, one entry per
+    threshold of :func:`det_points`.
+    """
 
     eer: float
     eer_threshold: float
     min_dcf: float
     dcf_threshold: float
     dcf_params: DcfParams
-    det_curve: list[tuple[float, float]] = field(repr=False, default_factory=list)
+    det_curve: tuple[np.ndarray, np.ndarray] = field(repr=False)
     n_target: int = 0
     n_nontarget: int = 0
 
 
 def compute_report(score_set: ScoreSet, params: DcfParams = DcfParams()) -> MetricsReport:
-    """Full evaluation of a score set."""
-    eer_value, eer_thr = eer(score_set)
-    dcf_value, dcf_thr = min_dcf(score_set, params)
-    _, far, frr = det_points(score_set)
+    """Full evaluation of a score set, from one threshold sweep."""
+    thresholds, far, frr = det_points(score_set)
+    eer_value, eer_thr = _eer(thresholds, far, frr)
+    dcf_value, dcf_thr = _min_dcf(thresholds, far, frr, params)
     return MetricsReport(
         eer=eer_value,
         eer_threshold=eer_thr,
         min_dcf=dcf_value,
         dcf_threshold=dcf_thr,
         dcf_params=params,
-        det_curve=[(float(a), float(r)) for a, r in zip(far, frr)],
+        det_curve=(far, frr),
         n_target=len(score_set.target_scores),
         n_nontarget=len(score_set.nontarget_scores),
     )

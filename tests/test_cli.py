@@ -65,3 +65,13 @@ def test_evaluate_raw_system_takes_config_flags(trained, tmp_path, capsys):
     assert cli.main(args + ["--score-fusion-weight", "0.3"]) == 0
     assert cli.main(args + ["--score-fusion-weight", "x"]) == 2
     assert "error: score_fusion_weight" in capsys.readouterr().err
+
+
+def test_evaluate_names_a_missing_trial_utterance(trained, tmp_path, capsys):
+    data, _ = trained
+    enroll = sorted(load_dataset(data))[0]
+    write_trial_list(tmp_path / "trials.txt", [TrialPair(True, enroll, "nosuch_utt")])
+    args = ["evaluate", "--data", str(data), "--trials", str(tmp_path / "trials.txt"),
+            "--system", "audio"]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == "error: trial utterances not found: ['nosuch_utt']\n"

@@ -5,8 +5,15 @@ import itertools
 import numpy as np
 import pytest
 
+from avfuse import evaluation
 from avfuse.config import ConfigError, TrainConfig
-from avfuse.evaluation import embed_utterances, evaluate, pooled_raw_embedding, score_trials
+from avfuse.evaluation import (
+    ResolutionError,
+    embed_utterances,
+    evaluate,
+    pooled_raw_embedding,
+    score_trials,
+)
 from avfuse.featio import TrialPair, load_dataset
 from avfuse.fusion import score_level_fusion
 from avfuse.model import VerificationModel
@@ -29,11 +36,94 @@ def all_pairs(utterances):
             for a, b in itertools.combinations(ids, 2)]
 
 
-def test_model_scores_are_cosines_of_single_embeddings(utterances):
+def reference_cosines(trials, index, vectors):
+    """Per-trial grouping: a dict of trial positions per enrollment id, in order of
+    first appearance, then one product per enrollment utterance."""
+    unit = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+    by_enroll = {}
+    for k, t in enumerate(trials):
+        by_enroll.setdefault(t.enroll_id, []).append(k)
+    scores = np.empty(len(trials))
+    for enroll_id, positions in by_enroll.items():
+        tests = [index[trials[k].test_id] for k in positions]
+        scores[positions] = unit[tests] @ unit[index[enroll_id]]
+    return scores
+
+
+def tiny_model():
     # batch_size 5 over 12 utterances: two full chunks and a partial one.
     config = TrainConfig(audio_dim=3, visual_dim=2, segments=4, iterations=2, blstm_hidden=3,
                          asp_hidden=3, embed_dim=4, batch_size=5, seed=3)
-    model = VerificationModel(config, n_speakers=3)
+    return VerificationModel(config, n_speakers=3)
+
+
+def shuffled_trials(utterances):
+    """All pairs plus a self trial and a one-trial enrollment, in shuffled order."""
+    ids = sorted(utterances)
+    trials = all_pairs(utterances) + [TrialPair(True, ids[3], ids[3]),
+                                      TrialPair(False, ids[-1], ids[0])]
+    order = np.random.default_rng(11).permutation(len(trials))
+    trials = [trials[k] for k in order]
+    enrolls = [t.enroll_id for t in trials]
+    runs = [e for k, e in enumerate(enrolls) if k == 0 or e != enrolls[k - 1]]
+    assert len(runs) > len(set(enrolls))  # some enrollment's trials are not contiguous
+    assert enrolls.count(ids[-1]) == 1
+    assert {t.test_id for t in trials} & set(enrolls)
+    return trials
+
+
+@pytest.mark.parametrize("system", ["rjca", "audio", "visual", "score_level"])
+def test_scores_are_bitwise_the_per_enrollment_products(utterances, system):
+    trials = shuffled_trials(utterances)
+    ids = sorted(utterances)
+    index = {u: i for i, u in enumerate(ids)}
+    model = tiny_model() if system == "rjca" else None
+    got = score_trials(system, trials, utterances, model=model, weight=0.3)
+
+    def raw(modality):
+        stacked = np.stack([getattr(utterances[u], modality) for u in ids])
+        return reference_cosines(trials, index, pooled_raw_embedding(stacked))
+
+    if system == "rjca":
+        expected = reference_cosines(trials, index, embed_utterances(model, ids, utterances))
+    elif system == "score_level":
+        expected = score_level_fusion(raw("audio"), raw("visual"), 0.3)
+    else:
+        expected = raw(system)
+    assert got.scores.tobytes() == expected.tobytes()
+    assert got.labels.tolist() == [int(t.is_target) for t in trials]
+
+
+def test_missing_ids_on_both_sides_are_listed_sorted(utterances):
+    ids = sorted(utterances)
+    trials = [TrialPair(True, ids[0], ids[1]), TrialPair(False, "zz_test", ids[0]),
+              TrialPair(False, ids[2], "b_test"), TrialPair(True, "a_enroll", "zz_test")]
+    with pytest.raises(ResolutionError) as info:
+        score_trials("audio", trials, utterances)
+    assert str(info.value) == "trial utterances not found: ['a_enroll', 'b_test', 'zz_test']"
+    assert isinstance(info.value, KeyError)
+
+
+def test_evaluate_scores_and_reports_through_the_module_functions(utterances, monkeypatch):
+    # Benchmark tracing wraps these two module attributes to time them.
+    calls = []
+
+    def spy(name):
+        inner = getattr(evaluation, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(evaluation, name, wrapped)
+
+    spy("score_trials")
+    spy("compute_report")
+    evaluate("audio", all_pairs(utterances), utterances)
+    assert calls == ["score_trials", "compute_report"]
+
+
+def test_model_scores_are_cosines_of_single_embeddings(utterances):
+    model = tiny_model()
     trials = all_pairs(utterances)[::-1]
     scores = score_trials("rjca", trials, utterances, model=model).scores
     emb = {u: model.embed(utt.audio, utt.visual) for u, utt in utterances.items()}

@@ -182,6 +182,32 @@ class TestInvariances:
             assert (eer(shuffled)[0], min_dcf(shuffled)[0]) == base
 
 
+class TestReportMatchesSingleMetrics:
+    @pytest.mark.parametrize("scores, labels", [
+        random_score_set(np.random.default_rng(7)),
+        ([0.5, 0.5, 0.5, 0.2, 0.7, 0.2], [1, 0, 1, 0, 1, 0]),
+        ([0.9, 0.9, 0.9, 0.1], [1, 1, 0, 0]),
+        ([0.5, 0.5], [1, 0]),
+    ], ids=["random", "ties", "eer_against_inf_sentinel", "all_tied"])
+    def test_report_equals_eer_min_dcf_and_det_points(self, scores, labels):
+        ss = ScoreSet(scores, labels)
+        report = compute_report(ss, PAPER_DCF)
+        assert (report.eer, report.eer_threshold) == eer(ss)
+        assert (report.min_dcf, report.dcf_threshold) == min_dcf(ss, PAPER_DCF)
+        _, far, frr = det_points(ss)
+        assert np.array_equal(report.det_curve[0], far)
+        assert np.array_equal(report.det_curve[1], frr)
+        assert (report.n_target, report.n_nontarget) == (len(ss.target_scores),
+                                                         len(ss.nontarget_scores))
+
+    def test_eer_crossing_against_the_inf_sentinel_reports_the_top_score(self):
+        # FAR - FRR stays positive up to the top score 0.9 (FAR 1/2, FRR 0) and
+        # crosses only at +inf, so the threshold falls back to 0.9.
+        report = compute_report(ScoreSet([0.9, 0.9, 0.9, 0.1], [1, 1, 0, 0]), PAPER_DCF)
+        assert report.eer == pytest.approx(1 / 3, abs=1e-15)
+        assert report.eer_threshold == 0.9
+
+
 class TestReportAndScoreFiles:
     def test_report_fields_and_formatting(self):
         ss = ScoreSet([0.8, 0.6, 0.4, 0.7, 0.3, 0.1], [1, 1, 1, 0, 0, 0])
