@@ -20,12 +20,15 @@ tape records a whole mini-batch with the same ops, and the same code runs a
 single utterance.
 
 Most ops are elementwise or matrix primitives with one closure each.  Fused
-layer ops (``lstm``, ``attend``, ``attentive_pool``, ``aam_cross_entropy``)
+layer ops (``blstm``, ``attend``, ``attentive_pool``, ``aam_cross_entropy``)
 run a whole layer body in numpy and record a single closure holding its
 hand-derived backward, which cuts the per-record Python overhead that
-dominates at these matrix sizes.  Forward-only helpers (``attention_map``,
-``pooling_attention``) compute the quantities these ops attend or pool with,
-for readers that inspect them without a tape.
+dominates at these matrix sizes.  ``blstm`` is the whole bidirectional layer
+in one record: one time loop advances the forward direction at time s and the
+backward direction at time L-1-s, with their states stacked so each gate
+nonlinearity and state update is one numpy call for both.  Forward-only
+helpers (``attention_map``, ``pooling_attention``) compute the quantities
+these ops attend or pool with, for readers that inspect them without a tape.
 
 A tape is single-threaded by design: one tape per training worker.  The active
 tape is tracked in thread-local storage, so read-only forwards on disjoint
@@ -336,10 +339,17 @@ def relu(x: Tensor) -> Tensor:
     return out
 
 
-def _stable_sigmoid(d: np.ndarray) -> np.ndarray:
-    # Split by sign so no exponent is positive: 1 / (1 + e^-d) for d >= 0 and
-    # e^d / (1 + e^d) below, with the numerator written as e^min(d, 0).
-    return np.exp(np.minimum(d, 0.0)) / (1.0 + np.exp(-np.abs(d)))
+def _stable_sigmoid(d: np.ndarray, out: np.ndarray | None = None,
+                    scratch: np.ndarray | None = None) -> np.ndarray:
+    """Logistic sigmoid of ``d``, into ``out`` and through ``scratch`` when given (d's shape).
+
+    Split by sign so no exponent is positive: 1 / (1 + e^-d) for d >= 0 and
+    e^d / (1 + e^d) below, with the numerator written as e^min(d, 0).
+    """
+    out = np.exp(np.minimum(d, 0.0, out=out), out=out)
+    denominator = np.exp(np.negative(np.abs(d, out=scratch), out=scratch), out=scratch)
+    denominator += 1.0
+    return np.divide(out, denominator, out=out)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -507,111 +517,170 @@ def cross_entropy_index(logits: Tensor, index) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def lstm(x: Tensor, w_input: Tensor, w_recurrent: Tensor, bias: Tensor, reverse: bool = False) -> Tensor:
-    """One LSTM direction over the columns of (d, L) -> (h, L), or (B, d, L) -> (B, h, L).
+def blstm(x: Tensor, forward: tuple[Tensor, Tensor, Tensor],
+          backward: tuple[Tensor, Tensor, Tensor]) -> Tensor:
+    """Bidirectional LSTM over the columns of (d, L) -> (2h, L), or (B, d, L) -> (B, 2h, L).
 
-    Gate rows of ``w_input`` (4h, d), ``w_recurrent`` (4h, h) and ``bias``
-    (4h, 1) are ordered input/forget/cell/output; both initial states are
-    zero, and ``reverse`` runs the recurrence from the last column to the
-    first, outputs staying in input-time order.  The B items of a batch run
-    side by side: their states at one step are the B columns of an (h, B)
-    block, so each step is one (4h, h) @ (h, B) product and gate blocks stay
-    contiguous row ranges; one utterance runs the same loop on (h,) vectors.
-    The input
-    projection and bias of all steps are one GEMM hoisted out of the time
-    loop.  The whole direction is a single tape record whose backward runs
-    backpropagation through time by hand and forms the four gradients as
-    whole-sequence GEMMs over the stacked pre-activation gradients.
+    ``forward`` and ``backward`` are each direction's ``(w_input, w_recurrent,
+    bias)``, shaped (4h, d), (4h, h) and (4h, 1) with gate rows ordered
+    input/forget/cell/output; both initial states are zero.  The forward
+    direction fills the top h output rows; the backward direction runs from
+    the last column to the first and fills the bottom h, in input-time order.
+    Step s of the one time loop moves the forward direction to time s and the
+    backward direction to time L-1-s, their states stacked on a leading axis
+    of two, so each nonlinearity and state update is one in-place numpy call
+    for both; a batch's B items are the B columns of each (h, B) state block,
+    one utterance runs on (h,) vectors.  Each direction's input projection is
+    one GEMM hoisted out of the loop, and each step one (4h, h) recurrent
+    product per direction.  The layer is one tape record whose backward runs
+    backpropagation through time by hand and forms each direction's gradients
+    as whole-sequence GEMMs over its stacked pre-activation gradients.
     """
-    _require_matrix(x, "lstm")
-    hidden = w_recurrent.shape[1] if w_recurrent.ndim == 2 else 0
+    _require_matrix(x, "blstm")
     dim, length = x.shape[-2:]
-    if w_recurrent.shape != (4 * hidden, hidden) or hidden < 1:
-        raise ShapeError(f"lstm: recurrent weight must be (4h, h), got {w_recurrent.shape}")
-    if w_input.shape != (4 * hidden, dim):
-        raise ShapeError(f"lstm: input weight must be {(4 * hidden, dim)} for input {x.shape}, "
-                         f"got {w_input.shape}")
-    if bias.shape != (4 * hidden, 1):
-        raise ShapeError(f"lstm: bias must be {(4 * hidden, 1)}, got {bias.shape}")
+    hidden = forward[1].shape[1] if forward[1].ndim == 2 else 0
+    for name, (w_in, w_rec, b) in (("forward", forward), ("backward", backward)):
+        if w_rec.shape != (4 * hidden, hidden) or hidden < 1:
+            raise ShapeError(f"blstm: {name} recurrent weight must be (4h, h) with the forward "
+                             f"direction's h, got {w_rec.shape}")
+        if w_in.shape != (4 * hidden, dim):
+            raise ShapeError(f"blstm: {name} input weight must be {(4 * hidden, dim)} for input "
+                             f"{x.shape}, got {w_in.shape}")
+        if b.shape != (4 * hidden, 1):
+            raise ShapeError(f"blstm: {name} bias must be {(4 * hidden, 1)}, got {b.shape}")
     if length < 1:
-        raise ShapeError(f"lstm: input has no time steps, shape {x.shape}")
+        raise ShapeError(f"blstm: input has no time steps, shape {x.shape}")
     batch = x.shape[0] if x.ndim == 3 else 1
     h1, h2, h3 = hidden, 2 * hidden, 3 * hidden
-    w_rec = w_recurrent.data
-    # Per-step state is indexed by step first, so every step reads and writes
-    # one contiguous block: an (n,) vector for one utterance, an (n, B) block
-    # of columns for a batch.
+    directions = (forward, backward)
     tail = () if x.ndim == 2 else (batch,)
 
     def columns(a: np.ndarray) -> np.ndarray:
-        # (L, n[, B]) per-step state -> (n, L*B), column t*B + b for step t of item b.
-        return a.reshape(length, a.shape[1], batch).transpose(1, 0, 2).reshape(a.shape[1], -1)
+        # (L, n[, B]) per-time state -> (n, L*B), column t*B + b for time t of item b,
+        # laid out as from a contiguous (L, n[, B]) array: a transposed view for one
+        # item, a contiguous copy for a batch.  The layout fixes how the products
+        # and sums below round, so it is kept whatever the input's strides.
+        if batch == 1:
+            a = np.ascontiguousarray(a)
+        n = a.shape[1]
+        return a.reshape(length, n, batch).transpose(1, 0, 2).reshape(n, -1)
 
-    if x.ndim == 2:
-        pre_input = x.data.T @ w_input.data.T + bias.data[:, 0]           # (L, 4h)
-    else:
-        pre_input = w_input.data @ x.data.transpose(2, 1, 0) + bias.data  # (L, 4h, B)
-    gates = np.empty((length, 4 * hidden) + tail)
-    cells = np.empty((length, hidden) + tail)
-    tanh_cells = np.empty((length, hidden) + tail)
-    hs = np.empty((length, hidden) + tail)
-    order = range(length - 1, -1, -1) if reverse else range(length)
-    h_prev = np.zeros((hidden,) + tail)
-    c_prev = np.zeros((hidden,) + tail)
-    for t in order:
-        pre = pre_input[t] + w_rec @ h_prev
-        # One sigmoid call over all four blocks, then tanh over the cell block.
-        act = _stable_sigmoid(pre)
-        act[h2:h3] = np.tanh(pre[h2:h3])
-        c_prev = act[h1:h2] * c_prev + act[:h1] * act[h2:h3]
-        tanh_c = np.tanh(c_prev)
-        h_prev = act[h3:] * tanh_c
-        gates[t] = act
-        cells[t] = c_prev
-        tanh_cells[t] = tanh_c
-        hs[t] = h_prev
-    out = Tensor._wrap(np.ascontiguousarray(hs.T if x.ndim == 2 else hs.transpose(2, 1, 0)))
+    # One allocation holds everything the backward keeps (one array each made
+    # repeated batched calls fault in fresh pages).  Row s + 1 of ``state`` is
+    # step s: both directions' gates, then their cell states, hidden states
+    # and tanh of the cell states; row 0 holds the zero initial states.  Each
+    # is viewed as (rows, 2, n[, B]), so every step reads and writes
+    # contiguous (2, n[, B]) blocks, both directions at once.
+    state = np.empty((length + 1, 14 * hidden) + tail)
+    state[0] = 0.0
 
-    def backward(grad):
-        # States entering each step: the neighbouring step's, zero at the start.
-        zero = np.zeros((1, hidden) + tail)
-        if reverse:
-            hs_prev = np.concatenate([hs[1:], zero])
-            cells_prev = np.concatenate([cells[1:], zero])
+    def by_direction(part: np.ndarray) -> np.ndarray:
+        # Splitting one axis of a column range is always a view, never a copy.
+        return part.reshape(part.shape[:1] + (2, part.shape[1] // 2) + tail)
+
+    gates = by_direction(state[1:, :8 * hidden])
+    cells = by_direction(state[:, 8 * hidden:10 * hidden])
+    hs = by_direction(state[:, 10 * hidden:12 * hidden])
+    tanh_cells = by_direction(state[1:, 12 * hidden:])
+    # gates[s] first holds step s's input pre-activations, the backward
+    # direction's time-reversed; the step overwrites them with its gates.
+    for k, (w_in, _, b) in enumerate(directions):
+        if x.ndim == 2:
+            projected, shift = x.data.T @ w_in.data.T, b.data[:, 0]       # (L, 4h)
         else:
-            hs_prev = np.concatenate([zero, hs[:-1]])
-            cells_prev = np.concatenate([zero, cells[:-1]])
-        i, f, g, o = gates[:, :h1], gates[:, h1:h2], gates[:, h2:h3], gates[:, h3:]
-        # dpre[t] = local[t] * [dc, dc, dc, dh] with dc, dh the cell and
-        # hidden gradients of step t; each block of local is the gate's
-        # partner in the cell update times the gate's own derivative.
-        local = np.concatenate([g * i * (1.0 - i), cells_prev * f * (1.0 - f),
-                                i * (1.0 - g * g), tanh_cells * o * (1.0 - o)], axis=1)
-        dc_from_h = o * (1.0 - tanh_cells * tanh_cells)
-        d_out = grad.T if x.ndim == 2 else grad.transpose(2, 1, 0)
-        dpre = np.empty((length, 4 * hidden) + tail)
-        # Gate-block views: [t, k] is block k (i, f, g, o) of step t.
-        local_blocks = local.reshape((length, 4, hidden) + tail)
-        dpre_blocks = dpre.reshape((length, 4, hidden) + tail)
-        w_rec_t = w_rec.T
-        dh_next = np.zeros((hidden,) + tail)
-        dc_next = np.zeros((hidden,) + tail)
-        for t in reversed(order):
-            dh = d_out[t] + dh_next
-            dc = dc_next + dh * dc_from_h[t]
-            np.multiply(local_blocks[t, :3], dc, out=dpre_blocks[t, :3])
-            np.multiply(local_blocks[t, 3], dh, out=dpre_blocks[t, 3])
-            dc_next = dc * f[t]
-            dh_next = w_rec_t @ dpre[t]
-        dpre_cols = columns(dpre)
-        xs = x.data if x.ndim == 2 else columns(x.data.transpose(2, 1, 0))
-        dxs = w_input.data.T @ dpre_cols
-        _accumulate(x, dxs if x.ndim == 2 else dxs.reshape(dim, length, batch).transpose(2, 0, 1))
-        _accumulate(w_input, dpre_cols @ xs.T)
-        _accumulate(w_recurrent, dpre_cols @ columns(hs_prev).T)
-        _accumulate(bias, dpre_cols.sum(axis=1, keepdims=True))
+            projected, shift = w_in.data @ x.data.transpose(2, 1, 0), b.data  # (L, 4h, B)
+        np.add(projected if k == 0 else projected[::-1], shift, out=gates[:, k])
+    w_recs = [w_rec.data for _, w_rec, _ in directions]
+    pre = np.empty((2, 4 * hidden) + tail)
+    pre_fw, pre_bw, pre_cell = pre[0], pre[1], pre[:, h2:h3]
+    scratch = np.empty_like(pre)
+    product = scratch[:, :h1]
+    # Per step s: its gates and their four blocks, the states entering and
+    # leaving it (rows s and s + 1), and tanh of the new cell state.
+    steps = zip(gates, gates[:, :, :h1], gates[:, :, h1:h2], gates[:, :, h2:h3],
+                gates[:, :, h3:], cells[:-1], cells[1:], hs[:-1], hs[1:], tanh_cells)
+    for act, i, f, g, o, c_prev, c, h_prev, h, tanh_c in steps:
+        np.matmul(w_recs[0], h_prev[0], out=pre_fw)
+        np.matmul(w_recs[1], h_prev[1], out=pre_bw)
+        pre += act
+        # One sigmoid call over all four blocks, then tanh over the cell block.
+        _stable_sigmoid(pre, out=act, scratch=scratch)
+        np.tanh(pre_cell, out=g)
+        np.multiply(f, c_prev, out=c)
+        np.multiply(i, g, out=product)
+        c += product
+        np.tanh(c, out=tanh_c)
+        np.multiply(o, tanh_c, out=h)
+    # .T turns (L, h[, B]) step states into ([B,] h, L) output blocks.
+    out_data = np.empty(x.shape[:-2] + (2 * hidden, length))
+    out_data[..., :h1, :] = hs[1:, 0].T
+    out_data[..., h1:, :] = hs[:0:-1, 1].T
+    out = Tensor._wrap(out_data)
 
-    _record(backward, out)
+    def step_gradients(grad: np.ndarray) -> np.ndarray:
+        """Backpropagation through time: the pre-activation gradients of every step."""
+        i, f, g, o = gates[:, :, :h1], gates[:, :, h1:h2], gates[:, :, h2:h3], gates[:, :, h3:]
+        # dpre[s] = local[s] * [dc, dc, dc, dh] with dc, dh the cell and
+        # hidden gradients of step s; each block of local is the gate's
+        # partner in the cell update times the gate's own derivative.  The
+        # blocks are built in dpre and scaled in place by the step loop.
+        dpre = np.empty(gates.shape)
+        blocks = dpre.reshape((length, 2, 4, hidden) + tail)
+        one_minus = np.empty(tanh_cells.shape)
+        np.multiply(g, i, out=blocks[:, :, 0])
+        blocks[:, :, 0] *= np.subtract(1.0, i, out=one_minus)
+        np.multiply(cells[:-1], f, out=blocks[:, :, 1])
+        blocks[:, :, 1] *= np.subtract(1.0, f, out=one_minus)
+        np.multiply(g, g, out=blocks[:, :, 2])
+        np.subtract(1.0, blocks[:, :, 2], out=blocks[:, :, 2])
+        blocks[:, :, 2] *= i
+        np.multiply(tanh_cells, o, out=blocks[:, :, 3])
+        blocks[:, :, 3] *= np.subtract(1.0, o, out=one_minus)
+        dc_from_h = np.multiply(tanh_cells, tanh_cells, out=one_minus)
+        np.subtract(1.0, dc_from_h, out=dc_from_h)
+        dc_from_h *= o
+        # Output gradients by time: rows [:h] feed the forward direction, [h:] the backward.
+        d_out = grad.T
+        w_fw_t, w_bw_t = (w.T for w in w_recs)
+        dh = np.zeros((2, hidden) + tail)
+        dc = np.zeros((2, hidden) + tail)
+        dh_fw, dh_bw, dc_blocks = dh[0], dh[1], dc[:, None]
+        term = np.empty_like(dc)
+        # Steps from last to first; at step s the forward direction reads the
+        # output gradient of time s, the backward direction that of time L-1-s.
+        steps = zip(d_out[::-1, :h1], d_out[:, h1:], dc_from_h[::-1], blocks[::-1, :, :3],
+                    blocks[::-1, :, 3], f[::-1], dpre[::-1, 0], dpre[::-1, 1])
+        for d_fw, d_bw, dc_h, cell_blocks, out_block, f_s, dpre_fw, dpre_bw in steps:
+            # dh holds the recurrent gradient from the step after; add the output's.
+            dh_fw += d_fw
+            dh_bw += d_bw
+            dc += np.multiply(dh, dc_h, out=term)
+            cell_blocks *= dc_blocks
+            out_block *= dh
+            dc *= f_s
+            np.matmul(w_fw_t, dpre_fw, out=dh_fw)
+            np.matmul(w_bw_t, dpre_bw, out=dh_bw)
+        return dpre
+
+    def direction_gradients(k: int, dpre: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """Accumulate direction k's weight gradients; returns its part of the input gradient."""
+        w_in, w_rec, b = directions[k]
+        # Back to time order: the backward direction's steps run from the last time.
+        dpre_cols = columns(dpre[:, k] if k == 0 else dpre[::-1, k])
+        hs_prev = hs[:-1, k] if k == 0 else hs[-2::-1, k]
+        _accumulate(w_in, dpre_cols @ xs.T)
+        _accumulate(w_rec, dpre_cols @ columns(hs_prev).T)
+        _accumulate(b, dpre_cols.sum(axis=1, keepdims=True))
+        return w_in.data.T @ dpre_cols
+
+    def backward_pass(grad):
+        # Each helper's scratch is freed on return, before the next allocates.
+        dpre = step_gradients(grad)
+        xs = x.data if x.ndim == 2 else x.data.transpose(1, 2, 0).reshape(dim, -1)
+        dxs = direction_gradients(0, dpre, xs) + direction_gradients(1, dpre, xs)
+        _accumulate(x, dxs if x.ndim == 2 else dxs.reshape(dim, length, batch).transpose(2, 0, 1))
+
+    _record(backward_pass, out)
     return out
 
 
@@ -740,7 +809,10 @@ def aam_cross_entropy(embedding: Tensor, weights: Tensor, labels: np.ndarray, sc
     the cosines between the unit embedding and the unit rows of the (n, e)
     class ``weights``, the target's moved by delta = cos(theta + margin) -
     cos(theta), expanded as cos*cos(margin) - sin*sin(margin) - cos with sin
-    taken from the cosine clamped to [-cos_bound, cos_bound].  Labels must be
+    taken from the cosine clamped to [-cos_bound, cos_bound].  Past
+    theta = pi - margin, where cos(theta + margin) would rise again as theta
+    grows, delta is the constant -margin * sin(pi - margin) (the ArcFace
+    fallback), so the target logit keeps falling with theta.  Labels must be
     valid class indices and no norm zero; the caller checks both.
     """
     _require_matrix(embedding, "aam_cross_entropy")
@@ -763,6 +835,8 @@ def aam_cross_entropy(embedding: Tensor, weights: Tensor, labels: np.ndarray, sc
     bounded = np.clip(target, -cos_bound, cos_bound)
     sine = np.sqrt(1.0 - bounded * bounded)
     delta = (math.cos(margin) * target - math.sin(margin) * sine) - target
+    beyond = target <= math.cos(math.pi - margin)
+    delta = np.where(beyond, -margin * math.sin(math.pi - margin), delta)
     logits = scale * cosines
     np.put_along_axis(logits, pos, scale * (target + delta), axis=-1)
     # Cross-entropy through a max-shifted log-sum-exp.
@@ -776,9 +850,10 @@ def aam_cross_entropy(embedding: Tensor, weights: Tensor, labels: np.ndarray, sc
         np.put_along_axis(p, pos, np.take_along_axis(p, pos, axis=-1) - 1.0, axis=-1)
         d_cos = scale * g[..., 0] * p
         # The target logit's slope in its cosine: cos(margin) plus the sine
-        # path, open only strictly inside the clamp.
+        # path, open only strictly inside the clamp; 1 past the fallback threshold.
         inside = (target > -cos_bound) & (target < cos_bound)
         slope = math.cos(margin) + math.sin(margin) * bounded / sine * inside
+        slope = np.where(beyond, 1.0, slope)
         np.put_along_axis(d_cos, pos, np.take_along_axis(d_cos, pos, axis=-1) * slope, axis=-1)
         d_cos = d_cos[..., None]
         # Back through both unit normalizations: (g - y <y, g>) / norm.

@@ -40,6 +40,10 @@ def _resolve_config(args: argparse.Namespace) -> TrainConfig:
 
 
 def _cmd_synth(args) -> int:
+    if args.eval_utts_per_speaker < 2:
+        # Target trials pair two held-out utterances of one speaker.
+        raise ConfigError(f"--eval-utts-per-speaker {args.eval_utts_per_speaker} gives no target "
+                          f"trials; hold out at least 2 utterances per speaker")
     spec = SyntheticSpec(
         n_speakers=args.speakers,
         utts_per_speaker=args.utts_per_speaker,

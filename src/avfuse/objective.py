@@ -63,10 +63,12 @@ def aam_loss(embedding: Tensor, label, head: AamHead) -> Tensor:
     An (embed_dim, 1) embedding with an int label gives a (1, 1) loss; a
     (B, embed_dim, 1) batch with B labels gives the B per-utterance losses as
     (B, 1, 1).  The target logit is scale * cos(angle + margin), expanded as
-    cos*cos(margin) - sin*sin(margin) with sin from the clamped cosine;
-    non-target logits are scale * cos.  Gradients flow through both
-    normalizations and the margin path.  After the checks here, the head is
-    the one fused ``ad.aam_cross_entropy`` record.
+    cos*cos(margin) - sin*sin(margin) with sin from the clamped cosine; once
+    angle + margin reaches pi it is scale * (cos - margin * sin(pi - margin))
+    (the ArcFace fallback), so it never rises as the angle grows.  Non-target
+    logits are scale * cos.  Gradients flow through both normalizations and
+    the margin path.  After the checks here, the head is the one fused
+    ``ad.aam_cross_entropy`` record.
     """
     n = head.n_classes
     labels = np.asarray(label)

@@ -1,11 +1,13 @@
 """Temporal modeling of fused segment features.
 
-A single bidirectional LSTM layer runs over the segment axis; each direction
-is the fused ``autodiff.lstm`` op, whose hand-derived backward does full
-backpropagation through time in one tape record.  Attentive statistics pooling
-collapses the sequence into one utterance-level vector: an attention-weighted
-mean concatenated with the attention-weighted standard deviation, as the one
-fused ``autodiff.attentive_pool`` record with a hand-derived backward.  A final
+A single bidirectional LSTM layer runs over the segment axis as the one fused
+``autodiff.blstm`` record: both directions advance in one time loop (step s
+moves the forward direction to segment s and the backward direction to
+segment L-1-s), and its hand-derived backward does full backpropagation
+through time.  Attentive statistics pooling collapses the sequence into one
+utterance-level vector: an attention-weighted mean concatenated with the
+attention-weighted standard deviation, as the one fused
+``autodiff.attentive_pool`` record with a hand-derived backward.  A final
 affine projection produces the fixed-size embedding used for scoring.
 """
 
@@ -64,15 +66,14 @@ def blstm_forward(x: Tensor, params: BlstmParams) -> Tensor:
     """Bidirectional pass over (input_dim, segments) -> (2h, segments), or a (B, ...) batch.
 
     Forward-direction outputs occupy the top h rows, backward the bottom h;
-    initial states are zero in both directions.  Each direction is one fused
-    ``ad.lstm`` op, so the layer adds three tape records whatever the length
-    and batch size.
+    initial states are zero in both directions.  The layer is the one fused
+    ``ad.blstm`` op, so it adds one tape record whatever the length and batch
+    size.
     """
     if x.ndim not in (2, 3):
         raise ShapeError(f"blstm_forward: rank-2 or rank-3 input required, got {x.shape}")
     fw, bw = params.fw, params.bw
-    return ad.concat_rows(ad.lstm(x, fw.w_input, fw.w_recurrent, fw.bias, reverse=False),
-                          ad.lstm(x, bw.w_input, bw.w_recurrent, bw.bias, reverse=True))
+    return ad.blstm(x, (fw.w_input, fw.w_recurrent, fw.bias), (bw.w_input, bw.w_recurrent, bw.bias))
 
 
 @dataclass

@@ -66,14 +66,19 @@ class TestForwardValues:
     def test_lstm_shape_errors_name_the_operand(self):
         x = Tensor(np.ones((3, 4)))
         w_in, w_rec, b = Tensor(np.ones((8, 3))), Tensor(np.ones((8, 2))), Tensor(np.ones((8, 1)))
-        with pytest.raises(ShapeError, match="recurrent"):
-            ad.lstm(x, w_in, Tensor(np.ones((6, 2))), b)
-        with pytest.raises(ShapeError, match="input weight"):
-            ad.lstm(x, Tensor(np.ones((8, 4))), w_rec, b)
-        with pytest.raises(ShapeError, match="bias"):
-            ad.lstm(x, w_in, w_rec, Tensor(np.ones((8, 2))))
+        good = (w_in, w_rec, b)
+        with pytest.raises(ShapeError, match="forward recurrent"):
+            ad.blstm(x, (w_in, Tensor(np.ones((6, 2))), b), good)
+        with pytest.raises(ShapeError, match="backward input weight"):
+            ad.blstm(x, good, (Tensor(np.ones((8, 4))), w_rec, b))
+        with pytest.raises(ShapeError, match="backward bias"):
+            ad.blstm(x, good, (w_in, w_rec, Tensor(np.ones((8, 2)))))
+        # Both directions share the forward direction's hidden size.
+        with pytest.raises(ShapeError, match="backward recurrent"):
+            ad.blstm(x, good, (Tensor(np.ones((12, 3))), Tensor(np.ones((12, 3))),
+                               Tensor(np.ones((12, 1)))))
         with pytest.raises(ShapeError, match="no time steps"):
-            ad.lstm(Tensor(np.ones((3, 0))), w_in, w_rec, b)
+            ad.blstm(Tensor(np.ones((3, 0))), good, good)
 
     def test_concat_empty(self):
         a = Tensor(np.ones((2, 4)))

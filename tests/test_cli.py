@@ -16,7 +16,7 @@ def trained(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     data, run = root / "data", root / "run"
     assert cli.main(["synth", "--out", str(data), "--speakers", "3", "--utts-per-speaker", "3",
-                     "--latent-dim", "2", "--eval-utts-per-speaker", "1", *DIMS]) == 0
+                     "--latent-dim", "2", "--eval-utts-per-speaker", "2", *DIMS]) == 0
     # batch_size 4 over 9 utterances: embed runs two full batches and a partial one.
     assert cli.main(["train", "--data", str(data), "--out", str(run), "--epochs", "1",
                      "--iterations", "2", "--blstm-hidden", "3", "--asp-hidden", "3",
@@ -75,3 +75,13 @@ def test_evaluate_names_a_missing_trial_utterance(trained, tmp_path, capsys):
             "--system", "audio"]
     assert cli.main(args) == 2
     assert capsys.readouterr().err == "error: trial utterances not found: ['nosuch_utt']\n"
+
+
+@pytest.mark.parametrize("held_out", ["1", "0"])
+def test_synth_without_target_trials_writes_nothing(tmp_path, capsys, held_out):
+    out = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(out), "--speakers", "3", "--utts-per-speaker", "3",
+                     "--eval-utts-per-speaker", held_out, *DIMS]) == 2
+    assert capsys.readouterr().err == (f"error: --eval-utts-per-speaker {held_out} gives no target "
+                                       "trials; hold out at least 2 utterances per speaker\n")
+    assert not out.exists()

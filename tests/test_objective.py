@@ -42,6 +42,10 @@ def composed_aam(embedding, weights, labels, scale, margin, cos_bound):
     margined = ad.sub(ad.scale_shift(target_cos, math.cos(margin)),
                       ad.scale_shift(target_sin, math.sin(margin)))
     delta = ad.sub(margined, target_cos)
+    # Past theta = pi - margin, ArcFace's fallback: delta is -margin * sin(pi - margin).
+    beyond = target_cos.data <= math.cos(math.pi - margin)
+    delta = ad.add(ad.mul(delta, Tensor(np.where(beyond, 0.0, 1.0))),
+                   Tensor(np.where(beyond, -margin * math.sin(math.pi - margin), 0.0)))
     logits = ad.scale_shift(ad.add(cosines, ad.matmul(Tensor(one_hot), delta)), scale)
     return ad.cross_entropy_index(logits, labels)
 
@@ -76,6 +80,41 @@ class TestFusedHead:
         for name, value in (("embedding", embedding), ("weights", weights)):
             assert grads[name].shape == value.shape, name
             assert np.abs(grads[name] - ref_grads[name]).max() <= 1e-12, name
+
+    def test_matches_composed_ops_on_both_sides_of_the_threshold(self):
+        # Target cosines above and below cos(pi - margin) = -0.98007 for margin 0.2.
+        rng = np.random.default_rng(19)
+        weights = rng.uniform(-1, 1, size=(5, 6))
+        labels = np.array([1, 3, 0, 4, 2])
+        embedding = np.empty((5, 6, 1))
+        for item, (label, cos) in enumerate(zip(labels, [0.5, -0.97, -0.9805, -0.99, -0.9999])):
+            target = weights[label] / np.linalg.norm(weights[label])
+            other = rng.standard_normal(6)
+            other -= (other @ target) * target
+            other /= np.linalg.norm(other)
+            embedding[item, :, 0] = 2.0 * (cos * target + math.sqrt(1.0 - cos * cos) * other)
+        out, grads, _ = _run_head(ad.aam_cross_entropy, embedding, weights, labels)
+        ref_out, ref_grads, _ = _run_head(composed_aam, embedding, weights, labels)
+        assert np.abs(out - ref_out).max() <= 1e-12
+        for name in ("embedding", "weights"):
+            assert np.abs(grads[name] - ref_grads[name]).max() <= 1e-12, name
+
+    def test_target_logit_never_rises_as_the_target_angle_grows(self):
+        # One other class at cosine 0 puts its logit at 0, so each loss is
+        # log(1 + exp(-t)) of the target logit t, which gives t back.
+        cosines = np.linspace(0.99, -0.9999, 2001)
+        embedding = np.stack([cosines, np.sqrt(1.0 - cosines ** 2), np.zeros_like(cosines)],
+                             axis=-1)[..., None]
+        weights = Tensor([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        loss = ad.aam_cross_entropy(Tensor(embedding), weights, np.zeros(len(cosines), dtype=int),
+                                    30.0, 0.2, COS_BOUND).data[:, 0, 0]
+        target_logit = -np.log(np.expm1(loss))
+        rises = np.flatnonzero(np.diff(target_logit) > 0.0)
+        assert rises.size == 0, f"target logit rises after cosine {cosines[rises[:3]]}"
+        # Past the threshold the logit is 30 * (cos - 0.2 * sin(pi - 0.2)).
+        tail = cosines <= math.cos(math.pi - 0.2)
+        fallback = 30.0 * (cosines[tail] - 0.2 * math.sin(math.pi - 0.2))
+        assert np.abs(target_logit[tail] - fallback).max() <= 1e-9
 
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ad.ShapeError, match=r"\(5, 1\).*\(3, 4\)"):

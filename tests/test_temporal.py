@@ -44,13 +44,13 @@ def zero_asp(input_dim, bottleneck=3):
 def reference_lstm(x, w_input, w_recurrent, bias, reverse):
     """One LSTM direction written step by step on unfused tape ops.
 
-    This is the per-step formula that ``ad.lstm`` fuses, kept as its oracle:
-    each step takes column t of x, forms all four gate pre-activations, and
-    updates the cell and hidden state.  Returns the (h, 1) outputs in
-    input-time order.
+    This is the per-step formula each direction of ``ad.blstm`` fuses, kept
+    as its oracle: each step takes column t of x (of every item of a batch),
+    forms all four gate pre-activations, and updates the cell and hidden
+    state.  Returns the (h, 1) or (B, h, 1) outputs in input-time order.
     """
     hidden = w_recurrent.shape[1]
-    length = x.shape[1]
+    length = x.shape[-1]
     h_prev = Tensor(np.zeros((hidden, 1)))
     c_prev = Tensor(np.zeros((hidden, 1)))
     order = range(length - 1, -1, -1) if reverse else range(length)
@@ -70,78 +70,95 @@ def reference_lstm(x, w_input, w_recurrent, bias, reverse):
     return outputs
 
 
-def _fused_run(tensors, probe, reverse):
-    out = ad.lstm(tensors["x"], tensors["w_input"], tensors["w_recurrent"], tensors["bias"], reverse)
+DIRECTION_ARGS = ("w_input", "w_recurrent", "bias")
+
+
+def _direction(tensors, prefix):
+    return tuple(tensors[prefix + name] for name in DIRECTION_ARGS)
+
+
+def _fused_run(tensors, probe):
+    out = ad.blstm(tensors["x"], _direction(tensors, "fw."), _direction(tensors, "bw."))
     return out.data, ad.sum_all(ad.mul(out, Tensor(probe)))
 
 
-def _reference_run(tensors, probe, reverse):
-    outputs = reference_lstm(tensors["x"], tensors["w_input"], tensors["w_recurrent"],
-                             tensors["bias"], reverse)
-    loss = ad.sum_all(ad.mul(outputs[0], Tensor(probe[:, :1])))
-    for t in range(1, len(outputs)):
-        loss = ad.add(loss, ad.sum_all(ad.mul(outputs[t], Tensor(probe[:, t:t + 1]))))
-    return np.hstack([o.data for o in outputs]), loss
+def _reference_run(tensors, probe):
+    hidden = probe.shape[-2] // 2
+    loss, outputs = None, []
+    for prefix, rows, reverse in (("fw.", slice(None, hidden), False),
+                                  ("bw.", slice(hidden, None), True)):
+        steps = reference_lstm(tensors["x"], *_direction(tensors, prefix), reverse)
+        for t, step in enumerate(steps):
+            term = ad.sum_all(ad.mul(step, Tensor(probe[..., rows, t:t + 1])))
+            loss = term if loss is None else ad.add(loss, term)
+        outputs.append(np.concatenate([step.data for step in steps], axis=-1))
+    return np.concatenate(outputs, axis=-2), loss
+
+
+def _blstm_data(rng, dim, hidden):
+    return {prefix + name: rng.uniform(-1, 1, size=shape)
+            for prefix in ("fw.", "bw.")
+            for name, shape in zip(DIRECTION_ARGS, [(4 * hidden, dim), (4 * hidden, hidden),
+                                                    (4 * hidden, 1)])}
+
+
+def _run_with_grads(run, data, probe, shared=False):
+    tensors = {name: Tensor(value) for name, value in data.items()}
+    if shared:
+        for name in DIRECTION_ARGS:
+            tensors["bw." + name] = tensors["fw." + name]
+    with Tape() as tape:
+        out, loss = run(tensors, probe)
+    tape.backward(loss)
+    return out, {name: t.grad for name, t in tensors.items()}
 
 
 class TestFusedLstm:
     @pytest.mark.parametrize("dim,hidden,length", [(3, 4, 6), (3, 4, 1), (3, 1, 5)])
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_matches_per_step_reference(self, dim, hidden, length, reverse):
-        rng = np.random.default_rng([dim, hidden, length, int(reverse)])
-        data = {
-            "x": rng.uniform(-1, 1, size=(dim, length)),
-            "w_input": rng.uniform(-1, 1, size=(4 * hidden, dim)),
-            "w_recurrent": rng.uniform(-1, 1, size=(4 * hidden, hidden)),
-            "bias": rng.uniform(-1, 1, size=(4 * hidden, 1)),
-        }
-        probe = rng.uniform(-1, 1, size=(hidden, length))
-        results = []
-        for run in (_fused_run, _reference_run):
-            tensors = {name: Tensor(value) for name, value in data.items()}
-            with Tape() as tape:
-                out, loss = run(tensors, probe, reverse)
-            tape.backward(loss)
-            results.append((out, {name: t.grad for name, t in tensors.items()}))
-        (fused_out, fused_grads), (ref_out, ref_grads) = results
-        assert fused_out.shape == (hidden, length)
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_matches_per_step_reference(self, dim, hidden, length, batched):
+        # Both directions of one blstm call against the per-step oracle, on
+        # one utterance or a batch of two.
+        rng = np.random.default_rng([dim, hidden, length, int(batched)])
+        batch = (2,) if batched else ()
+        data = {"x": rng.uniform(-1, 1, size=batch + (dim, length)), **_blstm_data(rng, dim, hidden)}
+        probe = rng.uniform(-1, 1, size=batch + (2 * hidden, length))
+        fused_out, fused_grads = _run_with_grads(_fused_run, data, probe)
+        ref_out, ref_grads = _run_with_grads(_reference_run, data, probe)
+        assert fused_out.shape == batch + (2 * hidden, length)
         assert np.abs(fused_out - ref_out).max() <= 1e-12
-        for name in data:
+        for name in data:  # x and both directions' three parameters
             assert fused_grads[name] is not None, name
+            assert fused_grads[name].shape == data[name].shape, name
             assert np.abs(fused_grads[name] - ref_grads[name]).max() <= 1e-12, name
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_batch_matches_per_item_calls(self, reverse):
-        rng = np.random.default_rng([11, int(reverse)])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_batch_matches_per_item_calls(self, shared):
+        # shared: both directions run on the same parameter tensors, whose
+        # gradients then sum both directions' parts.
+        rng = np.random.default_rng([11, int(shared)])
         batch, dim, hidden, length = 3, 3, 4, 5
-        weights = {
-            "w_input": rng.uniform(-1, 1, size=(4 * hidden, dim)),
-            "w_recurrent": rng.uniform(-1, 1, size=(4 * hidden, hidden)),
-            "bias": rng.uniform(-1, 1, size=(4 * hidden, 1)),
-        }
+        weights = _blstm_data(rng, dim, hidden)
         x = rng.uniform(-1, 1, size=(batch, dim, length))
-        probe = rng.uniform(-1, 1, size=(batch, hidden, length))
+        probe = rng.uniform(-1, 1, size=(batch, 2 * hidden, length))
 
         def run(x_data, probe_data):
-            tensors = {"x": Tensor(x_data), **{k: Tensor(v) for k, v in weights.items()}}
-            with Tape() as tape:
-                out, loss = _fused_run(tensors, probe_data, reverse)
-            tape.backward(loss)
-            return out, {name: t.grad for name, t in tensors.items()}
+            return _run_with_grads(_fused_run, {"x": x_data, **weights}, probe_data, shared)
 
         out, grads = run(x, probe)
         items = [run(x[b], probe[b]) for b in range(batch)]
-        assert out.shape == (batch, hidden, length)
+        assert out.shape == (batch, 2 * hidden, length)
         assert np.abs(out - np.stack([o for o, _ in items])).max() <= 1e-12
         assert np.abs(grads["x"] - np.stack([g["x"] for _, g in items])).max() <= 1e-12
         for name in weights:
             assert np.abs(grads[name] - sum(g[name] for _, g in items)).max() <= 1e-12, name
 
-    def test_blstm_is_three_tape_records(self):
+    def test_blstm_is_one_tape_record(self):
         params = BlstmParams.init(3, 4, np.random.default_rng(9))
-        with Tape() as tape:
-            blstm_forward(Tensor(RNG.uniform(-1, 1, size=(3, 7))), params)
-        assert len(tape) == 3
+        for x in (RNG.uniform(-1, 1, size=(3, 7)), RNG.uniform(-1, 1, size=(2, 3, 7))):
+            with Tape() as tape:
+                blstm_forward(Tensor(x), params)
+            assert len(tape) == 1
 
 
 class TestBlstm:

@@ -41,25 +41,25 @@ def test_same_config_gives_byte_identical_checkpoint_and_log(tiny_train_set, tmp
 
 def test_non_finite_gradient_stops_training_and_names_the_parameter(tiny_train_set, tmp_path,
                                                                      monkeypatch):
-    real_lstm = ad.lstm
+    real_blstm = ad.blstm
 
-    def poisoned_lstm(x, w_input, w_recurrent, bias, reverse=False):
-        # The reverse direction's output passes through one more recorded op
-        # whose backward hands its gradient on unchanged and emits NaN for the
-        # recurrent weights; the forward value, and so the loss, stays finite.
-        out = real_lstm(x, w_input, w_recurrent, bias, reverse)
-        if not reverse:
-            return out
+    def poisoned_blstm(x, forward, backward):
+        # The output passes through one more recorded op whose backward
+        # hands its gradient on unchanged and emits NaN for the backward
+        # direction's recurrent weights; the forward value, and so the loss,
+        # stays finite.
+        out = real_blstm(x, forward, backward)
         passed = ad.Tensor._wrap(out.data)
+        w_recurrent = backward[1]
 
-        def backward(g):
+        def backward_pass(g):
             ad._accumulate(out, g)
             ad._accumulate(w_recurrent, np.full(w_recurrent.shape, np.nan))
 
-        ad._record(backward, passed)
+        ad._record(backward_pass, passed)
         return passed
 
-    monkeypatch.setattr(ad, "lstm", poisoned_lstm)
+    monkeypatch.setattr(ad, "blstm", poisoned_blstm)
     with pytest.raises(DivergenceError, match=r"epoch 0, parameter blstm\.bw\.w_recurrent"):
         train(tiny_config(), tiny_train_set, tmp_path)
     assert not (tmp_path / "final.ckpt").exists()
