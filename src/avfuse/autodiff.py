@@ -1,15 +1,20 @@
 """Dense real-tensor kernels with reverse-mode differentiation on an explicit tape.
 
-Every operation the fusion model needs lives here as a pure function of
-``Tensor`` inputs.  When a ``Tape`` is active (entered as a context manager),
-each op records ``(closure, out)``: its output and a closure that takes the
-output's gradient and accumulates its inputs'.  ``Tape.backward`` replays the
-records in exact reverse order of forward execution and alone reads an output
-gradient: it skips an op whose output got none, calls the closure with it, then
-releases it.  Gradients accumulate by value, so an op may pass its output
-gradient, or a view of it, straight on to an input, and tensors may share one
-gradient array; hence nothing may mutate a ``.grad`` array in place.  Without
-an active tape, ops run as plain numpy forward passes (the inference path).
+This module holds the engine (``Tensor``, ``Tape`` and the finite-difference
+gradient), the primitive ops the model and ``gradcheck`` run, and the fused
+layer ops, each a pure function of ``Tensor`` inputs.  The unfused primitives
+that the tests compose into reference chains for the fused layers live with
+the tests, in tests/reference_ops.py.
+
+When a ``Tape`` is active (entered as a context manager), each op records
+``(closure, out)``: its output and a closure that takes the output's gradient
+and accumulates its inputs'.  ``Tape.backward`` replays the records in exact
+reverse order of forward execution and alone reads an output gradient: it
+skips an op whose output got none, calls the closure with it, then releases
+it.  Gradients accumulate by value, so an op may pass its output gradient, or
+a view of it, straight on to an input, and tensors may share one gradient
+array; hence nothing may mutate a ``.grad`` array in place.  Without an active
+tape, ops run as plain numpy forward passes (the inference path).
 
 Tensors have rank 1 to 3.  A rank-2 ``(rows, cols)`` tensor is one
 utterance's matrix; a rank-3 ``(B, rows, cols)`` tensor stacks B of them on a
@@ -19,7 +24,7 @@ and its gradient is formed against the whole batch in one contraction, so one
 tape records a whole mini-batch with the same ops, and the same code runs a
 single utterance.
 
-Most ops are elementwise or matrix primitives with one closure each.  Fused
+The primitives are elementwise or matrix ops with one closure each.  Fused
 layer ops (``blstm``, ``attend``, ``attentive_pool``, ``aam_cross_entropy``)
 run a whole layer body in numpy and record a single closure holding its
 hand-derived backward, which cuts the per-record Python overhead that
@@ -55,15 +60,6 @@ class NonFiniteError(ValueError):
 
 _MAX_RANK = 3
 
-_debug_checks = False
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Enable finiteness validation of every op result (slow; off by default)."""
-    global _debug_checks
-    _debug_checks = bool(enabled)
-
-
 _ACTIVE = threading.local()
 
 
@@ -94,9 +90,7 @@ class Tensor:
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
-        # Fast path for op results; finiteness checked only in debug mode.
-        if _debug_checks and arr.size and not np.isfinite(arr).all():
-            raise NonFiniteError("op produced NaN or Inf")
+        # Fast path for op results: no copy and no finiteness check.
         t = cls.__new__(cls)
         t.data = arr
         t.grad = None
@@ -282,19 +276,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise difference, broadcasting like ``add``."""
-    _broadcastable(a, b, "sub")
-    out = Tensor._wrap(a.data - b.data)
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g, a))
-        _accumulate(b, _unbroadcast(-g, b))
-
-    _record(backward, out)
-    return out
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise (Hadamard) product, broadcasting like ``add``."""
     _broadcastable(a, b, "mul")
@@ -303,17 +284,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         _accumulate(a, _unbroadcast(g * b.data, a))
         _accumulate(b, _unbroadcast(g * a.data, b))
-
-    _record(backward, out)
-    return out
-
-
-def scale_shift(x: Tensor, scale: float = 1.0, shift: float = 0.0) -> Tensor:
-    """Elementwise affine map with constant coefficients: scale*x + shift."""
-    out = Tensor._wrap(scale * x.data + shift)
-
-    def backward(g):
-        _accumulate(x, scale * g)
 
     _record(backward, out)
     return out
@@ -352,16 +322,6 @@ def _stable_sigmoid(d: np.ndarray, out: np.ndarray | None = None,
     return np.divide(out, denominator, out=out)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    out = Tensor._wrap(_stable_sigmoid(x.data))
-
-    def backward(g):
-        _accumulate(x, g * out.data * (1.0 - out.data))
-
-    _record(backward, out)
-    return out
-
-
 def softmax_columns(x: Tensor) -> Tensor:
     """Softmax normalizing each column of every matrix to sum to one."""
     _require_matrix(x, "softmax_columns")
@@ -397,116 +357,12 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def transpose(x: Tensor) -> Tensor:
-    """Transpose of every matrix (the last two axes)."""
-    _require_matrix(x, "transpose")
-    out = Tensor._wrap(np.ascontiguousarray(_swap(x.data)))
-
-    def backward(g):
-        _accumulate(x, _swap(g))
-
-    _record(backward, out)
-    return out
-
-
-def add_bias(x: Tensor, bias: Tensor) -> Tensor:
-    """Add a (rows, 1) bias to every column of a (rows, cols) matrix or batch of them."""
-    _require_matrix(x, "add_bias")
-    _require_rank2(bias, "add_bias")
-    if bias.shape != (x.shape[-2], 1):
-        raise ShapeError(f"add_bias: bias shape {bias.shape} does not match rows of {x.shape}")
-    out = Tensor._wrap(x.data + bias.data)
-
-    def backward(g):
-        _accumulate(x, g)
-        _accumulate(bias, _unbroadcast(g.sum(axis=-1, keepdims=True), bias))
-
-    _record(backward, out)
-    return out
-
-
-def clamp(x: Tensor, lo: float = -np.inf, hi: float = np.inf) -> Tensor:
-    """Elementwise clip; gradient passes only strictly inside the interval."""
-    out = Tensor._wrap(np.clip(x.data, lo, hi))
-
-    def backward(g):
-        inside = (x.data > lo) & (x.data < hi)
-        _accumulate(x, g * inside)
-
-    _record(backward, out)
-    return out
-
-
-def sqrt(x: Tensor) -> Tensor:
-    if (x.data < 0).any():
-        raise NonFiniteError("sqrt: negative input")
-    y = np.sqrt(x.data)
-    out = Tensor._wrap(y)
-
-    def backward(g):
-        _accumulate(x, g * 0.5 / out.data)
-
-    _record(backward, out)
-    return out
-
-
 def sum_all(x: Tensor) -> Tensor:
     """Sum of all elements, as a (1, 1) tensor."""
     out = Tensor._wrap(np.array([[x.data.sum()]]))
 
     def backward(g):
         _accumulate(x, np.full_like(x.data, g.reshape(-1)[0]))
-
-    _record(backward, out)
-    return out
-
-
-def l2_normalize_columns(x: Tensor) -> Tensor:
-    """Scale each column of every matrix to unit Euclidean norm."""
-    _require_matrix(x, "l2_normalize_columns")
-    norms = np.sqrt((x.data * x.data).sum(axis=-2, keepdims=True))
-    if (norms == 0.0).any():
-        raise NonFiniteError("l2_normalize_columns: zero-norm column")
-    y = x.data / norms
-    out = Tensor._wrap(y)
-
-    def backward(g):
-        # dL/dx = (g - y * <y, g>) / norm, per column.
-        inner = (out.data * g).sum(axis=-2, keepdims=True)
-        _accumulate(x, (g - out.data * inner) / norms)
-
-    _record(backward, out)
-    return out
-
-
-def cross_entropy_index(logits: Tensor, index) -> Tensor:
-    """Cross-entropy of a softmax over each (n, 1) logit column against a target index.
-
-    ``logits`` (n, 1) with an int ``index`` gives a (1, 1) loss; a batch
-    (B, n, 1) with B indices gives the B losses as (B, 1, 1).  Forward uses a
-    max-shifted log-sum-exp; backward is softmax minus one-hot.
-    """
-    _require_matrix(logits, "cross_entropy_index")
-    if logits.shape[-1] != 1:
-        raise ShapeError(f"cross_entropy_index: expected (n, 1) logits, got {logits.shape}")
-    n = logits.shape[-2]
-    idx = np.asarray(index)
-    if idx.shape != logits.shape[:-2] or idx.dtype.kind not in "iu":
-        raise ShapeError(f"cross_entropy_index: need one integer index per logit column, "
-                         f"got {idx!r} for logits {logits.shape}")
-    if ((idx < 0) | (idx >= n)).any():
-        raise ShapeError(f"cross_entropy_index: index {index} out of range for {n} classes")
-    z = logits.data[..., 0]
-    pos = idx[..., None]
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    lse = m + np.log(e.sum(axis=-1, keepdims=True))
-    out = Tensor._wrap((lse - np.take_along_axis(z, pos, axis=-1))[..., None])
-
-    def backward(g):
-        p = e / e.sum(axis=-1, keepdims=True)
-        np.put_along_axis(p, pos, np.take_along_axis(p, pos, axis=-1) - 1.0, axis=-1)
-        _accumulate(logits, (g[..., 0] * p)[..., None])
 
     _record(backward, out)
     return out
@@ -824,8 +680,8 @@ def aam_cross_entropy(embedding: Tensor, weights: Tensor, labels: np.ndarray, sc
     emb_norms = np.sqrt((x * x).sum(axis=-2, keepdims=True))
     unit_emb = x / emb_norms                                              # [B x] e x 1
     # Contiguous copies keep every reduction in the summation order of the
-    # unfused primitives (l2_normalize_columns of the transposed weights), so
-    # the loss is bitwise equal to theirs.
+    # unfused test oracle (column normalization of the transposed weights), so
+    # the loss is bitwise equal to the oracle's.
     columns = np.ascontiguousarray(weights.data.T)                        # e x n
     class_norms = np.sqrt((columns * columns).sum(axis=-2, keepdims=True))
     unit_classes = np.ascontiguousarray((columns / class_norms).T)        # n x e

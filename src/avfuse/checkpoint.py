@@ -4,10 +4,11 @@ Layout (all little-endian): magic ``AVCK``, u32 format version, u32 config
 byte length + UTF-8 config text, u32 tensor count, then per tensor sorted by
 name: u16 name length + UTF-8 name, u8 rank, rank u32 extents, and the
 single-precision payload.  Serialization is canonical, so save(load(x))
-reproduces x byte for byte, and the reader rejects names that are not
-strictly increasing, which also rules out a name given twice.  A save writes
-a temporary file in the target's directory and renames it over the target,
-so a failed save leaves any previous file at that path intact.
+reproduces x byte for byte.  The reader rejects tensor names that are not
+strictly increasing (which rules out a name given twice) and tensors holding
+NaN or Inf.  A save writes a temporary file in the target's directory and
+renames it over the target, so a failed save leaves any previous file at that
+path intact.
 """
 
 from __future__ import annotations
@@ -99,8 +100,12 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
             raise CheckpointError(f"{path}: tensor {name!r} has rank {rank}")
         shape = struct.unpack(f"<{rank}I", reader.take(4 * rank))
         count = math.prod(shape)  # Python ints: extents cannot wrap around
-        values = np.frombuffer(reader.take(4 * count), dtype="<f4")
-        tensors[name] = values.astype(np.float64).reshape(shape)
+        values = np.frombuffer(reader.take(4 * count), dtype="<f4").astype(np.float64)
+        # As in load_features: squares of widened single-precision values
+        # cannot overflow a double sum, so one sum of squares screens the tensor.
+        if not math.isfinite(values.dot(values)):
+            raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value")
+        tensors[name] = values.reshape(shape)
     if reader.offset != len(reader.blob):
         raise CheckpointError(f"{path}: trailing bytes after last tensor")
     return tensors, config_text

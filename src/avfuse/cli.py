@@ -44,19 +44,7 @@ def _cmd_synth(args) -> int:
         # Target trials pair two held-out utterances of one speaker.
         raise ConfigError(f"--eval-utts-per-speaker {args.eval_utts_per_speaker} gives no target "
                           f"trials; hold out at least 2 utterances per speaker")
-    spec = SyntheticSpec(
-        n_speakers=args.speakers,
-        utts_per_speaker=args.utts_per_speaker,
-        audio_dim=args.audio_dim,
-        visual_dim=args.visual_dim,
-        segments=args.segments,
-        latent_dim=args.latent_dim,
-        audio_noise=args.audio_noise,
-        visual_noise=args.visual_noise,
-        eval_utts_per_speaker=args.eval_utts_per_speaker,
-        nontargets_per_target=args.nontargets_per_target,
-        seed=args.seed,
-    )
+    spec = SyntheticSpec(**{f.name: getattr(args, f.name) for f in fields(SyntheticSpec)})
     entries = generate_dataset(spec, args.out)
     print(f"seed = {spec.seed}")
     print(f"wrote {len(entries)} utterances "
@@ -137,17 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--speakers", type=int, default=50)
-    p.add_argument("--utts-per-speaker", type=int, default=10)
-    p.add_argument("--audio-dim", type=int, default=16)
-    p.add_argument("--visual-dim", type=int, default=16)
-    p.add_argument("--segments", type=int, default=8)
-    p.add_argument("--latent-dim", type=int, default=8)
-    p.add_argument("--audio-noise", type=float, default=0.8)
-    p.add_argument("--visual-noise", type=float, default=0.8)
-    p.add_argument("--eval-utts-per-speaker", type=int, default=2)
-    p.add_argument("--nontargets-per-target", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    for field in fields(SyntheticSpec):
+        # --speakers sets n_speakers; every other flag spells its field with dashes.
+        p.add_argument(f"--{field.name.removeprefix('n_').replace('_', '-')}", dest=field.name,
+                       type=type(field.default), default=field.default)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train", help="train a fusion model")

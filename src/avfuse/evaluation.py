@@ -14,20 +14,16 @@ enrollments sit in the list, bit for bit.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-from pathlib import Path
-
 import numpy as np
 
-from avfuse.config import ConfigError, TrainConfig
+from avfuse.config import FUSION_MODES, ConfigError
 from avfuse.featio import TrialPair, Utterance
 from avfuse.fusion import score_level_fusion
 from avfuse.metrics import DcfParams, MetricsReport, ScoreSet, compute_report, write_scores
 from avfuse.model import VerificationModel
 from avfuse.objective import NormalizationError
 
-TRAINED_SYSTEMS = ("rjca", "concat", "cross_attention")
+TRAINED_SYSTEMS = FUSION_MODES
 RAW_SYSTEMS = ("audio", "visual", "score_level")
 
 
@@ -143,48 +139,3 @@ def evaluate(system: str, trials: list[TrialPair], utterances: dict[str, Utteran
         write_scores(scores_path, score_set)
     return compute_report(score_set, dcf_params), score_set
 
-
-# ---------------------------------------------------------------------------
-# Recursion-depth ablation harness
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AblationRow:
-    iterations: int
-    eer: float
-    min_dcf: float
-    final_loss: float
-
-
-def iteration_ablation(base_config: TrainConfig, train_utts: list[Utterance],
-                       trials: list[TrialPair], utterances: dict[str, Utterance],
-                       out_dir, t_values=(1, 2, 3, 4, 5),
-                       dcf_params: DcfParams = DcfParams()) -> list[AblationRow]:
-    """Retrain at each recursion depth and evaluate on the same trials.
-
-    Rows come back in ascending depth for a directly comparable report.
-    """
-    from avfuse.training import train  # local import to avoid a cycle
-
-    out_dir = Path(out_dir)
-    rows = []
-    for t in sorted(t_values):
-        config = dataclasses.replace(base_config, iterations=t, fusion="rjca")
-        result = train(config, train_utts, out_dir / f"t{t}", keep_epoch_checkpoints=False)
-        report, _ = evaluate("rjca", trials, utterances, model=result.model,
-                             dcf_params=dcf_params)
-        rows.append(AblationRow(t, report.eer, report.min_dcf, result.epoch_losses[-1]))
-    return rows
-
-
-def format_ablation_table(rows: list[AblationRow]) -> str:
-    lines = [
-        "iterations   EER (%)   minDCF    final loss",
-        "----------   -------   -------   ----------",
-    ]
-    for row in rows:
-        lines.append(
-            f"{row.iterations:10d}   {100.0 * row.eer:7.3f}   {row.min_dcf:7.4f}   {row.final_loss:10.5f}"
-        )
-    return "\n".join(lines)

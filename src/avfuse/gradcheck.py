@@ -95,7 +95,7 @@ def check_concat(rng) -> float:
     return check_function(lambda: _probe_loss(ad.concat_rows(a, b), probe), {"a": a, "b": b})
 
 
-def _rjca_instance(rng, steps: int, batch: tuple[int, ...] = ()):
+def check_rjca(rng, steps: int = 1, batch: tuple[int, ...] = ()) -> float:
     audio = Tensor(rng.uniform(-1, 1, size=batch + (3, 4)))
     visual = Tensor(rng.uniform(-1, 1, size=batch + (2, 4)))
     chain = [JcaStepParams.init(3, 2, 4, rng) for _ in range(steps)]
@@ -103,17 +103,6 @@ def _rjca_instance(rng, steps: int, batch: tuple[int, ...] = ()):
     tensors = {"audio": audio, "visual": visual}
     for i, step in enumerate(chain):
         tensors.update(named_tensors(step, f"step{i}."))
-    return audio, visual, chain, probe, tensors
-
-
-def check_jca_step(rng, batch: tuple[int, ...] = ()) -> float:
-    audio, visual, chain, probe, tensors = _rjca_instance(rng, steps=1, batch=batch)
-    return check_function(
-        lambda: _probe_loss(rjca_forward(audio, visual, chain).joint, probe), tensors)
-
-
-def check_rjca_stack(rng, steps: int = 3) -> float:
-    audio, visual, chain, probe, tensors = _rjca_instance(rng, steps=steps)
     return check_function(
         lambda: _probe_loss(rjca_forward(audio, visual, chain).joint, probe), tensors)
 
@@ -169,9 +158,9 @@ LAYER_CHECKS: dict[str, Callable] = {
     "matmul": check_matmul,
     "activations": check_activations,
     "concat_rows": check_concat,
-    "jca_step": check_jca_step,
-    "jca_step_batch": _batched(check_jca_step),
-    "rjca_stack_t3": check_rjca_stack,
+    "jca_step": check_rjca,
+    "jca_step_batch": _batched(check_rjca),
+    "rjca_stack_t3": lambda rng: check_rjca(rng, steps=3),
     "cross_attention": check_cross_attention,
     "blstm_bptt": check_blstm,
     "blstm_bptt_batch": _batched(check_blstm),

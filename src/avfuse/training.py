@@ -95,12 +95,12 @@ def speaker_index_map(utterances: list[Utterance]) -> dict[str, int]:
 def _check_finite_gradients(named_params: dict[str, Tensor], epoch: int) -> None:
     """Raise DivergenceError naming the first parameter whose gradient is NaN or Inf.
 
-    Op results are not checked for finiteness outside debug mode, so this is
-    what keeps a non-finite gradient from reaching the parameters.  One sum
-    per gradient screens them all: a NaN or Inf entry makes the total
-    non-finite, so a finite total proves every entry finite.  Only a
-    non-finite total, which finite gradients also give when their sum
-    overflows, runs the per-parameter scan that names the culprit.
+    Op results are not checked for finiteness, so this is what keeps a
+    non-finite gradient from reaching the parameters.  One sum per gradient
+    screens them all: a NaN or Inf entry makes the total non-finite, so a
+    finite total proves every entry finite.  Only a non-finite total, which
+    finite gradients also give when their sum overflows, runs the
+    per-parameter scan that names the culprit.
     """
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):

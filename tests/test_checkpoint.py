@@ -8,7 +8,9 @@ import pytest
 
 from avfuse import checkpoint
 from avfuse.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from avfuse.config import TrainConfig
 from avfuse.featio import TruncatedPayloadError
+from avfuse.model import VerificationModel
 
 
 def test_round_trip_is_canonical(tmp_path):
@@ -89,3 +91,16 @@ def test_names_not_strictly_increasing_are_a_checkpoint_error(tmp_path, first, s
     with pytest.raises(CheckpointError, match=f"twice.ckpt: tensor names not strictly increasing: "
                                               f"{first.decode()!r} then {second.decode()!r}"):
         load_checkpoint(tmp_path / "twice.ckpt")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_tensor_is_a_checkpoint_error_naming_the_tensor(tmp_path, bad):
+    # Loaded silently, a NaN ASP bias makes every embedding NaN.
+    model = VerificationModel(TrainConfig(audio_dim=3, visual_dim=2, segments=4, blstm_hidden=3,
+                                          asp_hidden=3, embed_dim=4), n_speakers=3)
+    model.save(tmp_path / "final.ckpt")
+    tensors, config_text = load_checkpoint(tmp_path / "final.ckpt")
+    tensors["asp.bias"][1, 0] = bad
+    save_checkpoint(tmp_path / "poisoned.ckpt", tensors, config_text)
+    with pytest.raises(CheckpointError, match="poisoned.ckpt: tensor 'asp.bias' holds a non-finite value"):
+        VerificationModel.from_checkpoint(tmp_path / "poisoned.ckpt")

@@ -1,11 +1,14 @@
 """Command line end to end: synth, then train, then embed and evaluate, on a tiny dataset."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from avfuse import cli
 from avfuse.featio import TrialPair, load_dataset, load_features, write_trial_list
 from avfuse.model import VerificationModel
+from avfuse.synthetic import SyntheticSpec
 
 DIMS = ["--audio-dim", "3", "--visual-dim", "2", "--segments", "4"]
 
@@ -85,3 +88,21 @@ def test_synth_without_target_trials_writes_nothing(tmp_path, capsys, held_out):
     assert capsys.readouterr().err == (f"error: --eval-utts-per-speaker {held_out} gives no target "
                                        "trials; hold out at least 2 utterances per speaker\n")
     assert not out.exists()
+
+
+# The synth flags in SyntheticSpec field order.
+SYNTH_FLAGS = ["--speakers", "--utts-per-speaker", "--audio-dim", "--visual-dim", "--segments",
+               "--latent-dim", "--audio-noise", "--visual-noise", "--eval-utts-per-speaker",
+               "--nontargets-per-target", "--seed"]
+
+
+def test_every_synthetic_spec_field_has_a_synth_flag_defaulting_to_the_spec():
+    parser = cli.build_parser()
+    defaults = parser.parse_args(["synth", "--out", "data"])
+    specs = list(fields(SyntheticSpec))
+    assert len(specs) == len(SYNTH_FLAGS)
+    for flag, field in zip(SYNTH_FLAGS, specs):
+        assert getattr(defaults, field.name) == field.default, flag
+        assert type(getattr(defaults, field.name)) is type(field.default), flag
+        given = parser.parse_args(["synth", "--out", "data", flag, "3"])
+        assert getattr(given, field.name) == 3, flag

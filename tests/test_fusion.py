@@ -20,6 +20,8 @@ from avfuse.fusion import (
 )
 from avfuse.gradcheck import check_function
 
+import reference_ops as ref
+
 RNG = np.random.default_rng(2024)
 
 
@@ -185,7 +187,7 @@ class TestBaselines:
 
 def composed_attend(feats, key, proj, attn_mix, out_mix, inv_scale):
     """The attention body written on unfused tape ops: the oracle ``ad.attend`` fuses."""
-    corr = ad.tanh(ad.scale_shift(ad.matmul(ad.transpose(feats), ad.matmul(proj, key)), inv_scale))
+    corr = ad.tanh(ref.scale_shift(ad.matmul(ref.transpose(feats), ad.matmul(proj, key)), inv_scale))
     attn = ad.relu(ad.matmul(ad.matmul(feats, attn_mix), corr))
     return ad.add(ad.matmul(attn, out_mix), feats)
 

@@ -1,4 +1,5 @@
-"""Every name a module-level import binds in the package is used in that module."""
+"""Every name a module-level import binds in the package is used in that module, and
+every public function of ``avfuse.autodiff`` has a caller in another package module."""
 
 import ast
 from pathlib import Path
@@ -30,3 +31,28 @@ def test_module_level_imports_are_used(path):
     unused = [f"{path.name}:{line} {name}" for name, line in imported_names(tree)
               if name not in used]
     assert not unused, f"unused imports: {unused}"
+
+
+def autodiff_names_used(tree: ast.Module) -> set[str]:
+    """Names a module takes from avfuse.autodiff: ``from`` imports and attributes of its alias."""
+    used, aliases = set(), set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "avfuse.autodiff":
+            used |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module == "avfuse":
+            aliases |= {alias.asname or alias.name for alias in node.names if alias.name == "autodiff"}
+    used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id in aliases}
+    return used
+
+
+def test_public_autodiff_functions_have_a_caller_in_the_package():
+    # An op that only tests call belongs with them (tests/reference_ops.py).
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in MODULES}
+    public = {node.name for node in trees["autodiff.py"].body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    used = set().union(*(autodiff_names_used(tree) for name, tree in trees.items()
+                         if name != "autodiff.py"))
+    uncalled = sorted(public - used)
+    assert not uncalled, f"autodiff functions without a caller: {uncalled}"

@@ -11,6 +11,8 @@ from avfuse.config import ConfigError
 from avfuse.gradcheck import check_function
 from avfuse.objective import COS_BOUND, AamHead, NormalizationError, aam_loss, cosine_score
 
+import reference_ops as ref
+
 
 def reference_scaled_softmax_ce(weights, embedding, label, scale):
     """Independent reference: cross-entropy over scale * cosines, no margin."""
@@ -33,21 +35,21 @@ def composed_aam(embedding, weights, labels, scale, margin, cos_bound):
     # cosine, and they place each margin correction on its target logit.
     one_hot = np.zeros(embedding.shape[:-2] + (weights.shape[0], 1))
     np.put_along_axis(one_hot, labels[..., None, None], 1.0, axis=-2)
-    unit_emb = ad.l2_normalize_columns(embedding)
-    unit_classes = ad.l2_normalize_columns(ad.transpose(weights))       # embed_dim x n
-    cosines = ad.matmul(ad.transpose(unit_classes), unit_emb)           # [B x] n x 1
+    unit_emb = ref.l2_normalize_columns(embedding)
+    unit_classes = ref.l2_normalize_columns(ref.transpose(weights))     # embed_dim x n
+    cosines = ad.matmul(ref.transpose(unit_classes), unit_emb)          # [B x] n x 1
     target_cos = ad.matmul(Tensor(np.swapaxes(one_hot, -1, -2)), cosines)
-    bounded = ad.clamp(target_cos, -cos_bound, cos_bound)
-    target_sin = ad.sqrt(ad.scale_shift(ad.mul(bounded, bounded), -1.0, 1.0))
-    margined = ad.sub(ad.scale_shift(target_cos, math.cos(margin)),
-                      ad.scale_shift(target_sin, math.sin(margin)))
-    delta = ad.sub(margined, target_cos)
+    bounded = ref.clamp(target_cos, -cos_bound, cos_bound)
+    target_sin = ref.sqrt(ref.scale_shift(ad.mul(bounded, bounded), -1.0, 1.0))
+    margined = ref.sub(ref.scale_shift(target_cos, math.cos(margin)),
+                       ref.scale_shift(target_sin, math.sin(margin)))
+    delta = ref.sub(margined, target_cos)
     # Past theta = pi - margin, ArcFace's fallback: delta is -margin * sin(pi - margin).
     beyond = target_cos.data <= math.cos(math.pi - margin)
     delta = ad.add(ad.mul(delta, Tensor(np.where(beyond, 0.0, 1.0))),
                    Tensor(np.where(beyond, -margin * math.sin(math.pi - margin), 0.0)))
-    logits = ad.scale_shift(ad.add(cosines, ad.matmul(Tensor(one_hot), delta)), scale)
-    return ad.cross_entropy_index(logits, labels)
+    logits = ref.scale_shift(ad.add(cosines, ad.matmul(Tensor(one_hot), delta)), scale)
+    return ref.cross_entropy_index(logits, labels)
 
 
 def _run_head(fn, embedding, weights, labels):
