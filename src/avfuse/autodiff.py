@@ -16,6 +16,13 @@ a view of it, straight on to an input, and tensors may share one gradient
 array; hence nothing may mutate a ``.grad`` array in place.  Without an active
 tape, ops run as plain numpy forward passes (the inference path).
 
+A ``Constant`` is a leaf tensor that never gets a gradient; the model takes
+its input features as constants.  The fused ops do not form the gradient
+terms of constant inputs, a primitive's term for one is dropped on
+accumulation, and an op whose inputs are all constants records nothing and
+returns a constant, so the first joint stack of the raw features costs no
+tape record.
+
 Tensors have rank 1 to 3.  A rank-2 ``(rows, cols)`` tensor is one
 utterance's matrix; a rank-3 ``(B, rows, cols)`` tensor stacks B of them on a
 leading batch axis, and every matrix op works on the last two axes of each
@@ -28,7 +35,9 @@ The primitives are elementwise or matrix ops with one closure each.  Fused
 layer ops (``blstm``, ``attend``, ``attentive_pool``, ``aam_cross_entropy``)
 run a whole layer body in numpy and record a single closure holding its
 hand-derived backward, which cuts the per-record Python overhead that
-dominates at these matrix sizes.  ``blstm`` is the whole bidirectional layer
+dominates at these matrix sizes.  Their large elementwise chains run in place
+in one buffer each, in the operation order of the plain expression, so the
+bits are the expression's.  ``blstm`` is the whole bidirectional layer
 in one record: one time loop advances the forward direction at time s and the
 backward direction at time L-1-s, with their states stacked so each gate
 nonlinearity and state update is one numpy call for both.  Forward-only
@@ -74,7 +83,8 @@ class Tensor:
     Values are validated to be finite at construction.  ``grad`` stays None
     until backward hands the tensor a gradient (see the module docstring); an
     op result's gradient is released once its op's closure has used it, while
-    tensors built here (parameters, inputs) keep theirs.
+    tensors built here (parameters, inputs) keep theirs.  ``Constant``, the
+    other kind of leaf, never gets one.
     """
 
     __slots__ = ("data", "grad")
@@ -110,7 +120,18 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape})"
+        return f"{type(self).__name__}(shape={self.shape})"
+
+
+class Constant(Tensor):
+    """A leaf tensor that never gets a gradient, such as the model's input features.
+
+    Built and validated like a ``Tensor``.  Backward hands it nothing: ops
+    skip the gradient terms that would only feed a constant, and an op whose
+    inputs are all constants records nothing and returns a constant.
+    """
+
+    __slots__ = ()
 
 
 def named_tensors(params, prefix: str = "") -> dict[str, Tensor]:
@@ -176,13 +197,25 @@ class Tape:
 
 
 def _accumulate(t: Tensor, delta: np.ndarray) -> None:
+    if isinstance(t, Constant):
+        return
     t.grad = delta if t.grad is None else t.grad + delta
 
 
-def _record(backward: Callable[[np.ndarray], None], out: Tensor) -> None:
+def _record(backward: Callable[[np.ndarray], None], out: Tensor, *inputs: Tensor) -> Tensor:
+    """Record one op on the active tape and return its output.
+
+    When ``inputs`` are given and all are constants, nothing could receive a
+    gradient: the op records nothing and its output comes back as a constant.
+    """
+    # A tensor that is not a plain Tensor is a Constant.  Most ops' first
+    # input is a plain Tensor, so one type test settles the common case.
+    if inputs and type(inputs[0]) is Constant and Tensor not in map(type, inputs):
+        return Constant._wrap(out.data)
     tape = _active_tape()
     if tape is not None:
         tape.record(backward, out)
+    return out
 
 
 def _require_matrix(x: Tensor, op: str) -> None:
@@ -259,8 +292,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(a, _left_grad(g, b.data, a.ndim))
         _accumulate(b, _right_grad(a.data, g, b.ndim))
 
-    _record(backward, out)
-    return out
+    return _record(backward, out, a, b)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -272,8 +304,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(a, _unbroadcast(g, a))
         _accumulate(b, _unbroadcast(g, b))
 
-    _record(backward, out)
-    return out
+    return _record(backward, out, a, b)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -285,8 +316,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(a, _unbroadcast(g * b.data, a))
         _accumulate(b, _unbroadcast(g * a.data, b))
 
-    _record(backward, out)
-    return out
+    return _record(backward, out, a, b)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -295,8 +325,7 @@ def tanh(x: Tensor) -> Tensor:
     def backward(g):
         _accumulate(x, g * (1.0 - out.data * out.data))
 
-    _record(backward, out)
-    return out
+    return _record(backward, out, x)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -305,8 +334,7 @@ def relu(x: Tensor) -> Tensor:
     def backward(g):
         _accumulate(x, g * (x.data > 0.0))
 
-    _record(backward, out)
-    return out
+    return _record(backward, out, x)
 
 
 def _stable_sigmoid(d: np.ndarray, out: np.ndarray | None = None,
@@ -335,8 +363,7 @@ def softmax_columns(x: Tensor) -> Tensor:
         inner = (out.data * g).sum(axis=-2, keepdims=True)
         _accumulate(x, out.data * (g - inner))
 
-    _record(backward, out)
-    return out
+    return _record(backward, out, x)
 
 
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:
@@ -353,8 +380,7 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(a, g[..., :split, :])
         _accumulate(b, g[..., split:, :])
 
-    _record(backward, out)
-    return out
+    return _record(backward, out, a, b)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -364,8 +390,7 @@ def sum_all(x: Tensor) -> Tensor:
     def backward(g):
         _accumulate(x, np.full_like(x.data, g.reshape(-1)[0]))
 
-    _record(backward, out)
-    return out
+    return _record(backward, out, x)
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +543,9 @@ def blstm(x: Tensor, forward: tuple[Tensor, Tensor, Tensor],
             np.matmul(w_bw_t, dpre_bw, out=dh_bw)
         return dpre
 
-    def direction_gradients(k: int, dpre: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """Accumulate direction k's weight gradients; returns its part of the input gradient."""
+    def direction_gradients(k: int, dpre: np.ndarray, xs: np.ndarray) -> np.ndarray | None:
+        """Accumulate direction k's weight gradients; returns its part of the input
+        gradient, or None for a constant input."""
         w_in, w_rec, b = directions[k]
         # Back to time order: the backward direction's steps run from the last time.
         dpre_cols = columns(dpre[:, k] if k == 0 else dpre[::-1, k])
@@ -527,26 +553,31 @@ def blstm(x: Tensor, forward: tuple[Tensor, Tensor, Tensor],
         _accumulate(w_in, dpre_cols @ xs.T)
         _accumulate(w_rec, dpre_cols @ columns(hs_prev).T)
         _accumulate(b, dpre_cols.sum(axis=1, keepdims=True))
-        return w_in.data.T @ dpre_cols
+        return None if isinstance(x, Constant) else w_in.data.T @ dpre_cols
 
     def backward_pass(grad):
         # Each helper's scratch is freed on return, before the next allocates.
         dpre = step_gradients(grad)
         xs = x.data if x.ndim == 2 else x.data.transpose(1, 2, 0).reshape(dim, -1)
-        dxs = direction_gradients(0, dpre, xs) + direction_gradients(1, dpre, xs)
-        _accumulate(x, dxs if x.ndim == 2 else dxs.reshape(dim, length, batch).transpose(2, 0, 1))
+        dx_fw = direction_gradients(0, dpre, xs)
+        dx_bw = direction_gradients(1, dpre, xs)
+        if dx_fw is not None:
+            dxs = dx_fw + dx_bw
+            _accumulate(x, dxs if x.ndim == 2 else dxs.reshape(dim, length, batch).transpose(2, 0, 1))
 
-    _record(backward_pass, out)
-    return out
+    return _record(backward_pass, out, x, *forward, *backward)
 
 
 def attention_map(feats: np.ndarray, key: np.ndarray, proj: np.ndarray, inv_scale: float) -> np.ndarray:
     """Segment-by-segment correlation map tanh(feats^T (proj @ key) * inv_scale) of ``attend``.
 
     Forward only, on raw arrays: ``feats`` (d, L) or (B, d, L), ``key``
-    (k, L) or (B, k, L), ``proj`` (d, k); returns (L, L) or (B, L, L).
+    (k, L) or (B, k, L), ``proj`` (d, k); returns (L, L) or (B, L, L).  The
+    scaling and the tanh are written into the product's own buffer.
     """
-    return np.tanh((_swap(feats) @ (proj @ key)) * inv_scale)
+    corr = _swap(feats) @ (proj @ key)
+    corr *= inv_scale
+    return np.tanh(corr, out=corr)
 
 
 def attend(feats: Tensor, key: Tensor, proj: Tensor, attn_mix: Tensor, out_mix: Tensor,
@@ -557,8 +588,11 @@ def attend(feats: Tensor, key: Tensor, proj: Tensor, attn_mix: Tensor, out_mix: 
     correlation map ``attention_map(feats, key, proj, inv_scale)``.  Shapes:
     ``feats`` (d, L), ``key`` (k, L), ``proj`` (d, k), both mixes (L, L), or
     the same with a leading batch axis on ``feats`` and ``key``.  Only C is
-    kept for backward; proj @ key, feats @ attn_mix and the ReLU input are
-    recomputed there from the inputs.
+    kept for backward; feats @ attn_mix and the ReLU input are recomputed
+    there from the inputs, and proj @ key only when ``feats`` takes a
+    gradient.  A constant ``feats`` or ``key`` (see ``Constant``) skips its
+    gradient term: the first fusion step attends the raw input features, whose
+    gradients nothing reads.
     """
     _require_matrix(feats, "attend")
     _require_matrix(key, "attend")
@@ -572,25 +606,38 @@ def attend(feats: Tensor, key: Tensor, proj: Tensor, attn_mix: Tensor, out_mix: 
         if mix.shape != (length, length):
             raise ShapeError(f"attend: {name} must be {(length, length)}, got {mix.shape}")
     corr = attention_map(feats.data, key.data, proj.data, inv_scale)
-    gated = np.maximum(_mm(_mm(feats.data, attn_mix.data), corr), 0.0)
-    out = Tensor._wrap(feats.data + _mm(gated, out_mix.data))
+    gated = _mm(_mm(feats.data, attn_mix.data), corr)
+    out_data = _mm(np.maximum(gated, 0.0, out=gated), out_mix.data)
+    out_data += feats.data
+    out = Tensor._wrap(out_data)
 
     def backward(g):
+        # Each chain of elementwise steps runs in place in its first array,
+        # in the order of the plain expression, so the bits are the same.
         mixed = _mm(feats.data, attn_mix.data)
         pre_relu = mixed @ corr
-        d_pre = _mm(g, out_mix.data.T) * (pre_relu > 0.0)
-        _accumulate(out_mix, _right_grad(np.maximum(pre_relu, 0.0), g, 2))
+        d_pre = _mm(g, out_mix.data.T)
+        d_pre *= pre_relu > 0.0
+        _accumulate(out_mix, _right_grad(np.maximum(pre_relu, 0.0, out=pre_relu), g, 2))
         d_mixed = d_pre @ _swap(corr)
-        d_corr = (_swap(mixed) @ d_pre) * (1.0 - corr * corr) * inv_scale
+        # d_corr = (mixed^T @ d_pre) * (1 - corr * corr) * inv_scale
+        d_corr = _swap(mixed) @ d_pre
+        slope = np.multiply(corr, corr)
+        d_corr *= np.subtract(1.0, slope, out=slope)
+        d_corr *= inv_scale
         _accumulate(attn_mix, _right_grad(feats.data, d_mixed, 2))
-        projected = proj.data @ key.data
-        _accumulate(feats, g + _mm(d_mixed, attn_mix.data.T) + projected @ _swap(d_corr))
+        if not isinstance(feats, Constant):
+            # d_feats = g + d_mixed @ attn_mix^T + (proj @ key) @ d_corr^T
+            d_feats = _mm(d_mixed, attn_mix.data.T)
+            d_feats += g
+            d_feats += (proj.data @ key.data) @ _swap(d_corr)
+            _accumulate(feats, d_feats)
         d_projected = feats.data @ d_corr
         _accumulate(proj, _left_grad(d_projected, key.data, 2))
-        _accumulate(key, proj.data.T @ d_projected)
+        if not isinstance(key, Constant):
+            _accumulate(key, proj.data.T @ d_projected)
 
-    _record(backward, out)
-    return out
+    return _record(backward, out, feats, key, proj, attn_mix, out_mix)
 
 
 def pooling_attention(feats: np.ndarray, proj: np.ndarray, bias: np.ndarray,
@@ -601,9 +648,11 @@ def pooling_attention(feats: np.ndarray, proj: np.ndarray, bias: np.ndarray,
     (k, d), ``bias`` and ``score`` (k, 1).  Returns the bottleneck
     tanh(proj @ feats + bias), (k, L) per item, and the weights
     softmax(score^T bottleneck) over segments, one (L, 1) column summing to
-    one per item.
+    one per item.  The bias and the tanh are written into the product's buffer.
     """
-    hidden = np.tanh(proj @ feats + bias)
+    hidden = proj @ feats
+    hidden += bias
+    np.tanh(hidden, out=hidden)
     scores = _swap(score.T @ hidden)
     e = np.exp(scores - scores.max(axis=-2, keepdims=True))
     return hidden, e / e.sum(axis=-2, keepdims=True)
@@ -642,18 +691,20 @@ def attentive_pool(feats: Tensor, proj: Tensor, bias: Tensor, score: Tensor, flo
         # Softmax over segments, then scores = score^T hidden.
         d_scores = weights * (d_weights - (weights * d_weights).sum(axis=-2, keepdims=True))
         _accumulate(score, _unbroadcast(hidden @ d_scores, score))
-        d_pre = 1.0 - hidden * hidden
+        # d_pre = (1 - hidden * hidden) * score * d_scores^T, in one buffer.
+        d_pre = np.multiply(hidden, hidden)
+        np.subtract(1.0, d_pre, out=d_pre)
         d_pre *= score.data * _swap(d_scores)
-        d_x = x * (2.0 * d_second)
-        d_x += d_mean
-        d_x *= _swap(weights)
-        d_x += proj.data.T @ d_pre
-        _accumulate(feats, d_x)
+        if not isinstance(feats, Constant):
+            d_x = x * (2.0 * d_second)
+            d_x += d_mean
+            d_x *= _swap(weights)
+            d_x += proj.data.T @ d_pre
+            _accumulate(feats, d_x)
         _accumulate(proj, _left_grad(d_pre, x, 2))
         _accumulate(bias, _unbroadcast(d_pre.sum(axis=-1, keepdims=True), bias))
 
-    _record(backward, out)
-    return out
+    return _record(backward, out, feats, proj, bias, score)
 
 
 def aam_cross_entropy(embedding: Tensor, weights: Tensor, labels: np.ndarray, scale: float,
@@ -720,8 +771,7 @@ def aam_cross_entropy(embedding: Tensor, weights: Tensor, labels: np.ndarray, sc
         inner = (unit_classes * d_unit_classes).sum(axis=-1, keepdims=True)
         _accumulate(weights, (d_unit_classes - unit_classes * inner) / class_norms.T)
 
-    _record(backward, out)
-    return out
+    return _record(backward, out, embedding, weights)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Full verification model: fusion -> optional BLSTM -> pooling -> embedding -> margin head.
 
 The forward runs on one (dim, segments) utterance or on a (B, dim, segments)
-mini-batch through the same ops.
+mini-batch through the same ops.  The features are data: ``fuse`` takes them
+as ``autodiff.Constant`` leaves, so a backward forms no gradient for them.
 
 Parameters are built deterministically from a config and seed, exposed as a
 flat name -> tensor mapping for checkpointing, and can be quantized through
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from avfuse import autodiff as ad
-from avfuse.autodiff import Tensor
+from avfuse.autodiff import Constant, Tensor
 from avfuse.checkpoint import load_checkpoint, quantize_like_checkpoint, save_checkpoint
 from avfuse.config import ConfigError, TrainConfig, config_to_text, parse_config_text
 from avfuse.fusion import (
@@ -61,7 +62,9 @@ class VerificationModel:
 
     # -- forward ----------------------------------------------------------
 
-    def fuse(self, audio: Tensor, visual: Tensor) -> Tensor:
+    def fuse(self, audio: np.ndarray | Tensor, visual: np.ndarray | Tensor) -> Tensor:
+        """The fusion stage.  Arrays and tensors alike enter it as constants."""
+        audio, visual = (Constant(x.data if isinstance(x, Tensor) else x) for x in (audio, visual))
         if self.config.fusion == "rjca":
             steps = self.fusion_steps
             if self.config.share_fusion_weights:
@@ -71,7 +74,7 @@ class VerificationModel:
             return cross_attention_step(audio, visual, self.cross_params).joint
         return joint_representation(audio, visual)
 
-    def embed_tensors(self, audio: Tensor, visual: Tensor) -> Tensor:
+    def embed_tensors(self, audio: np.ndarray | Tensor, visual: np.ndarray | Tensor) -> Tensor:
         fused = self.fuse(audio, visual)
         if self.blstm is not None:
             fused = blstm_forward(fused, self.blstm)
@@ -84,13 +87,13 @@ class VerificationModel:
         One (dim, segments) utterance gives a flat float64 vector; a
         (B, dim, segments) batch gives a (B, embed_dim) matrix.
         """
-        out = self.embed_tensors(Tensor(audio), Tensor(visual))
+        out = self.embed_tensors(audio, visual)
         return out.data[..., 0].copy()
 
     def loss(self, audio: np.ndarray, visual: np.ndarray, labels) -> Tensor:
         """Per-utterance losses: (1, 1) for one utterance and an int label,
         (B, 1, 1) for a (B, dim, segments) batch and B labels."""
-        return aam_loss(self.embed_tensors(Tensor(audio), Tensor(visual)), labels, self.aam)
+        return aam_loss(self.embed_tensors(audio, visual), labels, self.aam)
 
     # -- parameter plumbing -------------------------------------------------
 

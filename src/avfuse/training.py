@@ -4,18 +4,20 @@ One tape per mini-batch: the batch's features are stacked into
 (B, dim, segments) arrays and run through one forward, which returns the B
 per-utterance losses; one backward of their sum, seeded 1/B, leaves the
 batch-mean gradient in the parameters.  A non-finite loss raises a
-DivergenceError naming its utterance, and the optimizer step is refused with
-one if any gradient is NaN or Inf; one sum per gradient screens for that, and
-only a non-finite total pays for the scan that names the parameter.  The
-optimizer updates parameters and moments in place.  Everything is driven by
-one seeded generator, so a fixed config reproduces the loss log and
-checkpoints exactly.
-Parameters pass through checkpoint precision at every epoch boundary, keeping
-the in-memory model identical to its last saved checkpoint.
+DivergenceError naming its utterance.  The optimizer gathers the gradients
+into one flat vector, runs its update formula over it and subtracts each
+parameter's slice in place.  Before it updates anything, its guard screens
+the sum of that flat gradient for NaN or Inf; only a non-finite total pays
+for the per-parameter scan that names the parameter and refuses the step
+with a DivergenceError.  Everything is driven by one seeded generator, so a fixed
+config reproduces the loss log and checkpoints exactly.  Parameters pass
+through checkpoint precision at every epoch boundary, keeping the in-memory
+model identical to its last saved checkpoint.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,48 +35,86 @@ class DivergenceError(RuntimeError):
 
 
 class Optimizer:
-    """Adaptive-moment or classical-momentum gradient descent.
+    """Adaptive-moment or classical-momentum gradient descent over one flat vector.
 
-    Moments and parameters are updated in place.  The temporaries of one
-    update live in two scratch buffers sized to the largest parameter and
-    shared by all of them, so a step allocates nothing.
+    The moments ``m`` and ``v`` and the gathered gradient are each one flat
+    vector over every parameter in order; ``_m`` and ``_v`` view each
+    parameter's slice of the moments.  A step copies the gradients into the
+    flat gradient, hands their sum to ``guard`` (if given), which may refuse
+    the step by raising before anything is updated, then runs the update
+    formula over each maximal run of parameters that have a gradient, one
+    scratch-sized chunk at a time, writing the update over the gradient it no
+    longer needs, and subtracts each parameter's slice in place.  A None
+    gradient leaves its parameter and moments untouched; with none, the step
+    is one run.  The formulas are elementwise and keep the per-parameter
+    operation order, so the bits are those of a per-parameter update.  The
+    three vectors and a scratch buffer twice the largest parameter are all the
+    state; a step allocates nothing.
     """
 
-    def __init__(self, params: list[Tensor], config: TrainConfig):
+    def __init__(self, params: list[Tensor], config: TrainConfig,
+                 guard: Callable[[float], None] | None = None):
         self.params = params
         self.kind = config.optimizer
         self.lr = config.learning_rate
         self.momentum = config.momentum
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
         self.step_count = 0
-        self._m = [np.zeros_like(p.data) for p in params]
-        self._v = [np.zeros_like(p.data) for p in params]
-        largest = max((p.data.size for p in params), default=0)
-        buffers = (np.empty(largest), np.empty(largest))
-        self._scratch = [tuple(buf[:p.data.size].reshape(p.data.shape) for buf in buffers) for p in params]
+        self.guard = guard
+        offsets = np.cumsum([0] + [p.data.size for p in params]).tolist()
+        self._spans = list(zip(offsets, offsets[1:]))
+        self._flat = np.zeros((3, offsets[-1]))  # rows m, v and the gathered gradient
+        self._m, self._v, self._grads = (
+            [row[lo:hi].reshape(p.data.shape) for p, (lo, hi) in zip(params, self._spans)]
+            for row in self._flat)
+        self._scratch = np.empty(2 * max((p.data.size for p in params), default=0))
+
+    def _gather(self) -> list[tuple[int, int]]:
+        """Copy the gradients into the flat gradient; returns the (start, end) flat
+        offsets of each maximal run of parameters that have one."""
+        runs = []
+        for p, grad, (lo, hi) in zip(self.params, self._grads, self._spans):
+            if p.grad is None:
+                continue
+            np.copyto(grad, p.grad)
+            if runs and runs[-1][1] == lo:
+                runs[-1] = (runs[-1][0], hi)
+            else:
+                runs.append((lo, hi))
+        return runs
 
     def step(self) -> None:
+        """Update every parameter that has a gradient, unless ``guard`` refuses."""
+        runs = self._gather()
+        if self.guard is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.guard(sum(self._flat[2, lo:hi].sum() for lo, hi in runs))
         self.step_count += 1
         correct1 = 1 - self.beta1 ** self.step_count
         correct2 = 1 - self.beta2 ** self.step_count
-        for p, m, v, (a, b) in zip(self.params, self._m, self._v, self._scratch):
-            grad, data = p.grad, p.data
-            if grad is None:
-                continue
-            if self.kind == "adam":
-                # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
-                np.multiply(m, self.beta1, out=m)
-                np.add(m, np.multiply(grad, 1 - self.beta1, out=a), out=m)
-                np.multiply(v, self.beta2, out=v)
-                np.multiply(grad, 1 - self.beta2, out=a)
-                np.add(v, np.multiply(a, grad, out=a), out=v)
-                # data -= lr (m / correct1) / (sqrt(v / correct2) + eps)
-                np.add(np.sqrt(np.divide(v, correct2, out=b), out=b), self.eps, out=b)
-                np.multiply(np.divide(m, correct1, out=a), self.lr, out=a)
-                np.subtract(data, np.divide(a, b, out=a), out=data)
-            else:
-                np.add(np.multiply(m, self.momentum, out=m), grad, out=m)
-                np.subtract(data, np.multiply(m, self.lr, out=a), out=data)
+        chunk = self._scratch.size
+        for lo, hi in runs:
+            for start in range(lo, hi, chunk):
+                m, v, grad = self._flat[:, start:min(start + chunk, hi)]
+                if self.kind == "adam":
+                    a = self._scratch[:grad.size]
+                    # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
+                    np.multiply(m, self.beta1, out=m)
+                    np.add(m, np.multiply(grad, 1 - self.beta1, out=a), out=m)
+                    np.multiply(v, self.beta2, out=v)
+                    np.multiply(grad, 1 - self.beta2, out=a)
+                    np.add(v, np.multiply(a, grad, out=a), out=v)
+                    # update = lr (m / correct1) / (sqrt(v / correct2) + eps), over g
+                    b = grad
+                    np.add(np.sqrt(np.divide(v, correct2, out=b), out=b), self.eps, out=b)
+                    np.multiply(np.divide(m, correct1, out=a), self.lr, out=a)
+                    np.divide(a, b, out=b)
+                else:
+                    np.add(np.multiply(m, self.momentum, out=m), grad, out=m)
+                    np.multiply(m, self.lr, out=grad)
+        for p, update in zip(self.params, self._grads):
+            if p.grad is not None:
+                np.subtract(p.data, update, out=p.data)
 
 
 @dataclass
@@ -92,21 +132,17 @@ def speaker_index_map(utterances: list[Utterance]) -> dict[str, int]:
     return {spk: i for i, spk in enumerate(sorted({u.speaker_id for u in utterances}))}
 
 
-def _check_finite_gradients(named_params: dict[str, Tensor], epoch: int) -> None:
+def _check_finite_gradients(named_params: dict[str, Tensor], epoch: int, total: float) -> None:
     """Raise DivergenceError naming the first parameter whose gradient is NaN or Inf.
 
     Op results are not checked for finiteness, so this is what keeps a
-    non-finite gradient from reaching the parameters.  One sum per gradient
-    screens them all: a NaN or Inf entry makes the total non-finite, so a
-    finite total proves every entry finite.  Only a non-finite total, which
-    finite gradients also give when their sum overflows, runs the
-    per-parameter scan that names the culprit.
+    non-finite gradient from reaching the parameters.  ``total`` is the sum
+    of every gradient (what ``Optimizer`` hands its guard), one sum that
+    screens them all: a NaN or Inf entry makes it non-finite, so a finite
+    total proves every entry finite.  Only a non-finite total, which finite
+    gradients also give when their sum overflows, runs the per-parameter
+    scan that names the culprit.
     """
-    total = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for tensor in named_params.values():
-            if tensor.grad is not None:
-                total += tensor.grad.sum()
     if np.isfinite(total):
         return
     for name, tensor in named_params.items():
@@ -131,7 +167,10 @@ def train(config: TrainConfig, train_utts: list[Utterance], out_dir,
     speakers = speaker_index_map(train_utts)
     model = VerificationModel(config, n_speakers=len(speakers))
     named_params = model.named_parameters()
-    optimizer = Optimizer(list(named_params.values()), config)
+    params = list(named_params.values())
+    # The guard reads the epoch the loop is in when a step calls it.
+    optimizer = Optimizer(params, config,
+                          guard=lambda total: _check_finite_gradients(named_params, epoch, total))
     shuffle_rng = np.random.default_rng(config.seed + 1)
 
     order = sorted(range(len(train_utts)), key=lambda i: train_utts[i].utt_id)
@@ -146,7 +185,8 @@ def train(config: TrainConfig, train_utts: list[Utterance], out_dir,
             audio = np.stack([u.audio for u in batch])
             visual = np.stack([u.visual for u in batch])
             labels = np.array([speakers[u.speaker_id] for u in batch])
-            model.zero_grads()
+            for tensor in params:
+                tensor.grad = None
             with Tape() as tape:
                 losses = model.loss(audio, visual, labels)
                 total = ad.sum_all(losses)
@@ -158,7 +198,6 @@ def train(config: TrainConfig, train_utts: list[Utterance], out_dir,
                 )
             tape.backward(total, seed=1.0 / len(batch))
             sample_losses.extend(values.tolist())
-            _check_finite_gradients(named_params, epoch)
             optimizer.step()
         mean_loss = float(np.mean(sample_losses))
         epoch_losses.append(mean_loss)

@@ -5,6 +5,7 @@ import pytest
 
 from avfuse import autodiff as ad
 from avfuse.autodiff import (
+    Constant,
     NonFiniteError,
     ShapeError,
     Tape,
@@ -334,3 +335,35 @@ class TestTape:
         big = Tensor([[1e308]])
         with np.errstate(over="ignore"):
             assert np.isinf(ref.scale_shift(big, 10.0).data).all()  # silent overflow
+
+
+class TestConstant:
+    def test_rejects_non_finite_values_like_tensor(self):
+        with pytest.raises(NonFiniteError):
+            Constant([[1.0, np.nan]])
+        with pytest.raises(ShapeError):
+            Constant(np.ones((1, 1, 1, 1)))
+
+    def test_op_of_constants_only_records_nothing_and_returns_a_constant(self):
+        a, b = Constant(np.ones((2, 3))), Constant(np.zeros((1, 3)))
+        with Tape() as tape:
+            joint = ad.concat_rows(a, b)
+            squashed = ad.tanh(joint)
+        assert len(tape) == 0
+        assert isinstance(joint, Constant) and isinstance(squashed, Constant)
+        assert np.array_equal(joint.data, np.concatenate([a.data, b.data]))
+        assert np.array_equal(squashed.data, np.tanh(joint.data))
+
+    def test_constant_operand_gets_no_gradient_and_the_other_the_tensor_one(self):
+        rng = np.random.default_rng(12)
+        w_data, x_data = rng.uniform(-1, 1, size=(2, 3)), rng.uniform(-1, 1, size=(4, 3, 5))
+        grads = {}
+        for kind in (Tensor, Constant):
+            w, x = Tensor(w_data), kind(x_data)
+            with Tape() as tape:
+                loss = ad.sum_all(ad.tanh(ad.matmul(w, x)))
+            assert len(tape) == 3
+            tape.backward(loss)
+            grads[kind] = w.grad, x.grad
+        assert grads[Constant][0].tobytes() == grads[Tensor][0].tobytes()
+        assert grads[Constant][1] is None and grads[Tensor][1] is not None

@@ -237,6 +237,31 @@ class TestAttend:
             assert grads[name].shape == data[name].shape, name
             assert np.abs(grads[name] - ref_grads[name]).max() <= 1e-12, name
 
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    @pytest.mark.parametrize("constant", [("feats",), ("key",), ("feats", "key")])
+    def test_constant_inputs_skip_only_their_own_gradient_terms(self, batch, constant):
+        rng = np.random.default_rng([12, len(batch)])
+        data = _attend_data(rng, batch)
+        probe = rng.uniform(-1, 1, size=batch + (3, 4))
+        _, grads = _run_attend(ad.attend, data, probe, 0.5)
+        tensors = {name: (ad.Constant if name in constant else Tensor)(data[name]) for name in ATTEND_ARGS}
+        with Tape() as tape:
+            loss = ad.sum_all(ad.mul(ad.attend(*tensors.values(), 0.5), Tensor(probe)))
+        tape.backward(loss)
+        for name, t in tensors.items():
+            if name in constant:
+                assert t.grad is None, name
+            else:
+                assert t.grad.tobytes() == grads[name].tobytes(), name
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_attention_map_is_bitwise_its_expression(self, batch):
+        data = _attend_data(np.random.default_rng([13, len(batch)]), batch)
+        feats, key, proj = data["feats"], data["key"], data["proj"]
+        inv_scale = 1.0 / math.sqrt(5)
+        expected = np.tanh((np.swapaxes(feats, -1, -2) @ (proj @ key)) * inv_scale)
+        assert ad.attention_map(feats, key, proj, inv_scale).tobytes() == expected.tobytes()
+
     def test_is_one_tape_record(self):
         data = _attend_data(np.random.default_rng(8), (2,))
         with Tape() as tape:

@@ -243,6 +243,30 @@ class TestAttentivePool:
             assert grads[name].shape == data[name].shape, name
             assert np.abs(grads[name] - ref_grads[name]).max() <= 1e-12, name
 
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_pooling_attention_bottleneck_is_bitwise_its_expression(self, batch):
+        rng = np.random.default_rng([22, len(batch)])
+        feats = rng.uniform(-1, 1, size=batch + (4, 6))
+        proj, bias, score = (rng.uniform(-1, 1, size=shape) for shape in ((3, 4), (3, 1), (3, 1)))
+        hidden, _ = ad.pooling_attention(feats, proj, bias, score)
+        assert hidden.tobytes() == np.tanh(proj @ feats + bias).tobytes()
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_constant_features_leave_the_weight_gradients_bitwise(self, batch):
+        rng = np.random.default_rng([23, len(batch)])
+        data = {"features": rng.uniform(-1, 1, size=batch + (4, 6)), "proj": rng.uniform(-1, 1, size=(3, 4)),
+                "bias": rng.uniform(-1, 1, size=(3, 1)), "score": rng.uniform(-1, 1, size=(3, 1))}
+        probe = rng.uniform(-1, 1, size=batch + (8, 1))
+        _, grads, _ = _run_pool(ad.attentive_pool, data, probe)
+        tensors = {name: (ad.Constant if name == "features" else Tensor)(data[name]) for name in POOL_ARGS}
+        with Tape() as tape:
+            out = ad.attentive_pool(*tensors.values(), VARIANCE_FLOOR)
+            loss = ad.sum_all(ad.mul(out, Tensor(probe)))
+        tape.backward(loss)
+        assert tensors["features"].grad is None
+        for name in POOL_ARGS[1:]:
+            assert tensors[name].grad.tobytes() == grads[name].tobytes(), name
+
     def test_shape_errors_name_the_operand(self):
         x, column = Tensor(np.ones((4, 6))), Tensor(np.ones((3, 1)))
         with pytest.raises(ShapeError, match="projection"):

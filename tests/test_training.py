@@ -173,11 +173,51 @@ def test_in_place_step_is_bitwise_the_out_of_place_formula(kind):
         assert [a.tobytes() for a in mine] == [a.tobytes() for a in theirs]
 
 
+@pytest.mark.parametrize("kind", ["adam", "momentum"])
+@pytest.mark.parametrize("missing", [(0,), (4,), (2, 3), (0, 2, 3, 4)],
+                         ids=["first", "last", "adjacent", "all_but_one"])
+def test_flat_step_with_missing_gradients_is_bitwise_the_out_of_place_formula(kind, missing):
+    rng = np.random.default_rng(32)
+    shapes = [(3, 4), (5, 1), (2, 2), (7,), (4, 3)]
+    initial = [1e-3 * rng.standard_normal(shape) for shape in shapes]
+    config = TrainConfig(optimizer=kind, learning_rate=0.01)
+    params = [Tensor(a) for a in initial]
+    reference_params = [Tensor(a) for a in initial]
+    totals = []
+    optimizer = Optimizer(params, config, guard=totals.append)
+    reference = OutOfPlaceOptimizer(reference_params, config)
+    for _ in range(6):
+        grads = [None if k in missing else rng.standard_normal(shape) for k, shape in enumerate(shapes)]
+        for p, q, g in zip(params, reference_params, grads):
+            p.grad = q.grad = g
+        optimizer.step()
+        reference.step()
+        assert totals[-1] == pytest.approx(sum(g.sum() for g in grads if g is not None), rel=1e-12)
+        for p, q in zip(params, reference_params):
+            assert p.data.tobytes() == q.data.tobytes()
+    for k in missing:
+        assert params[k].data.tobytes() == initial[k].tobytes()
+    for mine, theirs in ((optimizer._m, reference.m), (optimizer._v, reference.v)):
+        assert [a.tobytes() for a in mine] == [a.tobytes() for a in theirs]
+
+
 def test_guard_names_a_nan_gradient_but_passes_finite_ones_whose_sum_overflows():
     params = {"a": Tensor(np.ones(3)), "b": Tensor(np.ones((2, 2))), "c": Tensor(np.ones(1))}
+    totals = []
+
+    def guard(total):
+        totals.append(total)
+        _check_finite_gradients(params, 3, total)
+
+    optimizer = Optimizer(list(params.values()), TrainConfig(optimizer="momentum"), guard=guard)
     params["a"].grad = np.full(3, 1e308)  # finite entries whose sums overflow to +inf and -inf
     params["b"].grad = np.full((2, 2), -1e308)
-    _check_finite_gradients(params, epoch=3)
+    optimizer.step()
+    assert not np.isfinite(totals[-1])
+    assert optimizer.step_count == 1
     params["c"].grad = np.array([np.nan])
+    before = [t.data.copy() for t in params.values()]
     with pytest.raises(DivergenceError, match=r"epoch 3, parameter c$"):
-        _check_finite_gradients(params, epoch=3)
+        optimizer.step()
+    assert optimizer.step_count == 1  # refused before anything was updated
+    assert all(np.array_equal(t.data, b) for t, b in zip(params.values(), before))
