@@ -1,10 +1,10 @@
 """Dense real-tensor kernels with reverse-mode differentiation on an explicit tape.
 
-This module holds the engine (``Tensor``, ``Tape`` and the finite-difference
-gradient), the primitive ops the model and ``gradcheck`` run, and the fused
-layer ops, each a pure function of ``Tensor`` inputs.  The unfused primitives
-that the tests compose into reference chains for the fused layers live with
-the tests, in tests/reference_ops.py.
+This module holds the engine (``Tensor`` and ``Tape``), the primitive ops the
+model and ``gradcheck`` run, and the fused layer ops, each a pure function of
+``Tensor`` inputs.  The unfused primitives that the tests compose into
+reference chains for the fused layers live with the tests, in
+tests/reference_ops.py.
 
 When a ``Tape`` is active (entered as a context manager), each op records
 ``(closure, out)``: its output and a closure that takes the output's gradient
@@ -39,8 +39,9 @@ dominates at these matrix sizes.  Their large elementwise chains run in place
 in one buffer each, in the operation order of the plain expression, so the
 bits are the expression's.  ``blstm`` is the whole bidirectional layer
 in one record: one time loop advances the forward direction at time s and the
-backward direction at time L-1-s, with their states stacked so each gate
-nonlinearity and state update is one numpy call for both.  Forward-only
+backward direction at time L-1-s, with their states stacked so each state
+update is one numpy call for both, and one tanh per step gives all four gates
+of both directions, through sigmoid(z) = 1/2 + tanh(z/2)/2.  Forward-only
 helpers (``attention_map``, ``pooling_attention``) compute the quantities
 these ops attend or pool with, for readers that inspect them without a tape.
 
@@ -337,19 +338,6 @@ def relu(x: Tensor) -> Tensor:
     return _record(backward, out, x)
 
 
-def _stable_sigmoid(d: np.ndarray, out: np.ndarray | None = None,
-                    scratch: np.ndarray | None = None) -> np.ndarray:
-    """Logistic sigmoid of ``d``, into ``out`` and through ``scratch`` when given (d's shape).
-
-    Split by sign so no exponent is positive: 1 / (1 + e^-d) for d >= 0 and
-    e^d / (1 + e^d) below, with the numerator written as e^min(d, 0).
-    """
-    out = np.exp(np.minimum(d, 0.0, out=out), out=out)
-    denominator = np.exp(np.negative(np.abs(d, out=scratch), out=scratch), out=scratch)
-    denominator += 1.0
-    return np.divide(out, denominator, out=out)
-
-
 def softmax_columns(x: Tensor) -> Tensor:
     """Softmax normalizing each column of every matrix to sum to one."""
     _require_matrix(x, "softmax_columns")
@@ -412,10 +400,16 @@ def blstm(x: Tensor, forward: tuple[Tensor, Tensor, Tensor],
     of two, so each nonlinearity and state update is one in-place numpy call
     for both; a batch's B items are the B columns of each (h, B) state block,
     one utterance runs on (h,) vectors.  Each direction's input projection is
-    one GEMM hoisted out of the loop, and each step one (4h, h) recurrent
-    product per direction.  The layer is one tape record whose backward runs
-    backpropagation through time by hand and forms each direction's gradients
-    as whole-sequence GEMMs over its stacked pre-activation gradients.
+    hoisted out of the loop as BLAS products written straight into the gate
+    buffer (a batch's from one contiguous time-major copy), plus a contiguous
+    bias shift; each step is one (4h, h) recurrent product per direction and
+    one tanh over all four gate blocks of both, the sigmoid rows taken as
+    1/2 + tanh(z/2)/2.  That rounds differently from the two-exponential
+    sigmoid used before, so training no longer reproduces earlier checkpoints
+    bit for bit; runs of this code reproduce byte for byte.  The layer
+    is one tape record whose backward runs backpropagation through time by
+    hand from the stored gate values and forms each direction's gradients as
+    whole-sequence GEMMs over its stacked pre-activation gradients.
     """
     _require_matrix(x, "blstm")
     dim, length = x.shape[-2:]
@@ -464,29 +458,38 @@ def blstm(x: Tensor, forward: tuple[Tensor, Tensor, Tensor],
     hs = by_direction(state[:, 10 * hidden:12 * hidden])
     tanh_cells = by_direction(state[1:, 12 * hidden:])
     # gates[s] first holds step s's input pre-activations, the backward
-    # direction's time-reversed; the step overwrites them with its gates.
+    # direction's time-reversed: BLAS writes each direction's input projection
+    # straight into the gate blocks, a batch's from one contiguous time-major
+    # copy, and one contiguous (4h[, B]) shift adds its bias.
+    xs = x.data.T if x.ndim == 2 else np.ascontiguousarray(x.data.transpose(2, 1, 0))
     for k, (w_in, _, b) in enumerate(directions):
+        into = gates[:, k] if k == 0 else gates[::-1, k]
         if x.ndim == 2:
-            projected, shift = x.data.T @ w_in.data.T, b.data[:, 0]       # (L, 4h)
+            np.matmul(xs, w_in.data.T, out=into)  # (L, 4h)
         else:
-            projected, shift = w_in.data @ x.data.transpose(2, 1, 0), b.data  # (L, 4h, B)
-        np.add(projected if k == 0 else projected[::-1], shift, out=gates[:, k])
+            np.matmul(w_in.data, xs, out=into)    # (L, 4h, B)
+        into += np.repeat(b.data, batch, axis=1).reshape(into.shape[1:])
+    # sigmoid(z) = 1/2 + tanh(z/2)/2: ``scale`` halves the input, forget and
+    # output rows (exactly, a power of two), so one tanh over all four blocks,
+    # times ``scale`` plus ``1 - scale``, gives all four gates.
+    scale = np.full(gates.shape[1:], 0.5)
+    scale[:, h2:h3] = 1.0
+    offset = 1.0 - scale
     w_recs = [w_rec.data for _, w_rec, _ in directions]
-    pre = np.empty((2, 4 * hidden) + tail)
-    pre_fw, pre_bw, pre_cell = pre[0], pre[1], pre[:, h2:h3]
-    scratch = np.empty_like(pre)
-    product = scratch[:, :h1]
+    pre = np.empty_like(scale)
+    product = np.empty((2, hidden) + tail)
     # Per step s: its gates and their four blocks, the states entering and
     # leaving it (rows s and s + 1), and tanh of the new cell state.
     steps = zip(gates, gates[:, :, :h1], gates[:, :, h1:h2], gates[:, :, h2:h3],
                 gates[:, :, h3:], cells[:-1], cells[1:], hs[:-1], hs[1:], tanh_cells)
     for act, i, f, g, o, c_prev, c, h_prev, h, tanh_c in steps:
-        np.matmul(w_recs[0], h_prev[0], out=pre_fw)
-        np.matmul(w_recs[1], h_prev[1], out=pre_bw)
+        np.matmul(w_recs[0], h_prev[0], out=pre[0])
+        np.matmul(w_recs[1], h_prev[1], out=pre[1])
         pre += act
-        # One sigmoid call over all four blocks, then tanh over the cell block.
-        _stable_sigmoid(pre, out=act, scratch=scratch)
-        np.tanh(pre_cell, out=g)
+        pre *= scale
+        np.tanh(pre, out=act)
+        act *= scale
+        act += offset
         np.multiply(f, c_prev, out=c)
         np.multiply(i, g, out=product)
         c += product
@@ -772,43 +775,3 @@ def aam_cross_entropy(embedding: Tensor, weights: Tensor, labels: np.ndarray, sc
         _accumulate(weights, (d_unit_classes - unit_classes * inner) / class_norms.T)
 
     return _record(backward, out, embedding, weights)
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference oracle
-# ---------------------------------------------------------------------------
-
-
-def numeric_gradient(f: Callable[[Tensor], float], x: Tensor, eps: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient estimate of a scalar function, per element."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    base = x.data
-    grad = np.zeros_like(base)
-    it = np.nditer(base, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        hi = base.copy()
-        hi[idx] += eps
-        lo = base.copy()
-        lo[idx] -= eps
-        f_hi = float(f(Tensor(hi)))
-        f_lo = float(f(Tensor(lo)))
-        if not (np.isfinite(f_hi) and np.isfinite(f_lo)):
-            raise NonFiniteError("numeric_gradient: function returned a non-finite value")
-        grad[idx] = (f_hi - f_lo) / (2.0 * eps)
-    return grad
-
-
-def relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-3) -> float:
-    """Worst elementwise |a - n| / max(|a|, |n|, floor).
-
-    The floor keeps finite-difference noise on near-zero gradients from
-    dominating; a wrong backward still shows up as an O(1) error.
-    """
-    a = np.asarray(analytic, dtype=np.float64)
-    n = np.asarray(numeric, dtype=np.float64)
-    if a.shape != n.shape:
-        raise ShapeError(f"relative_error: shape mismatch {a.shape} vs {n.shape}")
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
-    return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0

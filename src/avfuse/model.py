@@ -16,7 +16,7 @@ import numpy as np
 
 from avfuse import autodiff as ad
 from avfuse.autodiff import Constant, Tensor
-from avfuse.checkpoint import load_checkpoint, quantize_like_checkpoint, save_checkpoint
+from avfuse.checkpoint import CheckpointError, load_checkpoint, quantize_like_checkpoint, save_checkpoint
 from avfuse.config import ConfigError, TrainConfig, config_to_text, parse_config_text
 from avfuse.fusion import (
     CrossAttentionParams,
@@ -108,10 +108,6 @@ class VerificationModel:
                 params.update(ad.named_tensors(component, prefix))
         return params
 
-    def zero_grads(self) -> None:
-        for tensor in self.named_parameters().values():
-            tensor.grad = None
-
     def quantize_single_precision(self) -> None:
         """Force parameters through storage precision (see checkpoint module)."""
         for tensor in self.named_parameters().values():
@@ -142,23 +138,28 @@ class VerificationModel:
     @classmethod
     def from_checkpoint(cls, path) -> "VerificationModel":
         arrays, config_text = load_checkpoint(path)
-        raw = parse_config_snapshot(config_text)
-        model = cls(raw[0], raw[1])
-        model.load_state(arrays)
+        try:
+            model = cls(*parse_config_snapshot(config_text))
+            model.load_state(arrays)
+        except ConfigError as exc:
+            raise CheckpointError(f"{path}: {exc}") from exc
         return model
 
 
 def parse_config_snapshot(text: str) -> tuple[TrainConfig, int]:
-    """Split a checkpoint config snapshot into the TrainConfig and speaker count."""
-    lines = []
-    n_speakers = None
+    """Split a checkpoint config snapshot into the TrainConfig and the speaker
+    count, given on exactly one ``n_speakers`` line."""
+    lines, counts = [], []
     for raw in text.splitlines():
-        stripped = raw.strip()
-        if stripped.startswith("n_speakers"):
-            n_speakers = int(stripped.partition("=")[2])
-        elif stripped:
+        key, _, value = raw.split("#", 1)[0].partition("=")
+        if key.strip() == "n_speakers":
+            counts.append(value.strip())
+        else:
             lines.append(raw)
-    if n_speakers is None:
-        raise ConfigError("checkpoint config snapshot lacks n_speakers")
-    values = parse_config_text("\n".join(lines))
-    return TrainConfig(**values), n_speakers
+    if len(counts) != 1:
+        raise ConfigError(f"checkpoint config snapshot has {len(counts)} n_speakers lines, expected one")
+    try:
+        n_speakers = int(counts[0])
+    except ValueError:
+        raise ConfigError(f"n_speakers: expected an integer, got {counts[0]!r}") from None
+    return TrainConfig(**parse_config_text("\n".join(lines))), n_speakers

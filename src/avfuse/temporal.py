@@ -3,7 +3,9 @@
 A single bidirectional LSTM layer runs over the segment axis as the one fused
 ``autodiff.blstm`` record: both directions advance in one time loop (step s
 moves the forward direction to segment s and the backward direction to
-segment L-1-s), and its hand-derived backward does full backpropagation
+segment L-1-s).  Its input projections are BLAS products into the gate
+buffer, and all four gates of a step come from one tanh, the sigmoid gates
+as 1/2 + tanh(z/2)/2; its hand-derived backward does full backpropagation
 through time.  Attentive statistics pooling collapses the sequence into one
 utterance-level vector: an attention-weighted mean concatenated with the
 attention-weighted standard deviation, as the one fused

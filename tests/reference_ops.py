@@ -18,7 +18,6 @@ from avfuse.autodiff import (
     _record,
     _require_matrix,
     _require_rank2,
-    _stable_sigmoid,
     _swap,
     _unbroadcast,
 )
@@ -46,6 +45,12 @@ def scale_shift(x: Tensor, scale: float = 1.0, shift: float = 0.0) -> Tensor:
 
     _record(backward, out)
     return out
+
+
+def _stable_sigmoid(d: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid split by sign so no exponent is positive: 1 / (1 + e^-d)
+    for d >= 0 and e^d / (1 + e^d) below, with the numerator written as e^min(d, 0)."""
+    return np.exp(np.minimum(d, 0.0)) / (1.0 + np.exp(-np.abs(d)))
 
 
 def sigmoid(x: Tensor) -> Tensor:

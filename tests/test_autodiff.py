@@ -10,9 +10,8 @@ from avfuse.autodiff import (
     ShapeError,
     Tape,
     Tensor,
-    numeric_gradient,
 )
-from avfuse.gradcheck import check_function
+from avfuse.gradcheck import check_function, numeric_gradient
 
 import reference_ops as ref
 

@@ -1,4 +1,5 @@
-"""Checkpoint container: round trip, atomic replacement on a failed save, malformed headers."""
+"""Checkpoint container: round trip, atomic replacement on a failed save, malformed headers
+and malformed config snapshots."""
 
 import os
 import struct
@@ -8,7 +9,7 @@ import pytest
 
 from avfuse import checkpoint
 from avfuse.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from avfuse.config import TrainConfig
+from avfuse.config import TrainConfig, config_to_text
 from avfuse.featio import TruncatedPayloadError
 from avfuse.model import VerificationModel
 
@@ -104,3 +105,17 @@ def test_non_finite_tensor_is_a_checkpoint_error_naming_the_tensor(tmp_path, bad
     save_checkpoint(tmp_path / "poisoned.ckpt", tensors, config_text)
     with pytest.raises(CheckpointError, match="poisoned.ckpt: tensor 'asp.bias' holds a non-finite value"):
         VerificationModel.from_checkpoint(tmp_path / "poisoned.ckpt")
+
+
+@pytest.mark.parametrize("speaker_lines, message", [
+    ("n_speakers = x\n", "n_speakers: expected an integer, got 'x'"),
+    ("n_speakers = 3\nn_speakers = 4\n", "2 n_speakers lines, expected one"),
+    ("n_speakers_total = 3\n", "0 n_speakers lines, expected one"),
+    ("n_speakers = 3\nn_speakers_total = 4\n", "unknown key 'n_speakers_total'"),
+], ids=["not_an_integer", "repeated", "prefix_only", "prefix_next_to_key"])
+def test_bad_n_speakers_lines_are_a_checkpoint_error(tmp_path, speaker_lines, message):
+    # The key is matched exactly: a prefix match would read n_speakers_total as the count.
+    config = (config_to_text(TrainConfig()) + speaker_lines).encode()
+    (tmp_path / "speakers.ckpt").write_bytes(checkpoint_bytes(config))
+    with pytest.raises(CheckpointError, match=f"speakers.ckpt: .*{message}"):
+        VerificationModel.from_checkpoint(tmp_path / "speakers.ckpt")

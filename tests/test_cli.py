@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from avfuse import cli
+from avfuse.checkpoint import load_checkpoint, save_checkpoint
 from avfuse.featio import TrialPair, load_dataset, load_features, write_trial_list
 from avfuse.model import VerificationModel
 from avfuse.synthetic import SyntheticSpec
@@ -78,6 +79,15 @@ def test_evaluate_names_a_missing_trial_utterance(trained, tmp_path, capsys):
             "--system", "audio"]
     assert cli.main(args) == 2
     assert capsys.readouterr().err == "error: trial utterances not found: ['nosuch_utt']\n"
+
+
+def test_evaluate_names_a_checkpoint_with_a_bad_speaker_count(trained, tmp_path, capsys):
+    data, checkpoint = trained
+    tensors, config_text = load_checkpoint(checkpoint)
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, tensors, config_text.replace("n_speakers = 3", "n_speakers = x"))
+    assert cli.main(evaluate_args(data, tmp_path, "--system", "rjca", "--checkpoint", str(bad))) == 2
+    assert capsys.readouterr().err == f"error: {bad}: n_speakers: expected an integer, got 'x'\n"
 
 
 @pytest.mark.parametrize("held_out", ["1", "0"])

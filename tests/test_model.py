@@ -38,6 +38,11 @@ def tiny_batch(seed=0):
     return audio, visual, labels
 
 
+def zero_grads(model):
+    for tensor in model.named_parameters().values():
+        tensor.grad = None
+
+
 def gradients(model):
     return {name: None if t.grad is None else t.grad.copy()
             for name, t in model.named_parameters().items()}
@@ -45,7 +50,7 @@ def gradients(model):
 
 def per_sample(model, audio, visual, labels):
     """The reference: one tape and one backward per utterance, seeded 1/B."""
-    model.zero_grads()
+    zero_grads(model)
     losses = []
     for b in range(len(labels)):
         with Tape() as tape:
@@ -56,7 +61,7 @@ def per_sample(model, audio, visual, labels):
 
 
 def batched(model, audio, visual, labels):
-    model.zero_grads()
+    zero_grads(model)
     with Tape() as tape:
         losses = model.loss(audio, visual, labels)
         total = ad.sum_all(losses)
@@ -130,7 +135,7 @@ def _embed_stack(model, audio, visual):
 def _loss_backward(model, forward, batch):
     """Run ``forward`` for the losses and backward of their mean: the loss's tape
     records, the losses and the parameter gradients."""
-    model.zero_grads()
+    zero_grads(model)
     with Tape() as tape:
         losses = forward()
     records = len(tape)

@@ -115,24 +115,44 @@ def _run_with_grads(run, data, probe, shared=False):
     return out, {name: t.grad for name, t in tensors.items()}
 
 
+def _check_against_reference(data, probe):
+    fused_out, fused_grads = _run_with_grads(_fused_run, data, probe)
+    ref_out, ref_grads = _run_with_grads(_reference_run, data, probe)
+    assert fused_out.shape == probe.shape
+    assert np.abs(fused_out - ref_out).max() <= 1e-12
+    for name in data:  # x and both directions' three parameters
+        assert fused_grads[name] is not None, name
+        assert fused_grads[name].shape == data[name].shape, name
+        assert np.abs(fused_grads[name] - ref_grads[name]).max() <= 1e-12, name
+
+
 class TestFusedLstm:
-    @pytest.mark.parametrize("dim,hidden,length", [(3, 4, 6), (3, 4, 1), (3, 1, 5)])
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_matches_per_step_reference(self, dim, hidden, length, batched):
+    # Batches of 3, 10, 12 and 17 columns leave remainders in BLAS's blocked
+    # kernels, both in the input projection and in the recurrent products.
+    @pytest.mark.parametrize("dim,hidden,length", [(3, 4, 6), (3, 4, 1), (3, 1, 5), (5, 3, 8)])
+    @pytest.mark.parametrize("batch", [None, 2, 3, 10, 12, 17])
+    def test_matches_per_step_reference(self, dim, hidden, length, batch):
         # Both directions of one blstm call against the per-step oracle, on
-        # one utterance or a batch of two.
-        rng = np.random.default_rng([dim, hidden, length, int(batched)])
-        batch = (2,) if batched else ()
-        data = {"x": rng.uniform(-1, 1, size=batch + (dim, length)), **_blstm_data(rng, dim, hidden)}
-        probe = rng.uniform(-1, 1, size=batch + (2 * hidden, length))
-        fused_out, fused_grads = _run_with_grads(_fused_run, data, probe)
-        ref_out, ref_grads = _run_with_grads(_reference_run, data, probe)
-        assert fused_out.shape == batch + (2 * hidden, length)
-        assert np.abs(fused_out - ref_out).max() <= 1e-12
-        for name in data:  # x and both directions' three parameters
-            assert fused_grads[name] is not None, name
-            assert fused_grads[name].shape == data[name].shape, name
-            assert np.abs(fused_grads[name] - ref_grads[name]).max() <= 1e-12, name
+        # one utterance or a batch.
+        rng = np.random.default_rng([dim, hidden, length, batch or 0])
+        lead = (batch,) if batch else ()
+        data = {"x": rng.uniform(-1, 1, size=lead + (dim, length)), **_blstm_data(rng, dim, hidden)}
+        _check_against_reference(data, rng.uniform(-1, 1, size=lead + (2 * hidden, length)))
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_saturated_gates_match_per_step_reference(self, batch):
+        # Input weights and biases large enough that pre-activations pass +-40,
+        # where 1/2 + tanh(z/2)/2 rounds to 0 or 1, next to unsaturated ones.
+        rng = np.random.default_rng([40, batch or 0])
+        dim, hidden, length = 3, 4, 8
+        lead = (batch,) if batch else ()
+        data = {"x": rng.uniform(-1, 1, size=lead + (dim, length)), **_blstm_data(rng, dim, hidden)}
+        for prefix in ("fw.", "bw."):
+            data[prefix + "w_input"] *= 20.0
+            data[prefix + "bias"] *= 30.0
+        projected = data["fw.w_input"] @ data["x"] + data["fw.bias"]
+        assert np.abs(projected).max() > 40.0 and np.abs(projected).min() < 10.0
+        _check_against_reference(data, rng.uniform(-1, 1, size=lead + (2 * hidden, length)))
 
     @pytest.mark.parametrize("shared", [False, True])
     def test_batch_matches_per_item_calls(self, shared):

@@ -11,6 +11,8 @@ from avfuse.model import VerificationModel
 from avfuse.synthetic import SyntheticSpec, generate_dataset
 from avfuse.training import DivergenceError, Optimizer, _check_finite_gradients, speaker_index_map, train
 
+from test_model import zero_grads
+
 
 @pytest.fixture(scope="module")
 def tiny_train_set(tmp_path_factory):
@@ -78,7 +80,7 @@ def reference_epoch_losses(config, utts):
         losses = []
         for start in range(0, len(perm), config.batch_size):
             batch = [utts[order[i]] for i in perm[start:start + config.batch_size]]
-            model.zero_grads()
+            zero_grads(model)
             for utt in batch:
                 with Tape() as tape:
                     loss = model.loss(utt.audio, utt.visual, speakers[utt.speaker_id])
