@@ -320,40 +320,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(backward, out, a, b)
 
 
-def tanh(x: Tensor) -> Tensor:
-    out = Tensor._wrap(np.tanh(x.data))
-
-    def backward(g):
-        _accumulate(x, g * (1.0 - out.data * out.data))
-
-    return _record(backward, out, x)
-
-
-def relu(x: Tensor) -> Tensor:
-    out = Tensor._wrap(np.maximum(x.data, 0.0))
-
-    def backward(g):
-        _accumulate(x, g * (x.data > 0.0))
-
-    return _record(backward, out, x)
-
-
-def softmax_columns(x: Tensor) -> Tensor:
-    """Softmax normalizing each column of every matrix to sum to one."""
-    _require_matrix(x, "softmax_columns")
-    shifted = x.data - x.data.max(axis=-2, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-2, keepdims=True)
-    out = Tensor._wrap(y)
-
-    def backward(g):
-        # Per column: dx = y * (g - <y, g>)
-        inner = (out.data * g).sum(axis=-2, keepdims=True)
-        _accumulate(x, out.data * (g - inner))
-
-    return _record(backward, out, x)
-
-
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:
     """Vertical stack of two matrices (or two equal-size batches) with equal column counts."""
     _require_matrix(a, "concat_rows")

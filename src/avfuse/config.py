@@ -57,20 +57,21 @@ _FIELD_TYPES = {f.name: f.type for f in fields(TrainConfig)}
 
 
 def _parse_value(name: str, raw: str):
+    # Field types are the annotation strings (``from __future__ import annotations``).
     kind = _FIELD_TYPES[name]
     raw = raw.strip()
-    if kind == "bool" or kind is bool:
+    if kind == "bool":
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ConfigError(f"{name}: expected a boolean, got {raw!r}")
-    if kind == "int" or kind is int:
+    if kind == "int":
         try:
             return int(raw)
         except ValueError:
             raise ConfigError(f"{name}: expected an integer, got {raw!r}") from None
-    if kind == "float" or kind is float:
+    if kind == "float":
         try:
             return float(raw)
         except ValueError:
@@ -79,8 +80,8 @@ def _parse_value(name: str, raw: str):
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse flat `key = value` lines; '#' starts a comment."""
-    values = {}
+    """Parse flat `key = value` lines; '#' starts a comment.  A key may be given once."""
+    values, seen_on = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -91,6 +92,9 @@ def parse_config_text(text: str) -> dict:
         key = key.strip()
         if key not in _FIELD_TYPES:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
+        if key in seen_on:
+            raise ConfigError(f"config line {lineno}: key {key!r} already set on line {seen_on[key]}")
+        seen_on[key] = lineno
         values[key] = _parse_value(key, value)
     return values
 
@@ -114,7 +118,10 @@ def load_config(path=None, overrides: dict | None = None) -> TrainConfig:
     """Defaults <- config file (if any) <- overrides, in increasing priority."""
     values: dict = {}
     if path is not None:
-        values.update(parse_config_text(Path(path).read_text(encoding="utf-8")))
+        try:
+            values.update(parse_config_text(Path(path).read_text(encoding="utf-8")))
+        except (ConfigError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     for key, value in (overrides or {}).items():
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")

@@ -1,17 +1,22 @@
-"""Joint cross-attention fusion of audio and visual segment features.
+"""Cross-attention fusion of audio and visual segment features, one step body for every mode.
 
-The core step correlates each modality against the joint (stacked) audio-visual
-representation, gates a segment recombination of the modality through ReLU, and
-adds the result back onto the input (a residual connection).  Applying the step
-recursively re-feeds the attended features as the next step's inputs, refining
-the representation; each recursion step owns its own weights by default.
-Every attention pass, joint or two-way, is the one fused ``ad.attend`` op,
-and every function takes single (dim, segments) utterances or
-(B, dim, segments) batches alike.
+A fusion step correlates each modality against a key, gates a segment
+recombination of the modality through ReLU, and adds the result back onto the
+input (a residual connection); each modality's pass is the one fused
+``ad.attend`` op.  The fusion modes differ in two things only, both picked by
+``fuse``:
 
-Also provides the baseline fusion strategies used for ablations: score-level
-averaging, plain feature concatenation, and two-way cross-attention where each
-modality correlates directly against the other instead of the joint stack.
+- each modality's key: joint cross-attention (``rjca``) attends the joint
+  stack of both modalities, the two-way cross-attention baseline
+  (``cross_attention``) only the other modality;
+- the number of steps: ``rjca`` applies the step recursively, re-feeding the
+  attended features as the next step's inputs (T steps, each with its own
+  weights unless one set is shared); ``cross_attention`` runs one step, and
+  ``concat`` none, leaving the plain joint stack.
+
+Every function takes single (dim, segments) utterances or (B, dim, segments)
+batches alike.  Score-level averaging, the other ablation baseline, is here
+too.
 """
 
 from __future__ import annotations
@@ -35,11 +40,13 @@ def init_weight(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
 
 @dataclass
 class JcaStepParams:
-    """Learnable weights of one joint cross-attention step.
+    """Learnable weights of one fusion step, in any fusion mode.
 
-    ``corr_proj_*`` map the joint representation into each modality's
-    correlation space (modality_dim x joint_dim); ``attn_mix_*`` and
-    ``out_mix_*`` recombine segments (segments x segments).
+    ``corr_proj_*`` map each modality's key into its correlation space
+    (modality_dim x key_dim); the fusion mode sets the key: the joint stack
+    (audio_dim + visual_dim rows) for ``rjca``, the other modality for
+    ``cross_attention``.  ``attn_mix_*`` and ``out_mix_*`` recombine segments
+    (segments x segments).
     """
 
     corr_proj_audio: Tensor
@@ -50,21 +57,26 @@ class JcaStepParams:
     out_mix_visual: Tensor
 
     @staticmethod
-    def shapes(audio_dim: int, visual_dim: int, segments: int) -> dict[str, tuple[int, int]]:
+    def shapes(audio_dim: int, visual_dim: int, segments: int,
+               fusion: str = "rjca") -> dict[str, tuple[int, int]]:
         """Shape of every weight, in field order (the order ``init`` draws them)."""
-        joint, mix = audio_dim + visual_dim, (segments, segments)
-        return {"corr_proj_audio": (audio_dim, joint), "corr_proj_visual": (visual_dim, joint),
+        key_dims = {"rjca": (audio_dim + visual_dim,) * 2, "cross_attention": (visual_dim, audio_dim)}
+        if fusion not in key_dims:
+            raise ConfigError(f"fusion mode {fusion!r} has no step weights")
+        audio_key, visual_key = key_dims[fusion]
+        mix = (segments, segments)
+        return {"corr_proj_audio": (audio_dim, audio_key), "corr_proj_visual": (visual_dim, visual_key),
                 "attn_mix_audio": mix, "attn_mix_visual": mix,
                 "out_mix_audio": mix, "out_mix_visual": mix}
 
     @classmethod
     def init(cls, audio_dim: int, visual_dim: int, segments: int,
-             rng: np.random.Generator) -> "JcaStepParams":
-        shapes = cls.shapes(audio_dim, visual_dim, segments)
+             rng: np.random.Generator, fusion: str = "rjca") -> "JcaStepParams":
+        shapes = cls.shapes(audio_dim, visual_dim, segments, fusion)
         return cls(**{name: init_weight(rng, *shape) for name, shape in shapes.items()})
 
-    def validate(self, audio_dim: int, visual_dim: int, segments: int) -> None:
-        for name, shape in self.shapes(audio_dim, visual_dim, segments).items():
+    def validate(self, audio_dim: int, visual_dim: int, segments: int, fusion: str = "rjca") -> None:
+        for name, shape in self.shapes(audio_dim, visual_dim, segments, fusion).items():
             actual = getattr(self, name).shape
             if actual != shape:
                 raise ShapeError(f"fusion weight {name}: expected shape {shape}, got {actual}")
@@ -84,100 +96,50 @@ def joint_representation(audio: Tensor, visual: Tensor) -> Tensor:
     return ad.concat_rows(audio, visual)
 
 
-def jca_step(audio: Tensor, visual: Tensor, params: JcaStepParams,
-             joint: Tensor | None = None) -> FusedFeatures:
-    """One joint cross-attention pass over both modalities.
+def fuse(fusion: str, audio: Tensor, visual: Tensor, steps: Sequence[JcaStepParams]) -> FusedFeatures:
+    """The fusion stage of every mode: ``steps`` applied in turn, each step's
+    attended features, and their joint stack, feeding the next.
 
-    Correlation of each modality with the joint stack is squashed through tanh
-    after 1/sqrt(joint_dim) scaling; the resulting segment-by-segment map gates
-    a ReLU recombination of the modality, which is mixed and added residually
-    onto the input.  All-zero weights therefore reduce to the identity.  Each
-    modality's pass is one fused ``ad.attend`` record.  ``joint`` may be given
-    when the caller already holds the stack of ``audio`` over ``visual``.
-    Inputs are (dim, segments) matrices or (B, dim, segments) batches.
+    In a step, each modality's correlation with its key is squashed through
+    tanh after 1/sqrt(key rows) scaling; the resulting segment-by-segment map
+    gates a ReLU recombination of the modality, which is mixed and added
+    residually onto the input, so all-zero weights reduce to the identity.
+    ``rjca`` keys both modalities on the joint stack, ``cross_attention`` each
+    on the other modality; ``concat`` takes no steps and returns the joint
+    stack of the inputs.  A step adds 3 tape records (two ``attend`` and one
+    stack), after the one of ``rjca``'s first joint stack.
     """
-    d_a, d_v = audio.shape[-2], visual.shape[-2]
-    params.validate(d_a, d_v, audio.shape[-1])
-    if joint is None:
-        joint = joint_representation(audio, visual)
-    inv_sqrt_d = 1.0 / math.sqrt(d_a + d_v)
-    att_audio = ad.attend(audio, joint, params.corr_proj_audio, params.attn_mix_audio,
-                          params.out_mix_audio, inv_sqrt_d)
-    att_visual = ad.attend(visual, joint, params.corr_proj_visual, params.attn_mix_visual,
-                           params.out_mix_visual, inv_sqrt_d)
-    return FusedFeatures(att_audio, att_visual, ad.concat_rows(att_audio, att_visual))
+    if not steps and fusion != "concat":
+        raise ConfigError(f"{fusion} fusion needs at least one step's weights")
+    joint = None if fusion == "cross_attention" else joint_representation(audio, visual)
+    for params in steps:
+        params.validate(audio.shape[-2], visual.shape[-2], audio.shape[-1], fusion)
+        audio_key, visual_key = (visual, audio) if fusion == "cross_attention" else (joint, joint)
+        audio, visual = (
+            ad.attend(audio, audio_key, params.corr_proj_audio, params.attn_mix_audio,
+                      params.out_mix_audio, 1.0 / math.sqrt(audio_key.shape[-2])),
+            ad.attend(visual, visual_key, params.corr_proj_visual, params.attn_mix_visual,
+                      params.out_mix_visual, 1.0 / math.sqrt(visual_key.shape[-2])))
+        joint = ad.concat_rows(audio, visual)
+    return FusedFeatures(audio, visual, joint)
+
+
+def jca_step(audio: Tensor, visual: Tensor, params: JcaStepParams) -> FusedFeatures:
+    """One joint cross-attention step (see ``fuse``)."""
+    return fuse("rjca", audio, visual, [params])
 
 
 def rjca_forward(audio: Tensor, visual: Tensor, step_params: Sequence[JcaStepParams]) -> FusedFeatures:
-    """Recursive refinement: each step's attended outputs, and their joint stack, feed the next step.
-
-    T steps add 3T + 1 tape records: the first joint stack, then two
-    ``attend`` records and one stack per step.
-    """
-    if not step_params:
-        raise ConfigError("rjca_forward needs at least one step's parameters")
-    fused = None
-    joint = None
-    for params in step_params:
-        fused = jca_step(audio, visual, params, joint)
-        audio, visual, joint = fused.audio, fused.visual, fused.joint
-    return fused
+    """Recursive joint cross-attention over one or more steps (see ``fuse``)."""
+    return fuse("rjca", audio, visual, step_params)
 
 
 def correlation_maps(audio: Tensor, visual: Tensor, params: JcaStepParams) -> tuple[np.ndarray, np.ndarray]:
-    """Forward-only segment correlation maps of one step (for inspection), from ``ad.attention_map``."""
+    """Forward-only segment correlation maps of one joint step (for inspection), from ``ad.attention_map``."""
     joint = np.concatenate([audio.data, visual.data], axis=-2)
     inv = 1.0 / math.sqrt(joint.shape[-2])
     return (ad.attention_map(audio.data, joint, params.corr_proj_audio.data, inv),
             ad.attention_map(visual.data, joint, params.corr_proj_visual.data, inv))
-
-
-# ---------------------------------------------------------------------------
-# Baseline fusion strategies (ablation comparisons)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CrossAttentionParams:
-    """Weights for the plain cross-attention baseline (no joint representation).
-
-    Each modality correlates directly against the other, so ``cross_proj_*``
-    map the opposite modality (modality_dim x opposite_dim).
-    """
-
-    cross_proj_audio: Tensor
-    cross_proj_visual: Tensor
-    attn_mix_audio: Tensor
-    attn_mix_visual: Tensor
-    out_mix_audio: Tensor
-    out_mix_visual: Tensor
-
-    @classmethod
-    def init(cls, audio_dim: int, visual_dim: int, segments: int,
-             rng: np.random.Generator) -> "CrossAttentionParams":
-        return cls(
-            cross_proj_audio=init_weight(rng, audio_dim, visual_dim),
-            cross_proj_visual=init_weight(rng, visual_dim, audio_dim),
-            attn_mix_audio=init_weight(rng, segments, segments),
-            attn_mix_visual=init_weight(rng, segments, segments),
-            out_mix_audio=init_weight(rng, segments, segments),
-            out_mix_visual=init_weight(rng, segments, segments),
-        )
-
-
-def cross_attention_step(audio: Tensor, visual: Tensor, params: CrossAttentionParams) -> FusedFeatures:
-    """Cross-attention baseline: correlate each modality with the other only.
-
-    The same ``ad.attend`` body as ``jca_step`` with the other modality as the
-    key; correlation scaling uses the other modality's feature dimension,
-    since that is the contraction depth here.
-    """
-    d_a, d_v = audio.shape[-2], visual.shape[-2]
-    att_audio = ad.attend(audio, visual, params.cross_proj_audio, params.attn_mix_audio,
-                          params.out_mix_audio, 1.0 / math.sqrt(d_v))
-    att_visual = ad.attend(visual, audio, params.cross_proj_visual, params.attn_mix_visual,
-                           params.out_mix_visual, 1.0 / math.sqrt(d_a))
-    return FusedFeatures(att_audio, att_visual, ad.concat_rows(att_audio, att_visual))
 
 
 def score_level_fusion(audio_score, visual_score, weight: float = 0.5):

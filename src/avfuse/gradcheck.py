@@ -19,7 +19,7 @@ import numpy as np
 
 from avfuse import autodiff as ad
 from avfuse.autodiff import NonFiniteError, ShapeError, Tape, Tensor, named_tensors
-from avfuse.fusion import CrossAttentionParams, JcaStepParams, cross_attention_step, rjca_forward
+from avfuse.fusion import JcaStepParams, fuse
 from avfuse.objective import AamHead, aam_loss
 from avfuse.temporal import AspParams, BlstmParams, EmbeddingProjection, asp, blstm_forward, project_embedding
 
@@ -107,20 +107,6 @@ def check_matmul(rng) -> float:
     return check_function(lambda: ad.sum_all(ad.matmul(a, b)), {"a": a, "b": b})
 
 
-def check_activations(rng) -> float:
-    worst = 0.0
-    x_tanh = Tensor(rng.uniform(-1, 1, size=(4, 4)))
-    worst = max(worst, check_function(lambda: ad.sum_all(ad.tanh(x_tanh)), {"x": x_tanh}))
-    # ReLU inputs kept away from the kink at zero.
-    x_relu = Tensor(rng.uniform(0.1, 1.0, size=(4, 4)) * rng.choice([-1.0, 1.0], size=(4, 4)))
-    worst = max(worst, check_function(lambda: ad.sum_all(ad.relu(x_relu)), {"x": x_relu}))
-    x_soft = Tensor(rng.uniform(-1, 1, size=(5, 3)))
-    probe = Tensor(rng.uniform(-1, 1, size=(5, 3)))
-    worst = max(worst, check_function(
-        lambda: _probe_loss(ad.softmax_columns(x_soft), probe), {"x": x_soft}))
-    return worst
-
-
 def check_concat(rng) -> float:
     a = Tensor(rng.uniform(-1, 1, size=(3, 4)))
     b = Tensor(rng.uniform(-1, 1, size=(2, 4)))
@@ -128,26 +114,16 @@ def check_concat(rng) -> float:
     return check_function(lambda: _probe_loss(ad.concat_rows(a, b), probe), {"a": a, "b": b})
 
 
-def check_rjca(rng, steps: int = 1, batch: tuple[int, ...] = ()) -> float:
+def check_rjca(rng, steps: int = 1, batch: tuple[int, ...] = (), fusion: str = "rjca") -> float:
     audio = Tensor(rng.uniform(-1, 1, size=batch + (3, 4)))
     visual = Tensor(rng.uniform(-1, 1, size=batch + (2, 4)))
-    chain = [JcaStepParams.init(3, 2, 4, rng) for _ in range(steps)]
+    chain = [JcaStepParams.init(3, 2, 4, rng, fusion) for _ in range(steps)]
     probe = Tensor(rng.uniform(-1, 1, size=batch + (5, 4)))
     tensors = {"audio": audio, "visual": visual}
     for i, step in enumerate(chain):
         tensors.update(named_tensors(step, f"step{i}."))
     return check_function(
-        lambda: _probe_loss(rjca_forward(audio, visual, chain).joint, probe), tensors)
-
-
-def check_cross_attention(rng) -> float:
-    audio = Tensor(rng.uniform(-1, 1, size=(3, 4)))
-    visual = Tensor(rng.uniform(-1, 1, size=(2, 4)))
-    params = CrossAttentionParams.init(3, 2, 4, rng)
-    probe = Tensor(rng.uniform(-1, 1, size=(5, 4)))
-    tensors = {"audio": audio, "visual": visual, **named_tensors(params)}
-    return check_function(
-        lambda: _probe_loss(cross_attention_step(audio, visual, params).joint, probe), tensors)
+        lambda: _probe_loss(fuse(fusion, audio, visual, chain).joint, probe), tensors)
 
 
 def check_blstm(rng, batch: tuple[int, ...] = ()) -> float:
@@ -189,12 +165,11 @@ def _batched(check: Callable) -> Callable:
 
 LAYER_CHECKS: dict[str, Callable] = {
     "matmul": check_matmul,
-    "activations": check_activations,
     "concat_rows": check_concat,
     "jca_step": check_rjca,
     "jca_step_batch": _batched(check_rjca),
     "rjca_stack_t3": lambda rng: check_rjca(rng, steps=3),
-    "cross_attention": check_cross_attention,
+    "cross_attention": lambda rng: check_rjca(rng, fusion="cross_attention"),
     "blstm_bptt": check_blstm,
     "blstm_bptt_batch": _batched(check_blstm),
     "asp": check_asp,

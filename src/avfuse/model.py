@@ -3,6 +3,10 @@
 The forward runs on one (dim, segments) utterance or on a (B, dim, segments)
 mini-batch through the same ops.  The features are data: ``fuse`` takes them
 as ``autodiff.Constant`` leaves, so a backward forms no gradient for them.
+Every fusion mode runs the same fusion step body (``fusion.fuse``); a mode
+differs only in each modality's key and in the steps the model holds: T for
+RJCA (one set of weights repeated T times when shared), one for the
+cross-attention baseline, none for plain concatenation.
 
 Parameters are built deterministically from a config and seed, exposed as a
 flat name -> tensor mapping for checkpointing, and can be quantized through
@@ -18,13 +22,7 @@ from avfuse import autodiff as ad
 from avfuse.autodiff import Constant, Tensor
 from avfuse.checkpoint import CheckpointError, load_checkpoint, quantize_like_checkpoint, save_checkpoint
 from avfuse.config import ConfigError, TrainConfig, config_to_text, parse_config_text
-from avfuse.fusion import (
-    CrossAttentionParams,
-    JcaStepParams,
-    cross_attention_step,
-    joint_representation,
-    rjca_forward,
-)
+from avfuse.fusion import JcaStepParams, fuse
 from avfuse.objective import AamHead, aam_loss
 from avfuse.temporal import AspParams, BlstmParams, EmbeddingProjection, asp, blstm_forward, project_embedding
 
@@ -40,14 +38,13 @@ class VerificationModel:
         rng = np.random.default_rng(config.seed if seed is None else seed)
         dims = (config.audio_dim, config.visual_dim, config.segments)
 
-        self.fusion_steps: list[JcaStepParams] = []
-        self.cross_params: CrossAttentionParams | None = None
-        if config.fusion == "rjca":
-            n_steps = 1 if config.share_fusion_weights else config.iterations
-            self.fusion_steps = [JcaStepParams.init(*dims, rng) for _ in range(n_steps)]
-        elif config.fusion == "cross_attention":
-            self.cross_params = CrossAttentionParams.init(*dims, rng)
-        # "concat" has no fusion parameters.
+        # The fusion steps in the order they run; shared weights are one
+        # JcaStepParams repeated, drawn once.
+        n_steps = {"rjca": config.iterations, "cross_attention": 1, "concat": 0}[config.fusion]
+        n_weights = min(n_steps, 1) if config.share_fusion_weights else n_steps
+        self.fusion_steps = [JcaStepParams.init(*dims, rng, config.fusion) for _ in range(n_weights)]
+        if config.share_fusion_weights:
+            self.fusion_steps *= n_steps
 
         fused_dim = config.audio_dim + config.visual_dim
         self.blstm: BlstmParams | None = None
@@ -65,14 +62,7 @@ class VerificationModel:
     def fuse(self, audio: np.ndarray | Tensor, visual: np.ndarray | Tensor) -> Tensor:
         """The fusion stage.  Arrays and tensors alike enter it as constants."""
         audio, visual = (Constant(x.data if isinstance(x, Tensor) else x) for x in (audio, visual))
-        if self.config.fusion == "rjca":
-            steps = self.fusion_steps
-            if self.config.share_fusion_weights:
-                steps = steps * self.config.iterations
-            return rjca_forward(audio, visual, steps).joint
-        if self.config.fusion == "cross_attention":
-            return cross_attention_step(audio, visual, self.cross_params).joint
-        return joint_representation(audio, visual)
+        return fuse(self.config.fusion, audio, visual, self.fusion_steps).joint
 
     def embed_tensors(self, audio: np.ndarray | Tensor, visual: np.ndarray | Tensor) -> Tensor:
         fused = self.fuse(audio, visual)
@@ -98,10 +88,14 @@ class VerificationModel:
     # -- parameter plumbing -------------------------------------------------
 
     def named_parameters(self) -> dict[str, Tensor]:
-        """Every parameter by checkpoint name: component prefix plus dataclass field path."""
-        components = [(f"fusion.step{i}.", step) for i, step in enumerate(self.fusion_steps)]
-        components += [("fusion.cross.", self.cross_params), ("blstm.", self.blstm),
-                       ("asp.", self.asp), ("projection.", self.projection), ("aam.", self.aam)]
+        """Every parameter by checkpoint name: component prefix plus dataclass field path.
+
+        Each distinct fusion step is ``fusion.step<i>.``, numbered in running order.
+        """
+        distinct_steps = {id(step): step for step in self.fusion_steps}.values()
+        components = [(f"fusion.step{i}.", step) for i, step in enumerate(distinct_steps)]
+        components += [("blstm.", self.blstm), ("asp.", self.asp),
+                       ("projection.", self.projection), ("aam.", self.aam)]
         params: dict[str, Tensor] = {}
         for prefix, component in components:
             if component is not None:

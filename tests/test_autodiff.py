@@ -49,19 +49,19 @@ class TestForwardValues:
 
     def test_tanh_zero(self):
         z = Tensor(np.zeros((3, 2)))
-        assert np.array_equal(ad.tanh(z).data, np.zeros((3, 2)))
+        assert np.array_equal(ref.tanh(z).data, np.zeros((3, 2)))
 
     def test_relu_sign(self):
-        assert np.array_equal(ad.relu(Tensor([-1.0, 2.0])).data, [0.0, 2.0])
+        assert np.array_equal(ref.relu(Tensor([-1.0, 2.0])).data, [0.0, 2.0])
 
     def test_softmax_constant_column(self):
         x = Tensor(np.full((4, 1), 0.37))
-        assert np.allclose(ad.softmax_columns(x).data, 0.25, atol=1e-15)
+        assert np.allclose(ref.softmax_columns(x).data, 0.25, atol=1e-15)
 
     def test_softmax_columns_sum_to_one(self):
         rng = np.random.default_rng(7)
         x = Tensor(rng.uniform(-5, 5, size=(6, 9)))
-        y = ad.softmax_columns(x).data
+        y = ref.softmax_columns(x).data
         assert (y >= 0).all()
         assert np.abs(y.sum(axis=0) - 1.0).max() < 1e-9
 
@@ -157,12 +157,12 @@ class TestBackwardVsFiniteDifferences:
         check_op_gradient(lambda x: ref.scale_shift(x, -1.7, 0.3), [self._u(2, 5)])
 
     def test_tanh(self):
-        check_op_gradient(ad.tanh, [self._u(4, 3)])
+        check_op_gradient(ref.tanh, [self._u(4, 3)])
 
     def test_relu_away_from_kink(self):
         # Keep inputs off the kink at zero where the derivative is undefined.
         x = self.rng.uniform(0.1, 1.0, size=(4, 3)) * self.rng.choice([-1.0, 1.0], size=(4, 3))
-        check_op_gradient(ad.relu, [Tensor(x)])
+        check_op_gradient(ref.relu, [Tensor(x)])
 
     def test_sigmoid(self):
         check_op_gradient(ref.sigmoid, [self._u(3, 4)])
@@ -171,7 +171,7 @@ class TestBackwardVsFiniteDifferences:
         # Probe with a random linear functional so the check is not trivially zero.
         probe = self.rng.uniform(-1, 1, size=(5, 3))
         check_op_gradient(
-            lambda x: ad.mul(ad.softmax_columns(x), Tensor(probe)), [self._u(5, 3)]
+            lambda x: ad.mul(ref.softmax_columns(x), Tensor(probe)), [self._u(5, 3)]
         )
 
     def test_concat_rows(self):
@@ -224,7 +224,7 @@ class TestTape:
         def run():
             a, b = Tensor(a_data), Tensor(b_data)
             with Tape() as tape:
-                out = ad.tanh(ad.matmul(a, ad.softmax_columns(b)))
+                out = ref.tanh(ad.matmul(a, ref.softmax_columns(b)))
                 loss = ad.sum_all(ad.mul(out, out))
             tape.backward(loss)
             return a.grad.tobytes(), b.grad.tobytes()
@@ -234,7 +234,7 @@ class TestTape:
     def test_same_tape_rerun_matches(self):
         a = Tensor(np.random.default_rng(6).uniform(-1, 1, size=(3, 3)))
         with Tape() as tape:
-            loss = ad.sum_all(ad.tanh(ad.matmul(a, a)))
+            loss = ad.sum_all(ref.tanh(ad.matmul(a, a)))
         tape.backward(loss)
         first = a.grad.tobytes()
         a.grad = None
@@ -244,7 +244,7 @@ class TestTape:
     def test_backward_releases_op_output_gradients_only(self):
         a = Tensor([[0.5, -1.0]])
         with Tape() as tape:
-            hidden = ad.tanh(a)
+            hidden = ref.tanh(a)
             out = ad.mul(hidden, hidden)
             loss = ad.sum_all(out)
         tape.backward(loss)
@@ -286,7 +286,7 @@ class TestTape:
         # arrives after b already holds the shared array.
         a.grad = b.grad = None
         with Tape() as tape:
-            squashed = ad.tanh(a)
+            squashed = ref.tanh(a)
             loss = ad.sum_all(ad.mul(ad.add(a, b), squashed))
         tape.backward(loss)
         t = np.tanh(a.data)
@@ -319,13 +319,13 @@ class TestTape:
 
     def test_no_tape_means_no_grads(self):
         a = Tensor([[1.0, 2.0]])
-        out = ad.tanh(a)
+        out = ref.tanh(a)
         assert a.grad is None and out.grad is None
 
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones((2, 2)))
         with Tape() as tape:
-            y = ad.tanh(x)
+            y = ref.tanh(x)
         with pytest.raises(ShapeError):
             tape.backward(y)
 
@@ -347,7 +347,7 @@ class TestConstant:
         a, b = Constant(np.ones((2, 3))), Constant(np.zeros((1, 3)))
         with Tape() as tape:
             joint = ad.concat_rows(a, b)
-            squashed = ad.tanh(joint)
+            squashed = ref.tanh(joint)
         assert len(tape) == 0
         assert isinstance(joint, Constant) and isinstance(squashed, Constant)
         assert np.array_equal(joint.data, np.concatenate([a.data, b.data]))
@@ -360,7 +360,7 @@ class TestConstant:
         for kind in (Tensor, Constant):
             w, x = Tensor(w_data), kind(x_data)
             with Tape() as tape:
-                loss = ad.sum_all(ad.tanh(ad.matmul(w, x)))
+                loss = ad.sum_all(ref.tanh(ad.matmul(w, x)))
             assert len(tape) == 3
             tape.backward(loss)
             grads[kind] = w.grad, x.grad

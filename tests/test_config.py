@@ -58,3 +58,22 @@ def test_arbitrary_config_text_parses_or_raises_a_config_error(text):
         parse_config_text(text)
     except ConfigError:
         pass
+
+
+def test_repeated_key_is_a_config_error_naming_both_lines():
+    with pytest.raises(ConfigError, match="config line 3: key 'seed' already set on line 1"):
+        parse_config_text("seed = 1\nepochs = 2\nseed = 2\n")
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"epochs = 1\nbogus = 3\n", "config line 2: unknown key 'bogus'"),
+    (b"seed = \xff\n", "'utf-8' codec can't decode byte 0xff"),
+], ids=["unknown_key", "not_utf8"])
+def test_bad_config_file_is_reported_with_its_path(tmp_path, capsys, content, message):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(content)
+    code = cli.main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "run"),
+                     "--config", str(bad)])
+    assert code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: {bad}: {message}")

@@ -7,18 +7,19 @@ import pytest
 
 from avfuse import autodiff as ad
 from avfuse.autodiff import Tape, Tensor, named_tensors
-from avfuse.config import ConfigError
+from avfuse.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from avfuse.config import ConfigError, TrainConfig
 from avfuse.fusion import (
-    CrossAttentionParams,
     JcaStepParams,
     correlation_maps,
-    cross_attention_step,
+    fuse,
     jca_step,
     joint_representation,
     rjca_forward,
     score_level_fusion,
 )
 from avfuse.gradcheck import check_function
+from avfuse.model import VerificationModel
 
 import reference_ops as ref
 
@@ -31,9 +32,9 @@ def random_inputs(audio_dim, visual_dim, segments, rng=RNG):
     return audio, visual
 
 
-def zero_step(audio_dim, visual_dim, segments):
+def zero_step(audio_dim, visual_dim, segments, fusion="rjca"):
     """All-zero weights of one step, shaped by the step's own shape table."""
-    shapes = JcaStepParams.shapes(audio_dim, visual_dim, segments)
+    shapes = JcaStepParams.shapes(audio_dim, visual_dim, segments, fusion)
     return JcaStepParams(**{name: Tensor(np.zeros(shape)) for name, shape in shapes.items()})
 
 
@@ -161,15 +162,7 @@ class TestBaselines:
 
     def test_cross_attention_zero_weights_identity(self):
         audio, visual = random_inputs(3, 2, 4)
-        zeros = CrossAttentionParams(
-            cross_proj_audio=Tensor(np.zeros((3, 2))),
-            cross_proj_visual=Tensor(np.zeros((2, 3))),
-            attn_mix_audio=Tensor(np.zeros((4, 4))),
-            attn_mix_visual=Tensor(np.zeros((4, 4))),
-            out_mix_audio=Tensor(np.zeros((4, 4))),
-            out_mix_visual=Tensor(np.zeros((4, 4))),
-        )
-        fused = cross_attention_step(audio, visual, zeros)
+        fused = fuse("cross_attention", audio, visual, [zero_step(3, 2, 4, "cross_attention")])
         assert np.array_equal(fused.audio.data, audio.data)
         assert np.array_equal(fused.visual.data, visual.data)
 
@@ -177,18 +170,86 @@ class TestBaselines:
         rng = np.random.default_rng(9)
         audio = Tensor(rng.uniform(-1, 1, size=(2, 3)))
         visual = Tensor(rng.uniform(-1, 1, size=(3, 3)))
-        params = CrossAttentionParams.init(2, 3, 3, rng)
+        params = JcaStepParams.init(2, 3, 3, rng, "cross_attention")
         probe = Tensor(rng.uniform(-1, 1, size=(5, 3)))
         err = check_function(
-            lambda: ad.sum_all(ad.mul(cross_attention_step(audio, visual, params).joint, probe)),
+            lambda: ad.sum_all(ad.mul(fuse("cross_attention", audio, visual, [params]).joint, probe)),
             {"audio": audio, "visual": visual, **named_tensors(params)})
         assert err < 1e-4, f"worst relative error {err}"
 
 
+def composed_cross_attention(audio, visual, params):
+    """The two-way cross-attention baseline written out: audio attends visual
+    at 1/sqrt(visual_dim), and visual attends audio at 1/sqrt(audio_dim)."""
+    d_a, d_v = audio.shape[-2], visual.shape[-2]
+    att_audio = ad.attend(audio, visual, params.corr_proj_audio, params.attn_mix_audio,
+                          params.out_mix_audio, 1.0 / math.sqrt(d_v))
+    att_visual = ad.attend(visual, audio, params.corr_proj_visual, params.attn_mix_visual,
+                           params.out_mix_visual, 1.0 / math.sqrt(d_a))
+    return ad.concat_rows(att_audio, att_visual)
+
+
+class TestCrossAttentionMode:
+    """The cross-attention mode of the shared step body is the two-way baseline, bit for bit."""
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_output_and_every_gradient_match_the_two_way_body_bitwise(self, batch):
+        rng = np.random.default_rng([14, len(batch)])
+        audio = rng.uniform(-1, 1, size=batch + (3, 4))
+        visual = rng.uniform(-1, 1, size=batch + (2, 4))
+        params = JcaStepParams.init(3, 2, 4, rng, "cross_attention")
+        probe = Tensor(rng.uniform(-1, 1, size=batch + (5, 4)))
+        runs = []
+        for forward in (lambda a, v: fuse("cross_attention", a, v, [params]).joint,
+                        lambda a, v: composed_cross_attention(a, v, params)):
+            inputs = {"audio": Tensor(audio), "visual": Tensor(visual)}
+            checked = {**inputs, **named_tensors(params)}
+            for t in checked.values():
+                t.grad = None
+            with Tape() as tape:
+                out = forward(inputs["audio"], inputs["visual"])
+                loss = ad.sum_all(ad.mul(out, probe))
+            tape.backward(loss)
+            runs.append((out.data.tobytes(), {name: t.grad.tobytes() for name, t in checked.items()}))
+        assert runs[0] == runs[1]
+
+    def test_step_weights_take_the_other_modality_as_key(self):
+        shapes = JcaStepParams.shapes(3, 2, 4, "cross_attention")
+        assert shapes["corr_proj_audio"] == (3, 2) and shapes["corr_proj_visual"] == (2, 3)
+        assert JcaStepParams.shapes(3, 2, 4)["corr_proj_audio"] == (3, 5)
+        with pytest.raises(ConfigError, match="concat"):
+            JcaStepParams.shapes(3, 2, 4, "concat")
+
+    def test_rjca_weights_are_refused_in_cross_attention_mode(self):
+        audio, visual = random_inputs(3, 2, 4)
+        with pytest.raises(ad.ShapeError, match="corr_proj_audio"):
+            fuse("cross_attention", audio, visual, [zero_step(3, 2, 4)])
+
+    def test_checkpoint_round_trips_and_old_names_are_refused(self, tmp_path):
+        config = TrainConfig(fusion="cross_attention", audio_dim=3, visual_dim=2, segments=4,
+                             blstm_hidden=3, asp_hidden=3, embed_dim=4)
+        model = VerificationModel(config, n_speakers=3)
+        model.quantize_single_precision()
+        model.save(tmp_path / "cross.ckpt")
+        loaded = VerificationModel.from_checkpoint(tmp_path / "cross.ckpt")
+        params = model.named_parameters()
+        assert [name for name in params if name.startswith("fusion.")] == [
+            f"fusion.step0.{name}" for name in JcaStepParams.shapes(3, 2, 4, "cross_attention")]
+        assert {name: t.data.tobytes() for name, t in loaded.named_parameters().items()} == \
+            {name: t.data.tobytes() for name, t in params.items()}
+        # The names the separate cross-attention weights were saved under.
+        tensors, config_text = load_checkpoint(tmp_path / "cross.ckpt")
+        old = {name.replace("fusion.step0.", "fusion.cross.").replace("corr_proj", "cross_proj"): value
+               for name, value in tensors.items()}
+        save_checkpoint(tmp_path / "old.ckpt", old, config_text)
+        with pytest.raises(CheckpointError, match="old.ckpt: checkpoint/model mismatch"):
+            VerificationModel.from_checkpoint(tmp_path / "old.ckpt")
+
+
 def composed_attend(feats, key, proj, attn_mix, out_mix, inv_scale):
     """The attention body written on unfused tape ops: the oracle ``ad.attend`` fuses."""
-    corr = ad.tanh(ref.scale_shift(ad.matmul(ref.transpose(feats), ad.matmul(proj, key)), inv_scale))
-    attn = ad.relu(ad.matmul(ad.matmul(feats, attn_mix), corr))
+    corr = ref.tanh(ref.scale_shift(ad.matmul(ref.transpose(feats), ad.matmul(proj, key)), inv_scale))
+    attn = ref.relu(ad.matmul(ad.matmul(feats, attn_mix), corr))
     return ad.add(ad.matmul(attn, out_mix), feats)
 
 

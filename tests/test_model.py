@@ -6,7 +6,7 @@ import pytest
 from avfuse import autodiff as ad
 from avfuse.autodiff import Constant, Tape, Tensor
 from avfuse.config import TrainConfig
-from avfuse.fusion import cross_attention_step, joint_representation, rjca_forward
+from avfuse.fusion import fuse
 from avfuse.model import VerificationModel
 from avfuse.objective import aam_loss
 from avfuse.temporal import asp, blstm_forward, project_embedding
@@ -119,14 +119,7 @@ FULL_SIZE = {
 def _embed_stack(model, audio, visual):
     """``model.embed_tensors`` without its constant inputs: whatever leaves
     come in, Tensor or Constant, the fusion stage attends them as they are."""
-    config = model.config
-    if config.fusion == "rjca":
-        steps = model.fusion_steps * (config.iterations if config.share_fusion_weights else 1)
-        fused = rjca_forward(audio, visual, steps).joint
-    elif config.fusion == "cross_attention":
-        fused = cross_attention_step(audio, visual, model.cross_params).joint
-    else:
-        fused = joint_representation(audio, visual)
+    fused = fuse(model.config.fusion, audio, visual, model.fusion_steps).joint
     if model.blstm is not None:
         fused = blstm_forward(fused, model.blstm)
     return project_embedding(asp(fused, model.asp), model.projection)

@@ -64,10 +64,10 @@ def reference_lstm(x, w_input, w_recurrent, bias, reverse):
         pre = ad.add(ad.add(ad.matmul(w_input, x_t), ad.matmul(w_recurrent, h_prev)), bias)
         gate_in = ref.sigmoid(ad.matmul(gate_rows[0], pre))
         gate_forget = ref.sigmoid(ad.matmul(gate_rows[1], pre))
-        cell_cand = ad.tanh(ad.matmul(gate_rows[2], pre))
+        cell_cand = ref.tanh(ad.matmul(gate_rows[2], pre))
         gate_out = ref.sigmoid(ad.matmul(gate_rows[3], pre))
         c_prev = ad.add(ad.mul(gate_forget, c_prev), ad.mul(gate_in, cell_cand))
-        h_prev = ad.mul(gate_out, ad.tanh(c_prev))
+        h_prev = ad.mul(gate_out, ref.tanh(c_prev))
         outputs[t] = h_prev
     return outputs
 
@@ -219,9 +219,9 @@ class TestBlstm:
 
 def composed_asp(features, proj, bias, score, floor):
     """Attentive statistics pooling written on unfused tape ops: the oracle ``ad.attentive_pool`` fuses."""
-    hidden = ad.tanh(ref.add_bias(ad.matmul(proj, features), bias))
+    hidden = ref.tanh(ref.add_bias(ad.matmul(proj, features), bias))
     scores = ad.matmul(ref.transpose(score), hidden)                   # [B x] 1 x segments
-    weights = ad.softmax_columns(ref.transpose(scores))
+    weights = ref.softmax_columns(ref.transpose(scores))
     mean = ad.matmul(features, weights)
     second_moment = ad.matmul(ad.mul(features, features), weights)
     variance = ref.clamp(ref.sub(second_moment, ad.mul(mean, mean)), lo=floor)
