@@ -3,13 +3,12 @@ temporal pooling, angular-margin training, and trial-based evaluation."""
 
 from avfuse.autodiff import Tape, Tensor
 from avfuse.config import TrainConfig
-from avfuse.fusion import FusedFeatures, JcaStepParams, jca_step, rjca_forward
+from avfuse.fusion import JcaStepParams, fuse
 from avfuse.metrics import DcfParams, ScoreSet, compute_report, eer, min_dcf
 from avfuse.model import VerificationModel
 
 __all__ = [
     "DcfParams",
-    "FusedFeatures",
     "JcaStepParams",
     "ScoreSet",
     "Tape",
@@ -18,9 +17,8 @@ __all__ = [
     "VerificationModel",
     "compute_report",
     "eer",
-    "jca_step",
+    "fuse",
     "min_dcf",
-    "rjca_forward",
 ]
 
 __version__ = "0.1.0"

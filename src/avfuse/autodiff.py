@@ -41,9 +41,7 @@ bits are the expression's.  ``blstm`` is the whole bidirectional layer
 in one record: one time loop advances the forward direction at time s and the
 backward direction at time L-1-s, with their states stacked so each state
 update is one numpy call for both, and one tanh per step gives all four gates
-of both directions, through sigmoid(z) = 1/2 + tanh(z/2)/2.  Forward-only
-helpers (``attention_map``, ``pooling_attention``) compute the quantities
-these ops attend or pool with, for readers that inspect them without a tape.
+of both directions, through sigmoid(z) = 1/2 + tanh(z/2)/2.
 
 A tape is single-threaded by design: one tape per training worker.  The active
 tape is tracked in thread-local storage, so read-only forwards on disjoint
@@ -537,24 +535,13 @@ def blstm(x: Tensor, forward: tuple[Tensor, Tensor, Tensor],
     return _record(backward_pass, out, x, *forward, *backward)
 
 
-def attention_map(feats: np.ndarray, key: np.ndarray, proj: np.ndarray, inv_scale: float) -> np.ndarray:
-    """Segment-by-segment correlation map tanh(feats^T (proj @ key) * inv_scale) of ``attend``.
-
-    Forward only, on raw arrays: ``feats`` (d, L) or (B, d, L), ``key``
-    (k, L) or (B, k, L), ``proj`` (d, k); returns (L, L) or (B, L, L).  The
-    scaling and the tanh are written into the product's own buffer.
-    """
-    corr = _swap(feats) @ (proj @ key)
-    corr *= inv_scale
-    return np.tanh(corr, out=corr)
-
-
 def attend(feats: Tensor, key: Tensor, proj: Tensor, attn_mix: Tensor, out_mix: Tensor,
            inv_scale: float) -> Tensor:
     """Residual cross-attention of ``feats`` against ``key``, as one tape record.
 
     Returns feats + relu((feats @ attn_mix) @ C) @ out_mix with C the
-    correlation map ``attention_map(feats, key, proj, inv_scale)``.  Shapes:
+    segment-by-segment correlation map tanh(feats^T (proj @ key) * inv_scale),
+    its scaling and tanh written into the product's own buffer.  Shapes:
     ``feats`` (d, L), ``key`` (k, L), ``proj`` (d, k), both mixes (L, L), or
     the same with a leading batch axis on ``feats`` and ``key``.  Only C is
     kept for backward; feats @ attn_mix and the ReLU input are recomputed
@@ -574,7 +561,9 @@ def attend(feats: Tensor, key: Tensor, proj: Tensor, attn_mix: Tensor, out_mix: 
     for name, mix in (("attn_mix", attn_mix), ("out_mix", out_mix)):
         if mix.shape != (length, length):
             raise ShapeError(f"attend: {name} must be {(length, length)}, got {mix.shape}")
-    corr = attention_map(feats.data, key.data, proj.data, inv_scale)
+    corr = _swap(feats.data) @ (proj.data @ key.data)
+    corr *= inv_scale
+    np.tanh(corr, out=corr)
     gated = _mm(_mm(feats.data, attn_mix.data), corr)
     out_data = _mm(np.maximum(gated, 0.0, out=gated), out_mix.data)
     out_data += feats.data
@@ -609,31 +598,14 @@ def attend(feats: Tensor, key: Tensor, proj: Tensor, attn_mix: Tensor, out_mix: 
     return _record(backward, out, feats, key, proj, attn_mix, out_mix)
 
 
-def pooling_attention(feats: np.ndarray, proj: np.ndarray, bias: np.ndarray,
-                      score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tanh bottleneck and segment weights of ``attentive_pool``.
-
-    Forward only, on raw arrays: ``feats`` (d, L) or (B, d, L), ``proj``
-    (k, d), ``bias`` and ``score`` (k, 1).  Returns the bottleneck
-    tanh(proj @ feats + bias), (k, L) per item, and the weights
-    softmax(score^T bottleneck) over segments, one (L, 1) column summing to
-    one per item.  The bias and the tanh are written into the product's buffer.
-    """
-    hidden = proj @ feats
-    hidden += bias
-    np.tanh(hidden, out=hidden)
-    scores = _swap(score.T @ hidden)
-    e = np.exp(scores - scores.max(axis=-2, keepdims=True))
-    return hidden, e / e.sum(axis=-2, keepdims=True)
-
-
 def attentive_pool(feats: Tensor, proj: Tensor, bias: Tensor, score: Tensor, floor: float) -> Tensor:
     """Attentive statistics pooling of (d, L) -> (2d, 1), or of a (B, d, L) batch, as one tape record.
 
-    With w the weights of ``pooling_attention(feats, proj, bias, score)``,
-    the output stacks the weighted mean mu = feats @ w over the weighted
-    standard deviation sqrt(max((feats * feats) @ w - mu * mu, floor)); the
-    variance gets gradient only where it lies above ``floor``.
+    The segment weights w are softmax(score^T tanh(proj @ feats + bias)) over
+    segments, the bias and the tanh written into the product's buffer.  The
+    output stacks the weighted mean mu = feats @ w over the weighted standard
+    deviation sqrt(max((feats * feats) @ w - mu * mu, floor)); the variance
+    gets gradient only where it lies above ``floor``.
     """
     _require_matrix(feats, "attentive_pool")
     dim = feats.shape[-2]
@@ -644,7 +616,12 @@ def attentive_pool(feats: Tensor, proj: Tensor, bias: Tensor, score: Tensor, flo
         if column.shape != (bottleneck, 1):
             raise ShapeError(f"attentive_pool: {name} must be {(bottleneck, 1)}, got {column.shape}")
     x = feats.data
-    hidden, weights = pooling_attention(x, proj.data, bias.data, score.data)
+    hidden = proj.data @ x
+    hidden += bias.data
+    np.tanh(hidden, out=hidden)
+    scores = _swap(score.data.T @ hidden)
+    e = np.exp(scores - scores.max(axis=-2, keepdims=True))
+    weights = e / e.sum(axis=-2, keepdims=True)
     squares = x * x
     mean = x @ weights
     variance = squares @ weights - mean * mean

@@ -76,20 +76,17 @@ def _cmd_evaluate(args) -> int:
     utterances = load_dataset(args.data)
     trials = parse_trial_list(args.trials)
     model = None
-    weight = 0.5
     if args.system in TRAINED_SYSTEMS:
         if args.checkpoint is None:
             raise ConfigError(f"system {args.system!r} requires --checkpoint")
         model = VerificationModel.from_checkpoint(args.checkpoint)
-        print(f"seed = {model.config.seed}")
-        weight = model.config.score_fusion_weight
+        config = model.config
     else:
         config = _resolve_config(args)
-        print(f"seed = {config.seed}")
-        weight = config.score_fusion_weight
+    print(f"seed = {config.seed}")
     dcf = DcfParams(p_target=args.p_target, c_miss=args.c_miss, c_fa=args.c_fa)
     report, _ = evaluate(args.system, trials, utterances, model=model,
-                         dcf_params=dcf, weight=weight, scores_path=args.scores_out)
+                         dcf_params=dcf, weight=config.score_fusion_weight, scores_path=args.scores_out)
     print(format_report(report))
     if args.scores_out:
         print(f"scores written to {args.scores_out}")

@@ -14,9 +14,9 @@ input (a residual connection); each modality's pass is the one fused
   weights unless one set is shared); ``cross_attention`` runs one step, and
   ``concat`` none, leaving the plain joint stack.
 
-Every function takes single (dim, segments) utterances or (B, dim, segments)
-batches alike.  Score-level averaging, the other ablation baseline, is here
-too.
+``fuse`` returns only the joint stack the model reads.  Every function takes
+single (dim, segments) utterances or (B, dim, segments) batches alike.
+Score-level averaging, the other ablation baseline, is here too.
 """
 
 from __future__ import annotations
@@ -82,23 +82,10 @@ class JcaStepParams:
                 raise ShapeError(f"fusion weight {name}: expected shape {shape}, got {actual}")
 
 
-@dataclass
-class FusedFeatures:
-    """Attended per-modality features and their vertical concatenation."""
-
-    audio: Tensor   # [B x] audio_dim x segments
-    visual: Tensor  # [B x] visual_dim x segments
-    joint: Tensor   # [B x] (audio_dim + visual_dim) x segments
-
-
-def joint_representation(audio: Tensor, visual: Tensor) -> Tensor:
-    """Stack audio over visual features; both must cover the same segments."""
-    return ad.concat_rows(audio, visual)
-
-
-def fuse(fusion: str, audio: Tensor, visual: Tensor, steps: Sequence[JcaStepParams]) -> FusedFeatures:
+def fuse(fusion: str, audio: Tensor, visual: Tensor, steps: Sequence[JcaStepParams]) -> Tensor:
     """The fusion stage of every mode: ``steps`` applied in turn, each step's
-    attended features, and their joint stack, feeding the next.
+    attended features, and their joint stack, feeding the next.  Returns the
+    last joint stack, (audio_dim + visual_dim, segments) per utterance.
 
     In a step, each modality's correlation with its key is squashed through
     tanh after 1/sqrt(key rows) scaling; the resulting segment-by-segment map
@@ -111,7 +98,7 @@ def fuse(fusion: str, audio: Tensor, visual: Tensor, steps: Sequence[JcaStepPara
     """
     if not steps and fusion != "concat":
         raise ConfigError(f"{fusion} fusion needs at least one step's weights")
-    joint = None if fusion == "cross_attention" else joint_representation(audio, visual)
+    joint = None if fusion == "cross_attention" else ad.concat_rows(audio, visual)
     for params in steps:
         params.validate(audio.shape[-2], visual.shape[-2], audio.shape[-1], fusion)
         audio_key, visual_key = (visual, audio) if fusion == "cross_attention" else (joint, joint)
@@ -121,25 +108,7 @@ def fuse(fusion: str, audio: Tensor, visual: Tensor, steps: Sequence[JcaStepPara
             ad.attend(visual, visual_key, params.corr_proj_visual, params.attn_mix_visual,
                       params.out_mix_visual, 1.0 / math.sqrt(visual_key.shape[-2])))
         joint = ad.concat_rows(audio, visual)
-    return FusedFeatures(audio, visual, joint)
-
-
-def jca_step(audio: Tensor, visual: Tensor, params: JcaStepParams) -> FusedFeatures:
-    """One joint cross-attention step (see ``fuse``)."""
-    return fuse("rjca", audio, visual, [params])
-
-
-def rjca_forward(audio: Tensor, visual: Tensor, step_params: Sequence[JcaStepParams]) -> FusedFeatures:
-    """Recursive joint cross-attention over one or more steps (see ``fuse``)."""
-    return fuse("rjca", audio, visual, step_params)
-
-
-def correlation_maps(audio: Tensor, visual: Tensor, params: JcaStepParams) -> tuple[np.ndarray, np.ndarray]:
-    """Forward-only segment correlation maps of one joint step (for inspection), from ``ad.attention_map``."""
-    joint = np.concatenate([audio.data, visual.data], axis=-2)
-    inv = 1.0 / math.sqrt(joint.shape[-2])
-    return (ad.attention_map(audio.data, joint, params.corr_proj_audio.data, inv),
-            ad.attention_map(visual.data, joint, params.corr_proj_visual.data, inv))
+    return joint
 
 
 def score_level_fusion(audio_score, visual_score, weight: float = 0.5):

@@ -1,7 +1,8 @@
 """Full verification model: fusion -> optional BLSTM -> pooling -> embedding -> margin head.
 
 The forward runs on one (dim, segments) utterance or on a (B, dim, segments)
-mini-batch through the same ops.  The features are data: ``fuse`` takes them
+mini-batch through the same ops, and refuses features whose dims or segment
+count differ from the config's.  The features are data: ``fuse`` takes them
 as ``autodiff.Constant`` leaves, so a backward forms no gradient for them.
 Every fusion mode runs the same fusion step body (``fusion.fuse``); a mode
 differs only in each modality's key and in the steps the model holds: T for
@@ -19,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from avfuse import autodiff as ad
-from avfuse.autodiff import Constant, Tensor
+from avfuse.autodiff import Constant, ShapeError, Tensor
 from avfuse.checkpoint import CheckpointError, load_checkpoint, quantize_like_checkpoint, save_checkpoint
 from avfuse.config import ConfigError, TrainConfig, config_to_text, parse_config_text
 from avfuse.fusion import JcaStepParams, fuse
@@ -60,9 +61,15 @@ class VerificationModel:
     # -- forward ----------------------------------------------------------
 
     def fuse(self, audio: np.ndarray | Tensor, visual: np.ndarray | Tensor) -> Tensor:
-        """The fusion stage.  Arrays and tensors alike enter it as constants."""
+        """The fusion stage.  Arrays and tensors alike enter it as constants, and
+        their last two axes must be the config's (dim, segments)."""
         audio, visual = (Constant(x.data if isinstance(x, Tensor) else x) for x in (audio, visual))
-        return fuse(self.config.fusion, audio, visual, self.fusion_steps).joint
+        config = self.config
+        for name, x, dim in (("audio", audio, config.audio_dim), ("visual", visual, config.visual_dim)):
+            if x.shape[-2:] != (dim, config.segments):
+                raise ShapeError(f"{name} features of shape {x.shape} do not match the model's "
+                                 f"({name}_dim, segments) = {(dim, config.segments)}")
+        return fuse(config.fusion, audio, visual, self.fusion_steps)
 
     def embed_tensors(self, audio: np.ndarray | Tensor, visual: np.ndarray | Tensor) -> Tensor:
         fused = self.fuse(audio, visual)

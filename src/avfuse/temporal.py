@@ -10,7 +10,8 @@ through time.  Attentive statistics pooling collapses the sequence into one
 utterance-level vector: an attention-weighted mean concatenated with the
 attention-weighted standard deviation, as the one fused
 ``autodiff.attentive_pool`` record with a hand-derived backward.  A final
-affine projection produces the fixed-size embedding used for scoring.
+affine projection produces the fixed-size embedding used for scoring.  The
+layer functions leave shape checks to the ops they call.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from avfuse import autodiff as ad
-from avfuse.autodiff import ShapeError, Tensor
+from avfuse.autodiff import Tensor
 from avfuse.fusion import init_weight
 
 # Floor inside the pooled-variance square root; keeps backward finite when a
@@ -72,8 +73,6 @@ def blstm_forward(x: Tensor, params: BlstmParams) -> Tensor:
     ``ad.blstm`` op, so it adds one tape record whatever the length and batch
     size.
     """
-    if x.ndim not in (2, 3):
-        raise ShapeError(f"blstm_forward: rank-2 or rank-3 input required, got {x.shape}")
     fw, bw = params.fw, params.bw
     return ad.blstm(x, (fw.w_input, fw.w_recurrent, fw.bias), (bw.w_input, bw.w_recurrent, bw.bias))
 
@@ -104,13 +103,6 @@ def asp(features: Tensor, params: AspParams) -> Tensor:
     ``ad.attentive_pool`` record.
     """
     return ad.attentive_pool(features, params.proj, params.bias, params.score, VARIANCE_FLOOR)
-
-
-def attention_weights(features: Tensor, params: AspParams) -> np.ndarray:
-    """Per-segment attention weights ``asp`` pools with, for inspection: (segments,) or (B, segments)."""
-    _, weights = ad.pooling_attention(features.data, params.proj.data, params.bias.data,
-                                      params.score.data)
-    return weights[..., 0]
 
 
 @dataclass

@@ -7,6 +7,7 @@ import pytest
 
 from avfuse import cli
 from avfuse.checkpoint import load_checkpoint, save_checkpoint
+from avfuse.config import TrainConfig
 from avfuse.featio import TrialPair, load_dataset, load_features, write_trial_list
 from avfuse.model import VerificationModel
 from avfuse.synthetic import SyntheticSpec
@@ -88,6 +89,24 @@ def test_evaluate_names_a_checkpoint_with_a_bad_speaker_count(trained, tmp_path,
     save_checkpoint(bad, tensors, config_text.replace("n_speakers = 3", "n_speakers = x"))
     assert cli.main(evaluate_args(data, tmp_path, "--system", "rjca", "--checkpoint", str(bad))) == 2
     assert capsys.readouterr().err == f"error: {bad}: n_speakers: expected an integer, got 'x'\n"
+
+
+@pytest.mark.parametrize("fusion", ["concat", "rjca"])
+def test_evaluate_and_embed_refuse_data_off_the_checkpoint_dims(fusion, tmp_path, capsys):
+    # A checkpoint for 4 segments, and data with 6.
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(data), "--speakers", "3", "--utts-per-speaker", "3",
+                     "--latent-dim", "2", "--audio-dim", "3", "--visual-dim", "2", "--segments", "6"]) == 0
+    config = TrainConfig(fusion=fusion, audio_dim=3, visual_dim=2, segments=4, blstm_hidden=3,
+                         asp_hidden=3, embed_dim=4)
+    VerificationModel(config, n_speakers=3).save(tmp_path / "model.ckpt")
+    checkpoint = ["--checkpoint", str(tmp_path / "model.ckpt")]
+    capsys.readouterr()
+    assert cli.main(evaluate_args(data, tmp_path, "--system", fusion, *checkpoint)) == 2
+    assert cli.main(["embed", *checkpoint, "--data", str(data), "--out", str(tmp_path / "emb")]) == 2
+    expected = "do not match the model's (audio_dim, segments) = (3, 4)\n"
+    assert capsys.readouterr().err == (f"error: audio features of shape (3, 3, 6) {expected}"
+                                       f"error: audio features of shape (9, 3, 6) {expected}")
 
 
 @pytest.mark.parametrize("held_out", ["1", "0"])

@@ -9,15 +9,7 @@ from avfuse import autodiff as ad
 from avfuse.autodiff import Tape, Tensor, named_tensors
 from avfuse.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from avfuse.config import ConfigError, TrainConfig
-from avfuse.fusion import (
-    JcaStepParams,
-    correlation_maps,
-    fuse,
-    jca_step,
-    joint_representation,
-    rjca_forward,
-    score_level_fusion,
-)
+from avfuse.fusion import JcaStepParams, fuse, score_level_fusion
 from avfuse.gradcheck import check_function
 from avfuse.model import VerificationModel
 
@@ -39,43 +31,38 @@ def zero_step(audio_dim, visual_dim, segments, fusion="rjca"):
 
 
 class TestJointRepresentation:
+    """Concatenation fusion: the joint stack of the inputs, audio over visual."""
+
     def test_shape(self):
         a = Tensor(np.ones((2, 4)))
         v = Tensor(np.ones((3, 4)))
-        assert joint_representation(a, v).shape == (5, 4)
+        assert fuse("concat", a, v, []).shape == (5, 4)
 
     def test_zero_visual_block(self):
         a = Tensor(np.ones((2, 4)))
         v = Tensor(np.zeros((3, 4)))
-        j = joint_representation(a, v).data
-        assert np.array_equal(j[2:], np.zeros((3, 4)))
+        j = fuse("concat", a, v, []).data
+        assert np.array_equal(j[:2], a.data) and np.array_equal(j[2:], np.zeros((3, 4)))
 
     def test_scalar_case(self):
-        j = joint_representation(Tensor([[1.0]]), Tensor([[1.0]]))
+        j = fuse("concat", Tensor([[1.0]]), Tensor([[1.0]]), [])
         assert np.array_equal(j.data, [[1.0], [1.0]])
 
     def test_segment_mismatch(self):
         with pytest.raises(ad.ShapeError):
-            joint_representation(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 5))))
+            fuse("concat", Tensor(np.ones((2, 4))), Tensor(np.ones((3, 5))), [])
 
 
 class TestJcaStep:
     def test_zero_weights_are_exact_identity(self):
         audio, visual = random_inputs(3, 2, 5)
-        fused = jca_step(audio, visual, zero_step(3, 2, 5))
-        assert np.array_equal(fused.audio.data, audio.data)
-        assert np.array_equal(fused.visual.data, visual.data)
-        assert np.array_equal(fused.joint.data, np.concatenate([audio.data, visual.data]))
+        joint = fuse("rjca", audio, visual, [zero_step(3, 2, 5)])
+        assert np.array_equal(joint.data, np.concatenate([audio.data, visual.data]))
 
     def test_shape_contract(self):
         audio, visual = random_inputs(2, 3, 4)
         params = JcaStepParams.init(2, 3, 4, np.random.default_rng(0))
-        corr_a, corr_v = correlation_maps(audio, visual, params)
-        assert corr_a.shape == (4, 4) and corr_v.shape == (4, 4)
-        fused = jca_step(audio, visual, params)
-        assert fused.audio.shape == (2, 4)
-        assert fused.visual.shape == (3, 4)
-        assert fused.joint.shape == (5, 4)
+        assert fuse("rjca", audio, visual, [params]).shape == (5, 4)
 
     def test_scalar_hand_value(self):
         # All-ones scalar case evaluated by hand: correlation tanh(2/sqrt(2)),
@@ -84,54 +71,37 @@ class TestJcaStep:
         params = JcaStepParams(Tensor([[1.0, 1.0]]), Tensor([[1.0, 1.0]]),
                                *[Tensor([[1.0]]) for _ in range(4)])
         expected_corr = math.tanh(2.0 / math.sqrt(2.0))
-        fused = jca_step(ones, Tensor([[1.0]]), params)
-        assert fused.audio.data[0, 0] == pytest.approx(1.0 + expected_corr, abs=1e-12)
-        assert fused.visual.data[0, 0] == pytest.approx(1.0 + expected_corr, abs=1e-12)
-        assert fused.audio.data[0, 0] == pytest.approx(1.88839, abs=5e-6)
-
-    def test_correlation_entries_inside_open_unit_interval(self):
-        audio, visual = random_inputs(4, 3, 6)
-        params = JcaStepParams.init(4, 3, 6, np.random.default_rng(1))
-        corr_a, corr_v = correlation_maps(audio, visual, params)
-        for corr in (corr_a, corr_v):
-            assert (corr > -1.0).all() and (corr < 1.0).all()
+        audio, visual = fuse("rjca", ones, Tensor([[1.0]]), [params]).data[:, 0]
+        assert audio == pytest.approx(1.0 + expected_corr, abs=1e-12)
+        assert visual == pytest.approx(1.0 + expected_corr, abs=1e-12)
+        assert audio == pytest.approx(1.88839, abs=5e-6)
 
     def test_shape_error_names_offending_weight(self):
         params = zero_step(2, 2, 3)
         params.attn_mix_audio = Tensor(np.zeros((4, 4)))
         audio, visual = random_inputs(2, 2, 3)
         with pytest.raises(ad.ShapeError, match="attn_mix_audio"):
-            jca_step(audio, visual, params)
+            fuse("rjca", audio, visual, [params])
 
 
 class TestRecursion:
-    def test_single_step_matches_jca_step_bitwise(self):
-        audio, visual = random_inputs(3, 2, 4)
-        params = JcaStepParams.init(3, 2, 4, np.random.default_rng(2))
-        direct = jca_step(audio, visual, params)
-        recursive = rjca_forward(audio, visual, [params])
-        assert direct.joint.data.tobytes() == recursive.joint.data.tobytes()
-
     @pytest.mark.parametrize("steps", [1, 2, 3, 4, 5])
     def test_zero_weights_identity_telescopes(self, steps):
         audio, visual = random_inputs(2, 3, 4)
         chain = [zero_step(2, 3, 4) for _ in range(steps)]
-        fused = rjca_forward(audio, visual, chain)
-        assert np.array_equal(fused.audio.data, audio.data)
-        assert np.array_equal(fused.visual.data, visual.data)
+        joint = fuse("rjca", audio, visual, chain)
+        assert np.array_equal(joint.data, np.concatenate([audio.data, visual.data]))
 
     def test_shape_closure_over_depth(self):
         audio, visual = random_inputs(3, 5, 4)
         rng = np.random.default_rng(3)
         chain = [JcaStepParams.init(3, 5, 4, rng) for _ in range(4)]
-        fused = rjca_forward(audio, visual, chain)
-        assert fused.audio.shape == audio.shape
-        assert fused.visual.shape == visual.shape
+        assert fuse("rjca", audio, visual, chain).shape == (8, 4)
 
     def test_empty_params_rejected(self):
         audio, visual = random_inputs(2, 2, 2)
         with pytest.raises(ConfigError):
-            rjca_forward(audio, visual, [])
+            fuse("rjca", audio, visual, [])
 
     @pytest.mark.parametrize("steps", [1, 3, 4])
     def test_gradients_match_finite_differences(self, steps):
@@ -144,7 +114,7 @@ class TestRecursion:
         for i, p in enumerate(chain):
             checked.update(named_tensors(p, f"step{i}."))
         err = check_function(
-            lambda: ad.sum_all(ad.mul(rjca_forward(audio, visual, chain).joint, probe)), checked)
+            lambda: ad.sum_all(ad.mul(fuse("rjca", audio, visual, chain), probe)), checked)
         assert err < 1e-4, f"worst relative error {err}"
 
 
@@ -156,15 +126,10 @@ class TestBaselines:
         with pytest.raises(ConfigError):
             score_level_fusion(0.0, 0.0, weight=1.5)
 
-    def test_concat_shapes(self):
-        joint = joint_representation(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))))
-        assert joint.shape == (5, 4)
-
     def test_cross_attention_zero_weights_identity(self):
         audio, visual = random_inputs(3, 2, 4)
-        fused = fuse("cross_attention", audio, visual, [zero_step(3, 2, 4, "cross_attention")])
-        assert np.array_equal(fused.audio.data, audio.data)
-        assert np.array_equal(fused.visual.data, visual.data)
+        joint = fuse("cross_attention", audio, visual, [zero_step(3, 2, 4, "cross_attention")])
+        assert np.array_equal(joint.data, np.concatenate([audio.data, visual.data]))
 
     def test_cross_attention_gradients(self):
         rng = np.random.default_rng(9)
@@ -173,7 +138,7 @@ class TestBaselines:
         params = JcaStepParams.init(2, 3, 3, rng, "cross_attention")
         probe = Tensor(rng.uniform(-1, 1, size=(5, 3)))
         err = check_function(
-            lambda: ad.sum_all(ad.mul(fuse("cross_attention", audio, visual, [params]).joint, probe)),
+            lambda: ad.sum_all(ad.mul(fuse("cross_attention", audio, visual, [params]), probe)),
             {"audio": audio, "visual": visual, **named_tensors(params)})
         assert err < 1e-4, f"worst relative error {err}"
 
@@ -200,7 +165,7 @@ class TestCrossAttentionMode:
         params = JcaStepParams.init(3, 2, 4, rng, "cross_attention")
         probe = Tensor(rng.uniform(-1, 1, size=batch + (5, 4)))
         runs = []
-        for forward in (lambda a, v: fuse("cross_attention", a, v, [params]).joint,
+        for forward in (lambda a, v: fuse("cross_attention", a, v, [params]),
                         lambda a, v: composed_cross_attention(a, v, params)):
             inputs = {"audio": Tensor(audio), "visual": Tensor(visual)}
             checked = {**inputs, **named_tensors(params)}
@@ -315,13 +280,16 @@ class TestAttend:
             else:
                 assert t.grad.tobytes() == grads[name].tobytes(), name
 
-    @pytest.mark.parametrize("batch", [(), (3,)])
-    def test_attention_map_is_bitwise_its_expression(self, batch):
-        data = _attend_data(np.random.default_rng([13, len(batch)]), batch)
-        feats, key, proj = data["feats"], data["key"], data["proj"]
+    def test_output_is_bitwise_its_expression(self):
+        # The in-place scaling and tanh of the correlation map keep the bits
+        # of the plain expression.
+        data = _attend_data(np.random.default_rng(13), ())
+        feats, key, proj, attn_mix, out_mix = (data[name] for name in ATTEND_ARGS)
         inv_scale = 1.0 / math.sqrt(5)
-        expected = np.tanh((np.swapaxes(feats, -1, -2) @ (proj @ key)) * inv_scale)
-        assert ad.attention_map(feats, key, proj, inv_scale).tobytes() == expected.tobytes()
+        corr = np.tanh((feats.T @ (proj @ key)) * inv_scale)
+        expected = np.maximum((feats @ attn_mix) @ corr, 0.0) @ out_mix + feats
+        out = ad.attend(*(Tensor(data[name]) for name in ATTEND_ARGS), inv_scale)
+        assert out.data.tobytes() == expected.tobytes()
 
     def test_is_one_tape_record(self):
         data = _attend_data(np.random.default_rng(8), (2,))
@@ -342,11 +310,11 @@ class TestAttend:
 
 class TestRecordCounts:
     @pytest.mark.parametrize("steps, records", [(1, 4), (3, 10), (5, 16)])
-    def test_rjca_forward_adds_three_records_per_step_plus_one(self, steps, records):
+    def test_rjca_adds_three_records_per_step_plus_one(self, steps, records):
         audio, visual = random_inputs(3, 2, 4)
         chain = [JcaStepParams.init(3, 2, 4, np.random.default_rng(steps)) for _ in range(steps)]
         with Tape() as tape:
-            rjca_forward(audio, visual, chain)
+            fuse("rjca", audio, visual, chain)
         assert len(tape) == records
 
     def test_batched_recursion_rows_match_single_utterances(self):
@@ -354,18 +322,7 @@ class TestRecordCounts:
         audio = rng.uniform(-1, 1, size=(3, 3, 4))
         visual = rng.uniform(-1, 1, size=(3, 2, 4))
         chain = [JcaStepParams.init(3, 2, 4, rng) for _ in range(3)]
-        joint = rjca_forward(Tensor(audio), Tensor(visual), chain).joint.data
+        joint = fuse("rjca", Tensor(audio), Tensor(visual), chain).data
         for b in range(3):
-            single = rjca_forward(Tensor(audio[b]), Tensor(visual[b]), chain).joint.data
+            single = fuse("rjca", Tensor(audio[b]), Tensor(visual[b]), chain).data
             assert np.abs(joint[b] - single).max() <= 1e-12
-
-    def test_correlation_maps_of_a_batch(self):
-        rng = np.random.default_rng(11)
-        audio = rng.uniform(-1, 1, size=(2, 3, 4))
-        visual = rng.uniform(-1, 1, size=(2, 2, 4))
-        params = JcaStepParams.init(3, 2, 4, rng)
-        corr_a, corr_v = correlation_maps(Tensor(audio), Tensor(visual), params)
-        assert corr_a.shape == corr_v.shape == (2, 4, 4)
-        single_a, single_v = correlation_maps(Tensor(audio[1]), Tensor(visual[1]), params)
-        assert np.abs(corr_a[1] - single_a).max() <= 1e-12
-        assert np.abs(corr_v[1] - single_v).max() <= 1e-12

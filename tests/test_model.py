@@ -1,5 +1,7 @@
 """One forward over a (B, dim, segments) batch equals B single-utterance forwards."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,20 @@ def test_batched_embed_rows_match_single_embeds(name):
         assert np.abs(rows[b] - single).max() <= 1e-12
 
 
+@pytest.mark.parametrize("name", ["rjca", "concat"])
+@pytest.mark.parametrize("modality, shape", [("audio", (BATCH, 3, 6)), ("visual", (BATCH, 2, 6)),
+                                             ("audio", (BATCH, 4, 4)), ("visual", (BATCH, 3, 4))])
+def test_fuse_refuses_features_off_the_config_dims(name, modality, shape):
+    model = tiny_model(**CONFIGS[name])
+    audio, visual, _ = tiny_batch()
+    inputs = {"audio": audio, "visual": visual, modality: np.ones(shape)}
+    dims = (3, 4) if modality == "audio" else (2, 4)
+    message = (f"{modality} features of shape {shape} do not match the model's "
+               f"({modality}_dim, segments) = {dims}")
+    with pytest.raises(ad.ShapeError, match=re.escape(message)):
+        model.embed(inputs["audio"], inputs["visual"])
+
+
 def test_single_utterance_loss_is_one_value():
     model = tiny_model()
     audio, visual, labels = tiny_batch()
@@ -119,7 +135,7 @@ FULL_SIZE = {
 def _embed_stack(model, audio, visual):
     """``model.embed_tensors`` without its constant inputs: whatever leaves
     come in, Tensor or Constant, the fusion stage attends them as they are."""
-    fused = fuse(model.config.fusion, audio, visual, model.fusion_steps).joint
+    fused = fuse(model.config.fusion, audio, visual, model.fusion_steps)
     if model.blstm is not None:
         fused = blstm_forward(fused, model.blstm)
     return project_embedding(asp(fused, model.asp), model.projection)

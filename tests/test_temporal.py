@@ -15,7 +15,6 @@ from avfuse.temporal import (
     EmbeddingProjection,
     LstmDirectionParams,
     asp,
-    attention_weights,
     blstm_forward,
     project_embedding,
 )
@@ -264,14 +263,6 @@ class TestAttentivePool:
             assert np.abs(grads[name] - ref_grads[name]).max() <= 1e-12, name
 
     @pytest.mark.parametrize("batch", [(), (3,)])
-    def test_pooling_attention_bottleneck_is_bitwise_its_expression(self, batch):
-        rng = np.random.default_rng([22, len(batch)])
-        feats = rng.uniform(-1, 1, size=batch + (4, 6))
-        proj, bias, score = (rng.uniform(-1, 1, size=shape) for shape in ((3, 4), (3, 1), (3, 1)))
-        hidden, _ = ad.pooling_attention(feats, proj, bias, score)
-        assert hidden.tobytes() == np.tanh(proj @ feats + bias).tobytes()
-
-    @pytest.mark.parametrize("batch", [(), (3,)])
     def test_constant_features_leave_the_weight_gradients_bitwise(self, batch):
         rng = np.random.default_rng([23, len(batch)])
         data = {"features": rng.uniform(-1, 1, size=batch + (4, 6)), "proj": rng.uniform(-1, 1, size=(3, 4)),
@@ -303,27 +294,6 @@ class TestAsp:
         out = asp(Tensor(x), zero_asp(3)).data[:, 0]
         assert np.allclose(out[:3], x.mean(axis=1), atol=1e-12)
         assert np.allclose(out[3:], x.std(axis=1), atol=1e-6)
-
-    def test_attention_weights_nonnegative_and_normalized(self):
-        rng = np.random.default_rng(4)
-        params = AspParams.init(4, 3, rng)
-        w = attention_weights(Tensor(rng.uniform(-1, 1, size=(4, 9))), params)
-        assert (w >= 0).all()
-        assert abs(w.sum() - 1.0) < 1e-9
-
-    @pytest.mark.parametrize("batch", [(), (2,)])
-    def test_inspection_weights_are_the_forward_weights(self, batch):
-        # The weighted mean asp returns is features @ attention_weights, so
-        # the inspection weights are the ones the forward pools with.
-        rng = np.random.default_rng([12, len(batch)])
-        params = AspParams.init(4, 3, rng)
-        features = Tensor(rng.uniform(-1, 1, size=batch + (4, 6)))
-        with Tape() as tape:
-            pooled = asp(features, params)
-        assert len(tape) == 1
-        mean = pooled.data[..., :4, 0]
-        weights = attention_weights(features, params)
-        assert np.abs(mean - (features.data @ weights[..., None])[..., 0]).max() <= 1e-12
 
     def test_single_segment_hits_variance_floor(self):
         x = Tensor(RNG.uniform(-1, 1, size=(3, 1)))
