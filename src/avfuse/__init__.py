@@ -4,7 +4,7 @@ temporal pooling, angular-margin training, and trial-based evaluation."""
 from avfuse.autodiff import Tape, Tensor
 from avfuse.config import TrainConfig
 from avfuse.fusion import JcaStepParams, fuse
-from avfuse.metrics import DcfParams, ScoreSet, compute_report, eer, min_dcf
+from avfuse.metrics import DcfParams, ScoreSet, compute_report
 from avfuse.model import VerificationModel
 
 __all__ = [
@@ -16,9 +16,7 @@ __all__ = [
     "TrainConfig",
     "VerificationModel",
     "compute_report",
-    "eer",
     "fuse",
-    "min_dcf",
 ]
 
 __version__ = "0.1.0"

@@ -1,8 +1,9 @@
 """Command-line entry points: synth, train, evaluate, embed, gradcheck.
 
-``train`` and raw-system ``evaluate`` read an optional `key = value` config file,
-overridden by flags; a trained system's config is its checkpoint's, so ``evaluate``
-rejects config input for one.  The effective seed is always echoed for reproduction.
+``train`` reads an optional `key = value` config file, overridden by one flag per
+config field.  ``evaluate`` takes no config: a trained system's is its checkpoint's,
+and the raw systems read only ``--score-fusion-weight``.  Every command that draws
+from a seed echoes it for reproduction.
 """
 
 from __future__ import annotations
@@ -68,25 +69,20 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    if args.system in TRAINED_SYSTEMS:
-        given = ["--config"] * (args.config is not None) + \
-            [f"--{name.replace('_', '-')}" for name in _config_flags(args)]
-        if given:
-            raise ConfigError(f"{args.system} uses its checkpoint's config; remove {' '.join(given)}")
+    trained = args.system in TRAINED_SYSTEMS
+    if trained and args.checkpoint is None:
+        raise ConfigError(f"system {args.system!r} requires --checkpoint")
+    if not trained and args.checkpoint is not None:
+        raise ConfigError(f"system {args.system!r} is untrained; remove --checkpoint")
     utterances = load_dataset(args.data)
     trials = parse_trial_list(args.trials)
     model = None
-    if args.system in TRAINED_SYSTEMS:
-        if args.checkpoint is None:
-            raise ConfigError(f"system {args.system!r} requires --checkpoint")
+    if trained:
         model = VerificationModel.from_checkpoint(args.checkpoint)
-        config = model.config
-    else:
-        config = _resolve_config(args)
-    print(f"seed = {config.seed}")
+        print(f"seed = {model.config.seed}")
     dcf = DcfParams(p_target=args.p_target, c_miss=args.c_miss, c_fa=args.c_fa)
     report, _ = evaluate(args.system, trials, utterances, model=model,
-                         dcf_params=dcf, weight=config.score_fusion_weight, scores_path=args.scores_out)
+                         dcf_params=dcf, weight=args.score_fusion_weight, scores_path=args.scores_out)
     print(format_report(report))
     if args.scores_out:
         print(f"scores written to {args.scores_out}")
@@ -147,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-target", type=float, default=0.05)
     p.add_argument("--c-miss", type=float, default=1.0)
     p.add_argument("--c-fa", type=float, default=1.0)
-    _add_config_flags(p)
+    p.add_argument("--score-fusion-weight", type=float, default=TrainConfig.score_fusion_weight,
+                   help="audio weight of the score_level system")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("embed", help="write per-utterance embeddings")

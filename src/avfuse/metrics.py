@@ -4,10 +4,9 @@ Conventions, fixed for determinism: a trial is accepted when score >= threshold
 (ties accept); the threshold sweep visits every distinct score plus -inf/+inf
 sentinels; the equal-error point is found by linear interpolation between
 adjacent sweep points; the detection cost is normalized by the cost of the
-better do-nothing decision, so it never exceeds one.  ``compute_report`` runs
-the sweep once and reads EER, minDCF and the DET curve from it; ``eer`` and
-``min_dcf`` read the same sweep through the same helpers, so their values are
-equal to the report's.
+better do-nothing decision, so it never exceeds one.  ``compute_report`` is
+the one entry point: it runs the sweep once and reads EER, minDCF and the DET
+curve from it.
 """
 
 from __future__ import annotations
@@ -91,6 +90,11 @@ def det_points(score_set: ScoreSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _eer(thresholds: np.ndarray, far: np.ndarray, frr: np.ndarray) -> tuple[float, float]:
+    """Equal error rate and its threshold.
+
+    FAR - FRR is non-increasing along the sweep from +1 to -1; the crossing is
+    linearly interpolated between the adjacent sweep points when not exact.
+    """
     diff = far - frr
     k = int(np.argmax(diff <= 0.0))  # first non-positive difference; k >= 1
     if diff[k] == 0.0:
@@ -105,6 +109,7 @@ def _eer(thresholds: np.ndarray, far: np.ndarray, frr: np.ndarray) -> tuple[floa
 
 def _min_dcf(thresholds: np.ndarray, far: np.ndarray, frr: np.ndarray,
              params: DcfParams) -> tuple[float, float]:
+    """Minimum normalized detection cost over the sweep, and its threshold."""
     dcf = params.c_miss * frr * params.p_target + params.c_fa * far * (1.0 - params.p_target)
     k = int(np.argmin(dcf))
     threshold = thresholds[k]
@@ -113,20 +118,6 @@ def _min_dcf(thresholds: np.ndarray, far: np.ndarray, frr: np.ndarray,
         # nearest finite operating threshold.
         threshold = thresholds[1] if k == 0 else thresholds[-2]
     return float(dcf[k] / params.normalizer), float(threshold)
-
-
-def eer(score_set: ScoreSet) -> tuple[float, float]:
-    """Equal error rate and its threshold.
-
-    FAR - FRR is non-increasing along the sweep from +1 to -1; the crossing is
-    linearly interpolated between the adjacent sweep points when not exact.
-    """
-    return _eer(*det_points(score_set))
-
-
-def min_dcf(score_set: ScoreSet, params: DcfParams = DcfParams()) -> tuple[float, float]:
-    """Minimum normalized detection cost over the sweep, and its threshold."""
-    return _min_dcf(*det_points(score_set), params)
 
 
 @dataclass

@@ -3,16 +3,17 @@
 One tape per mini-batch: the batch's features are stacked into
 (B, dim, segments) arrays and run through one forward, which returns the B
 per-utterance losses; one backward of their sum, seeded 1/B, leaves the
-batch-mean gradient in the parameters.  A non-finite loss raises a
-DivergenceError naming its utterance.  The optimizer gathers the gradients
-into one flat vector, runs its update formula over it and subtracts each
-parameter's slice in place.  Before it updates anything, its guard screens
-the sum of that flat gradient for NaN or Inf; only a non-finite total pays
-for the per-parameter scan that names the parameter and refuses the step
-with a DivergenceError.  Everything is driven by one seeded generator, so a fixed
-config reproduces the loss log and checkpoints exactly.  Parameters pass
-through checkpoint precision at every epoch boundary, keeping the in-memory
-model identical to its last saved checkpoint.
+batch-mean gradient in every parameter.  A non-finite loss raises a
+DivergenceError naming its utterance.  The optimizer keeps all its state in
+one flat array: it gathers the gradients into one row, runs its update
+formula once over whole rows and subtracts each parameter's slice in place.
+Before it updates anything, its guard screens the sum of the gathered
+gradient for NaN or Inf; only a non-finite total pays for the per-parameter
+scan that names the parameter and refuses the step with a DivergenceError.
+Everything is driven by one seeded generator, so a fixed config reproduces
+the loss log and checkpoints exactly.  Parameters pass through checkpoint
+precision at every epoch boundary, keeping the in-memory model identical to
+its last saved checkpoint.
 """
 
 from __future__ import annotations
@@ -35,21 +36,21 @@ class DivergenceError(RuntimeError):
 
 
 class Optimizer:
-    """Adaptive-moment or classical-momentum gradient descent over one flat vector.
+    """Adaptive-moment (Kingma & Ba, 2015) or classical-momentum gradient descent
+    over one flat state.
 
-    The moments ``m`` and ``v`` and the gathered gradient are each one flat
-    vector over every parameter in order; ``_m`` and ``_v`` view each
-    parameter's slice of the moments.  A step copies the gradients into the
-    flat gradient, hands their sum to ``guard`` (if given), which may refuse
-    the step by raising before anything is updated, then runs the update
-    formula over each maximal run of parameters that have a gradient, one
-    scratch-sized chunk at a time, writing the update over the gradient it no
-    longer needs, and subtracts each parameter's slice in place.  A None
-    gradient leaves its parameter and moments untouched; with none, the step
-    is one run.  The formulas are elementwise and keep the per-parameter
-    operation order, so the bits are those of a per-parameter update.  The
-    three vectors and a scratch buffer twice the largest parameter are all the
-    state; a step allocates nothing.
+    All state is one ``(4, n)`` array over every parameter in order, plus
+    ``step_count``: its rows are the moments ``m`` and ``v``, the gathered
+    gradient and a scratch row.  ``_m``, ``_v`` and ``_grads`` view each
+    parameter's slice of the first three.  A step copies every parameter's
+    gradient into the gradient row, hands the row's sum to ``guard`` (if
+    given), which may refuse the step by raising before anything is updated,
+    runs the update formula once over whole rows, writing the update over the
+    gradient it no longer needs, and subtracts each parameter's slice in
+    place.  Every parameter must have a gradient: a None one raises
+    ``TypeError`` before any moment, parameter or ``step_count`` changes.  The
+    formulas are elementwise and keep the per-parameter operation order, so
+    the bits are those of a per-parameter update; a step allocates nothing.
     """
 
     def __init__(self, params: list[Tensor], config: TrainConfig,
@@ -62,59 +63,39 @@ class Optimizer:
         self.step_count = 0
         self.guard = guard
         offsets = np.cumsum([0] + [p.data.size for p in params]).tolist()
-        self._spans = list(zip(offsets, offsets[1:]))
-        self._flat = np.zeros((3, offsets[-1]))  # rows m, v and the gathered gradient
+        self._flat = np.zeros((4, offsets[-1]))  # rows m, v, the gathered gradient, scratch
         self._m, self._v, self._grads = (
-            [row[lo:hi].reshape(p.data.shape) for p, (lo, hi) in zip(params, self._spans)]
-            for row in self._flat)
-        self._scratch = np.empty(2 * max((p.data.size for p in params), default=0))
-
-    def _gather(self) -> list[tuple[int, int]]:
-        """Copy the gradients into the flat gradient; returns the (start, end) flat
-        offsets of each maximal run of parameters that have one."""
-        runs = []
-        for p, grad, (lo, hi) in zip(self.params, self._grads, self._spans):
-            if p.grad is None:
-                continue
-            np.copyto(grad, p.grad)
-            if runs and runs[-1][1] == lo:
-                runs[-1] = (runs[-1][0], hi)
-            else:
-                runs.append((lo, hi))
-        return runs
+            [row[lo:hi].reshape(p.data.shape) for p, lo, hi in zip(params, offsets, offsets[1:])]
+            for row in self._flat[:3])
 
     def step(self) -> None:
-        """Update every parameter that has a gradient, unless ``guard`` refuses."""
-        runs = self._gather()
+        """Update every parameter, unless ``guard`` refuses."""
+        for p, grad in zip(self.params, self._grads):
+            np.copyto(grad, p.grad)
+        m, v, grad, a = self._flat
         if self.guard is not None:
             with np.errstate(over="ignore", invalid="ignore"):
-                self.guard(sum(self._flat[2, lo:hi].sum() for lo, hi in runs))
+                self.guard(grad.sum())
         self.step_count += 1
-        correct1 = 1 - self.beta1 ** self.step_count
-        correct2 = 1 - self.beta2 ** self.step_count
-        chunk = self._scratch.size
-        for lo, hi in runs:
-            for start in range(lo, hi, chunk):
-                m, v, grad = self._flat[:, start:min(start + chunk, hi)]
-                if self.kind == "adam":
-                    a = self._scratch[:grad.size]
-                    # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
-                    np.multiply(m, self.beta1, out=m)
-                    np.add(m, np.multiply(grad, 1 - self.beta1, out=a), out=m)
-                    np.multiply(v, self.beta2, out=v)
-                    np.multiply(grad, 1 - self.beta2, out=a)
-                    np.add(v, np.multiply(a, grad, out=a), out=v)
-                    # update = lr (m / correct1) / (sqrt(v / correct2) + eps), over g
-                    b = grad
-                    np.add(np.sqrt(np.divide(v, correct2, out=b), out=b), self.eps, out=b)
-                    np.multiply(np.divide(m, correct1, out=a), self.lr, out=a)
-                    np.divide(a, b, out=b)
-                else:
-                    np.add(np.multiply(m, self.momentum, out=m), grad, out=m)
-                    np.multiply(m, self.lr, out=grad)
+        if self.kind == "adam":
+            correct1 = 1 - self.beta1 ** self.step_count
+            correct2 = 1 - self.beta2 ** self.step_count
+            # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
+            np.multiply(m, self.beta1, out=m)
+            np.add(m, np.multiply(grad, 1 - self.beta1, out=a), out=m)
+            np.multiply(v, self.beta2, out=v)
+            np.multiply(grad, 1 - self.beta2, out=a)
+            np.add(v, np.multiply(a, grad, out=a), out=v)
+            # update = lr (m / correct1) / (sqrt(v / correct2) + eps), over g
+            b = grad
+            np.add(np.sqrt(np.divide(v, correct2, out=b), out=b), self.eps, out=b)
+            np.multiply(np.divide(m, correct1, out=a), self.lr, out=a)
+            np.divide(a, b, out=b)
+        else:
+            np.add(np.multiply(m, self.momentum, out=m), grad, out=m)
+            np.multiply(m, self.lr, out=grad)
         for p, update in zip(self.params, self._grads):
-            if p.grad is not None:
-                np.subtract(p.data, update, out=p.data)
+            np.subtract(p.data, update, out=p.data)
 
 
 @dataclass
@@ -146,7 +127,7 @@ def _check_finite_gradients(named_params: dict[str, Tensor], epoch: int, total: 
     if np.isfinite(total):
         return
     for name, tensor in named_params.items():
-        if tensor.grad is not None and not np.isfinite(tensor.grad).all():
+        if not np.isfinite(tensor.grad).all():
             raise DivergenceError(f"non-finite gradient at epoch {epoch}, parameter {name}")
 
 

@@ -8,7 +8,9 @@ import pytest
 from avfuse import cli
 from avfuse.checkpoint import load_checkpoint, save_checkpoint
 from avfuse.config import TrainConfig
-from avfuse.featio import TrialPair, load_dataset, load_features, write_trial_list
+from avfuse.evaluation import score_trials
+from avfuse.featio import TrialPair, load_dataset, load_features, parse_trial_list, write_trial_list
+from avfuse.metrics import read_scores
 from avfuse.model import VerificationModel
 from avfuse.synthetic import SyntheticSpec
 
@@ -53,23 +55,42 @@ def evaluate_args(data, tmp_path, *flags):
     return ["evaluate", "--data", str(data), "--trials", str(tmp_path / "trials.txt"), *flags]
 
 
-def test_evaluate_rejects_config_input_for_a_trained_system(trained, tmp_path, capsys):
+def test_evaluate_echoes_a_trained_systems_seed_and_refuses_config_input(trained, tmp_path, capsys):
     data, checkpoint = trained
     args = evaluate_args(data, tmp_path, "--system", "rjca", "--checkpoint", str(checkpoint))
     assert cli.main(args) == 0
-    capsys.readouterr()
-    assert cli.main(args + ["--config", str(tmp_path / "nonexistent.cfg"),
-                            "--iterations", "x"]) == 2
-    assert capsys.readouterr().err == ("error: rjca uses its checkpoint's config; "
-                                       "remove --config --iterations\n")
+    seed = VerificationModel.from_checkpoint(checkpoint).config.seed
+    assert capsys.readouterr().out.startswith(f"seed = {seed}\n")
+    for flags in (["--config", str(tmp_path / "run.cfg")], ["--iterations", "2"]):
+        with pytest.raises(SystemExit) as refused:
+            cli.main(args + flags)
+        assert refused.value.code == 2
+        assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
 
 
-def test_evaluate_raw_system_takes_config_flags(trained, tmp_path, capsys):
+def test_evaluate_score_level_takes_its_weight_and_echoes_no_seed(trained, tmp_path, capsys):
     data, _ = trained
-    args = evaluate_args(data, tmp_path, "--system", "score_level")
-    assert cli.main(args + ["--score-fusion-weight", "0.3"]) == 0
-    assert cli.main(args + ["--score-fusion-weight", "x"]) == 2
-    assert "error: score_fusion_weight" in capsys.readouterr().err
+    scores = tmp_path / "scores.txt"
+    args = evaluate_args(data, tmp_path, "--system", "score_level", "--scores-out", str(scores))
+    trials = parse_trial_list(tmp_path / "trials.txt")
+    utterances = load_dataset(data)
+    for weight in ("0.3", "0.5"):
+        assert cli.main(args + ["--score-fusion-weight", weight]) == 0
+        assert "seed" not in capsys.readouterr().out
+        want = score_trials("score_level", trials, utterances, weight=float(weight))
+        assert np.array_equal(read_scores(scores).scores, want.scores)
+    assert cli.main(args + ["--score-fusion-weight", "1.5"]) == 2
+    assert capsys.readouterr().err == "error: score fusion weight must lie in [0, 1], got 1.5\n"
+    with pytest.raises(SystemExit) as refused:
+        cli.main(args + ["--score-fusion-weight", "x"])
+    assert refused.value.code == 2
+
+
+def test_evaluate_refuses_a_checkpoint_for_a_raw_system(trained, tmp_path, capsys):
+    data, checkpoint = trained
+    args = evaluate_args(data, tmp_path, "--system", "audio", "--checkpoint", str(checkpoint))
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == "error: system 'audio' is untrained; remove --checkpoint\n"
 
 
 def test_evaluate_names_a_missing_trial_utterance(trained, tmp_path, capsys):
@@ -135,3 +156,18 @@ def test_every_synthetic_spec_field_has_a_synth_flag_defaulting_to_the_spec():
         assert type(getattr(defaults, field.name)) is type(field.default), flag
         given = parser.parse_args(["synth", "--out", "data", flag, "3"])
         assert getattr(given, field.name) == 3, flag
+
+
+def test_evaluate_has_no_train_config_flag_but_the_score_fusion_weight(capsys):
+    parser = cli.build_parser()
+    base = ["evaluate", "--data", "data", "--trials", "trials.txt"]
+    defaults = parser.parse_args(base)
+    assert defaults.score_fusion_weight == TrainConfig.score_fusion_weight
+    assert parser.parse_args(base + ["--score-fusion-weight", "0.25"]).score_fusion_weight == 0.25
+    flags = [f"--{f.name.replace('_', '-')}" for f in fields(TrainConfig)] + ["--config"]
+    for flag in flags:
+        if flag == "--score-fusion-weight":
+            continue
+        with pytest.raises(SystemExit):
+            parser.parse_args(base + [flag, "1"])
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err, flag

@@ -10,9 +10,7 @@ from avfuse.metrics import (
     ScoreSetError,
     compute_report,
     det_points,
-    eer,
     format_report,
-    min_dcf,
     read_scores,
     write_scores,
 )
@@ -109,35 +107,33 @@ class TestDetPoints:
 
 class TestEer:
     def test_perfect_separation(self):
-        value, _ = eer(ScoreSet([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]))
-        assert value == 0.0
+        assert compute_report(ScoreSet([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])).eer == 0.0
 
     def test_full_inversion(self):
-        value, _ = eer(ScoreSet([0.1, 0.2, 0.8, 0.9], [1, 1, 0, 0]))
-        assert value == 1.0
+        assert compute_report(ScoreSet([0.1, 0.2, 0.8, 0.9], [1, 1, 0, 0])).eer == 1.0
 
     def test_interleaved_example(self):
-        value, threshold = eer(ScoreSet([0.8, 0.6, 0.4, 0.7, 0.3, 0.1], [1, 1, 1, 0, 0, 0]))
-        assert value == pytest.approx(1 / 3, abs=1e-12)
-        assert 0.3 < threshold <= 0.6
+        report = compute_report(ScoreSet([0.8, 0.6, 0.4, 0.7, 0.3, 0.1], [1, 1, 1, 0, 0, 0]))
+        assert report.eer == pytest.approx(1 / 3, abs=1e-12)
+        assert 0.3 < report.eer_threshold <= 0.6
 
     def test_matches_oracle_on_random_sets(self):
         rng = np.random.default_rng(1)
         for _ in range(60):
             scores, labels = random_score_set(rng)
-            got, _ = eer(ScoreSet(scores, labels))
+            got = compute_report(ScoreSet(scores, labels)).eer
             assert got == pytest.approx(oracle_eer(scores, labels), abs=1e-9)
 
 
 class TestMinDcf:
     def test_perfect_separation_costs_nothing(self):
-        value, _ = min_dcf(ScoreSet([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]), PAPER_DCF)
-        assert value == 0.0
+        assert compute_report(ScoreSet([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]), PAPER_DCF).min_dcf == 0.0
 
     def test_interleaved_example_from_exhaustive_sweep(self):
         scores = [0.8, 0.6, 0.4, 0.7, 0.3, 0.1]
         labels = [1, 1, 1, 0, 0, 0]
-        value, threshold = min_dcf(ScoreSet(scores, labels), PAPER_DCF)
+        report = compute_report(ScoreSet(scores, labels), PAPER_DCF)
+        value, threshold = report.min_dcf, report.dcf_threshold
         # Exhaustive hand sweep: best interval accepts only scores >= 0.8,
         # giving FRR 2/3 at FAR 0 -> (0.05 * 2/3) / 0.05 = 2/3.
         assert value == pytest.approx(2 / 3, abs=1e-12)
@@ -148,14 +144,14 @@ class TestMinDcf:
         rng = np.random.default_rng(2)
         for _ in range(60):
             scores, labels = random_score_set(rng)
-            got, _ = min_dcf(ScoreSet(scores, labels), PAPER_DCF)
+            got = compute_report(ScoreSet(scores, labels), PAPER_DCF).min_dcf
             assert got == pytest.approx(oracle_min_dcf(scores, labels, PAPER_DCF), abs=1e-9)
 
     def test_normalized_value_never_exceeds_one(self):
         rng = np.random.default_rng(3)
         for _ in range(40):
             scores, labels = random_score_set(rng)
-            value, _ = min_dcf(ScoreSet(scores, labels), PAPER_DCF)
+            value = compute_report(ScoreSet(scores, labels), PAPER_DCF).min_dcf
             assert value <= 1.0 + 1e-12
 
 
@@ -163,37 +159,32 @@ class TestInvariances:
     def test_monotone_transform_leaves_metrics_unchanged(self):
         rng = np.random.default_rng(4)
         scores, labels = random_score_set(rng)
-        ss = ScoreSet(scores, labels)
-        base_eer, _ = eer(ss)
-        base_dcf, _ = min_dcf(ss, PAPER_DCF)
+        base = compute_report(ScoreSet(scores, labels), PAPER_DCF)
         for transform in (lambda s: s ** 3 + 2.0 * s, np.tanh, lambda s: 0.01 * s - 5.0):
-            tss = ScoreSet(transform(scores), labels)
-            assert eer(tss)[0] == base_eer
-            assert min_dcf(tss, PAPER_DCF)[0] == base_dcf
+            report = compute_report(ScoreSet(transform(scores), labels), PAPER_DCF)
+            assert (report.eer, report.min_dcf) == (base.eer, base.min_dcf)
 
     def test_input_order_irrelevant_with_ties(self):
         scores = np.array([0.5, 0.5, 0.5, 0.2, 0.7, 0.2])
         labels = np.array([1, 0, 1, 0, 1, 0])
-        base = (eer(ScoreSet(scores, labels))[0], min_dcf(ScoreSet(scores, labels))[0])
+        base = compute_report(ScoreSet(scores, labels))
         rng = np.random.default_rng(5)
         for _ in range(5):
             perm = rng.permutation(len(scores))
-            shuffled = ScoreSet(scores[perm], labels[perm])
-            assert (eer(shuffled)[0], min_dcf(shuffled)[0]) == base
+            shuffled = compute_report(ScoreSet(scores[perm], labels[perm]))
+            assert (shuffled.eer, shuffled.min_dcf) == (base.eer, base.min_dcf)
 
 
-class TestReportMatchesSingleMetrics:
+class TestReportReadsOneSweep:
     @pytest.mark.parametrize("scores, labels", [
         random_score_set(np.random.default_rng(7)),
         ([0.5, 0.5, 0.5, 0.2, 0.7, 0.2], [1, 0, 1, 0, 1, 0]),
         ([0.9, 0.9, 0.9, 0.1], [1, 1, 0, 0]),
         ([0.5, 0.5], [1, 0]),
     ], ids=["random", "ties", "eer_against_inf_sentinel", "all_tied"])
-    def test_report_equals_eer_min_dcf_and_det_points(self, scores, labels):
+    def test_report_det_curve_is_the_det_points_sweep(self, scores, labels):
         ss = ScoreSet(scores, labels)
         report = compute_report(ss, PAPER_DCF)
-        assert (report.eer, report.eer_threshold) == eer(ss)
-        assert (report.min_dcf, report.dcf_threshold) == min_dcf(ss, PAPER_DCF)
         _, far, frr = det_points(ss)
         assert np.array_equal(report.det_curve[0], far)
         assert np.array_equal(report.det_curve[1], frr)
@@ -225,7 +216,8 @@ class TestReportAndScoreFiles:
         loaded = read_scores(path)
         assert np.array_equal(loaded.scores, ss.scores)
         assert np.array_equal(loaded.labels, ss.labels)
-        assert eer(loaded) == eer(ss)
+        got, want = compute_report(loaded), compute_report(ss)
+        assert (got.eer, got.eer_threshold) == (want.eer, want.eer_threshold)
 
     def test_malformed_scores_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
