@@ -1,8 +1,9 @@
 """Command-line entry points: synth, train, evaluate, embed, gradcheck.
 
 ``train`` reads an optional `key = value` config file, overridden by one flag per
-config field.  ``evaluate`` takes no config: a trained system's is its checkpoint's,
-and the raw systems read only ``--score-fusion-weight``.  Every command that draws
+config field.  ``evaluate`` takes no config: a trained system's is its checkpoint's.
+Its one model setting, ``--score-fusion-weight``, is read by ``score_level`` alone
+(0.5 when not given) and refused for every other system.  Every command that draws
 from a seed echoes it for reproduction.
 """
 
@@ -74,6 +75,9 @@ def _cmd_evaluate(args) -> int:
         raise ConfigError(f"system {args.system!r} requires --checkpoint")
     if not trained and args.checkpoint is not None:
         raise ConfigError(f"system {args.system!r} is untrained; remove --checkpoint")
+    weight = args.score_fusion_weight
+    if weight is not None and args.system != "score_level":
+        raise ConfigError(f"system {args.system!r} does not read --score-fusion-weight; remove it")
     utterances = load_dataset(args.data)
     trials = parse_trial_list(args.trials)
     model = None
@@ -82,7 +86,8 @@ def _cmd_evaluate(args) -> int:
         print(f"seed = {model.config.seed}")
     dcf = DcfParams(p_target=args.p_target, c_miss=args.c_miss, c_fa=args.c_fa)
     report, _ = evaluate(args.system, trials, utterances, model=model,
-                         dcf_params=dcf, weight=args.score_fusion_weight, scores_path=args.scores_out)
+                         dcf_params=dcf, scores_path=args.scores_out,
+                         weight=TrainConfig.score_fusion_weight if weight is None else weight)
     print(format_report(report))
     if args.scores_out:
         print(f"scores written to {args.scores_out}")
@@ -143,8 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-target", type=float, default=0.05)
     p.add_argument("--c-miss", type=float, default=1.0)
     p.add_argument("--c-fa", type=float, default=1.0)
-    p.add_argument("--score-fusion-weight", type=float, default=TrainConfig.score_fusion_weight,
-                   help="audio weight of the score_level system")
+    p.add_argument("--score-fusion-weight", type=float, default=None,
+                   help=f"audio weight of the score_level system "
+                        f"(default {TrainConfig.score_fusion_weight})")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("embed", help="write per-utterance embeddings")

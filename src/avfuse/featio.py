@@ -3,12 +3,14 @@
 Feature files carry one real matrix: magic ``AVF1``, two little-endian u32
 extents (rows, cols), then rows*cols IEEE-754 single-precision little-endian
 values in row-major order.  Values are widened to double precision in memory.
-One file per modality per utterance: ``<id>.audio.avf`` / ``<id>.visual.avf``.
+One file per modality per utterance: ``<id>.audio.avf`` / ``<id>.visual.avf``,
+each read whole by one unbuffered read, from paths built once per dataset.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,8 +53,12 @@ def save_features(path, matrix: np.ndarray) -> None:
 
 
 def load_features(path) -> np.ndarray:
-    """Read a feature file back as float64, validating magic, extents, payload and finiteness."""
-    blob = Path(path).read_bytes()
+    """Read a feature file back as float64, validating magic, extents, payload and finiteness.
+
+    One unbuffered ``readall`` reads the file to its end.
+    """
+    with open(path, "rb", buffering=0) as fh:
+        blob = fh.readall()
     if len(blob) < _HEADER.size:
         raise TruncatedPayloadError(f"{path}: file shorter than header")
     magic, rows, cols = _HEADER.unpack_from(blob)
@@ -173,12 +179,16 @@ def read_manifest(path) -> list[ManifestEntry]:
 
 
 def load_dataset(data_dir) -> dict[str, Utterance]:
-    """Load every manifest utterance's feature pair; both modalities must agree on segments."""
+    """Load every manifest utterance's feature pair; both modalities must agree on segments.
+
+    Each file's path is the ``feats`` prefix, joined once as a string, plus its name.
+    """
     data_dir = Path(data_dir)
+    feats = os.path.join(data_dir, "feats", "")
     utterances = {}
     for entry in read_manifest(data_dir / "manifest.tsv"):
-        audio = load_features(data_dir / "feats" / f"{entry.utt_id}.audio.avf")
-        visual = load_features(data_dir / "feats" / f"{entry.utt_id}.visual.avf")
+        audio = load_features(f"{feats}{entry.utt_id}.audio.avf")
+        visual = load_features(f"{feats}{entry.utt_id}.visual.avf")
         if audio.shape[1] != visual.shape[1]:
             raise FeatureFileError(
                 f"{entry.utt_id}: segment counts disagree ({audio.shape[1]} vs {visual.shape[1]})"

@@ -86,6 +86,27 @@ def test_evaluate_score_level_takes_its_weight_and_echoes_no_seed(trained, tmp_p
     assert refused.value.code == 2
 
 
+def test_evaluate_score_level_weight_defaults_to_one_half(trained, tmp_path):
+    data, _ = trained
+    scores = tmp_path / "scores.txt"
+    args = evaluate_args(data, tmp_path, "--system", "score_level", "--scores-out", str(scores))
+    assert cli.main(args + ["--score-fusion-weight", "0.5"]) == 0
+    given = scores.read_bytes()
+    assert cli.main(args) == 0
+    assert scores.read_bytes() == given
+
+
+@pytest.mark.parametrize("system", ["rjca", "audio"])
+def test_evaluate_refuses_the_score_fusion_weight_outside_score_level(trained, tmp_path, capsys,
+                                                                     system):
+    data, checkpoint = trained
+    flags = ["--checkpoint", str(checkpoint)] if system == "rjca" else []
+    args = evaluate_args(data, tmp_path, "--system", system, *flags, "--score-fusion-weight", "2")
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == (f"error: system {system!r} does not read "
+                                       "--score-fusion-weight; remove it\n")
+
+
 def test_evaluate_refuses_a_checkpoint_for_a_raw_system(trained, tmp_path, capsys):
     data, checkpoint = trained
     args = evaluate_args(data, tmp_path, "--system", "audio", "--checkpoint", str(checkpoint))
@@ -162,7 +183,7 @@ def test_evaluate_has_no_train_config_flag_but_the_score_fusion_weight(capsys):
     parser = cli.build_parser()
     base = ["evaluate", "--data", "data", "--trials", "trials.txt"]
     defaults = parser.parse_args(base)
-    assert defaults.score_fusion_weight == TrainConfig.score_fusion_weight
+    assert defaults.score_fusion_weight is None
     assert parser.parse_args(base + ["--score-fusion-weight", "0.25"]).score_fusion_weight == 0.25
     flags = [f"--{f.name.replace('_', '-')}" for f in fields(TrainConfig)] + ["--config"]
     for flag in flags:

@@ -1,5 +1,6 @@
 """On-disk formats: AVF1 feature files, trial lists, manifests and dataset loading."""
 
+import re
 import struct
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from avfuse import cli
 from avfuse.checkpoint import load_checkpoint
 from avfuse.metrics import ScoreSetError, read_scores
 from avfuse.featio import (
@@ -14,6 +16,7 @@ from avfuse.featio import (
     ExtentError,
     FeatureFileError,
     ManifestEntry,
+    TrialPair,
     TrialParseError,
     TruncatedPayloadError,
     load_dataset,
@@ -22,7 +25,9 @@ from avfuse.featio import (
     read_manifest,
     save_features,
     write_manifest,
+    write_trial_list,
 )
+from avfuse.synthetic import SyntheticSpec, generate_dataset
 
 
 def avf(rows, cols, values=()):
@@ -47,15 +52,25 @@ def test_feature_file_round_trips_at_single_precision(tmp_path):
 ], ids=["bad_magic", "short_header", "short_payload", "zero_rows", "zero_cols", "trailing"])
 def test_malformed_feature_file_raises_its_error(tmp_path, blob, error):
     (tmp_path / "bad.avf").write_bytes(blob)
-    with pytest.raises(error, match="bad.avf"):
-        load_features(tmp_path / "bad.avf")
+    assert_str_and_path_raise_alike(tmp_path / "bad.avf", error, "bad.avf")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_feature_value_names_the_file_and_its_position(tmp_path, bad):
     (tmp_path / "u1.audio.avf").write_bytes(avf(2, 3, [0.0, 1.0, 2.0, 3.0, bad, 5.0]))
-    with pytest.raises(FeatureFileError, match=rf"u1\.audio\.avf: non-finite value {bad} at row 1, col 1"):
-        load_features(tmp_path / "u1.audio.avf")
+    assert_str_and_path_raise_alike(tmp_path / "u1.audio.avf", FeatureFileError,
+                                    rf"u1\.audio\.avf: non-finite value {bad} at row 1, col 1")
+
+
+def assert_str_and_path_raise_alike(path, error, match):
+    """``load_features`` of ``path`` as a ``Path`` and as a ``str`` raises ``error`` with one message."""
+    messages = []
+    for given in (path, str(path)):
+        with pytest.raises(error, match=match) as raised:
+            load_features(given)
+        assert type(raised.value) is error
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
 
 
 def test_only_rank_two_matrices_are_saved(tmp_path):
@@ -99,6 +114,34 @@ def test_dataset_with_disagreeing_segment_counts_is_rejected(tmp_path):
     save_features(tmp_path / "feats" / "u1.visual.avf", np.zeros((2, 5)))
     with pytest.raises(FeatureFileError, match=r"u1: segment counts disagree \(4 vs 5\)"):
         load_dataset(tmp_path)
+
+
+def test_missing_feature_file_is_named(tmp_path, capsys):
+    (tmp_path / "feats").mkdir()
+    write_manifest(tmp_path / "manifest.tsv", [ManifestEntry("u1", "spk", "train")])
+    save_features(tmp_path / "feats" / "u1.audio.avf", np.zeros((3, 4)))
+    missing = str(tmp_path / "feats" / "u1.visual.avf")
+    with pytest.raises(FileNotFoundError, match=re.escape(missing)):
+        load_dataset(tmp_path)
+    write_trial_list(tmp_path / "trials.txt", [TrialPair(True, "u1", "u1")])
+    assert cli.main(["evaluate", "--data", str(tmp_path), "--trials", str(tmp_path / "trials.txt"),
+                     "--system", "audio"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and missing in err
+
+
+def test_dataset_loads_bitwise_from_a_str_or_a_path(tmp_path):
+    entries = generate_dataset(SyntheticSpec(n_speakers=3, utts_per_speaker=3, audio_dim=5,
+                                             visual_dim=3, segments=4, latent_dim=2), tmp_path)
+    rows = [(e.utt_id, e.speaker_id) for e in entries]
+    for loaded in (load_dataset(tmp_path), load_dataset(str(tmp_path))):
+        assert [(key, u.utt_id, u.speaker_id) for key, u in loaded.items()] == [(i, i, s) for i, s in rows]
+        for utt in loaded.values():
+            for modality, dim in (("audio", 5), ("visual", 3)):
+                want = load_features(tmp_path / "feats" / f"{utt.utt_id}.{modality}.avf")
+                got = getattr(utt, modality)
+                assert want.shape == got.shape == (dim, 4) and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
 
 
 @pytest.fixture(scope="module")
