@@ -78,8 +78,10 @@ def _cmd_evaluate(args) -> int:
     weight = args.score_fusion_weight
     if weight is not None and args.system != "score_level":
         raise ConfigError(f"system {args.system!r} does not read --score-fusion-weight; remove it")
-    utterances = load_dataset(args.data)
     trials = parse_trial_list(args.trials)
+    if not trials:
+        raise ConfigError(f"{args.trials}: empty trial list")
+    utterances = load_dataset(args.data)
     model = None
     if trained:
         model = VerificationModel.from_checkpoint(args.checkpoint)

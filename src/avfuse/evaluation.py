@@ -3,16 +3,19 @@
 Besides the trained fusion systems (recursive joint cross-attention, plain
 concatenation, two-way cross-attention), the harness scores the untrained
 reference systems: single-modality statistics of the raw features, and
-score-level fusion of the two single-modality cosines.  One pass over the
-trial list gives the distinct utterance ids and each trial's enrollment and
-test rows; every trial utterance is then embedded once, in mini-batches
-through ``VerificationModel.embed``.  Trials are grouped by enrollment row, and
-each group's cosines are one matrix-vector product over its test rows in trial
+score-level fusion of the two single-modality cosines.  Trials are
+``NamedTuple`` rows: one pass flattens the list into its cells, which give the
+labels, the distinct utterance ids and each trial's enrollment and test rows.
+Every trial utterance is then embedded once, in mini-batches through
+``VerificationModel.embed``.  Trials are grouped by enrollment row, and each
+group's cosines are one matrix-vector product over its test rows in trial
 order: a score depends only on its enrollment's trials, not on where other
 enrollments sit in the list, bit for bit.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -46,22 +49,19 @@ def pooled_raw_embedding(features: np.ndarray) -> np.ndarray:
 
 def _resolve(trials: list[TrialPair], utterances: dict[str, Utterance]
              ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """One pass over the trials -> (sorted distinct ids, enrollment rows, test
-    rows, labels); rows index the sorted ids."""
-    first_seen: dict[str, int] = {}
-    rows, labels = [], []
-    for t in trials:
-        rows.append(first_seen.setdefault(t.enroll_id, len(first_seen)))
-        rows.append(first_seen.setdefault(t.test_id, len(first_seen)))
-        labels.append(t.is_target)
-    ids = sorted(first_seen)
+    """One flattening pass over the trials -> (sorted distinct ids, enrollment
+    rows, test rows, labels); rows index the sorted ids."""
+    n = len(trials)
+    cells = list(chain.from_iterable(trials))
+    labels = np.fromiter(cells[0::3], np.int64, n)
+    del cells[0::3]
+    ids = sorted(set(cells))
     missing = [u for u in ids if u not in utterances]
     if missing:
         raise ResolutionError(f"trial utterances not found: {missing}")
-    rank = np.empty(len(ids), dtype=np.intp)
-    rank[[first_seen[u] for u in ids]] = np.arange(len(ids))
-    pairs = rank[np.array(rows)].reshape(-1, 2)
-    return ids, pairs[:, 0], pairs[:, 1], np.array(labels, dtype=np.int64)
+    row = dict(zip(ids, range(len(ids))))
+    rows = np.fromiter(map(row.__getitem__, cells), np.intp, 2 * n)
+    return ids, rows[0::2], rows[1::2], labels
 
 
 def embed_utterances(model: VerificationModel, ids: list[str],

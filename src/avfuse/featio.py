@@ -5,6 +5,10 @@ extents (rows, cols), then rows*cols IEEE-754 single-precision little-endian
 values in row-major order.  Values are widened to double precision in memory.
 One file per modality per utterance: ``<id>.audio.avf`` / ``<id>.visual.avf``,
 each read whole by one unbuffered read, from paths built once per dataset.
+
+Trial-list and manifest rows are ``NamedTuple``s, so a row costs what a
+3-tuple costs and a list of them flattens in one pass.  The writers refuse,
+before opening the file, an id that their reader would read back differently.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,8 +106,7 @@ def text_lines(path, error: type[Exception] = TrialParseError) -> list[str]:
         raise error(f"{path}: not UTF-8 text at byte {exc.start}") from exc
 
 
-@dataclass(frozen=True)
-class TrialPair:
+class TrialPair(NamedTuple):
     """One verification trial: same-speaker (target) or not."""
 
     is_target: bool
@@ -127,7 +131,18 @@ def parse_trial_list(path) -> list[TrialPair]:
     return trials
 
 
+def _refuse_ids(path, ids, bad, what: str) -> None:
+    """Raise ``TrialParseError`` naming the first distinct id for which ``bad`` holds."""
+    for u in dict.fromkeys(ids):
+        if bad(u):
+            raise TrialParseError(f"{path}: id {u!r} {what}")
+
+
 def write_trial_list(path, trials) -> None:
+    """Write `label enroll_id test_id` lines; an id must be one whitespace-free token."""
+    trials = list(trials)
+    _refuse_ids(path, (u for t in trials for u in t[1:]), lambda u: u.split() != [u],
+                "is empty or holds whitespace")
     with open(path, "w", encoding="utf-8") as fh:
         for t in trials:
             fh.write(f"{int(t.is_target)} {t.enroll_id} {t.test_id}\n")
@@ -138,8 +153,7 @@ def write_trial_list(path, trials) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
+class ManifestEntry(NamedTuple):
     utt_id: str
     speaker_id: str
     split: str  # "train" or "eval"
@@ -156,6 +170,12 @@ class Utterance:
 
 
 def write_manifest(path, entries) -> None:
+    """Write `utt_id<TAB>speaker_id<TAB>split` rows; an id must be a non-empty field
+    without a tab, a line break, or leading or trailing whitespace."""
+    entries = list(entries)
+    _refuse_ids(path, (u for e in entries for u in e[:2]),
+                lambda u: not u or u != u.strip() or any(c in u for c in "\t\n\r"),
+                "is empty, holds a tab or line break, or has leading or trailing whitespace")
     with open(path, "w", encoding="utf-8") as fh:
         for e in entries:
             fh.write(f"{e.utt_id}\t{e.speaker_id}\t{e.split}\n")
@@ -171,6 +191,8 @@ def read_manifest(path) -> list[ManifestEntry]:
         parts = line.split("\t")
         if len(parts) != 3 or parts[2] not in ("train", "eval"):
             raise TrialParseError(f"{path}: line {lineno}: malformed manifest row")
+        if "" in parts:
+            raise TrialParseError(f"{path}: line {lineno}: empty field in manifest row")
         if parts[0] in seen:
             raise TrialParseError(f"{path}: line {lineno}: duplicate utterance id {parts[0]!r}")
         seen.add(parts[0])

@@ -124,6 +124,15 @@ def test_evaluate_names_a_missing_trial_utterance(trained, tmp_path, capsys):
     assert capsys.readouterr().err == "error: trial utterances not found: ['nosuch_utt']\n"
 
 
+def test_evaluate_names_an_empty_trial_file(trained, tmp_path, capsys):
+    data, _ = trained
+    (tmp_path / "empty.txt").write_text("\n  \n", encoding="utf-8")
+    args = ["evaluate", "--data", str(data), "--trials", str(tmp_path / "empty.txt"),
+            "--system", "audio"]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'empty.txt'}: empty trial list\n"
+
+
 def test_evaluate_names_a_checkpoint_with_a_bad_speaker_count(trained, tmp_path, capsys):
     data, checkpoint = trained
     tensors, config_text = load_checkpoint(checkpoint)

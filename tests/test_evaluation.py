@@ -94,6 +94,18 @@ def test_scores_are_bitwise_the_per_enrollment_products(utterances, system):
     assert got.labels.tolist() == [int(t.is_target) for t in trials]
 
 
+def test_resolve_matches_a_per_trial_dict_reference(utterances):
+    trials = shuffled_trials(utterances)
+    ids, enroll_rows, test_rows, labels = evaluation._resolve(trials, utterances)
+    want_ids = sorted({u for t in trials for u in (t.enroll_id, t.test_id)})
+    index = {u: k for k, u in enumerate(want_ids)}
+    assert ids == want_ids
+    for got, want in ((enroll_rows, [index[t.enroll_id] for t in trials]),
+                      (test_rows, [index[t.test_id] for t in trials])):
+        assert got.dtype == np.intp and got.tolist() == want
+    assert labels.dtype == np.int64 and labels.tolist() == [int(t.is_target) for t in trials]
+
+
 def test_missing_ids_on_both_sides_are_listed_sorted(utterances):
     ids = sorted(utterances)
     trials = [TrialPair(True, ids[0], ids[1]), TrialPair(False, "zz_test", ids[0]),

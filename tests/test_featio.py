@@ -92,6 +92,7 @@ def test_malformed_trial_line_names_its_line(tmp_path, text, message):
 @pytest.mark.parametrize("text, message", [
     ("u1\tspk\ttrain\nu1\tspk\teval\n", "line 2: duplicate utterance id 'u1'"),
     ("u1\tspk\ttest\n", "line 1: malformed manifest row"),
+    ("u1\tspk\ttrain\nu2\t\teval\n", "line 2: empty field in manifest row"),
 ])
 def test_malformed_manifest_row_names_its_line(tmp_path, text, message):
     (tmp_path / "manifest.tsv").write_text(text, encoding="utf-8")
@@ -105,6 +106,74 @@ def test_undecodable_text_names_the_file(tmp_path, name, reader):
     (tmp_path / name).write_bytes(b"1 a b\n\xff\xfe\n")
     with pytest.raises(TrialParseError, match=f"{name}: not UTF-8 text at byte 6"):
         reader(tmp_path / name)
+
+
+@pytest.mark.parametrize("record, text", [
+    (TrialPair(True, "u1", "u2"), "TrialPair(is_target=True, enroll_id='u1', test_id='u2')"),
+    (ManifestEntry("u1", "spk", "train"), "ManifestEntry(utt_id='u1', speaker_id='spk', split='train')"),
+], ids=["trial", "manifest"])
+def test_records_are_immutable_hashable_tuples_without_instance_dicts(record, text):
+    cls = type(record)
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, "other")
+    assert tuple(record) == tuple(getattr(record, name) for name in cls._fields)
+    twin = cls(*record)
+    assert twin == record and hash(twin) == hash(record) and twin is not record
+    assert cls(**record._asdict()) == record
+    assert not hasattr(record, "__dict__")
+    assert repr(record) == text
+
+
+def test_written_trial_lists_and_manifests_read_back_equal(tmp_path):
+    trials = [TrialPair(True, "u1", "u2"), TrialPair(False, "u2", "spk:3/é"), TrialPair(True, "u1", "u1")]
+    write_trial_list(tmp_path / "trials.txt", trials)
+    assert parse_trial_list(tmp_path / "trials.txt") == trials
+    entries = [ManifestEntry("u1", "spk a", "train"), ManifestEntry("u 2", "spk", "eval")]
+    write_manifest(tmp_path / "manifest.tsv", entries)
+    assert read_manifest(tmp_path / "manifest.tsv") == entries
+
+
+@pytest.mark.parametrize("bad", ["", "a b", "a\tb", " a", "a\n", "a\rb", "a\u2028b"])
+def test_trial_list_writer_refuses_an_id_its_reader_would_split(tmp_path, bad):
+    path = tmp_path / "trials.txt"
+    with pytest.raises(TrialParseError, match=re.escape(f"{path}: id {bad!r} is empty or holds whitespace")):
+        write_trial_list(path, [TrialPair(True, "u1", "u2"), TrialPair(False, "u1", bad)])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", ["", " u2", "u2 ", "a\tb", "a\nb", "a\rb"])
+@pytest.mark.parametrize("field", ["utt_id", "speaker_id"])
+def test_manifest_writer_refuses_an_id_its_reader_would_change(tmp_path, bad, field):
+    path = tmp_path / "manifest.tsv"
+    entry = ManifestEntry("u2", "spk", "eval")._replace(**{field: bad})
+    with pytest.raises(TrialParseError, match=re.escape(f"{path}: id {bad!r} is empty, holds a tab")):
+        write_manifest(path, [ManifestEntry("u1", "spk", "train"), entry])
+    assert not path.exists()
+
+
+def test_writers_check_each_distinct_id_once(tmp_path):
+    checks = []
+
+    class CountedId(str):
+        """An id that records each check of it by a writer."""
+
+        def split(self, *args):
+            checks.append(str(self))
+            return str(self).split(*args)
+
+        def strip(self, *args):
+            checks.append(str(self))
+            return str(self).strip(*args)
+
+    a, b, c = CountedId("a"), CountedId("b"), CountedId("spk")
+    write_trial_list(tmp_path / "trials.txt", [TrialPair(True, a, b), TrialPair(False, b, a),
+                                               TrialPair(True, a, a)])
+    assert sorted(checks) == ["a", "b"]
+    checks.clear()
+    write_manifest(tmp_path / "manifest.tsv", [ManifestEntry(a, c, "train"),
+                                               ManifestEntry(b, c, "eval")])
+    assert sorted(checks) == ["a", "b", "spk"]
 
 
 def test_dataset_with_disagreeing_segment_counts_is_rejected(tmp_path):
