@@ -172,10 +172,6 @@ class Tape:
     def __exit__(self, exc_type, exc, tb) -> None:
         _ACTIVE.stack.pop()
 
-    def record(self, backward: Callable[[np.ndarray], None], out: Tensor) -> None:
-        """Append one op: the closure taking its output gradient, and that output."""
-        self._records.append((backward, out))
-
     def __len__(self) -> int:
         return len(self._records)
 
@@ -213,7 +209,7 @@ def _record(backward: Callable[[np.ndarray], None], out: Tensor, *inputs: Tensor
         return Constant._wrap(out.data)
     tape = _active_tape()
     if tape is not None:
-        tape.record(backward, out)
+        tape._records.append((backward, out))
     return out
 
 

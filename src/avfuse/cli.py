@@ -17,7 +17,7 @@ from pathlib import Path
 from avfuse.config import ConfigError, TrainConfig, load_config
 from avfuse.evaluation import RAW_SYSTEMS, TRAINED_SYSTEMS, embed_utterances, evaluate
 from avfuse.featio import load_dataset, manifest_entries, parse_trial_list, save_features
-from avfuse.gradcheck import format_suite_report, run_suite
+from avfuse.gradcheck import DEFAULT_TOLERANCE, format_suite_report, run_suite
 from avfuse.metrics import DcfParams, format_report
 from avfuse.model import VerificationModel
 from avfuse.synthetic import SyntheticSpec, generate_dataset
@@ -86,7 +86,7 @@ def _cmd_evaluate(args) -> int:
     if trained:
         model = VerificationModel.from_checkpoint(args.checkpoint)
         print(f"seed = {model.config.seed}")
-    dcf = DcfParams(p_target=args.p_target, c_miss=args.c_miss, c_fa=args.c_fa)
+    dcf = DcfParams(**{f.name: getattr(args, f.name) for f in fields(DcfParams)})
     report, _ = evaluate(args.system, trials, utterances, model=model,
                          dcf_params=dcf, scores_path=args.scores_out,
                          weight=TrainConfig.score_fusion_weight if weight is None else weight)
@@ -147,9 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", choices=TRAINED_SYSTEMS + RAW_SYSTEMS, default="rjca")
     p.add_argument("--checkpoint", type=Path)
     p.add_argument("--scores-out", type=Path)
-    p.add_argument("--p-target", type=float, default=0.05)
-    p.add_argument("--c-miss", type=float, default=1.0)
-    p.add_argument("--c-fa", type=float, default=1.0)
+    for field in fields(DcfParams):
+        p.add_argument(f"--{field.name.replace('_', '-')}", type=float, default=field.default)
     p.add_argument("--score-fusion-weight", type=float, default=None,
                    help=f"audio weight of the score_level system "
                         f"(default {TrainConfig.score_fusion_weight})")
@@ -163,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every layer")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.set_defaults(func=_cmd_gradcheck)
 
     return parser

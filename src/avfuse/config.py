@@ -114,16 +114,13 @@ def config_to_text(config: TrainConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_config(path=None, overrides: dict | None = None) -> TrainConfig:
-    """Defaults <- config file (if any) <- overrides, in increasing priority."""
+def load_config(path, overrides: dict[str, str]) -> TrainConfig:
+    """Defaults <- config file (if any) <- unparsed ``train`` flag strings, in increasing priority."""
     values: dict = {}
     if path is not None:
         try:
             values.update(parse_config_text(Path(path).read_text(encoding="utf-8")))
         except (ConfigError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-    for key, value in (overrides or {}).items():
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"unknown config key {key!r}")
-        values[key] = _parse_value(key, str(value)) if isinstance(value, str) else value
+    values.update((key, _parse_value(key, value)) for key, value in overrides.items())
     return TrainConfig(**values)

@@ -8,7 +8,7 @@ each read whole by one unbuffered read, from paths built once per dataset.
 
 Trial-list and manifest rows are ``NamedTuple``s, so a row costs what a
 3-tuple costs and a list of them flattens in one pass.  The writers refuse,
-before opening the file, an id that their reader would read back differently.
+before opening the file, a row that their reader would refuse or change.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -98,12 +99,12 @@ class TrialParseError(ValueError):
     """Malformed trial-list or manifest text; message carries the file and line number."""
 
 
-def text_lines(path, error: type[Exception] = TrialParseError) -> list[str]:
-    """Lines of a UTF-8 text file (universal newlines); undecodable bytes raise ``error``."""
+def text_lines(path) -> list[str]:
+    """Lines of a UTF-8 text file (universal newlines); undecodable bytes raise ``TrialParseError``."""
     try:
         return Path(path).read_text(encoding="utf-8").split("\n")
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text at byte {exc.start}") from exc
+        raise TrialParseError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
 
 
 class TrialPair(NamedTuple):
@@ -131,18 +132,19 @@ def parse_trial_list(path) -> list[TrialPair]:
     return trials
 
 
-def _refuse_ids(path, ids, bad, what: str) -> None:
-    """Raise ``TrialParseError`` naming the first distinct id for which ``bad`` holds."""
-    for u in dict.fromkeys(ids):
-        if bad(u):
-            raise TrialParseError(f"{path}: id {u!r} {what}")
+def _refuse(path, values, bad, message: str) -> None:
+    """Raise ``TrialParseError`` with ``message`` formatted by the first distinct ``bad`` value."""
+    for v in dict.fromkeys(values):
+        if bad(v):
+            raise TrialParseError(f"{path}: {message.format(v)}")
 
 
 def write_trial_list(path, trials) -> None:
-    """Write `label enroll_id test_id` lines; an id must be one whitespace-free token."""
+    """Write `label enroll_id test_id` lines; a label is 0 or 1, an id one whitespace-free token."""
     trials = list(trials)
-    _refuse_ids(path, (u for t in trials for u in t[1:]), lambda u: u.split() != [u],
-                "is empty or holds whitespace")
+    _refuse(path, (t[0] for t in trials), lambda v: v not in (0, 1), "label must be 0 or 1, got {!r}")
+    _refuse(path, (u for t in trials for u in t[1:]), lambda u: u.split() != [u],
+            "id {!r} is empty or holds whitespace")
     with open(path, "w", encoding="utf-8") as fh:
         for t in trials:
             fh.write(f"{int(t.is_target)} {t.enroll_id} {t.test_id}\n")
@@ -170,12 +172,16 @@ class Utterance:
 
 
 def write_manifest(path, entries) -> None:
-    """Write `utt_id<TAB>speaker_id<TAB>split` rows; an id must be a non-empty field
-    without a tab, a line break, or leading or trailing whitespace."""
+    """Write `utt_id<TAB>speaker_id<TAB>split` rows: unique utterance ids, splits `train` or `eval`,
+    and ids that are non-empty, without tab or line break, and unpadded by whitespace."""
     entries = list(entries)
-    _refuse_ids(path, (u for e in entries for u in e[:2]),
-                lambda u: not u or u != u.strip() or any(c in u for c in "\t\n\r"),
-                "is empty, holds a tab or line break, or has leading or trailing whitespace")
+    _refuse(path, (u for e in entries for u in e[:2]),
+            lambda u: not u or u != u.strip() or any(c in u for c in "\t\n\r"),
+            "id {!r} is empty, holds a tab or line break, or has leading or trailing whitespace")
+    rows = Counter(e[0] for e in entries)
+    _refuse(path, rows, lambda u: rows[u] > 1, "duplicate utterance id {!r}")
+    _refuse(path, (e[2] for e in entries), lambda v: v not in ("train", "eval"),
+            "split must be train or eval, got {!r}")
     with open(path, "w", encoding="utf-8") as fh:
         for e in entries:
             fh.write(f"{e.utt_id}\t{e.speaker_id}\t{e.split}\n")

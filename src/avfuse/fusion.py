@@ -14,8 +14,9 @@ input (a residual connection); each modality's pass is the one fused
   weights unless one set is shared); ``cross_attention`` runs one step, and
   ``concat`` none, leaving the plain joint stack.
 
-``fuse`` returns only the joint stack the model reads.  Every function takes
-single (dim, segments) utterances or (B, dim, segments) batches alike.
+``fuse`` returns only the joint stack the model reads, and leaves every
+weight's shape check to ``ad.attend``.  Every function takes single
+(dim, segments) utterances or (B, dim, segments) batches alike.
 Score-level averaging, the other ablation baseline, is here too.
 """
 
@@ -28,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from avfuse import autodiff as ad
-from avfuse.autodiff import ShapeError, Tensor
+from avfuse.autodiff import Tensor
 from avfuse.config import ConfigError
 
 
@@ -75,12 +76,6 @@ class JcaStepParams:
         shapes = cls.shapes(audio_dim, visual_dim, segments, fusion)
         return cls(**{name: init_weight(rng, *shape) for name, shape in shapes.items()})
 
-    def validate(self, audio_dim: int, visual_dim: int, segments: int, fusion: str = "rjca") -> None:
-        for name, shape in self.shapes(audio_dim, visual_dim, segments, fusion).items():
-            actual = getattr(self, name).shape
-            if actual != shape:
-                raise ShapeError(f"fusion weight {name}: expected shape {shape}, got {actual}")
-
 
 def fuse(fusion: str, audio: Tensor, visual: Tensor, steps: Sequence[JcaStepParams]) -> Tensor:
     """The fusion stage of every mode: ``steps`` applied in turn, each step's
@@ -100,7 +95,6 @@ def fuse(fusion: str, audio: Tensor, visual: Tensor, steps: Sequence[JcaStepPara
         raise ConfigError(f"{fusion} fusion needs at least one step's weights")
     joint = None if fusion == "cross_attention" else ad.concat_rows(audio, visual)
     for params in steps:
-        params.validate(audio.shape[-2], visual.shape[-2], audio.shape[-1], fusion)
         audio_key, visual_key = (visual, audio) if fusion == "cross_attention" else (joint, joint)
         audio, visual = (
             ad.attend(audio, audio_key, params.corr_proj_audio, params.attn_mix_audio,

@@ -26,6 +26,7 @@ from avfuse.temporal import AspParams, BlstmParams, EmbeddingProjection, asp, bl
 
 DEFAULT_TOLERANCE = 1e-4
 FD_EPS = 1e-5
+FD_FLOOR = 1e-3
 
 
 def numeric_gradient(f: Callable[[Tensor], float], x: Tensor, eps: float = FD_EPS) -> np.ndarray:
@@ -45,8 +46,8 @@ def numeric_gradient(f: Callable[[Tensor], float], x: Tensor, eps: float = FD_EP
     return grad
 
 
-def relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-3) -> float:
-    """Worst elementwise |a - n| / max(|a|, |n|, floor).
+def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """Worst elementwise |a - n| / max(|a|, |n|, ``FD_FLOOR``).
 
     The floor keeps finite-difference noise on near-zero gradients from
     dominating; a wrong backward still shows up as an O(1) error.
@@ -55,7 +56,7 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-
     n = np.asarray(numeric, dtype=np.float64)
     if a.shape != n.shape:
         raise ShapeError(f"relative_error: shape mismatch {a.shape} vs {n.shape}")
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), FD_FLOOR)
     return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
 
 

@@ -6,17 +6,15 @@ sentinels; the equal-error point is found by linear interpolation between
 adjacent sweep points; the detection cost is normalized by the cost of the
 better do-nothing decision, so it never exceeds one.  ``compute_report`` is
 the one entry point: it runs the sweep once and reads EER, minDCF and the DET
-curve from it.
+curve from it.  ``write_scores`` leaves per-trial `label score` lines for
+other tools; nothing in the package reads a scores file back.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from avfuse.featio import text_lines
 
 
 class ScoreSetError(ValueError):
@@ -49,9 +47,6 @@ class ScoreSet:
     @property
     def nontarget_scores(self) -> np.ndarray:
         return self.scores[self.labels == 0]
-
-    def __len__(self) -> int:
-        return len(self.scores)
 
 
 @dataclass
@@ -187,26 +182,3 @@ def write_scores(path, score_set: ScoreSet) -> None:
         for label, score in zip(score_set.labels, score_set.scores):
             fh.write(f"{int(label)} {float(score)!r}\n")
 
-
-def read_scores(path) -> ScoreSet:
-    """Parse a `label score` file written by :func:`write_scores`; every error names the file."""
-    labels, scores = [], []
-    for lineno, raw in enumerate(text_lines(path, ScoreSetError), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2 or parts[0] not in ("0", "1"):
-            raise ScoreSetError(f"{path}: malformed score line {lineno}: {raw.rstrip()!r}")
-        labels.append(int(parts[0]))
-        try:
-            score = float(parts[1])
-        except ValueError:
-            raise ScoreSetError(f"{path}: bad score on line {lineno}") from None
-        if not math.isfinite(score):
-            raise ScoreSetError(f"{path}: non-finite score on line {lineno}")
-        scores.append(score)
-    try:
-        return ScoreSet(np.array(scores), np.array(labels))
-    except ScoreSetError as exc:
-        raise ScoreSetError(f"{path}: {exc}") from None

@@ -31,12 +31,12 @@ from avfuse.temporal import AspParams, BlstmParams, EmbeddingProjection, asp, bl
 class VerificationModel:
     """Trainable stack mapping a two-modality utterance to an embedding and a loss."""
 
-    def __init__(self, config: TrainConfig, n_speakers: int, seed: int | None = None):
+    def __init__(self, config: TrainConfig, n_speakers: int):
         if n_speakers < 1:
             raise ConfigError("n_speakers must be >= 1")
         self.config = config
         self.n_speakers = n_speakers
-        rng = np.random.default_rng(config.seed if seed is None else seed)
+        rng = np.random.default_rng(config.seed)
         dims = (config.audio_dim, config.visual_dim, config.segments)
 
         # The fusion steps in the order they run; shared weights are one

@@ -10,7 +10,8 @@ from avfuse.checkpoint import load_checkpoint, save_checkpoint
 from avfuse.config import TrainConfig
 from avfuse.evaluation import score_trials
 from avfuse.featio import TrialPair, load_dataset, load_features, parse_trial_list, write_trial_list
-from avfuse.metrics import read_scores
+from avfuse.gradcheck import DEFAULT_TOLERANCE
+from avfuse.metrics import DcfParams
 from avfuse.model import VerificationModel
 from avfuse.synthetic import SyntheticSpec
 
@@ -78,7 +79,9 @@ def test_evaluate_score_level_takes_its_weight_and_echoes_no_seed(trained, tmp_p
         assert cli.main(args + ["--score-fusion-weight", weight]) == 0
         assert "seed" not in capsys.readouterr().out
         want = score_trials("score_level", trials, utterances, weight=float(weight))
-        assert np.array_equal(read_scores(scores).scores, want.scores)
+        rows = [line.split() for line in scores.read_text(encoding="utf-8").splitlines()]
+        assert [int(label) for label, _ in rows] == want.labels.tolist()
+        assert np.array_equal([float(score) for _, score in rows], want.scores)
     assert cli.main(args + ["--score-fusion-weight", "1.5"]) == 2
     assert capsys.readouterr().err == "error: score fusion weight must lie in [0, 1], got 1.5\n"
     with pytest.raises(SystemExit) as refused:
@@ -201,3 +204,13 @@ def test_evaluate_has_no_train_config_flag_but_the_score_fusion_weight(capsys):
         with pytest.raises(SystemExit):
             parser.parse_args(base + [flag, "1"])
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err, flag
+
+
+def test_cost_and_tolerance_flags_default_to_the_library_constants():
+    parser = cli.build_parser()
+    base = ["evaluate", "--data", "data", "--trials", "trials.txt"]
+    defaults, dcf = parser.parse_args(base), DcfParams()
+    assert (defaults.p_target, defaults.c_miss, defaults.c_fa) == (dcf.p_target, dcf.c_miss, dcf.c_fa)
+    given = parser.parse_args(base + ["--p-target", "0.01", "--c-miss", "10", "--c-fa", "2"])
+    assert (given.p_target, given.c_miss, given.c_fa) == (0.01, 10.0, 2.0)
+    assert parser.parse_args(["gradcheck"]).tolerance == DEFAULT_TOLERANCE

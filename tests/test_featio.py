@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from avfuse import cli
 from avfuse.checkpoint import load_checkpoint
-from avfuse.metrics import ScoreSetError, read_scores
 from avfuse.featio import (
     BadMagicError,
     ExtentError,
@@ -152,6 +151,21 @@ def test_manifest_writer_refuses_an_id_its_reader_would_change(tmp_path, bad, fi
     assert not path.exists()
 
 
+@pytest.mark.parametrize("writer, rows, message", [
+    (write_trial_list, [TrialPair(True, "u1", "u2"), TrialPair(2, "u1", "u3")],
+     "label must be 0 or 1, got 2"),
+    (write_manifest, [ManifestEntry("u1", "spk", "train"), ManifestEntry("u2", "spk", "test")],
+     "split must be train or eval, got 'test'"),
+    (write_manifest, [ManifestEntry("u1", "spk", "train"), ManifestEntry("u1", "spk", "eval")],
+     "duplicate utterance id 'u1'"),
+], ids=["trial_label", "manifest_split", "manifest_repeated_id"])
+def test_writers_refuse_a_row_their_reader_would_refuse(tmp_path, writer, rows, message):
+    path = tmp_path / "rows.txt"
+    with pytest.raises(TrialParseError, match=re.escape(f"{path}: {message}")):
+        writer(path, rows)
+    assert not path.exists()
+
+
 def test_writers_check_each_distinct_id_once(tmp_path):
     checks = []
 
@@ -249,15 +263,12 @@ _TEXT_BLOBS = st.one_of(
 )
 
 
-@pytest.mark.parametrize("reader, error", [(parse_trial_list, TrialParseError),
-                                           (read_manifest, TrialParseError),
-                                           (read_scores, ScoreSetError)],
-                         ids=["trial_list", "manifest", "scores"])
+@pytest.mark.parametrize("reader", [parse_trial_list, read_manifest], ids=["trial_list", "manifest"])
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(blob=_TEXT_BLOBS)
-def test_arbitrary_text_parses_or_raises_the_readers_error(blob_path, reader, error, blob):
+def test_arbitrary_text_parses_or_raises_the_readers_error(blob_path, reader, blob):
     blob_path.write_bytes(blob)
     try:
         reader(blob_path)
-    except error:
+    except TrialParseError:
         pass
