@@ -364,12 +364,10 @@ def blstm(x: Tensor, forward: tuple[Tensor, Tensor, Tensor],
     buffer (a batch's from one contiguous time-major copy), plus a contiguous
     bias shift; each step is one (4h, h) recurrent product per direction and
     one tanh over all four gate blocks of both, the sigmoid rows taken as
-    1/2 + tanh(z/2)/2.  That rounds differently from the two-exponential
-    sigmoid used before, so training no longer reproduces earlier checkpoints
-    bit for bit; runs of this code reproduce byte for byte.  The layer
-    is one tape record whose backward runs backpropagation through time by
-    hand from the stored gate values and forms each direction's gradients as
-    whole-sequence GEMMs over its stacked pre-activation gradients.
+    1/2 + tanh(z/2)/2.  The layer is one tape record whose backward runs
+    backpropagation through time by hand from the stored gate values and
+    forms each direction's gradients as whole-sequence GEMMs over its stacked
+    pre-activation gradients.
     """
     _require_matrix(x, "blstm")
     dim, length = x.shape[-2:]

@@ -21,7 +21,7 @@ from avfuse.gradcheck import DEFAULT_TOLERANCE, format_suite_report, run_suite
 from avfuse.metrics import DcfParams, format_report
 from avfuse.model import VerificationModel
 from avfuse.synthetic import SyntheticSpec, generate_dataset
-from avfuse.training import train
+from avfuse.training import DivergenceError, train
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -172,7 +172,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError, KeyError, ValueError) as exc:
+    except (ConfigError, DivergenceError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

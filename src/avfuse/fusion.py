@@ -30,7 +30,7 @@ import numpy as np
 
 from avfuse import autodiff as ad
 from avfuse.autodiff import Tensor
-from avfuse.config import ConfigError
+from avfuse.config import FUSION_MODES, ConfigError
 
 
 def init_weight(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
@@ -91,6 +91,10 @@ def fuse(fusion: str, audio: Tensor, visual: Tensor, steps: Sequence[JcaStepPara
     stack of the inputs.  A step adds 3 tape records (two ``attend`` and one
     stack), after the one of ``rjca``'s first joint stack.
     """
+    if fusion not in FUSION_MODES:
+        raise ConfigError(f"fusion must be one of {FUSION_MODES}, got {fusion!r}")
+    if fusion == "concat" and steps:
+        raise ConfigError(f"concat fusion takes no step weights, got {len(steps)}")
     if not steps and fusion != "concat":
         raise ConfigError(f"{fusion} fusion needs at least one step's weights")
     joint = None if fusion == "cross_attention" else ad.concat_rows(audio, visual)

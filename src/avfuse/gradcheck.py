@@ -29,20 +29,18 @@ FD_EPS = 1e-5
 FD_FLOOR = 1e-3
 
 
-def numeric_gradient(f: Callable[[Tensor], float], x: Tensor, eps: float = FD_EPS) -> np.ndarray:
-    """Central-difference gradient estimate of a scalar function, per element."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+def numeric_gradient(f: Callable[[Tensor], float], x: Tensor) -> np.ndarray:
+    """Central-difference gradient estimate of a scalar function, per element, step ``FD_EPS``."""
     base = x.data
     grad = np.zeros_like(base)
     for idx in np.ndindex(base.shape):
         hi, lo = base.copy(), base.copy()
-        hi[idx] += eps
-        lo[idx] -= eps
+        hi[idx] += FD_EPS
+        lo[idx] -= FD_EPS
         f_hi, f_lo = float(f(Tensor(hi))), float(f(Tensor(lo)))
         if not (np.isfinite(f_hi) and np.isfinite(f_lo)):
             raise NonFiniteError("numeric_gradient: function returned a non-finite value")
-        grad[idx] = (f_hi - f_lo) / (2.0 * eps)
+        grad[idx] = (f_hi - f_lo) / (2.0 * FD_EPS)
     return grad
 
 
@@ -73,8 +71,7 @@ class LayerCheck:
         return self.worst_error < self.tolerance
 
 
-def check_function(loss_fn: Callable[[], Tensor], tensors: dict[str, Tensor],
-                   eps: float = FD_EPS) -> float:
+def check_function(loss_fn: Callable[[], Tensor], tensors: dict[str, Tensor]) -> float:
     """Worst relative error of tape gradients vs central differences.
 
     ``loss_fn`` must rebuild the scalar loss from the live tensor objects so
@@ -95,7 +92,7 @@ def check_function(loss_fn: Callable[[], Tensor], tensors: dict[str, Tensor],
                 tensor.data = saved
 
         analytic = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-        worst = max(worst, relative_error(analytic, numeric_gradient(probe, tensor, eps)))
+        worst = max(worst, relative_error(analytic, numeric_gradient(probe, tensor)))
     return worst
 
 

@@ -5,11 +5,11 @@ One tape per mini-batch: the batch's features are stacked into
 per-utterance losses; one backward of their sum, seeded 1/B, leaves the
 batch-mean gradient in every parameter.  A non-finite loss raises a
 DivergenceError naming its utterance.  The optimizer keeps all its state in
-one flat array: it gathers the gradients into one row, runs its update
-formula once over whole rows and subtracts each parameter's slice in place.
-Before it updates anything, its guard screens the sum of the gathered
-gradient for NaN or Inf; only a non-finite total pays for the per-parameter
-scan that names the parameter and refuses the step with a DivergenceError.
+one flat array and owns each batch's gradients: it gathers them into one row,
+screens the row's sum for NaN or Inf (only a non-finite sum pays for the
+per-parameter scan that names the parameter and refuses the step with a
+DivergenceError), runs its update formula once over whole rows, subtracts
+each parameter's slice in place and releases every gradient.
 Everything is driven by one seeded generator, so a fixed config reproduces
 the loss log and checkpoints exactly.  Parameters pass through checkpoint
 precision at every epoch boundary, keeping the in-memory model identical to
@@ -18,7 +18,6 @@ its last saved checkpoint.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,41 +40,49 @@ class Optimizer:
 
     All state is one ``(4, n)`` array over every parameter in order, plus
     ``step_count``: its rows are the moments ``m`` and ``v``, the gathered
-    gradient and a scratch row.  ``_m``, ``_v`` and ``_grads`` view each
-    parameter's slice of the first three.  A step copies every parameter's
-    gradient into the gradient row, hands the row's sum to ``guard`` (if
-    given), which may refuse the step by raising before anything is updated,
-    runs the update formula once over whole rows, writing the update over the
-    gradient it no longer needs, and subtracts each parameter's slice in
-    place.  Every parameter must have a gradient: a None one raises
-    ``TypeError`` before any moment, parameter or ``step_count`` changes.  The
-    formulas are elementwise and keep the per-parameter operation order, so
-    the bits are those of a per-parameter update; a step allocates nothing.
+    gradient and a scratch row; ``_grads`` views the gradient row per
+    parameter.  A step owns one batch's gradients.  It copies them into the
+    gradient row and screens the row's sum: a NaN or Inf entry makes the sum
+    non-finite, so a finite sum proves every entry finite, and only a
+    non-finite one (finite gradients whose sum overflows give one too) scans
+    the views for the parameter to name in a ``DivergenceError``.  Op results
+    are not checked for finiteness, so this is what keeps a non-finite gradient
+    from reaching the parameters.  That error, or the ``TypeError`` of a None
+    gradient, comes before any moment, parameter or ``step_count`` changes.
+    The step then runs the update formula once over whole rows, writing the
+    update over the gradient it no longer needs, subtracts each parameter's
+    slice in place and sets every ``.grad`` to None, so the next backward
+    starts from none.  The formulas are elementwise and keep the per-parameter
+    operation order, so the bits are those of a per-parameter update; a step
+    allocates nothing.
     """
 
-    def __init__(self, params: list[Tensor], config: TrainConfig,
-                 guard: Callable[[float], None] | None = None):
-        self.params = params
+    def __init__(self, named_params: dict[str, Tensor], config: TrainConfig):
+        self.named_params = named_params
         self.kind = config.optimizer
         self.lr = config.learning_rate
         self.momentum = config.momentum
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
         self.step_count = 0
-        self.guard = guard
+        params = named_params.values()
         offsets = np.cumsum([0] + [p.data.size for p in params]).tolist()
         self._flat = np.zeros((4, offsets[-1]))  # rows m, v, the gathered gradient, scratch
-        self._m, self._v, self._grads = (
-            [row[lo:hi].reshape(p.data.shape) for p, lo, hi in zip(params, offsets, offsets[1:])]
-            for row in self._flat[:3])
+        self._grads = [self._flat[2, lo:hi].reshape(p.data.shape)
+                       for p, lo, hi in zip(params, offsets, offsets[1:])]
 
     def step(self) -> None:
-        """Update every parameter, unless ``guard`` refuses."""
-        for p, grad in zip(self.params, self._grads):
+        """Screen the gathered gradients, update every parameter and release its gradient."""
+        params = self.named_params.values()
+        for p, grad in zip(params, self._grads):
             np.copyto(grad, p.grad)
         m, v, grad, a = self._flat
-        if self.guard is not None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                self.guard(grad.sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = grad.sum()
+        if not np.isfinite(total):
+            for name, g in zip(self.named_params, self._grads):
+                if not np.isfinite(g).all():
+                    raise DivergenceError(
+                        f"non-finite gradient at step {self.step_count + 1}, parameter {name}")
         self.step_count += 1
         if self.kind == "adam":
             correct1 = 1 - self.beta1 ** self.step_count
@@ -94,8 +101,9 @@ class Optimizer:
         else:
             np.add(np.multiply(m, self.momentum, out=m), grad, out=m)
             np.multiply(m, self.lr, out=grad)
-        for p, update in zip(self.params, self._grads):
+        for p, update in zip(params, self._grads):
             np.subtract(p.data, update, out=p.data)
+            p.grad = None
 
 
 @dataclass
@@ -111,24 +119,6 @@ class TrainResult:
 def speaker_index_map(utterances: list[Utterance]) -> dict[str, int]:
     """Stable speaker indexing: sorted speaker ids -> 0..n-1."""
     return {spk: i for i, spk in enumerate(sorted({u.speaker_id for u in utterances}))}
-
-
-def _check_finite_gradients(named_params: dict[str, Tensor], epoch: int, total: float) -> None:
-    """Raise DivergenceError naming the first parameter whose gradient is NaN or Inf.
-
-    Op results are not checked for finiteness, so this is what keeps a
-    non-finite gradient from reaching the parameters.  ``total`` is the sum
-    of every gradient (what ``Optimizer`` hands its guard), one sum that
-    screens them all: a NaN or Inf entry makes it non-finite, so a finite
-    total proves every entry finite.  Only a non-finite total, which finite
-    gradients also give when their sum overflows, runs the per-parameter
-    scan that names the culprit.
-    """
-    if np.isfinite(total):
-        return
-    for name, tensor in named_params.items():
-        if not np.isfinite(tensor.grad).all():
-            raise DivergenceError(f"non-finite gradient at epoch {epoch}, parameter {name}")
 
 
 def train(config: TrainConfig, train_utts: list[Utterance], out_dir,
@@ -147,11 +137,7 @@ def train(config: TrainConfig, train_utts: list[Utterance], out_dir,
     out_dir.mkdir(parents=True, exist_ok=True)
     speakers = speaker_index_map(train_utts)
     model = VerificationModel(config, n_speakers=len(speakers))
-    named_params = model.named_parameters()
-    params = list(named_params.values())
-    # The guard reads the epoch the loop is in when a step calls it.
-    optimizer = Optimizer(params, config,
-                          guard=lambda total: _check_finite_gradients(named_params, epoch, total))
+    optimizer = Optimizer(model.named_parameters(), config)
     shuffle_rng = np.random.default_rng(config.seed + 1)
 
     order = sorted(range(len(train_utts)), key=lambda i: train_utts[i].utt_id)
@@ -166,8 +152,6 @@ def train(config: TrainConfig, train_utts: list[Utterance], out_dir,
             audio = np.stack([u.audio for u in batch])
             visual = np.stack([u.visual for u in batch])
             labels = np.array([speakers[u.speaker_id] for u in batch])
-            for tensor in params:
-                tensor.grad = None
             with Tape() as tape:
                 losses = model.loss(audio, visual, labels)
                 total = ad.sum_all(losses)

@@ -163,6 +163,17 @@ def test_evaluate_and_embed_refuse_data_off_the_checkpoint_dims(fusion, tmp_path
                                        f"error: audio features of shape (9, 3, 6) {expected}")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_reports_divergence_as_an_error(trained, tmp_path, capsys):
+    data, _ = trained
+    run = tmp_path / "run"
+    assert cli.main(["train", "--data", str(data), "--out", str(run), "--epochs", "2",
+                     "--learning-rate", "1e300", "--iterations", "2", "--blstm-hidden", "3",
+                     "--asp-hidden", "3", "--embed-dim", "4", "--batch-size", "4", *DIMS]) == 2
+    assert capsys.readouterr().err == "error: non-finite loss at epoch 1, utterance spk001_utt00\n"
+    assert not (run / "final.ckpt").exists()
+
+
 @pytest.mark.parametrize("held_out", ["1", "0"])
 def test_synth_without_target_trials_writes_nothing(tmp_path, capsys, held_out):
     out = tmp_path / "data"

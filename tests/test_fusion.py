@@ -104,6 +104,16 @@ class TestRecursion:
         with pytest.raises(ConfigError):
             fuse("rjca", audio, visual, [])
 
+    def test_unknown_mode_is_refused_by_name(self):
+        audio, visual = random_inputs(3, 2, 4)
+        with pytest.raises(ConfigError, match="'bogus'"):
+            fuse("bogus", audio, visual, [zero_step(3, 2, 4)])
+
+    def test_concat_refuses_step_weights(self):
+        audio, visual = random_inputs(3, 2, 4)
+        with pytest.raises(ConfigError, match="concat fusion takes no step weights"):
+            fuse("concat", audio, visual, [zero_step(3, 2, 4)])
+
     @pytest.mark.parametrize("steps", [1, 3, 4])
     def test_gradients_match_finite_differences(self, steps):
         rng = np.random.default_rng(40 + steps)

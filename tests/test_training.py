@@ -9,7 +9,7 @@ from avfuse.config import TrainConfig
 from avfuse.featio import load_dataset, manifest_entries
 from avfuse.model import VerificationModel
 from avfuse.synthetic import SyntheticSpec, generate_dataset
-from avfuse.training import DivergenceError, Optimizer, _check_finite_gradients, speaker_index_map, train
+from avfuse.training import DivergenceError, Optimizer, speaker_index_map, train
 
 from test_model import zero_grads
 
@@ -91,7 +91,7 @@ def test_non_finite_gradient_stops_training_and_names_the_parameter(tiny_train_s
         return passed
 
     monkeypatch.setattr(ad, "blstm", poisoned_blstm)
-    with pytest.raises(DivergenceError, match=r"epoch 0, parameter blstm\.bw\.w_recurrent"):
+    with pytest.raises(DivergenceError, match=r"step 1, parameter blstm\.bw\.w_recurrent"):
         train(tiny_config(), tiny_train_set, tmp_path)
     assert not (tmp_path / "final.ckpt").exists()
 
@@ -100,7 +100,7 @@ def reference_epoch_losses(config, utts):
     """The per-sample loop batched training replaced: one tape per utterance."""
     speakers = speaker_index_map(utts)
     model = VerificationModel(config, n_speakers=len(speakers))
-    optimizer = Optimizer(list(model.named_parameters().values()), config)
+    optimizer = Optimizer(model.named_parameters(), config)
     shuffle_rng = np.random.default_rng(config.seed + 1)
     order = sorted(range(len(utts)), key=lambda i: utts[i].utt_id)
     epoch_losses = []
@@ -186,8 +186,7 @@ def test_in_place_step_is_bitwise_the_out_of_place_formula(kind):
     config = TrainConfig(optimizer=kind, learning_rate=0.01)
     params = [Tensor(a) for a in initial]
     reference_params = [Tensor(a) for a in initial]
-    totals = []
-    optimizer = Optimizer(params, config, guard=totals.append)
+    optimizer = Optimizer(dict(enumerate(params)), config)
     reference = OutOfPlaceOptimizer(reference_params, config)
     for _ in range(6):
         grads = [rng.standard_normal(shape) for shape in shapes]
@@ -195,48 +194,66 @@ def test_in_place_step_is_bitwise_the_out_of_place_formula(kind):
             p.grad = q.grad = g
         optimizer.step()
         reference.step()
-        assert totals[-1] == pytest.approx(sum(g.sum() for g in grads), rel=1e-12)
         for p, q in zip(params, reference_params):
             assert p.data.tobytes() == q.data.tobytes()
-    for mine, theirs in ((optimizer._m, reference.m), (optimizer._v, reference.v)):
-        assert [a.tobytes() for a in mine] == [a.tobytes() for a in theirs]
+    for mine, theirs in zip(optimizer._flat[:2], (reference.m, reference.v)):
+        assert mine.tobytes() == np.concatenate([a.ravel() for a in theirs]).tobytes()
 
 
 def test_a_missing_gradient_raises_before_anything_is_updated():
     rng = np.random.default_rng(32)
     params = [Tensor(rng.standard_normal(shape)) for shape in [(3, 4), (5, 1), (7,)]]
-    optimizer = Optimizer(params, TrainConfig())
+    optimizer = Optimizer(dict(enumerate(params)), TrainConfig())
     for p in params:
         p.grad = rng.standard_normal(p.data.shape)
     optimizer.step()
-    params[1].grad = None
-    before = [[a.copy() for a in arrays] for arrays in ([p.data for p in params], optimizer._m, optimizer._v)]
+    for i in (0, 2):  # the step released every gradient; only params[1] stays without one
+        params[i].grad = rng.standard_normal(params[i].data.shape)
+    before = [p.data.copy() for p in params], optimizer._flat[:2].copy()
     with pytest.raises(TypeError):
         optimizer.step()
     assert optimizer.step_count == 1
-    after = ([p.data for p in params], optimizer._m, optimizer._v)
-    for old, new in zip(before, after):
-        assert [a.tobytes() for a in old] == [a.tobytes() for a in new]
+    assert [p.data.tobytes() for p in params] == [a.tobytes() for a in before[0]]
+    assert optimizer._flat[:2].tobytes() == before[1].tobytes()
 
 
 def test_guard_names_a_nan_gradient_but_passes_finite_ones_whose_sum_overflows():
     params = {"a": Tensor(np.ones(3)), "b": Tensor(np.ones((2, 2))), "c": Tensor(np.ones(1))}
-    totals = []
+    optimizer = Optimizer(params, TrainConfig(optimizer="momentum"))
 
-    def guard(total):
-        totals.append(total)
-        _check_finite_gradients(params, 3, total)
+    def set_grads(c):
+        params["a"].grad = np.full(3, 1e308)  # finite entries whose sums overflow to +inf and -inf
+        params["b"].grad = np.full((2, 2), -1e308)
+        params["c"].grad = np.array([c])
 
-    optimizer = Optimizer(list(params.values()), TrainConfig(optimizer="momentum"), guard=guard)
-    params["a"].grad = np.full(3, 1e308)  # finite entries whose sums overflow to +inf and -inf
-    params["b"].grad = np.full((2, 2), -1e308)
-    params["c"].grad = np.zeros(1)
+    set_grads(0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(sum(t.grad.sum() for t in params.values()))
     optimizer.step()
-    assert not np.isfinite(totals[-1])
     assert optimizer.step_count == 1
-    params["c"].grad = np.array([np.nan])
-    before = [t.data.copy() for t in params.values()]
-    with pytest.raises(DivergenceError, match=r"epoch 3, parameter c$"):
+    set_grads(np.nan)
+    before = [t.data.copy() for t in params.values()], optimizer._flat[:2].copy()
+    with pytest.raises(DivergenceError, match=r"step 2, parameter c$"):
         optimizer.step()
     assert optimizer.step_count == 1  # refused before anything was updated
-    assert all(np.array_equal(t.data, b) for t, b in zip(params.values(), before))
+    assert all(np.array_equal(t.data, b) for t, b in zip(params.values(), before[0]))
+    assert optimizer._flat[:2].tobytes() == before[1].tobytes()
+
+
+def test_every_gradient_is_released_after_each_train_step(tiny_train_set, tmp_path, monkeypatch):
+    params, held = {}, []
+    real_named_parameters, real_step = VerificationModel.named_parameters, Optimizer.step
+
+    def named_parameters(model):
+        named = real_named_parameters(model)
+        params.update(named)
+        return named
+
+    def step(optimizer):
+        real_step(optimizer)
+        held.append([name for name, t in params.items() if t.grad is not None])
+
+    monkeypatch.setattr(VerificationModel, "named_parameters", named_parameters)
+    monkeypatch.setattr(Optimizer, "step", step)
+    train(tiny_config(), tiny_train_set, tmp_path)
+    assert params and held == [[]] * 6  # 9 utterances in batches of 4, over 2 epochs
