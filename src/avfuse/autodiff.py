@@ -68,6 +68,12 @@ class NonFiniteError(ValueError):
 
 _MAX_RANK = 3
 
+# Bounds that keep fused backwards finite: attentive_pool floors a (near-)zero
+# variance, e.g. of one segment, under its square root; aam_cross_entropy keeps
+# the target cosine inside (-1, 1), where sin = sqrt(1 - cos^2) has a derivative.
+VARIANCE_FLOOR = 1e-8
+COS_BOUND = 1.0 - 1e-7
+
 _ACTIVE = threading.local()
 
 
@@ -529,12 +535,11 @@ def blstm(x: Tensor, forward: tuple[Tensor, Tensor, Tensor],
     return _record(backward_pass, out, x, *forward, *backward)
 
 
-def attend(feats: Tensor, key: Tensor, proj: Tensor, attn_mix: Tensor, out_mix: Tensor,
-           inv_scale: float) -> Tensor:
+def attend(feats: Tensor, key: Tensor, proj: Tensor, attn_mix: Tensor, out_mix: Tensor) -> Tensor:
     """Residual cross-attention of ``feats`` against ``key``, as one tape record.
 
     Returns feats + relu((feats @ attn_mix) @ C) @ out_mix with C the
-    segment-by-segment correlation map tanh(feats^T (proj @ key) * inv_scale),
+    segment-by-segment correlation map tanh(feats^T (proj @ key) / sqrt(k)),
     its scaling and tanh written into the product's own buffer.  Shapes:
     ``feats`` (d, L), ``key`` (k, L), ``proj`` (d, k), both mixes (L, L), or
     the same with a leading batch axis on ``feats`` and ``key``.  Only C is
@@ -555,6 +560,7 @@ def attend(feats: Tensor, key: Tensor, proj: Tensor, attn_mix: Tensor, out_mix: 
     for name, mix in (("attn_mix", attn_mix), ("out_mix", out_mix)):
         if mix.shape != (length, length):
             raise ShapeError(f"attend: {name} must be {(length, length)}, got {mix.shape}")
+    inv_scale = 1.0 / math.sqrt(key.shape[-2])
     corr = _swap(feats.data) @ (proj.data @ key.data)
     corr *= inv_scale
     np.tanh(corr, out=corr)
@@ -592,14 +598,14 @@ def attend(feats: Tensor, key: Tensor, proj: Tensor, attn_mix: Tensor, out_mix: 
     return _record(backward, out, feats, key, proj, attn_mix, out_mix)
 
 
-def attentive_pool(feats: Tensor, proj: Tensor, bias: Tensor, score: Tensor, floor: float) -> Tensor:
+def attentive_pool(feats: Tensor, proj: Tensor, bias: Tensor, score: Tensor) -> Tensor:
     """Attentive statistics pooling of (d, L) -> (2d, 1), or of a (B, d, L) batch, as one tape record.
 
     The segment weights w are softmax(score^T tanh(proj @ feats + bias)) over
     segments, the bias and the tanh written into the product's buffer.  The
     output stacks the weighted mean mu = feats @ w over the weighted standard
-    deviation sqrt(max((feats * feats) @ w - mu * mu, floor)); the variance
-    gets gradient only where it lies above ``floor``.
+    deviation sqrt(max((feats * feats) @ w - mu * mu, VARIANCE_FLOOR)); the
+    variance gets gradient only where it lies above ``VARIANCE_FLOOR``.
     """
     _require_matrix(feats, "attentive_pool")
     dim = feats.shape[-2]
@@ -619,13 +625,13 @@ def attentive_pool(feats: Tensor, proj: Tensor, bias: Tensor, score: Tensor, flo
     squares = x * x
     mean = x @ weights
     variance = squares @ weights - mean * mean
-    sigma = np.sqrt(np.maximum(variance, floor))
+    sigma = np.sqrt(np.maximum(variance, VARIANCE_FLOOR))
     out = Tensor._wrap(np.concatenate([mean, sigma], axis=-2))
 
     def backward(g):
         # Gradients of the two pooled statistics: the mean, and the second
         # moment squares @ w, from which the variance subtracts mu * mu.
-        d_second = g[..., dim:, :] * 0.5 / sigma * (variance > floor)
+        d_second = g[..., dim:, :] * 0.5 / sigma * (variance > VARIANCE_FLOOR)
         d_mean = g[..., :dim, :] - 2.0 * d_second * mean
         d_weights = _swap(x) @ d_mean + _swap(squares) @ d_second
         # Softmax over segments, then scores = score^T hidden.
@@ -648,7 +654,7 @@ def attentive_pool(feats: Tensor, proj: Tensor, bias: Tensor, score: Tensor, flo
 
 
 def aam_cross_entropy(embedding: Tensor, weights: Tensor, labels: np.ndarray, scale: float,
-                      margin: float, cos_bound: float) -> Tensor:
+                      margin: float) -> Tensor:
     """Additive-angular-margin softmax cross-entropy per embedding, as one tape record.
 
     ``embedding`` (e, 1) with an int label gives a (1, 1) loss; a batch
@@ -656,7 +662,7 @@ def aam_cross_entropy(embedding: Tensor, weights: Tensor, labels: np.ndarray, sc
     the cosines between the unit embedding and the unit rows of the (n, e)
     class ``weights``, the target's moved by delta = cos(theta + margin) -
     cos(theta), expanded as cos*cos(margin) - sin*sin(margin) - cos with sin
-    taken from the cosine clamped to [-cos_bound, cos_bound].  Past
+    taken from the cosine clamped to [-COS_BOUND, COS_BOUND].  Past
     theta = pi - margin, where cos(theta + margin) would rise again as theta
     grows, delta is the constant -margin * sin(pi - margin) (the ArcFace
     fallback), so the target logit keeps falling with theta.  Labels must be
@@ -679,7 +685,7 @@ def aam_cross_entropy(embedding: Tensor, weights: Tensor, labels: np.ndarray, sc
     cosines = _mm(unit_classes, unit_emb)[..., 0]                         # [B x] n
     pos = np.asarray(labels)[..., None]
     target = np.take_along_axis(cosines, pos, axis=-1)
-    bounded = np.clip(target, -cos_bound, cos_bound)
+    bounded = np.clip(target, -COS_BOUND, COS_BOUND)
     sine = np.sqrt(1.0 - bounded * bounded)
     delta = (math.cos(margin) * target - math.sin(margin) * sine) - target
     beyond = target <= math.cos(math.pi - margin)
@@ -698,7 +704,7 @@ def aam_cross_entropy(embedding: Tensor, weights: Tensor, labels: np.ndarray, sc
         d_cos = scale * g[..., 0] * p
         # The target logit's slope in its cosine: cos(margin) plus the sine
         # path, open only strictly inside the clamp; 1 past the fallback threshold.
-        inside = (target > -cos_bound) & (target < cos_bound)
+        inside = (target > -COS_BOUND) & (target < COS_BOUND)
         slope = math.cos(margin) + math.sin(margin) * bounded / sine * inside
         slope = np.where(beyond, 1.0, slope)
         np.put_along_axis(d_cos, pos, np.take_along_axis(d_cos, pos, axis=-1) * slope, axis=-1)

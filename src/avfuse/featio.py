@@ -1,14 +1,15 @@
-"""On-disk formats: feature matrices, trial lists, dataset manifests.
+"""On-disk formats: the storage codec, feature matrices, trial lists, dataset manifests.
 
-Feature files carry one real matrix: magic ``AVF1``, two little-endian u32
-extents (rows, cols), then rows*cols IEEE-754 single-precision little-endian
-values in row-major order.  Values are widened to double precision in memory.
+This module alone knows how arrays are stored, in feature files and in
+checkpoints (``avfuse.checkpoint`` keeps only its container layout): as
+IEEE-754 single-precision little-endian values, widened to double precision in
+memory.  Feature files carry one real matrix: magic ``AVF1``, two little-endian
+u32 extents (rows, cols), then the rows*cols values in row-major order.
 One file per modality per utterance: ``<id>.audio.avf`` / ``<id>.visual.avf``,
 each read whole by one unbuffered read, from paths built once per dataset.
-
 Trial-list and manifest rows are ``NamedTuple``s, so a row costs what a
-3-tuple costs and a list of them flattens in one pass.  The writers refuse,
-before opening the file, a row that their reader would refuse or change.
+3-tuple costs and a list of them flattens in one pass.  Every writer refuses,
+before opening its file, what its reader would refuse or change.
 """
 
 from __future__ import annotations
@@ -46,15 +47,37 @@ class ExtentError(FeatureFileError):
     """Header extents are zero or overflow sane limits."""
 
 
+def single_precision(values, what: str, error: type = FeatureFileError) -> np.ndarray:
+    """``values`` rounded to storage precision and widened back, bitwise a save and reload;
+    ``widen`` refuses a value that is NaN or Inf or rounds to Inf."""
+    given = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        stored = given.astype("<f4").tobytes()
+    return widen(stored, 0, given.shape, what, error)
+
+
+def widen(blob, offset: int, shape: tuple[int, ...], what: str, error: type = FeatureFileError) -> np.ndarray:
+    """The stored values of ``shape`` at byte ``offset`` of ``blob``, which the caller has checked
+    it holds, widened to float64; a NaN or Inf raises ``error`` naming ``what`` and its index."""
+    flat = np.frombuffer(blob, "<f4", math.prod(shape), offset).astype(np.float64)
+    values = flat.reshape(shape)
+    # Squares of widened single-precision values cannot overflow a double sum,
+    # so the sum of squares is finite exactly when every value is; a dot
+    # product is the cheapest such sum, and only a bad payload pays for the scan.
+    if not math.isfinite(flat.dot(flat)):
+        index = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
+        raise error(f"{what}: {values[index]} at index {index} is not a finite single-precision value")
+    return values
+
+
 def save_features(path, matrix: np.ndarray) -> None:
     """Write a rank-2 real matrix as a single-precision feature file."""
     arr = np.asarray(matrix, dtype=np.float64)
-    if arr.ndim != 2:
-        raise FeatureFileError(f"feature matrix must be rank 2, got shape {arr.shape}")
-    rows, cols = arr.shape
-    payload = arr.astype("<f4").tobytes(order="C")
+    if arr.ndim != 2 or not 0 < arr.size <= _MAX_ELEMENTS:
+        raise FeatureFileError(f"{path}: feature matrix must be rank 2 with usable extents, got {arr.shape}")
+    payload = single_precision(arr, str(path)).astype("<f4").tobytes()
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(FEATURE_MAGIC, rows, cols))
+        fh.write(_HEADER.pack(FEATURE_MAGIC, *arr.shape))
         fh.write(payload)
 
 
@@ -79,15 +102,7 @@ def load_features(path) -> np.ndarray:
         )
     if len(blob) > expected:
         raise FeatureFileError(f"{path}: {len(blob) - expected} trailing bytes")
-    values = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).astype(np.float64)
-    matrix = values.reshape(rows, cols)
-    # Squares of widened single-precision values cannot overflow a double sum,
-    # so the sum of squares is finite exactly when every value is; a dot
-    # product is the cheapest such sum, and only a bad file pays for the scan.
-    if not math.isfinite(values.dot(values)):
-        row, col = np.argwhere(~np.isfinite(matrix))[0]
-        raise FeatureFileError(f"{path}: non-finite value {matrix[row, col]} at row {row}, col {col}")
-    return matrix
+    return widen(blob, _HEADER.size, (rows, cols), path)
 
 
 # ---------------------------------------------------------------------------

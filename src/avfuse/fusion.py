@@ -98,13 +98,11 @@ def fuse(fusion: str, audio: Tensor, visual: Tensor, steps: Sequence[JcaStepPara
     if not steps and fusion != "concat":
         raise ConfigError(f"{fusion} fusion needs at least one step's weights")
     joint = None if fusion == "cross_attention" else ad.concat_rows(audio, visual)
-    for params in steps:
+    for p in steps:
         audio_key, visual_key = (visual, audio) if fusion == "cross_attention" else (joint, joint)
         audio, visual = (
-            ad.attend(audio, audio_key, params.corr_proj_audio, params.attn_mix_audio,
-                      params.out_mix_audio, 1.0 / math.sqrt(audio_key.shape[-2])),
-            ad.attend(visual, visual_key, params.corr_proj_visual, params.attn_mix_visual,
-                      params.out_mix_visual, 1.0 / math.sqrt(visual_key.shape[-2])))
+            ad.attend(audio, audio_key, p.corr_proj_audio, p.attn_mix_audio, p.out_mix_audio),
+            ad.attend(visual, visual_key, p.corr_proj_visual, p.attn_mix_visual, p.out_mix_visual))
         joint = ad.concat_rows(audio, visual)
     return joint
 

@@ -29,15 +29,20 @@ FD_EPS = 1e-5
 FD_FLOOR = 1e-3
 
 
-def numeric_gradient(f: Callable[[Tensor], float], x: Tensor) -> np.ndarray:
-    """Central-difference gradient estimate of a scalar function, per element, step ``FD_EPS``."""
-    base = x.data
-    grad = np.zeros_like(base)
-    for idx in np.ndindex(base.shape):
-        hi, lo = base.copy(), base.copy()
-        hi[idx] += FD_EPS
-        lo[idx] -= FD_EPS
-        f_hi, f_lo = float(f(Tensor(hi))), float(f(Tensor(lo)))
+def numeric_gradient(f: Callable[[], float], x: Tensor) -> np.ndarray:
+    """Central-difference gradient of ``f()`` in each element of ``x.data``, moved in place by
+    ``FD_EPS`` either way and then restored."""
+    data = x.data
+    grad = np.zeros_like(data)
+    for idx in np.ndindex(data.shape):
+        saved = data[idx]
+        try:
+            data[idx] = saved + FD_EPS
+            f_hi = float(f())
+            data[idx] = saved - FD_EPS
+            f_lo = float(f())
+        finally:
+            data[idx] = saved
         if not (np.isfinite(f_hi) and np.isfinite(f_lo)):
             raise NonFiniteError("numeric_gradient: function returned a non-finite value")
         grad[idx] = (f_hi - f_lo) / (2.0 * FD_EPS)
@@ -82,17 +87,8 @@ def check_function(loss_fn: Callable[[], Tensor], tensors: dict[str, Tensor]) ->
     tape.backward(loss)
     worst = 0.0
     for tensor in tensors.values():
-        saved = tensor.data
-
-        def probe(replaced: Tensor, tensor=tensor, saved=saved) -> float:
-            tensor.data = replaced.data
-            try:
-                return loss_fn().item()
-            finally:
-                tensor.data = saved
-
         analytic = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-        worst = max(worst, relative_error(analytic, numeric_gradient(probe, tensor)))
+        worst = max(worst, relative_error(analytic, numeric_gradient(lambda: loss_fn().item(), tensor)))
     return worst
 
 

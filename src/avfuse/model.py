@@ -21,8 +21,9 @@ import numpy as np
 
 from avfuse import autodiff as ad
 from avfuse.autodiff import Constant, ShapeError, Tensor
-from avfuse.checkpoint import CheckpointError, load_checkpoint, quantize_like_checkpoint, save_checkpoint
+from avfuse.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from avfuse.config import ConfigError, TrainConfig, config_to_text, parse_config_text
+from avfuse.featio import single_precision
 from avfuse.fusion import JcaStepParams, fuse
 from avfuse.objective import AamHead, aam_loss
 from avfuse.temporal import AspParams, BlstmParams, EmbeddingProjection, asp, blstm_forward, project_embedding
@@ -110,9 +111,9 @@ class VerificationModel:
         return params
 
     def quantize_single_precision(self) -> None:
-        """Force parameters through storage precision (see checkpoint module)."""
-        for tensor in self.named_parameters().values():
-            tensor.data = quantize_like_checkpoint(tensor.data)
+        """Round every parameter as a save and reload would (``featio.single_precision``)."""
+        for name, tensor in self.named_parameters().items():
+            tensor.data = single_precision(tensor.data, f"parameter {name}")
 
     # -- persistence ---------------------------------------------------------
 

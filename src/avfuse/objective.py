@@ -20,10 +20,6 @@ from avfuse.autodiff import Tensor
 from avfuse.config import ConfigError
 from avfuse.fusion import init_weight
 
-# Keep the target cosine strictly inside (-1, 1) so sin = sqrt(1 - cos^2)
-# has a finite derivative at the poles.
-COS_BOUND = 1.0 - 1e-7
-
 
 class NormalizationError(ValueError):
     """A vector that must be normalized has zero length."""
@@ -83,7 +79,7 @@ def aam_loss(embedding: Tensor, label, head: AamHead) -> Tensor:
     if (np.linalg.norm(head.weights.data, axis=1) == 0.0).any():
         raise NormalizationError("aam_loss: zero-norm class weight row")
 
-    return ad.aam_cross_entropy(embedding, head.weights, labels, head.scale, head.margin, COS_BOUND)
+    return ad.aam_cross_entropy(embedding, head.weights, labels, head.scale, head.margin)
 
 
 def cosine_score(enroll: np.ndarray, test: np.ndarray) -> float:

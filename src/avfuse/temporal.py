@@ -24,10 +24,6 @@ from avfuse import autodiff as ad
 from avfuse.autodiff import Tensor
 from avfuse.fusion import init_weight
 
-# Floor inside the pooled-variance square root; keeps backward finite when a
-# dimension has (near-)zero variance, e.g. single-segment inputs.
-VARIANCE_FLOOR = 1e-8
-
 FORGET_GATE_BIAS = 1.0  # positive init avoids early vanishing memory
 
 
@@ -99,10 +95,10 @@ def asp(features: Tensor, params: AspParams) -> Tensor:
 
     Attention weights are a softmax over segments of a scored tanh bottleneck;
     the output stacks the weighted mean over the weighted standard deviation,
-    whose variance is floored at VARIANCE_FLOOR.  The layer is the one fused
+    whose variance is floored at ``ad.VARIANCE_FLOOR``.  The layer is the one fused
     ``ad.attentive_pool`` record.
     """
-    return ad.attentive_pool(features, params.proj, params.bias, params.score, VARIANCE_FLOOR)
+    return ad.attentive_pool(features, params.proj, params.bias, params.score)
 
 
 @dataclass

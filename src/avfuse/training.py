@@ -11,9 +11,9 @@ per-parameter scan that names the parameter and refuses the step with a
 DivergenceError), runs its update formula once over whole rows, subtracts
 each parameter's slice in place and releases every gradient.
 Everything is driven by one seeded generator, so a fixed config reproduces
-the loss log and checkpoints exactly.  Parameters pass through checkpoint
+the loss log and checkpoints exactly.  Parameters pass through storage
 precision at every epoch boundary, keeping the in-memory model identical to
-its last saved checkpoint.
+its last saved checkpoint; a parameter beyond it is a DivergenceError.
 """
 
 from __future__ import annotations
@@ -26,12 +26,12 @@ import numpy as np
 from avfuse import autodiff as ad
 from avfuse.autodiff import Tape, Tensor
 from avfuse.config import ConfigError, TrainConfig
-from avfuse.featio import Utterance
+from avfuse.featio import FeatureFileError, Utterance
 from avfuse.model import VerificationModel
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss or parameter gradient."""
+    """Training produced a non-finite loss, parameter gradient or stored parameter."""
 
 
 class Optimizer:
@@ -167,7 +167,10 @@ def train(config: TrainConfig, train_utts: list[Utterance], out_dir,
         mean_loss = float(np.mean(sample_losses))
         epoch_losses.append(mean_loss)
         log_lines.append(f"epoch {epoch} loss {mean_loss!r}")
-        model.quantize_single_precision()
+        try:
+            model.quantize_single_precision()
+        except FeatureFileError as exc:
+            raise DivergenceError(f"epoch {epoch}: {exc}") from None
         if keep_epoch_checkpoints:
             model.save(out_dir / f"epoch_{epoch:03d}.ckpt")
     model.save(final_path)

@@ -102,8 +102,14 @@ def test_non_finite_tensor_is_a_checkpoint_error_naming_the_tensor(tmp_path, bad
     model.save(tmp_path / "final.ckpt")
     tensors, config_text = load_checkpoint(tmp_path / "final.ckpt")
     tensors["asp.bias"][1, 0] = bad
-    save_checkpoint(tmp_path / "poisoned.ckpt", tensors, config_text)
-    with pytest.raises(CheckpointError, match="poisoned.ckpt: tensor 'asp.bias' holds a non-finite value"):
+    message = rf"poisoned.ckpt: tensor 'asp.bias': {bad} at index \(1, 0\) is not a finite single-precision"
+    with pytest.raises(CheckpointError, match=message):
+        save_checkpoint(tmp_path / "poisoned.ckpt", tensors, config_text)
+    assert sorted(os.listdir(tmp_path)) == ["final.ckpt"]
+    entries = [tensor_entry(name.encode(), value.shape, value.reshape(-1))
+               for name, value in sorted(tensors.items())]
+    (tmp_path / "poisoned.ckpt").write_bytes(checkpoint_bytes(config_text.encode(), *entries))
+    with pytest.raises(CheckpointError, match=message):
         VerificationModel.from_checkpoint(tmp_path / "poisoned.ckpt")
 
 

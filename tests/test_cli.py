@@ -170,8 +170,12 @@ def test_train_reports_divergence_as_an_error(trained, tmp_path, capsys):
     assert cli.main(["train", "--data", str(data), "--out", str(run), "--epochs", "2",
                      "--learning-rate", "1e300", "--iterations", "2", "--blstm-hidden", "3",
                      "--asp-hidden", "3", "--embed-dim", "4", "--batch-size", "4", *DIMS]) == 2
-    assert capsys.readouterr().err == "error: non-finite loss at epoch 1, utterance spk001_utt00\n"
+    assert capsys.readouterr().err == ("error: epoch 0: parameter fusion.step0.corr_proj_audio: -inf at "
+                                       "index (0, 0) is not a finite single-precision value\n")
     assert not (run / "final.ckpt").exists()
+    # A diverging run leaves no checkpoint its own loader refuses.
+    for path in run.glob("*.ckpt"):
+        VerificationModel.from_checkpoint(path)
 
 
 @pytest.mark.parametrize("held_out", ["1", "0"])

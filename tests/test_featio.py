@@ -1,5 +1,6 @@
 """On-disk formats: AVF1 feature files, trial lists, manifests and dataset loading."""
 
+import os
 import re
 import struct
 
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from avfuse import cli
-from avfuse.checkpoint import load_checkpoint
+from avfuse.checkpoint import load_checkpoint, save_checkpoint
 from avfuse.featio import (
     BadMagicError,
     ExtentError,
@@ -23,6 +25,7 @@ from avfuse.featio import (
     parse_trial_list,
     read_manifest,
     save_features,
+    single_precision,
     write_manifest,
     write_trial_list,
 )
@@ -58,7 +61,7 @@ def test_malformed_feature_file_raises_its_error(tmp_path, blob, error):
 def test_non_finite_feature_value_names_the_file_and_its_position(tmp_path, bad):
     (tmp_path / "u1.audio.avf").write_bytes(avf(2, 3, [0.0, 1.0, 2.0, 3.0, bad, 5.0]))
     assert_str_and_path_raise_alike(tmp_path / "u1.audio.avf", FeatureFileError,
-                                    rf"u1\.audio\.avf: non-finite value {bad} at row 1, col 1")
+                                    rf"u1\.audio\.avf: {bad} at index \(1, 1\) is not a finite single-precision")
 
 
 def assert_str_and_path_raise_alike(path, error, match):
@@ -252,6 +255,35 @@ def test_arbitrary_bytes_load_or_raise_a_format_error(blob_path, blob):
             reader(blob_path)
         except FeatureFileError:
             pass
+
+
+# Float64 arrays of rank 0 to 4, empty extents included, holding NaN, +-Inf, values
+# beyond the single-precision range and ordinary ones.
+_ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3),
+                     elements=st.one_of(st.floats(-4.0, 4.0), st.sampled_from(
+                         [np.nan, np.inf, -np.inf, 1e39, -3.5e38, 3.4028235e38, 1e-46])))
+
+_WRITERS = {
+    "features": (save_features, load_features),
+    "checkpoint": (lambda path, arr: save_checkpoint(path, {"w": arr}, "seed = 1\n"),
+                   lambda path: load_checkpoint(path)[0]["w"]),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(arr=_ARRAYS)
+def test_writers_refuse_with_no_file_on_disk_or_read_back_the_codec_rounding(tmp_path_factory, writer, arr):
+    save, load = _WRITERS[writer]
+    out = tmp_path_factory.mktemp(writer)
+    try:
+        save(out / "saved", arr)
+        loaded = load(out / "saved")
+    except FeatureFileError:
+        assert os.listdir(out) == []
+    else:
+        assert loaded.dtype == np.float64
+        assert np.array_equal(loaded, single_precision(arr, "arr"))
 
 
 # Text made of the tokens these formats use, plus raw bytes that need not be UTF-8.

@@ -157,11 +157,10 @@ class TestBaselines:
 def composed_cross_attention(audio, visual, params):
     """The two-way cross-attention baseline written out: audio attends visual
     at 1/sqrt(visual_dim), and visual attends audio at 1/sqrt(audio_dim)."""
-    d_a, d_v = audio.shape[-2], visual.shape[-2]
     att_audio = ad.attend(audio, visual, params.corr_proj_audio, params.attn_mix_audio,
-                          params.out_mix_audio, 1.0 / math.sqrt(d_v))
+                          params.out_mix_audio)
     att_visual = ad.attend(visual, audio, params.corr_proj_visual, params.attn_mix_visual,
-                           params.out_mix_visual, 1.0 / math.sqrt(d_a))
+                           params.out_mix_visual)
     return ad.concat_rows(att_audio, att_visual)
 
 
@@ -222,8 +221,9 @@ class TestCrossAttentionMode:
             VerificationModel.from_checkpoint(tmp_path / "old.ckpt")
 
 
-def composed_attend(feats, key, proj, attn_mix, out_mix, inv_scale):
+def composed_attend(feats, key, proj, attn_mix, out_mix):
     """The attention body written on unfused tape ops: the oracle ``ad.attend`` fuses."""
+    inv_scale = 1.0 / math.sqrt(key.shape[-2])
     corr = ref.tanh(ref.scale_shift(ad.matmul(ref.transpose(feats), ad.matmul(proj, key)), inv_scale))
     attn = ref.relu(ad.matmul(ad.matmul(feats, attn_mix), corr))
     return ad.add(ad.matmul(attn, out_mix), feats)
@@ -242,10 +242,10 @@ def _attend_data(rng, batch):
     }
 
 
-def _run_attend(fn, data, probe, inv_scale):
+def _run_attend(fn, data, probe):
     tensors = {name: Tensor(data[name]) for name in ATTEND_ARGS}
     with Tape() as tape:
-        out = fn(*(tensors[name] for name in ATTEND_ARGS), inv_scale)
+        out = fn(*(tensors[name] for name in ATTEND_ARGS))
         loss = ad.sum_all(ad.mul(out, Tensor(probe)))
     tape.backward(loss)
     return out.data, {name: t.grad for name, t in tensors.items()}
@@ -257,17 +257,16 @@ class TestAttend:
         rng = np.random.default_rng([7, len(batch)])
         data = _attend_data(rng, batch)
         probe = rng.uniform(-1, 1, size=batch + (3, 4))
-        inv_scale = 1.0 / math.sqrt(5)
-        out, grads = _run_attend(ad.attend, data, probe, inv_scale)
+        out, grads = _run_attend(ad.attend, data, probe)
         if batch:
             # Oracle per item on rank-2 slices; shared weights sum over items.
             items = [_run_attend(composed_attend, {**data, "feats": data["feats"][b], "key": data["key"][b]},
-                                 probe[b], inv_scale) for b in range(batch[0])]
+                                 probe[b]) for b in range(batch[0])]
             ref_out = np.stack([o for o, _ in items])
             ref_grads = {name: (np.stack if name in ("feats", "key") else sum)([g[name] for _, g in items])
                          for name in ATTEND_ARGS}
         else:
-            ref_out, ref_grads = _run_attend(composed_attend, data, probe, inv_scale)
+            ref_out, ref_grads = _run_attend(composed_attend, data, probe)
         assert np.abs(out - ref_out).max() <= 1e-12
         for name in ATTEND_ARGS:
             assert grads[name] is not None, name
@@ -280,10 +279,10 @@ class TestAttend:
         rng = np.random.default_rng([12, len(batch)])
         data = _attend_data(rng, batch)
         probe = rng.uniform(-1, 1, size=batch + (3, 4))
-        _, grads = _run_attend(ad.attend, data, probe, 0.5)
+        _, grads = _run_attend(ad.attend, data, probe)
         tensors = {name: (ad.Constant if name in constant else Tensor)(data[name]) for name in ATTEND_ARGS}
         with Tape() as tape:
-            loss = ad.sum_all(ad.mul(ad.attend(*tensors.values(), 0.5), Tensor(probe)))
+            loss = ad.sum_all(ad.mul(ad.attend(*tensors.values()), Tensor(probe)))
         tape.backward(loss)
         for name, t in tensors.items():
             if name in constant:
@@ -299,24 +298,24 @@ class TestAttend:
         inv_scale = 1.0 / math.sqrt(5)
         corr = np.tanh((feats.T @ (proj @ key)) * inv_scale)
         expected = np.maximum((feats @ attn_mix) @ corr, 0.0) @ out_mix + feats
-        out = ad.attend(*(Tensor(data[name]) for name in ATTEND_ARGS), inv_scale)
+        out = ad.attend(*(Tensor(data[name]) for name in ATTEND_ARGS))
         assert out.data.tobytes() == expected.tobytes()
 
     def test_is_one_tape_record(self):
         data = _attend_data(np.random.default_rng(8), (2,))
         with Tape() as tape:
-            ad.attend(*(Tensor(data[name]) for name in ATTEND_ARGS), 0.5)
+            ad.attend(*(Tensor(data[name]) for name in ATTEND_ARGS))
         assert len(tape) == 1
 
     def test_shape_errors_name_the_operand(self):
         data = {name: Tensor(v) for name, v in _attend_data(np.random.default_rng(9), ()).items()}
         args = [data[name] for name in ATTEND_ARGS]
         with pytest.raises(ad.ShapeError, match="projection"):
-            ad.attend(args[0], args[1], Tensor(np.ones((3, 4))), *args[3:], 0.5)
+            ad.attend(args[0], args[1], Tensor(np.ones((3, 4))), *args[3:])
         with pytest.raises(ad.ShapeError, match="out_mix"):
-            ad.attend(*args[:4], Tensor(np.ones((3, 3))), 0.5)
+            ad.attend(*args[:4], Tensor(np.ones((3, 3))))
         with pytest.raises(ad.ShapeError, match="batch"):
-            ad.attend(Tensor(np.ones((2, 3, 4))), *args[1:], 0.5)
+            ad.attend(Tensor(np.ones((2, 3, 4))), *args[1:])
 
 
 class TestRecordCounts:

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from avfuse import autodiff as ad
-from avfuse.autodiff import Tape, Tensor
+from avfuse.autodiff import COS_BOUND, Tape, Tensor
 from avfuse.config import ConfigError
 from avfuse.gradcheck import check_function
-from avfuse.objective import COS_BOUND, AamHead, NormalizationError, aam_loss, cosine_score
+from avfuse.objective import AamHead, NormalizationError, aam_loss, cosine_score
 
 import reference_ops as ref
 
@@ -28,7 +28,7 @@ def random_head(rng, n_classes=5, dim=6, scale=30.0, margin=0.2):
                    scale=scale, margin=margin)
 
 
-def composed_aam(embedding, weights, labels, scale, margin, cos_bound):
+def composed_aam(embedding, weights, labels, scale, margin):
     """The margin head written on unfused tape ops: the oracle ``ad.aam_cross_entropy`` fuses."""
     labels = np.asarray(labels)
     # One-hot columns of the targets: their transpose picks each target
@@ -39,7 +39,7 @@ def composed_aam(embedding, weights, labels, scale, margin, cos_bound):
     unit_classes = ref.l2_normalize_columns(ref.transpose(weights))     # embed_dim x n
     cosines = ad.matmul(ref.transpose(unit_classes), unit_emb)          # [B x] n x 1
     target_cos = ad.matmul(Tensor(np.swapaxes(one_hot, -1, -2)), cosines)
-    bounded = ref.clamp(target_cos, -cos_bound, cos_bound)
+    bounded = ref.clamp(target_cos, -COS_BOUND, COS_BOUND)
     target_sin = ref.sqrt(ref.scale_shift(ad.mul(bounded, bounded), -1.0, 1.0))
     margined = ref.sub(ref.scale_shift(target_cos, math.cos(margin)),
                        ref.scale_shift(target_sin, math.sin(margin)))
@@ -55,7 +55,7 @@ def composed_aam(embedding, weights, labels, scale, margin, cos_bound):
 def _run_head(fn, embedding, weights, labels):
     tensors = {"embedding": Tensor(embedding), "weights": Tensor(weights)}
     with Tape() as tape:
-        out = fn(tensors["embedding"], tensors["weights"], labels, 30.0, 0.2, COS_BOUND)
+        out = fn(tensors["embedding"], tensors["weights"], labels, 30.0, 0.2)
     records = len(tape)
     with tape:
         loss = ad.sum_all(out)
@@ -109,7 +109,7 @@ class TestFusedHead:
                              axis=-1)[..., None]
         weights = Tensor([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         loss = ad.aam_cross_entropy(Tensor(embedding), weights, np.zeros(len(cosines), dtype=int),
-                                    30.0, 0.2, COS_BOUND).data[:, 0, 0]
+                                    30.0, 0.2).data[:, 0, 0]
         target_logit = -np.log(np.expm1(loss))
         rises = np.flatnonzero(np.diff(target_logit) > 0.0)
         assert rises.size == 0, f"target logit rises after cosine {cosines[rises[:3]]}"
@@ -120,7 +120,7 @@ class TestFusedHead:
 
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ad.ShapeError, match=r"\(5, 1\).*\(3, 4\)"):
-            ad.aam_cross_entropy(Tensor(np.ones((5, 1))), Tensor(np.ones((3, 4))), 0, 30.0, 0.2, COS_BOUND)
+            ad.aam_cross_entropy(Tensor(np.ones((5, 1))), Tensor(np.ones((3, 4))), 0, 30.0, 0.2)
 
 
 class TestAamLoss:

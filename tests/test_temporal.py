@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from avfuse import autodiff as ad
-from avfuse.autodiff import ShapeError, Tape, Tensor, named_tensors
+from avfuse.autodiff import VARIANCE_FLOOR, ShapeError, Tape, Tensor, named_tensors
 from avfuse.gradcheck import check_function
 from avfuse.temporal import (
-    VARIANCE_FLOOR,
     AspParams,
     BlstmParams,
     EmbeddingProjection,
@@ -216,14 +215,14 @@ class TestBlstm:
         assert not np.allclose(out_perm, out[:, perm])
 
 
-def composed_asp(features, proj, bias, score, floor):
+def composed_asp(features, proj, bias, score):
     """Attentive statistics pooling written on unfused tape ops: the oracle ``ad.attentive_pool`` fuses."""
     hidden = ref.tanh(ref.add_bias(ad.matmul(proj, features), bias))
     scores = ad.matmul(ref.transpose(score), hidden)                   # [B x] 1 x segments
     weights = ref.softmax_columns(ref.transpose(scores))
     mean = ad.matmul(features, weights)
     second_moment = ad.matmul(ad.mul(features, features), weights)
-    variance = ref.clamp(ref.sub(second_moment, ad.mul(mean, mean)), lo=floor)
+    variance = ref.clamp(ref.sub(second_moment, ad.mul(mean, mean)), lo=VARIANCE_FLOOR)
     return ad.concat_rows(mean, ref.sqrt(variance))
 
 
@@ -233,7 +232,7 @@ POOL_ARGS = ("features", "proj", "bias", "score")
 def _run_pool(fn, data, probe):
     tensors = {name: Tensor(data[name]) for name in POOL_ARGS}
     with Tape() as tape:
-        out = fn(*(tensors[name] for name in POOL_ARGS), VARIANCE_FLOOR)
+        out = fn(*(tensors[name] for name in POOL_ARGS))
     records = len(tape)
     with tape:
         loss = ad.sum_all(ad.mul(out, Tensor(probe)))
@@ -271,7 +270,7 @@ class TestAttentivePool:
         _, grads, _ = _run_pool(ad.attentive_pool, data, probe)
         tensors = {name: (ad.Constant if name == "features" else Tensor)(data[name]) for name in POOL_ARGS}
         with Tape() as tape:
-            out = ad.attentive_pool(*tensors.values(), VARIANCE_FLOOR)
+            out = ad.attentive_pool(*tensors.values())
             loss = ad.sum_all(ad.mul(out, Tensor(probe)))
         tape.backward(loss)
         assert tensors["features"].grad is None
@@ -281,11 +280,11 @@ class TestAttentivePool:
     def test_shape_errors_name_the_operand(self):
         x, column = Tensor(np.ones((4, 6))), Tensor(np.ones((3, 1)))
         with pytest.raises(ShapeError, match="projection"):
-            ad.attentive_pool(x, Tensor(np.ones((3, 5))), column, column, VARIANCE_FLOOR)
+            ad.attentive_pool(x, Tensor(np.ones((3, 5))), column, column)
         with pytest.raises(ShapeError, match="score"):
-            ad.attentive_pool(x, Tensor(np.ones((3, 4))), column, Tensor(np.ones((2, 1))), VARIANCE_FLOOR)
+            ad.attentive_pool(x, Tensor(np.ones((3, 4))), column, Tensor(np.ones((2, 1))))
         with pytest.raises(ShapeError, match="rank-2 or rank-3"):
-            ad.attentive_pool(Tensor(np.ones(4)), Tensor(np.ones((3, 4))), column, column, VARIANCE_FLOOR)
+            ad.attentive_pool(Tensor(np.ones(4)), Tensor(np.ones((3, 4))), column, column)
 
 
 class TestAsp:
