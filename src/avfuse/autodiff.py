@@ -20,8 +20,7 @@ A ``Constant`` is a leaf tensor that never gets a gradient; the model takes
 its input features as constants.  The fused ops do not form the gradient
 terms of constant inputs, a primitive's term for one is dropped on
 accumulation, and an op whose inputs are all constants records nothing and
-returns a constant, so the first joint stack of the raw features costs no
-tape record.
+returns a constant.
 
 Tensors have rank 1 to 3.  A rank-2 ``(rows, cols)`` tensor is one
 utterance's matrix; a rank-3 ``(B, rows, cols)`` tensor stacks B of them on a
@@ -32,16 +31,14 @@ tape records a whole mini-batch with the same ops, and the same code runs a
 single utterance.
 
 The primitives are elementwise or matrix ops with one closure each.  Fused
-layer ops (``blstm``, ``attend``, ``attentive_pool``, ``aam_cross_entropy``)
-run a whole layer body in numpy and record a single closure holding its
-hand-derived backward, which cuts the per-record Python overhead that
-dominates at these matrix sizes.  Their large elementwise chains run in place
-in one buffer each, in the operation order of the plain expression, so the
-bits are the expression's.  ``blstm`` is the whole bidirectional layer
-in one record: one time loop advances the forward direction at time s and the
-backward direction at time L-1-s, with their states stacked so each state
-update is one numpy call for both, and one tanh per step gives all four gates
-of both directions, through sigmoid(z) = 1/2 + tanh(z/2)/2.
+layer ops (``attention_fusion``, ``blstm``, ``attentive_pool``,
+``aam_cross_entropy``) run a whole layer body in numpy and record a single
+closure holding its hand-derived backward, which cuts the per-record Python
+overhead that dominates at these matrix sizes.  Their large elementwise chains
+run in place in one buffer each, in the operation order of the plain
+expression, so the bits are the expression's.  ``attention_fusion`` is every
+step of the fusion stage in one record, and ``blstm`` the whole bidirectional
+layer, both directions advanced by one time loop.
 
 A tape is single-threaded by design: one tape per training worker.  The active
 tape is tracked in thread-local storage, so read-only forwards on disjoint
@@ -535,67 +532,116 @@ def blstm(x: Tensor, forward: tuple[Tensor, Tensor, Tensor],
     return _record(backward_pass, out, x, *forward, *backward)
 
 
-def attend(feats: Tensor, key: Tensor, proj: Tensor, attn_mix: Tensor, out_mix: Tensor) -> Tensor:
-    """Residual cross-attention of ``feats`` against ``key``, as one tape record.
-
-    Returns feats + relu((feats @ attn_mix) @ C) @ out_mix with C the
-    segment-by-segment correlation map tanh(feats^T (proj @ key) / sqrt(k)),
-    its scaling and tanh written into the product's own buffer.  Shapes:
-    ``feats`` (d, L), ``key`` (k, L), ``proj`` (d, k), both mixes (L, L), or
-    the same with a leading batch axis on ``feats`` and ``key``.  Only C is
-    kept for backward; feats @ attn_mix and the ReLU input are recomputed
-    there from the inputs, and proj @ key only when ``feats`` takes a
-    gradient.  A constant ``feats`` or ``key`` (see ``Constant``) skips its
-    gradient term: the first fusion step attends the raw input features, whose
-    gradients nothing reads.
-    """
-    _require_matrix(feats, "attend")
-    _require_matrix(key, "attend")
-    _require_same_batch(feats, key, "attend")
-    dim, length = feats.shape[-2:]
-    if key.shape[-1] != length:
-        raise ShapeError(f"attend: segment counts disagree for shapes {feats.shape} vs {key.shape}")
-    if proj.shape != (dim, key.shape[-2]):
-        raise ShapeError(f"attend: projection must be {(dim, key.shape[-2])}, got {proj.shape}")
-    for name, mix in (("attn_mix", attn_mix), ("out_mix", out_mix)):
-        if mix.shape != (length, length):
-            raise ShapeError(f"attend: {name} must be {(length, length)}, got {mix.shape}")
-    inv_scale = 1.0 / math.sqrt(key.shape[-2])
-    corr = _swap(feats.data) @ (proj.data @ key.data)
-    corr *= inv_scale
+def _attend(feats: np.ndarray, key: np.ndarray, weights: tuple[Tensor, Tensor, Tensor]):
+    """One modality's pass of ``attention_fusion`` with ``weights`` (proj, attn_mix, out_mix): feats +
+    relu((feats @ attn_mix) @ C) @ out_mix, and the segment map C = tanh(feats^T (proj @ key) / sqrt(k))."""
+    proj, attn_mix, out_mix = (w.data for w in weights)
+    corr = _swap(feats) @ (proj @ key)
+    corr *= 1.0 / math.sqrt(key.shape[-2])
     np.tanh(corr, out=corr)
-    gated = _mm(_mm(feats.data, attn_mix.data), corr)
-    out_data = _mm(np.maximum(gated, 0.0, out=gated), out_mix.data)
-    out_data += feats.data
-    out = Tensor._wrap(out_data)
+    gated = _mm(_mm(feats, attn_mix), corr)
+    out = _mm(np.maximum(gated, 0.0, out=gated), out_mix)
+    out += feats
+    return out, corr
+
+
+def _attend_backward(g: np.ndarray, feats: Tensor, key: Tensor, weights: tuple[Tensor, Tensor, Tensor],
+                     corr: np.ndarray, key_rows: np.ndarray | None = None) -> np.ndarray | None:
+    """Accumulate an ``_attend`` pass's gradients: out_mix, attn_mix, feats, proj, key, skipping a
+    constant feats or key.  A batch's proj gradient contracts the key's (B*L, k) layout, which
+    tensordot would copy per call; formed here unless given, it is returned for reuse."""
+    proj, attn_mix, out_mix = weights
+    # feats @ attn_mix and the ReLU input are recomputed, proj @ key only for
+    # feats.  Each chain of elementwise steps runs in place in its first
+    # array, in the order of the plain expression, so the bits are the same.
+    mixed = _mm(feats.data, attn_mix.data)
+    pre_relu = mixed @ corr
+    d_pre = _mm(g, out_mix.data.T)
+    d_pre *= pre_relu > 0.0
+    _accumulate(out_mix, _right_grad(np.maximum(pre_relu, 0.0, out=pre_relu), g, 2))
+    d_mixed = d_pre @ _swap(corr)
+    # d_corr = (mixed^T @ d_pre) * (1 - corr * corr) / sqrt(k)
+    d_corr = _swap(mixed) @ d_pre
+    slope = np.multiply(corr, corr)
+    d_corr *= np.subtract(1.0, slope, out=slope)
+    d_corr *= 1.0 / math.sqrt(key.shape[-2])
+    _accumulate(attn_mix, _right_grad(feats.data, d_mixed, 2))
+    if not isinstance(feats, Constant):
+        # d_feats = g + d_mixed @ attn_mix^T + (proj @ key) @ d_corr^T
+        d_feats = _mm(d_mixed, attn_mix.data.T)
+        d_feats += g
+        d_feats += (proj.data @ key.data) @ _swap(d_corr)
+        _accumulate(feats, d_feats)
+    d_projected = feats.data @ d_corr
+    if d_projected.ndim == 2:
+        _accumulate(proj, d_projected @ key.data.T)
+    else:
+        if key_rows is None:
+            key_rows = key.data.transpose(0, 2, 1).reshape(-1, key.shape[1])
+        _accumulate(proj, np.dot(d_projected.transpose(1, 0, 2).reshape(len(proj.data), -1), key_rows))
+    if not isinstance(key, Constant):
+        _accumulate(key, proj.data.T @ d_projected)
+    return key_rows
+
+
+def attention_fusion(audio: Tensor, visual: Tensor, steps: list[tuple[Tensor, ...]], cross: bool) -> Tensor:
+    """The fusion stage in one tape record: the joint stack, audio rows over visual, after all steps.
+
+    ``steps`` holds a 6-tuple of weights per step (at least one), (proj, attn_mix, out_mix) of
+    audio then visual, shaped (d, k), (L, L), (L, L) for a (d, L) modality and a k-row key;
+    shared weights repeat one tuple.  Each modality's ``_attend`` pass keys on the joint stack
+    of both, or with ``cross`` on the other modality.  The backward walks the steps in reverse,
+    visual before audio, accumulating each term in the order of a chain of one op per pass and
+    per stack; a constant input (see ``Constant``), or a joint stack of two, takes none.
+    """
+    op = "attention_fusion"
+    _require_matrix(audio, op)
+    _require_same_batch(audio, visual, op)
+    dims, length = (audio.shape[-2], visual.shape[-2]), audio.shape[-1]
+    if visual.shape[-1] != length:
+        raise ShapeError(f"{op}: segment counts disagree for shapes {audio.shape} vs {visual.shape}")
+    if not steps:
+        raise ShapeError(f"{op}: no steps' weights given")
+    shapes = [((d, k), (length, length), (length, length))
+              for d, k in zip(dims, dims[::-1] if cross else (sum(dims),) * 2)]
+    for weights in steps:
+        for w, shape, name in zip(weights, shapes[0] + shapes[1], ("projection", "attn_mix", "out_mix") * 2):
+            if w.shape != shape:
+                raise ShapeError(f"{op}: {name} must be {shape}, got {w.shape}")
+    # The backward keeps each step's inputs, joint stack and maps, under a tape only.  A step runs
+    # in its own call: what it does not keep is freed, and its pages reused, before the next one.
+    saved = None if _active_tape() is None else []
+
+    def step(a, v, weights):
+        joint = None if cross else np.concatenate([a, v], axis=-2)
+        key_a, key_v = (v, a) if cross else (joint, joint)
+        (a_out, corr_a), (v_out, corr_v) = _attend(a, key_a, weights[:3]), _attend(v, key_v, weights[3:])
+        if saved is not None:
+            saved.append((a, v, joint, corr_a, corr_v))
+        return a_out, v_out
+
+    a, v = audio.data, visual.data
+    for weights in steps:
+        a, v = step(a, v, weights)
+    out = Tensor._wrap(np.concatenate([a, v], axis=-2))
 
     def backward(g):
-        # Each chain of elementwise steps runs in place in its first array,
-        # in the order of the plain expression, so the bits are the same.
-        mixed = _mm(feats.data, attn_mix.data)
-        pre_relu = mixed @ corr
-        d_pre = _mm(g, out_mix.data.T)
-        d_pre *= pre_relu > 0.0
-        _accumulate(out_mix, _right_grad(np.maximum(pre_relu, 0.0, out=pre_relu), g, 2))
-        d_mixed = d_pre @ _swap(corr)
-        # d_corr = (mixed^T @ d_pre) * (1 - corr * corr) * inv_scale
-        d_corr = _swap(mixed) @ d_pre
-        slope = np.multiply(corr, corr)
-        d_corr *= np.subtract(1.0, slope, out=slope)
-        d_corr *= inv_scale
-        _accumulate(attn_mix, _right_grad(feats.data, d_mixed, 2))
-        if not isinstance(feats, Constant):
-            # d_feats = g + d_mixed @ attn_mix^T + (proj @ key) @ d_corr^T
-            d_feats = _mm(d_mixed, attn_mix.data.T)
-            d_feats += g
-            d_feats += (proj.data @ key.data) @ _swap(d_corr)
-            _accumulate(feats, d_feats)
-        d_projected = feats.data @ d_corr
-        _accumulate(proj, _left_grad(d_projected, key.data, 2))
-        if not isinstance(key, Constant):
-            _accumulate(key, proj.data.T @ d_projected)
+        g_a, g_v = g[..., :dims[0], :], g[..., dims[0]:, :]
+        for t in reversed(range(len(steps))):
+            a, v, joint, corr_a, corr_v = saved[t]
+            # Step 0 accumulates into the op's inputs, a later step into fresh holders.
+            ins_a, ins_v = (audio, visual) if t == 0 else (Tensor._wrap(a), Tensor._wrap(v))
+            # A joint stack of two constants is a constant, as concat_rows makes it.
+            stack = Constant if isinstance(ins_a, Constant) and isinstance(ins_v, Constant) else Tensor
+            key_a, key_v = (ins_v, ins_a) if cross else (stack._wrap(joint),) * 2
+            rows = _attend_backward(g_v, ins_v, key_v, steps[t][3:], corr_v)
+            _attend_backward(g_a, ins_a, key_a, steps[t][:3], corr_a, None if cross else rows)
+            if not cross and key_a.grad is not None:
+                _accumulate(ins_a, key_a.grad[..., :dims[0], :])
+                _accumulate(ins_v, key_a.grad[..., dims[0]:, :])
+            g_a, g_v = ins_a.grad, ins_v.grad
 
-    return _record(backward, out, feats, key, proj, attn_mix, out_mix)
+    return _record(backward, out, audio, visual, *(w for weights in steps for w in weights))
 
 
 def attentive_pool(feats: Tensor, proj: Tensor, bias: Tensor, score: Tensor) -> Tensor:

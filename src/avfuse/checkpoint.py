@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from avfuse.featio import BadMagicError, FeatureFileError, TruncatedPayloadError, single_precision, widen
+from avfuse.featio import BadMagicError, FeatureFileError, TruncatedPayloadError, narrow, widen
 
 CHECKPOINT_MAGIC = b"AVCK"
 CHECKPOINT_VERSION = 1
@@ -39,11 +39,11 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], config_text: str) -> N
         arr = np.asarray(tensors[name], dtype=np.float64)
         if not 1 <= arr.ndim <= 3:
             raise CheckpointError(f"{path}: tensor {name!r} has rank {arr.ndim}")
-        stored = single_precision(arr, f"{path}: tensor {name!r}", CheckpointError)
+        stored = narrow(arr, f"{path}: tensor {name!r}", CheckpointError)
         encoded = name.encode("utf-8")
         parts.append(struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded, arr.ndim,
                                  *arr.shape))
-        parts.append(stored.astype("<f4").tobytes())
+        parts.append(stored)
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:

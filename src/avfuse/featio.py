@@ -47,25 +47,31 @@ class ExtentError(FeatureFileError):
     """Header extents are zero or overflow sane limits."""
 
 
-def single_precision(values, what: str, error: type = FeatureFileError) -> np.ndarray:
-    """``values`` rounded to storage precision and widened back, bitwise a save and reload;
-    ``widen`` refuses a value that is NaN or Inf or rounds to Inf."""
-    given = np.asarray(values, dtype=np.float64)
+def narrow(values, what: str, error: type = FeatureFileError) -> bytes:
+    """The stored bytes of ``values``, little-endian single precision, screened as ``widen`` screens."""
     with np.errstate(over="ignore"):
-        stored = given.astype("<f4").tobytes()
-    return widen(stored, 0, given.shape, what, error)
+        return _screened(np.asarray(values, dtype=np.float64).astype("<f4"), what, error).tobytes()
+
+
+def single_precision(values, what: str, error: type = FeatureFileError) -> np.ndarray:
+    """``values`` rounded to storage precision and widened back, bitwise a save and reload."""
+    return np.frombuffer(narrow(values, what, error), "<f4").astype(np.float64).reshape(np.shape(values))
 
 
 def widen(blob, offset: int, shape: tuple[int, ...], what: str, error: type = FeatureFileError) -> np.ndarray:
     """The stored values of ``shape`` at byte ``offset`` of ``blob``, which the caller has checked
     it holds, widened to float64; a NaN or Inf raises ``error`` naming ``what`` and its index."""
-    flat = np.frombuffer(blob, "<f4", math.prod(shape), offset).astype(np.float64)
-    values = flat.reshape(shape)
-    # Squares of widened single-precision values cannot overflow a double sum,
-    # so the sum of squares is finite exactly when every value is; a dot
-    # product is the cheapest such sum, and only a bad payload pays for the scan.
-    if not math.isfinite(flat.dot(flat)):
-        index = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
+    return _screened(np.frombuffer(blob, "<f4", math.prod(shape), offset).astype(np.float64).reshape(shape),
+                     what, error)
+
+
+def _screened(values: np.ndarray, what: str, error: type) -> np.ndarray:
+    # A sum of squares is non-finite if a value is, or if single-precision squares
+    # overflow, and one dot product is the cheapest such sum; only then are the values searched.
+    flat = values.reshape(-1)
+    bad = () if math.isfinite(flat.dot(flat)) else np.argwhere(~np.isfinite(values))
+    if len(bad):
+        index = tuple(int(i) for i in bad[0])
         raise error(f"{what}: {values[index]} at index {index} is not a finite single-precision value")
     return values
 
@@ -75,7 +81,7 @@ def save_features(path, matrix: np.ndarray) -> None:
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2 or not 0 < arr.size <= _MAX_ELEMENTS:
         raise FeatureFileError(f"{path}: feature matrix must be rank 2 with usable extents, got {arr.shape}")
-    payload = single_precision(arr, str(path)).astype("<f4").tobytes()
+    payload = narrow(arr, str(path))
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(FEATURE_MAGIC, *arr.shape))
         fh.write(payload)

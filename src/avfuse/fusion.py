@@ -2,9 +2,9 @@
 
 A fusion step correlates each modality against a key, gates a segment
 recombination of the modality through ReLU, and adds the result back onto the
-input (a residual connection); each modality's pass is the one fused
-``ad.attend`` op.  The fusion modes differ in two things only, both picked by
-``fuse``:
+input (a residual connection); all steps of a stage run in the one fused
+``ad.attention_fusion`` op.  The fusion modes differ in two things only, both
+picked by ``fuse``:
 
 - each modality's key: joint cross-attention (``rjca``) attends the joint
   stack of both modalities, the two-way cross-attention baseline
@@ -15,7 +15,7 @@ input (a residual connection); each modality's pass is the one fused
   ``concat`` none, leaving the plain joint stack.
 
 ``fuse`` returns only the joint stack the model reads, and leaves every
-weight's shape check to ``ad.attend``.  Every function takes single
+weight's shape check to ``ad.attention_fusion``.  Every function takes single
 (dim, segments) utterances or (B, dim, segments) batches alike.
 Score-level averaging, the other ablation baseline, is here too.
 """
@@ -80,31 +80,22 @@ class JcaStepParams:
 def fuse(fusion: str, audio: Tensor, visual: Tensor, steps: Sequence[JcaStepParams]) -> Tensor:
     """The fusion stage of every mode: ``steps`` applied in turn, each step's
     attended features, and their joint stack, feeding the next.  Returns the
-    last joint stack, (audio_dim + visual_dim, segments) per utterance.
-
-    In a step, each modality's correlation with its key is squashed through
-    tanh after 1/sqrt(key rows) scaling; the resulting segment-by-segment map
-    gates a ReLU recombination of the modality, which is mixed and added
-    residually onto the input, so all-zero weights reduce to the identity.
-    ``rjca`` keys both modalities on the joint stack, ``cross_attention`` each
-    on the other modality; ``concat`` takes no steps and returns the joint
-    stack of the inputs.  A step adds 3 tape records (two ``attend`` and one
-    stack), after the one of ``rjca``'s first joint stack.
+    last joint stack, (audio_dim + visual_dim, segments) per utterance; all-zero
+    weights make each step the identity.  ``rjca`` and ``cross_attention`` are
+    one tape record at any depth; ``concat`` takes no steps and records its
+    stack of the inputs unless both are constants.
     """
     if fusion not in FUSION_MODES:
         raise ConfigError(f"fusion must be one of {FUSION_MODES}, got {fusion!r}")
-    if fusion == "concat" and steps:
-        raise ConfigError(f"concat fusion takes no step weights, got {len(steps)}")
-    if not steps and fusion != "concat":
+    if fusion == "concat":
+        if steps:
+            raise ConfigError(f"concat fusion takes no step weights, got {len(steps)}")
+        return ad.concat_rows(audio, visual)
+    if not steps:
         raise ConfigError(f"{fusion} fusion needs at least one step's weights")
-    joint = None if fusion == "cross_attention" else ad.concat_rows(audio, visual)
-    for p in steps:
-        audio_key, visual_key = (visual, audio) if fusion == "cross_attention" else (joint, joint)
-        audio, visual = (
-            ad.attend(audio, audio_key, p.corr_proj_audio, p.attn_mix_audio, p.out_mix_audio),
-            ad.attend(visual, visual_key, p.corr_proj_visual, p.attn_mix_visual, p.out_mix_visual))
-        joint = ad.concat_rows(audio, visual)
-    return joint
+    weights = [(p.corr_proj_audio, p.attn_mix_audio, p.out_mix_audio,
+                p.corr_proj_visual, p.attn_mix_visual, p.out_mix_visual) for p in steps]
+    return ad.attention_fusion(audio, visual, weights, cross=fusion == "cross_attention")
 
 
 def score_level_fusion(audio_score, visual_score, weight: float = 0.5):

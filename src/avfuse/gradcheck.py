@@ -3,11 +3,11 @@
 Each check builds a tiny random instance of one layer, differentiates a scalar
 probe loss through the tape, and compares against central differences taken by
 re-running the forward with perturbed inputs.  Layers are checked at dims
-small enough that the whole suite runs in seconds; the jca step, BLSTM, ASP
-and AAM head are also checked on a rank-3 batch of two, which covers the
-batch-axis broadcasts and the weight gradients summed over the batch.  The
-central-difference estimate (``numeric_gradient``) and its error measure
-(``relative_error``) live here, the one home of finite differences.
+small enough that the whole suite runs in seconds; the jca and cross-attention
+steps, BLSTM, ASP and AAM head are also checked on a rank-3 batch of two, which
+covers the batch-axis broadcasts and the weight gradients summed over the
+batch.  The central-difference estimate (``numeric_gradient``) and its error
+measure (``relative_error``) live here, the one home of finite differences.
 """
 
 from __future__ import annotations
@@ -165,6 +165,7 @@ LAYER_CHECKS: dict[str, Callable] = {
     "jca_step_batch": _batched(check_rjca),
     "rjca_stack_t3": lambda rng: check_rjca(rng, steps=3),
     "cross_attention": lambda rng: check_rjca(rng, fusion="cross_attention"),
+    "cross_attention_batch": lambda rng: check_rjca(rng, batch=(2,), fusion="cross_attention"),
     "blstm_bptt": check_blstm,
     "blstm_bptt_batch": _batched(check_blstm),
     "asp": check_asp,

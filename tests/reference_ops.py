@@ -5,19 +5,31 @@ written as a chain of these primitives (``composed_attend``, ``reference_lstm``,
 ``composed_asp``, ``composed_aam``); each primitive has its own
 finite-difference test in tests/test_autodiff.py.  They record on the active
 tape exactly as the library's ops do.
+
+``attend`` is one modality's attention pass as a fused op of its own, kept
+verbatim from when the fusion stage chained it: two ``attend`` and one
+``concat_rows`` per step are the bitwise oracle of ``attention_fusion``, and
+``composed_attend`` is its oracle in turn.
 """
+
+import math
 
 import numpy as np
 
 from avfuse.autodiff import (
+    Constant,
     NonFiniteError,
     ShapeError,
     Tensor,
     _accumulate,
     _broadcastable,
+    _left_grad,
+    _mm,
     _record,
     _require_matrix,
     _require_rank2,
+    _require_same_batch,
+    _right_grad,
     _swap,
     _unbroadcast,
 )
@@ -199,3 +211,66 @@ def cross_entropy_index(logits: Tensor, index) -> Tensor:
 
     _record(backward, out)
     return out
+
+
+def attend(feats: Tensor, key: Tensor, proj: Tensor, attn_mix: Tensor, out_mix: Tensor) -> Tensor:
+    """Residual cross-attention of ``feats`` against ``key``, as one tape record.
+
+    Returns feats + relu((feats @ attn_mix) @ C) @ out_mix with C the
+    segment-by-segment correlation map tanh(feats^T (proj @ key) / sqrt(k)),
+    its scaling and tanh written into the product's own buffer.  Shapes:
+    ``feats`` (d, L), ``key`` (k, L), ``proj`` (d, k), both mixes (L, L), or
+    the same with a leading batch axis on ``feats`` and ``key``.  Only C is
+    kept for backward; feats @ attn_mix and the ReLU input are recomputed
+    there from the inputs, and proj @ key only when ``feats`` takes a
+    gradient.  A constant ``feats`` or ``key`` (see ``Constant``) skips its
+    gradient term: the first fusion step attends the raw input features, whose
+    gradients nothing reads.
+    """
+    _require_matrix(feats, "attend")
+    _require_matrix(key, "attend")
+    _require_same_batch(feats, key, "attend")
+    dim, length = feats.shape[-2:]
+    if key.shape[-1] != length:
+        raise ShapeError(f"attend: segment counts disagree for shapes {feats.shape} vs {key.shape}")
+    if proj.shape != (dim, key.shape[-2]):
+        raise ShapeError(f"attend: projection must be {(dim, key.shape[-2])}, got {proj.shape}")
+    for name, mix in (("attn_mix", attn_mix), ("out_mix", out_mix)):
+        if mix.shape != (length, length):
+            raise ShapeError(f"attend: {name} must be {(length, length)}, got {mix.shape}")
+    inv_scale = 1.0 / math.sqrt(key.shape[-2])
+    corr = _swap(feats.data) @ (proj.data @ key.data)
+    corr *= inv_scale
+    np.tanh(corr, out=corr)
+    gated = _mm(_mm(feats.data, attn_mix.data), corr)
+    out_data = _mm(np.maximum(gated, 0.0, out=gated), out_mix.data)
+    out_data += feats.data
+    out = Tensor._wrap(out_data)
+
+    def backward(g):
+        # Each chain of elementwise steps runs in place in its first array,
+        # in the order of the plain expression, so the bits are the same.
+        mixed = _mm(feats.data, attn_mix.data)
+        pre_relu = mixed @ corr
+        d_pre = _mm(g, out_mix.data.T)
+        d_pre *= pre_relu > 0.0
+        _accumulate(out_mix, _right_grad(np.maximum(pre_relu, 0.0, out=pre_relu), g, 2))
+        d_mixed = d_pre @ _swap(corr)
+        # d_corr = (mixed^T @ d_pre) * (1 - corr * corr) * inv_scale
+        d_corr = _swap(mixed) @ d_pre
+        slope = np.multiply(corr, corr)
+        d_corr *= np.subtract(1.0, slope, out=slope)
+        d_corr *= inv_scale
+        _accumulate(attn_mix, _right_grad(feats.data, d_mixed, 2))
+        if not isinstance(feats, Constant):
+            # d_feats = g + d_mixed @ attn_mix^T + (proj @ key) @ d_corr^T
+            d_feats = _mm(d_mixed, attn_mix.data.T)
+            d_feats += g
+            d_feats += (proj.data @ key.data) @ _swap(d_corr)
+            _accumulate(feats, d_feats)
+        d_projected = feats.data @ d_corr
+        _accumulate(proj, _left_grad(d_projected, key.data, 2))
+        if not isinstance(key, Constant):
+            _accumulate(key, proj.data.T @ d_projected)
+
+    return _record(backward, out, feats, key, proj, attn_mix, out_mix)

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avfuse import autodiff as ad
 from avfuse.autodiff import Tape, Tensor, named_tensors
@@ -157,10 +159,10 @@ class TestBaselines:
 def composed_cross_attention(audio, visual, params):
     """The two-way cross-attention baseline written out: audio attends visual
     at 1/sqrt(visual_dim), and visual attends audio at 1/sqrt(audio_dim)."""
-    att_audio = ad.attend(audio, visual, params.corr_proj_audio, params.attn_mix_audio,
-                          params.out_mix_audio)
-    att_visual = ad.attend(visual, audio, params.corr_proj_visual, params.attn_mix_visual,
-                           params.out_mix_visual)
+    att_audio = ref.attend(audio, visual, params.corr_proj_audio, params.attn_mix_audio,
+                           params.out_mix_audio)
+    att_visual = ref.attend(visual, audio, params.corr_proj_visual, params.attn_mix_visual,
+                            params.out_mix_visual)
     return ad.concat_rows(att_audio, att_visual)
 
 
@@ -222,110 +224,173 @@ class TestCrossAttentionMode:
 
 
 def composed_attend(feats, key, proj, attn_mix, out_mix):
-    """The attention body written on unfused tape ops: the oracle ``ad.attend`` fuses."""
+    """One attention pass written on unfused tape ops: the oracle of ``ref.attend``."""
     inv_scale = 1.0 / math.sqrt(key.shape[-2])
     corr = ref.tanh(ref.scale_shift(ad.matmul(ref.transpose(feats), ad.matmul(proj, key)), inv_scale))
     attn = ref.relu(ad.matmul(ad.matmul(feats, attn_mix), corr))
     return ad.add(ad.matmul(attn, out_mix), feats)
 
 
-ATTEND_ARGS = ("feats", "key", "proj", "attn_mix", "out_mix")
+def chained_fusion(fusion, audio, visual, steps, attend=ref.attend):
+    """The fusion stage as a chain of one op per pass: each step two ``attend``
+    passes and one stack, after the first joint stack of ``rjca``."""
+    joint = None if fusion == "cross_attention" else ad.concat_rows(audio, visual)
+    for p in steps:
+        audio_key, visual_key = (visual, audio) if fusion == "cross_attention" else (joint, joint)
+        audio, visual = (
+            attend(audio, audio_key, p.corr_proj_audio, p.attn_mix_audio, p.out_mix_audio),
+            attend(visual, visual_key, p.corr_proj_visual, p.attn_mix_visual, p.out_mix_visual))
+        joint = ad.concat_rows(audio, visual)
+    return joint
 
 
-def _attend_data(rng, batch):
-    return {
-        "feats": rng.uniform(-1, 1, size=batch + (3, 4)),
-        "key": rng.uniform(-1, 1, size=batch + (5, 4)),
-        "proj": rng.uniform(-1, 1, size=(3, 5)),
-        "attn_mix": rng.uniform(-1, 1, size=(4, 4)),
-        "out_mix": rng.uniform(-1, 1, size=(4, 4)),
-    }
+def random_steps(rng, audio_dim, visual_dim, segments, count, fusion="rjca", shared=False):
+    """``count`` steps' weights drawn over [-1, 1]; shared repeats the first."""
+    steps = []
+    for _ in range(1 if shared else count):
+        shapes = JcaStepParams.shapes(audio_dim, visual_dim, segments, fusion)
+        steps.append(JcaStepParams(**{name: Tensor(rng.uniform(-1, 1, size=shape))
+                                      for name, shape in shapes.items()}))
+    return steps * count if shared else steps
 
 
-def _run_attend(fn, data, probe):
-    tensors = {name: Tensor(data[name]) for name in ATTEND_ARGS}
+def run_stage(forward, audio, visual, steps, probe, constant=()):
+    """Forward ``forward(audio, visual)`` on fresh leaves, the named ones constant, and
+    backward the probe loss: the output and the gradient of every input and weight."""
+    inputs = {name: (ad.Constant if name in constant else Tensor)(x)
+              for name, x in (("audio", audio), ("visual", visual))}
+    weights = {}
+    for i, step in enumerate(steps):
+        weights.update(named_tensors(step, f"step{i}."))
+    checked = {**inputs, **weights}
+    for t in checked.values():
+        t.grad = None
     with Tape() as tape:
-        out = fn(*(tensors[name] for name in ATTEND_ARGS))
+        out = forward(inputs["audio"], inputs["visual"])
         loss = ad.sum_all(ad.mul(out, Tensor(probe)))
     tape.backward(loss)
-    return out.data, {name: t.grad for name, t in tensors.items()}
+    return out.data, {name: t.grad for name, t in checked.items()}
 
 
 class TestAttend:
+    """The fused stage against the chain of one-pass ops it replaces."""
+
     @pytest.mark.parametrize("batch", [(), (3,)])
     def test_matches_composed_ops(self, batch):
-        rng = np.random.default_rng([7, len(batch)])
-        data = _attend_data(rng, batch)
-        probe = rng.uniform(-1, 1, size=batch + (3, 4))
-        out, grads = _run_attend(ad.attend, data, probe)
-        if batch:
-            # Oracle per item on rank-2 slices; shared weights sum over items.
-            items = [_run_attend(composed_attend, {**data, "feats": data["feats"][b], "key": data["key"][b]},
-                                 probe[b]) for b in range(batch[0])]
-            ref_out = np.stack([o for o, _ in items])
-            ref_grads = {name: (np.stack if name in ("feats", "key") else sum)([g[name] for _, g in items])
-                         for name in ATTEND_ARGS}
-        else:
-            ref_out, ref_grads = _run_attend(composed_attend, data, probe)
-        assert np.abs(out - ref_out).max() <= 1e-12
-        for name in ATTEND_ARGS:
-            assert grads[name] is not None, name
-            assert grads[name].shape == data[name].shape, name
-            assert np.abs(grads[name] - ref_grads[name]).max() <= 1e-12, name
+        for fusion in ("rjca", "cross_attention"):
+            rng = np.random.default_rng([7, len(batch)])
+            audio, visual = rng.uniform(-1, 1, size=batch + (3, 4)), rng.uniform(-1, 1, size=batch + (2, 4))
+            steps = random_steps(rng, 3, 2, 4, 2, fusion)
+            probe = rng.uniform(-1, 1, size=batch + (5, 4))
+            out, grads = run_stage(lambda a, v: fuse(fusion, a, v, steps), audio, visual, steps, probe)
+            composed = lambda a, v: chained_fusion(fusion, a, v, steps, composed_attend)  # noqa: E731
+            if batch:
+                # Oracle per item on rank-2 slices; shared weights sum over items.
+                items = [run_stage(composed, audio[b], visual[b], steps, probe[b]) for b in range(batch[0])]
+                ref_out = np.stack([o for o, _ in items])
+                ref_grads = {name: (np.stack if name in ("audio", "visual") else sum)([g[name] for _, g in items])
+                             for name in grads}
+            else:
+                ref_out, ref_grads = run_stage(composed, audio, visual, steps, probe)
+            assert np.abs(out - ref_out).max() <= 1e-12, fusion
+            for name, grad in grads.items():
+                assert grad is not None and grad.shape == ref_grads[name].shape, (fusion, name)
+                assert np.abs(grad - ref_grads[name]).max() <= 1e-12, (fusion, name)
 
     @pytest.mark.parametrize("batch", [(), (3,)])
-    @pytest.mark.parametrize("constant", [("feats",), ("key",), ("feats", "key")])
+    @pytest.mark.parametrize("constant", [("audio",), ("visual",), ("audio", "visual")])
     def test_constant_inputs_skip_only_their_own_gradient_terms(self, batch, constant):
-        rng = np.random.default_rng([12, len(batch)])
-        data = _attend_data(rng, batch)
-        probe = rng.uniform(-1, 1, size=batch + (3, 4))
-        _, grads = _run_attend(ad.attend, data, probe)
-        tensors = {name: (ad.Constant if name in constant else Tensor)(data[name]) for name in ATTEND_ARGS}
-        with Tape() as tape:
-            loss = ad.sum_all(ad.mul(ad.attend(*tensors.values()), Tensor(probe)))
-        tape.backward(loss)
-        for name, t in tensors.items():
-            if name in constant:
-                assert t.grad is None, name
-            else:
-                assert t.grad.tobytes() == grads[name].tobytes(), name
+        for fusion in ("rjca", "cross_attention"):
+            rng = np.random.default_rng([12, len(batch)])
+            audio, visual = rng.uniform(-1, 1, size=batch + (3, 4)), rng.uniform(-1, 1, size=batch + (2, 4))
+            steps = random_steps(rng, 3, 2, 4, 2, fusion)
+            probe = rng.uniform(-1, 1, size=batch + (5, 4))
+            forward = lambda a, v: fuse(fusion, a, v, steps)  # noqa: E731
+            _, grads = run_stage(forward, audio, visual, steps, probe)
+            _, skipped = run_stage(forward, audio, visual, steps, probe, constant)
+            for name, grad in skipped.items():
+                if name in constant:
+                    assert grad is None, (fusion, name)
+                else:
+                    assert grad.tobytes() == grads[name].tobytes(), (fusion, name)
 
     def test_output_is_bitwise_its_expression(self):
-        # The in-place scaling and tanh of the correlation map keep the bits
+        # The in-place scaling and tanh of each correlation map keep the bits
         # of the plain expression.
-        data = _attend_data(np.random.default_rng(13), ())
-        feats, key, proj, attn_mix, out_mix = (data[name] for name in ATTEND_ARGS)
-        inv_scale = 1.0 / math.sqrt(5)
-        corr = np.tanh((feats.T @ (proj @ key)) * inv_scale)
-        expected = np.maximum((feats @ attn_mix) @ corr, 0.0) @ out_mix + feats
-        out = ad.attend(*(Tensor(data[name]) for name in ATTEND_ARGS))
-        assert out.data.tobytes() == expected.tobytes()
+        rng = np.random.default_rng(13)
+        audio, visual = rng.uniform(-1, 1, size=(3, 4)), rng.uniform(-1, 1, size=(2, 4))
+        steps = random_steps(rng, 3, 2, 4, 2)
+        a, v = audio, visual
+        for p in steps:
+            joint = np.concatenate([a, v])
+            a, v = (np.maximum((x @ mix.data) @ np.tanh((x.T @ (proj.data @ joint)) * (1.0 / math.sqrt(5))),
+                               0.0) @ out.data + x
+                    for x, proj, mix, out in ((a, p.corr_proj_audio, p.attn_mix_audio, p.out_mix_audio),
+                                              (v, p.corr_proj_visual, p.attn_mix_visual, p.out_mix_visual)))
+        out = fuse("rjca", Tensor(audio), Tensor(visual), steps)
+        assert out.data.tobytes() == np.concatenate([a, v]).tobytes()
 
     def test_is_one_tape_record(self):
-        data = _attend_data(np.random.default_rng(8), (2,))
+        rng = np.random.default_rng(8)
+        steps = random_steps(rng, 3, 2, 4, 3)
         with Tape() as tape:
-            ad.attend(*(Tensor(data[name]) for name in ATTEND_ARGS))
+            fuse("rjca", Tensor(rng.uniform(-1, 1, size=(2, 3, 4))), Tensor(rng.uniform(-1, 1, size=(2, 2, 4))),
+                 steps)
         assert len(tape) == 1
 
     def test_shape_errors_name_the_operand(self):
-        data = {name: Tensor(v) for name, v in _attend_data(np.random.default_rng(9), ()).items()}
-        args = [data[name] for name in ATTEND_ARGS]
-        with pytest.raises(ad.ShapeError, match="projection"):
-            ad.attend(args[0], args[1], Tensor(np.ones((3, 4))), *args[3:])
-        with pytest.raises(ad.ShapeError, match="out_mix"):
-            ad.attend(*args[:4], Tensor(np.ones((3, 3))))
+        audio, visual = random_inputs(3, 2, 4)
+        steps = random_steps(np.random.default_rng(9), 3, 2, 4, 2)
+        weights = [(p.corr_proj_audio, p.attn_mix_audio, p.out_mix_audio,
+                    p.corr_proj_visual, p.attn_mix_visual, p.out_mix_visual) for p in steps]
+        bad_proj = weights[:1] + [weights[1][:3] + (Tensor(np.ones((2, 4))),) + weights[1][4:]]
+        with pytest.raises(ad.ShapeError, match=re.escape("projection must be (2, 5), got (2, 4)")):
+            ad.attention_fusion(audio, visual, bad_proj, cross=False)
+        bad_mix = [weights[0][:2] + (Tensor(np.ones((3, 3))),) + weights[0][3:]] + weights[1:]
+        with pytest.raises(ad.ShapeError, match=re.escape("out_mix must be (4, 4), got (3, 3)")):
+            ad.attention_fusion(audio, visual, bad_mix, cross=False)
         with pytest.raises(ad.ShapeError, match="batch"):
-            ad.attend(Tensor(np.ones((2, 3, 4))), *args[1:])
+            ad.attention_fusion(Tensor(np.ones((2, 3, 4))), visual, weights, cross=False)
+        with pytest.raises(ad.ShapeError, match="segment counts disagree"):
+            ad.attention_fusion(audio, Tensor(np.ones((2, 5))), weights, cross=True)
+        with pytest.raises(ad.ShapeError, match="no steps"):
+            ad.attention_fusion(audio, visual, [], cross=False)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(rank3=st.booleans(), fusion=st.sampled_from(["rjca", "cross_attention"]), shared=st.booleans(),
+       constant=st.sampled_from([(), ("audio",), ("visual",), ("audio", "visual")]),
+       count=st.integers(1, 4), audio_dim=st.integers(1, 5), visual_dim=st.integers(1, 5),
+       segments=st.integers(1, 5), batch=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_fused_stage_is_bitwise_the_chain_of_one_op_per_pass(rank3, fusion, shared, constant, count, audio_dim,
+                                                             visual_dim, segments, batch, seed):
+    rng = np.random.default_rng(seed)
+    lead = (batch,) if rank3 else ()
+    audio = rng.uniform(-1, 1, size=lead + (audio_dim, segments))
+    visual = rng.uniform(-1, 1, size=lead + (visual_dim, segments))
+    steps = random_steps(rng, audio_dim, visual_dim, segments, count, fusion, shared)
+    probe = rng.uniform(-1, 1, size=lead + (audio_dim + visual_dim, segments))
+    runs = [run_stage(forward, audio, visual, steps, probe, constant)
+            for forward in (lambda a, v: fuse(fusion, a, v, steps),
+                            lambda a, v: chained_fusion(fusion, a, v, steps))]
+    (out, grads), (ref_out, ref_grads) = runs
+    assert out.tobytes() == ref_out.tobytes()
+    assert grads.keys() == ref_grads.keys()
+    for name, grad in grads.items():
+        assert (grad is None) == (name in constant), name
+        if grad is not None:
+            assert grad.tobytes() == ref_grads[name].tobytes(), name
 
 
 class TestRecordCounts:
-    @pytest.mark.parametrize("steps, records", [(1, 4), (3, 10), (5, 16)])
-    def test_rjca_adds_three_records_per_step_plus_one(self, steps, records):
+    @pytest.mark.parametrize("steps", [1, 3, 5])
+    @pytest.mark.parametrize("fusion", ["rjca", "cross_attention"])
+    def test_fusion_stage_is_one_record_at_any_depth(self, fusion, steps):
         audio, visual = random_inputs(3, 2, 4)
-        chain = [JcaStepParams.init(3, 2, 4, np.random.default_rng(steps)) for _ in range(steps)]
+        chain = random_steps(np.random.default_rng(steps), 3, 2, 4, steps, fusion)
         with Tape() as tape:
-            fuse("rjca", audio, visual, chain)
-        assert len(tape) == records
+            fuse(fusion, audio, visual, chain)
+        assert len(tape) == 1
 
     def test_batched_recursion_rows_match_single_utterances(self):
         rng = np.random.default_rng(10)

@@ -121,14 +121,15 @@ def test_single_utterance_loss_is_one_value():
 
 # Per config: overrides, then model.loss tape records on Tensor and on Constant
 # inputs.  The default model, and fusion_deep's shape: RJCA at T=5 over 32
-# segments, no BLSTM.  Two-way cross-attention stacks no raw inputs, so it
-# keeps its count.
+# segments, no BLSTM.  An attention fusion stage is one record at any depth,
+# with constant inputs too; concatenation records its stack only for Tensor
+# inputs.
 FULL_SIZE = {
-    "default": ({}, 15, 14),
-    "fusion_deep": ({"segments": 32, "iterations": 5, "use_blstm": False}, 20, 19),
+    "default": ({}, 6, 6),
+    "fusion_deep": ({"segments": 32, "iterations": 5, "use_blstm": False}, 5, 5),
     "concat": ({"fusion": "concat"}, 6, 5),
     "concat_no_blstm": ({"fusion": "concat", "use_blstm": False}, 5, 4),
-    "cross_attention": ({"fusion": "cross_attention"}, 8, 8),
+    "cross_attention": ({"fusion": "cross_attention"}, 6, 6),
 }
 
 
