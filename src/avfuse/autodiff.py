@@ -30,26 +30,26 @@ and its gradient is formed against the whole batch in one contraction, so one
 tape records a whole mini-batch with the same ops, and the same code runs a
 single utterance.
 
-The primitives are elementwise or matrix ops with one closure each.  Fused
-layer ops (``attention_fusion``, ``blstm``, ``attentive_pool``,
-``aam_cross_entropy``) run a whole layer body in numpy and record a single
-closure holding its hand-derived backward, which cuts the per-record Python
-overhead that dominates at these matrix sizes.  Their large elementwise chains
-run in place in one buffer each, in the operation order of the plain
-expression, so the bits are the expression's.  ``attention_fusion`` is every
-step of the fusion stage in one record, and ``blstm`` the whole bidirectional
-layer, both directions advanced by one time loop.
+The primitives (``matmul``, ``add``, ``mul``, ``sum_all``) are matrix or
+elementwise ops with one closure each: the embedding projection and the
+probe losses of ``gradcheck``.  Fused layer ops (``attention_fusion``,
+``blstm``, ``attentive_pool``, ``aam_cross_entropy``) run a whole layer body
+in numpy and record a single closure holding its hand-derived backward, which
+cuts the per-record Python overhead that dominates at these matrix sizes.
+Their large elementwise chains run in place in one buffer each, in the
+operation order of the plain expression, so the bits are the expression's.
+``attention_fusion`` is every step of the fusion stage in one record, with no
+steps the plain joint stack of its inputs, and ``blstm`` the whole
+bidirectional layer, both directions advanced by one time loop.
 
-A tape is single-threaded by design: one tape per training worker.  The active
-tape is tracked in thread-local storage, so read-only forwards on disjoint
-tensors may run concurrently across threads.
+A tape is single-threaded by design: one tape per training worker.  Entered
+tapes nest on one module-level stack, and the innermost records.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import threading
 from typing import Callable
 
 import numpy as np
@@ -71,12 +71,11 @@ _MAX_RANK = 3
 VARIANCE_FLOOR = 1e-8
 COS_BOUND = 1.0 - 1e-7
 
-_ACTIVE = threading.local()
+_TAPES: list["Tape"] = []
 
 
 def _active_tape() -> "Tape | None":
-    stack = getattr(_ACTIVE, "stack", None)
-    return stack[-1] if stack else None
+    return _TAPES[-1] if _TAPES else None
 
 
 class Tensor:
@@ -165,18 +164,18 @@ class Tape:
         self._records: list[tuple[Callable[[np.ndarray], None], Tensor]] = []
 
     def __enter__(self) -> "Tape":
-        stack = getattr(_ACTIVE, "stack", None)
-        if stack is None:
-            stack = []
-            _ACTIVE.stack = stack
-        stack.append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _ACTIVE.stack.pop()
+        _TAPES.pop()
 
     def __len__(self) -> int:
         return len(self._records)
+
+    def __bool__(self) -> bool:
+        # A tape that holds no record yet is still a tape, not "no tape".
+        return True
 
     def backward(self, output: Tensor, seed: float = 1.0) -> None:
         """Seed the scalar output gradient and run all closures in reverse.
@@ -313,23 +312,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         _accumulate(a, _unbroadcast(g * b.data, a))
         _accumulate(b, _unbroadcast(g * a.data, b))
-
-    return _record(backward, out, a, b)
-
-
-def concat_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Vertical stack of two matrices (or two equal-size batches) with equal column counts."""
-    _require_matrix(a, "concat_rows")
-    _require_matrix(b, "concat_rows")
-    if a.shape[-1] != b.shape[-1]:
-        raise ShapeError(f"concat_rows: column counts disagree for shapes {a.shape} vs {b.shape}")
-    _require_same_batch(a, b, "concat_rows")
-    out = Tensor._wrap(np.concatenate([a.data, b.data], axis=-2))
-    split = a.shape[-2]
-
-    def backward(g):
-        _accumulate(a, g[..., :split, :])
-        _accumulate(b, g[..., split:, :])
 
     return _record(backward, out, a, b)
 
@@ -587,12 +569,14 @@ def _attend_backward(g: np.ndarray, feats: Tensor, key: Tensor, weights: tuple[T
 def attention_fusion(audio: Tensor, visual: Tensor, steps: list[tuple[Tensor, ...]], cross: bool) -> Tensor:
     """The fusion stage in one tape record: the joint stack, audio rows over visual, after all steps.
 
-    ``steps`` holds a 6-tuple of weights per step (at least one), (proj, attn_mix, out_mix) of
-    audio then visual, shaped (d, k), (L, L), (L, L) for a (d, L) modality and a k-row key;
-    shared weights repeat one tuple.  Each modality's ``_attend`` pass keys on the joint stack
-    of both, or with ``cross`` on the other modality.  The backward walks the steps in reverse,
+    ``steps`` holds a 6-tuple of weights per step, (proj, attn_mix, out_mix) of audio then
+    visual, shaped (d, k), (L, L), (L, L) for a (d, L) modality and a k-row key; shared
+    weights repeat one tuple.  Each modality's ``_attend`` pass keys on the joint stack of
+    both, or with ``cross`` on the other modality.  The backward walks the steps in reverse,
     visual before audio, accumulating each term in the order of a chain of one op per pass and
-    per stack; a constant input (see ``Constant``), or a joint stack of two, takes none.
+    per stack; a constant input (see ``Constant``), or a joint stack of two, takes none.  With
+    no steps the output is the joint stack of the inputs, and each input's gradient is its
+    block of the output's.
     """
     op = "attention_fusion"
     _require_matrix(audio, op)
@@ -600,8 +584,6 @@ def attention_fusion(audio: Tensor, visual: Tensor, steps: list[tuple[Tensor, ..
     dims, length = (audio.shape[-2], visual.shape[-2]), audio.shape[-1]
     if visual.shape[-1] != length:
         raise ShapeError(f"{op}: segment counts disagree for shapes {audio.shape} vs {visual.shape}")
-    if not steps:
-        raise ShapeError(f"{op}: no steps' weights given")
     shapes = [((d, k), (length, length), (length, length))
               for d, k in zip(dims, dims[::-1] if cross else (sum(dims),) * 2)]
     for weights in steps:
@@ -627,11 +609,14 @@ def attention_fusion(audio: Tensor, visual: Tensor, steps: list[tuple[Tensor, ..
 
     def backward(g):
         g_a, g_v = g[..., :dims[0], :], g[..., dims[0]:, :]
+        if not steps:
+            _accumulate(audio, g_a)
+            _accumulate(visual, g_v)
         for t in reversed(range(len(steps))):
             a, v, joint, corr_a, corr_v = saved[t]
             # Step 0 accumulates into the op's inputs, a later step into fresh holders.
             ins_a, ins_v = (audio, visual) if t == 0 else (Tensor._wrap(a), Tensor._wrap(v))
-            # A joint stack of two constants is a constant, as concat_rows makes it.
+            # A joint stack of two constants is a constant, as the op with no steps makes it.
             stack = Constant if isinstance(ins_a, Constant) and isinstance(ins_v, Constant) else Tensor
             key_a, key_v = (ins_v, ins_a) if cross else (stack._wrap(joint),) * 2
             rows = _attend_backward(g_v, ins_v, key_v, steps[t][3:], corr_v)

@@ -2,9 +2,9 @@
 
 A fusion step correlates each modality against a key, gates a segment
 recombination of the modality through ReLU, and adds the result back onto the
-input (a residual connection); all steps of a stage run in the one fused
-``ad.attention_fusion`` op.  The fusion modes differ in two things only, both
-picked by ``fuse``:
+input (a residual connection).  Every mode's stage, ``concat``'s zero steps
+too, is one call of the fused ``ad.attention_fusion`` op.  The fusion modes
+differ in two things only, both picked by ``fuse``:
 
 - each modality's key: joint cross-attention (``rjca``) attends the joint
   stack of both modalities, the two-way cross-attention baseline
@@ -81,17 +81,16 @@ def fuse(fusion: str, audio: Tensor, visual: Tensor, steps: Sequence[JcaStepPara
     """The fusion stage of every mode: ``steps`` applied in turn, each step's
     attended features, and their joint stack, feeding the next.  Returns the
     last joint stack, (audio_dim + visual_dim, segments) per utterance; all-zero
-    weights make each step the identity.  ``rjca`` and ``cross_attention`` are
-    one tape record at any depth; ``concat`` takes no steps and records its
-    stack of the inputs unless both are constants.
+    weights make each step the identity.  Every mode is one call of
+    ``ad.attention_fusion``, one tape record at any depth unless both inputs
+    are constants; ``concat`` takes no steps, so its output is the joint stack
+    of the inputs.
     """
     if fusion not in FUSION_MODES:
         raise ConfigError(f"fusion must be one of {FUSION_MODES}, got {fusion!r}")
-    if fusion == "concat":
-        if steps:
-            raise ConfigError(f"concat fusion takes no step weights, got {len(steps)}")
-        return ad.concat_rows(audio, visual)
-    if not steps:
+    if fusion == "concat" and steps:
+        raise ConfigError(f"concat fusion takes no step weights, got {len(steps)}")
+    if fusion != "concat" and not steps:
         raise ConfigError(f"{fusion} fusion needs at least one step's weights")
     weights = [(p.corr_proj_audio, p.attn_mix_audio, p.out_mix_audio,
                 p.corr_proj_visual, p.attn_mix_visual, p.out_mix_visual) for p in steps]

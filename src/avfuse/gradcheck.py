@@ -1,13 +1,16 @@
 """Finite-difference verification of every layer's backward pass.
 
-Each check builds a tiny random instance of one layer, differentiates a scalar
-probe loss through the tape, and compares against central differences taken by
-re-running the forward with perturbed inputs.  Layers are checked at dims
-small enough that the whole suite runs in seconds; the jca and cross-attention
-steps, BLSTM, ASP and AAM head are also checked on a rank-3 batch of two, which
-covers the batch-axis broadcasts and the weight gradients summed over the
-batch.  The central-difference estimate (``numeric_gradient``) and its error
-measure (``relative_error``) live here, the one home of finite differences.
+Each check builds a tiny random instance of one layer the model runs,
+differentiates a scalar probe loss through the tape, and compares against
+central differences taken by re-running the forward with perturbed inputs.
+The rows are the model's layers at dims small enough that the whole suite
+runs in seconds: the fusion stage in each mode (``concat`` is ``fuse`` with no
+steps), the BLSTM, ASP, the embedding projection and the AAM head.  Each is
+checked on a rank-2 utterance; the jca and cross-attention steps, BLSTM, ASP,
+projection and AAM head also on a rank-3 batch of two, which covers the
+batch-axis broadcasts and the weight gradients summed over the batch.  The
+central-difference estimate (``numeric_gradient``) and its error measure
+(``relative_error``) live here, the one home of finite differences.
 """
 
 from __future__ import annotations
@@ -96,20 +99,7 @@ def _probe_loss(output: Tensor, probe: Tensor) -> Tensor:
     return ad.sum_all(ad.mul(output, probe))
 
 
-def check_matmul(rng) -> float:
-    a = Tensor(rng.uniform(-1, 1, size=(4, 5)))
-    b = Tensor(rng.uniform(-1, 1, size=(5, 3)))
-    return check_function(lambda: ad.sum_all(ad.matmul(a, b)), {"a": a, "b": b})
-
-
-def check_concat(rng) -> float:
-    a = Tensor(rng.uniform(-1, 1, size=(3, 4)))
-    b = Tensor(rng.uniform(-1, 1, size=(2, 4)))
-    probe = Tensor(rng.uniform(-1, 1, size=(5, 4)))
-    return check_function(lambda: _probe_loss(ad.concat_rows(a, b), probe), {"a": a, "b": b})
-
-
-def check_rjca(rng, steps: int = 1, batch: tuple[int, ...] = (), fusion: str = "rjca") -> float:
+def check_fusion(rng, steps: int = 1, batch: tuple[int, ...] = (), fusion: str = "rjca") -> float:
     audio = Tensor(rng.uniform(-1, 1, size=batch + (3, 4)))
     visual = Tensor(rng.uniform(-1, 1, size=batch + (2, 4)))
     chain = [JcaStepParams.init(3, 2, 4, rng, fusion) for _ in range(steps)]
@@ -137,10 +127,10 @@ def check_asp(rng, batch: tuple[int, ...] = ()) -> float:
     return check_function(lambda: _probe_loss(asp(x, params), probe), tensors)
 
 
-def check_projection(rng) -> float:
+def check_projection(rng, batch: tuple[int, ...] = ()) -> float:
     params = EmbeddingProjection.init(input_dim=6, embed_dim=4, rng=rng)
-    pooled = Tensor(rng.uniform(-1, 1, size=(6, 1)))
-    probe = Tensor(rng.uniform(-1, 1, size=(4, 1)))
+    pooled = Tensor(rng.uniform(-1, 1, size=batch + (6, 1)))
+    probe = Tensor(rng.uniform(-1, 1, size=batch + (4, 1)))
     tensors = {"pooled": pooled, **named_tensors(params)}
     return check_function(lambda: _probe_loss(project_embedding(pooled, params), probe), tensors)
 
@@ -159,18 +149,18 @@ def _batched(check: Callable) -> Callable:
 
 
 LAYER_CHECKS: dict[str, Callable] = {
-    "matmul": check_matmul,
-    "concat_rows": check_concat,
-    "jca_step": check_rjca,
-    "jca_step_batch": _batched(check_rjca),
-    "rjca_stack_t3": lambda rng: check_rjca(rng, steps=3),
-    "cross_attention": lambda rng: check_rjca(rng, fusion="cross_attention"),
-    "cross_attention_batch": lambda rng: check_rjca(rng, batch=(2,), fusion="cross_attention"),
+    "concat": lambda rng: check_fusion(rng, steps=0, fusion="concat"),
+    "jca_step": check_fusion,
+    "jca_step_batch": _batched(check_fusion),
+    "rjca_stack_t3": lambda rng: check_fusion(rng, steps=3),
+    "cross_attention": lambda rng: check_fusion(rng, fusion="cross_attention"),
+    "cross_attention_batch": lambda rng: check_fusion(rng, batch=(2,), fusion="cross_attention"),
     "blstm_bptt": check_blstm,
     "blstm_bptt_batch": _batched(check_blstm),
     "asp": check_asp,
     "asp_batch": _batched(check_asp),
     "projection": check_projection,
+    "projection_batch": _batched(check_projection),
     "aam_loss": check_aam,
     "aam_loss_batch": _batched(check_aam),
 }

@@ -6,10 +6,11 @@ written as a chain of these primitives (``composed_attend``, ``reference_lstm``,
 finite-difference test in tests/test_autodiff.py.  They record on the active
 tape exactly as the library's ops do.
 
-``attend`` is one modality's attention pass as a fused op of its own, kept
-verbatim from when the fusion stage chained it: two ``attend`` and one
-``concat_rows`` per step are the bitwise oracle of ``attention_fusion``, and
-``composed_attend`` is its oracle in turn.
+``attend`` is one modality's attention pass as a fused op of its own, and
+``concat_rows`` the stack of two matrices, both kept verbatim from when the
+fusion stage chained them: two ``attend`` and one ``concat_rows`` per step are
+the bitwise oracle of ``attention_fusion``, one ``concat_rows`` its oracle with
+no steps, and ``composed_attend`` the oracle of ``attend`` in turn.
 """
 
 import math
@@ -46,6 +47,23 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     _record(backward, out)
     return out
+
+
+def concat_rows(a: Tensor, b: Tensor) -> Tensor:
+    """Vertical stack of two matrices (or two equal-size batches) with equal column counts."""
+    _require_matrix(a, "concat_rows")
+    _require_matrix(b, "concat_rows")
+    if a.shape[-1] != b.shape[-1]:
+        raise ShapeError(f"concat_rows: column counts disagree for shapes {a.shape} vs {b.shape}")
+    _require_same_batch(a, b, "concat_rows")
+    out = Tensor._wrap(np.concatenate([a.data, b.data], axis=-2))
+    split = a.shape[-2]
+
+    def backward(g):
+        _accumulate(a, g[..., :split, :])
+        _accumulate(b, g[..., split:, :])
+
+    return _record(backward, out, a, b)
 
 
 def scale_shift(x: Tensor, scale: float = 1.0, shift: float = 0.0) -> Tensor:

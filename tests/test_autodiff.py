@@ -84,19 +84,19 @@ class TestForwardValues:
     def test_concat_empty(self):
         a = Tensor(np.ones((2, 4)))
         empty = Tensor(np.zeros((0, 4)))
-        assert np.array_equal(ad.concat_rows(a, empty).data, a.data)
+        assert np.array_equal(ref.concat_rows(a, empty).data, a.data)
 
     def test_concat_shapes(self):
-        out = ad.concat_rows(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))))
+        out = ref.concat_rows(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))))
         assert out.shape == (5, 4)
 
     def test_concat_stacking_definition(self):
-        out = ad.concat_rows(Tensor([[1.0]]), Tensor([[2.0]]))
+        out = ref.concat_rows(Tensor([[1.0]]), Tensor([[2.0]]))
         assert np.array_equal(out.data, [[1.0], [2.0]])
 
     def test_concat_column_mismatch(self):
         with pytest.raises(ShapeError):
-            ad.concat_rows(Tensor(np.ones((2, 4))), Tensor(np.ones((2, 5))))
+            ref.concat_rows(Tensor(np.ones((2, 4))), Tensor(np.ones((2, 5))))
 
     def test_nonfinite_rejected_at_construction(self):
         with pytest.raises(NonFiniteError):
@@ -172,7 +172,7 @@ class TestBackwardVsFiniteDifferences:
     def test_concat_rows(self):
         probe = self.rng.uniform(-1, 1, size=(5, 2))
         check_op_gradient(
-            lambda a, b: ad.mul(ad.concat_rows(a, b), Tensor(probe)),
+            lambda a, b: ad.mul(ref.concat_rows(a, b), Tensor(probe)),
             [self._u(2, 2), self._u(3, 2)],
         )
 
@@ -312,6 +312,15 @@ class TestTape:
         with pytest.raises(ShapeError):
             ref.cross_entropy_index(Tensor(logits), 1)
 
+    def test_an_empty_active_tape_is_still_a_tape(self):
+        # A tape that holds no record yet must not read as "no tape" in a truth test.
+        with Tape() as outer:
+            assert outer and ad._active_tape() is outer
+            with Tape() as inner:
+                assert ad._active_tape() is inner
+            assert ad._active_tape() is outer
+        assert ad._active_tape() is None
+
     def test_no_tape_means_no_grads(self):
         a = Tensor([[1.0, 2.0]])
         out = ref.tanh(a)
@@ -341,7 +350,7 @@ class TestConstant:
     def test_op_of_constants_only_records_nothing_and_returns_a_constant(self):
         a, b = Constant(np.ones((2, 3))), Constant(np.zeros((1, 3)))
         with Tape() as tape:
-            joint = ad.concat_rows(a, b)
+            joint = ref.concat_rows(a, b)
             squashed = ref.tanh(joint)
         assert len(tape) == 0
         assert isinstance(joint, Constant) and isinstance(squashed, Constant)

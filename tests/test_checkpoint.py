@@ -2,6 +2,7 @@
 and malformed config snapshots."""
 
 import os
+import re
 import struct
 
 import numpy as np
@@ -66,6 +67,25 @@ def tensor_entry(name: bytes, shape: tuple[int, ...], values=()) -> bytes:
 def checkpoint_bytes(config: bytes, *entries: bytes) -> bytes:
     """A hand-built AVCK file holding the given tensor entries."""
     return b"AVCK" + struct.pack("<II", 1, len(config)) + config + struct.pack("<I", len(entries)) + b"".join(entries)
+
+
+def with_version(blob: bytes, version: int) -> bytes:
+    """A hand-built AVCK file with its format version replaced."""
+    return blob[:4] + struct.pack("<I", version) + blob[8:]
+
+
+@pytest.mark.parametrize("blob, message", [
+    (with_version(checkpoint_bytes(b"seed = 1\n", tensor_entry(b"w", (1,), [1.0])), 2),
+     "unsupported checkpoint version 2"),
+    (checkpoint_bytes(b"", tensor_entry(b"w", ())), "tensor 'w' has rank 0"),
+    (checkpoint_bytes(b"", tensor_entry(b"w", (1, 1, 1, 1), [1.0])), "tensor 'w' has rank 4"),
+    (checkpoint_bytes(b"", tensor_entry(b"w", (1,), [1.0])) + b"\0", "trailing bytes after last tensor"),
+], ids=["version", "rank_0", "rank_4", "trailing_bytes"])
+def test_malformed_container_is_a_checkpoint_error_naming_the_path(tmp_path, blob, message):
+    (tmp_path / "bad.ckpt").write_bytes(blob)
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(tmp_path / 'bad.ckpt'))}: {message}$") as info:
+        load_checkpoint(tmp_path / "bad.ckpt")
+    assert info.type is CheckpointError
 
 
 @pytest.mark.parametrize("config, name, what", [(b"seed = \xff\n", b"w", "config snapshot"),

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from avfuse import cli
+from avfuse import cli, gradcheck
 from avfuse.checkpoint import load_checkpoint, save_checkpoint
 from avfuse.config import TrainConfig
 from avfuse.evaluation import score_trials
@@ -229,3 +229,21 @@ def test_cost_and_tolerance_flags_default_to_the_library_constants():
     given = parser.parse_args(base + ["--p-target", "0.01", "--c-miss", "10", "--c-fa", "2"])
     assert (given.p_target, given.c_miss, given.c_fa) == (0.01, 10.0, 2.0)
     assert parser.parse_args(["gradcheck"]).tolerance == DEFAULT_TOLERANCE
+
+
+def test_gradcheck_passes_one_row_per_layer_check_in_order(capsys):
+    assert cli.main(["gradcheck"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = lines[3:-2]
+    assert lines[0] == "seed = 0"
+    assert [row.split()[0] for row in rows] == list(gradcheck.LAYER_CHECKS)
+    assert all(row.split()[-1] == "PASS" for row in rows)
+    assert lines[-2:] == ["", "gradcheck: PASS (tolerance 0.0001)"]
+
+
+def test_gradcheck_over_tolerance_exits_one_with_a_fail_row(capsys, monkeypatch):
+    monkeypatch.setattr(gradcheck, "LAYER_CHECKS", {"asp": gradcheck.LAYER_CHECKS["asp"]})
+    assert cli.main(["gradcheck", "--tolerance", "1e-30"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3].split()[0] == "asp" and lines[3].split()[-1] == "FAIL"
+    assert lines[-1] == "gradcheck: FAIL (tolerance 1e-30)"

@@ -1,6 +1,8 @@
 """Trial scoring: batched embedding and grouped cosines equal per-trial scoring."""
 
+import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from avfuse.evaluation import (
 from avfuse.featio import TrialPair, load_dataset
 from avfuse.fusion import score_level_fusion
 from avfuse.model import VerificationModel
-from avfuse.objective import cosine_score
+from avfuse.objective import NormalizationError, cosine_score
 from avfuse.synthetic import SyntheticSpec, generate_dataset
 
 
@@ -170,3 +172,23 @@ def test_trained_system_needs_a_model(utterances):
 def test_embedding_no_utterances_gives_no_rows():
     config = TrainConfig(audio_dim=3, visual_dim=2, segments=4, embed_dim=4)
     assert embed_utterances(VerificationModel(config, n_speakers=2), [], {}).shape == (0, 4)
+
+
+def with_silent_audio(utterances):
+    """The utterances with the first one's audio all zeros: a zero-norm raw audio vector."""
+    first = min(utterances)
+    silent = dataclasses.replace(utterances[first], audio=np.zeros_like(utterances[first].audio))
+    return {**utterances, first: silent}
+
+
+@pytest.mark.parametrize("system, trials, data, model, error, message", [
+    ("audio", lambda u: [], lambda u: u, None, ConfigError, "empty trial list"),
+    ("concat", all_pairs, lambda u: u, tiny_model, ConfigError,
+     "checkpoint was trained with fusion 'rjca', not 'concat'"),
+    ("bogus", all_pairs, lambda u: u, None, ConfigError, "unknown evaluation system 'bogus'"),
+    ("audio", all_pairs, with_silent_audio, None, NormalizationError, "cosine scoring: zero-norm embedding"),
+], ids=["empty_trial_list", "fusion_mismatch", "unknown_system", "zero_norm_embedding"])
+def test_score_trials_refusals_name_the_cause(utterances, system, trials, data, model, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        score_trials(system, trials(utterances), data(utterances), model=model and model())
+    assert info.type is error

@@ -163,7 +163,7 @@ def composed_cross_attention(audio, visual, params):
                            params.out_mix_audio)
     att_visual = ref.attend(visual, audio, params.corr_proj_visual, params.attn_mix_visual,
                             params.out_mix_visual)
-    return ad.concat_rows(att_audio, att_visual)
+    return ref.concat_rows(att_audio, att_visual)
 
 
 class TestCrossAttentionMode:
@@ -234,13 +234,13 @@ def composed_attend(feats, key, proj, attn_mix, out_mix):
 def chained_fusion(fusion, audio, visual, steps, attend=ref.attend):
     """The fusion stage as a chain of one op per pass: each step two ``attend``
     passes and one stack, after the first joint stack of ``rjca``."""
-    joint = None if fusion == "cross_attention" else ad.concat_rows(audio, visual)
+    joint = None if fusion == "cross_attention" else ref.concat_rows(audio, visual)
     for p in steps:
         audio_key, visual_key = (visual, audio) if fusion == "cross_attention" else (joint, joint)
         audio, visual = (
             attend(audio, audio_key, p.corr_proj_audio, p.attn_mix_audio, p.out_mix_audio),
             attend(visual, visual_key, p.corr_proj_visual, p.attn_mix_visual, p.out_mix_visual))
-        joint = ad.concat_rows(audio, visual)
+        joint = ref.concat_rows(audio, visual)
     return joint
 
 
@@ -353,17 +353,23 @@ class TestAttend:
             ad.attention_fusion(Tensor(np.ones((2, 3, 4))), visual, weights, cross=False)
         with pytest.raises(ad.ShapeError, match="segment counts disagree"):
             ad.attention_fusion(audio, Tensor(np.ones((2, 5))), weights, cross=True)
-        with pytest.raises(ad.ShapeError, match="no steps"):
-            ad.attention_fusion(audio, visual, [], cross=False)
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(rank3=st.booleans(), fusion=st.sampled_from(["rjca", "cross_attention"]), shared=st.booleans(),
+# (fusion, count, shared) with each mode a third of the draws: concat takes no steps, so
+# no weights to share.  300 examples keep about 190 of the modes with steps.
+STAGES = st.sampled_from(["rjca", "cross_attention", "concat"]).flatmap(
+    lambda fusion: st.just((fusion, 0, False)) if fusion == "concat"
+    else st.tuples(st.just(fusion), st.integers(1, 4), st.booleans()))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rank3=st.booleans(), stage=STAGES,
        constant=st.sampled_from([(), ("audio",), ("visual",), ("audio", "visual")]),
-       count=st.integers(1, 4), audio_dim=st.integers(1, 5), visual_dim=st.integers(1, 5),
+       audio_dim=st.integers(1, 5), visual_dim=st.integers(1, 5),
        segments=st.integers(1, 5), batch=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-def test_fused_stage_is_bitwise_the_chain_of_one_op_per_pass(rank3, fusion, shared, constant, count, audio_dim,
-                                                             visual_dim, segments, batch, seed):
+def test_fused_stage_is_bitwise_the_chain_of_one_op_per_pass(rank3, stage, constant, audio_dim, visual_dim,
+                                                             segments, batch, seed):
+    fusion, count, shared = stage
     rng = np.random.default_rng(seed)
     lead = (batch,) if rank3 else ()
     audio = rng.uniform(-1, 1, size=lead + (audio_dim, segments))
@@ -391,6 +397,15 @@ class TestRecordCounts:
         with Tape() as tape:
             fuse(fusion, audio, visual, chain)
         assert len(tape) == 1
+
+    def test_concat_is_one_record_unless_both_inputs_are_constants(self):
+        audio, visual = random_inputs(3, 2, 4)
+        with Tape() as tape:
+            fuse("concat", audio, visual, [])
+        assert len(tape) == 1
+        with Tape() as tape:
+            joint = fuse("concat", ad.Constant(audio.data), ad.Constant(visual.data), [])
+        assert len(tape) == 0 and isinstance(joint, ad.Constant)
 
     def test_batched_recursion_rows_match_single_utterances(self):
         rng = np.random.default_rng(10)

@@ -14,7 +14,7 @@ def test_a_row_reports_the_same_error_alone_as_in_the_suite(monkeypatch):
     # Each row's generator is seeded by its name, not by its position in the suite.
     checks = gradcheck.LAYER_CHECKS
     in_suite = {r.name: r.worst_error for r in gradcheck.run_suite(seed=3)}
-    for name in ("concat_rows", "asp_batch", "aam_loss"):
+    for name in ("concat", "asp_batch", "aam_loss"):
         monkeypatch.setattr(gradcheck, "LAYER_CHECKS", {name: checks[name]})
         [alone] = gradcheck.run_suite(seed=3)
         assert alone.worst_error == in_suite[name], name

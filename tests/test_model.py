@@ -7,7 +7,7 @@ import pytest
 
 from avfuse import autodiff as ad
 from avfuse.autodiff import Constant, Tape, Tensor
-from avfuse.config import TrainConfig
+from avfuse.config import ConfigError, TrainConfig
 from avfuse.fusion import fuse
 from avfuse.model import VerificationModel
 from avfuse.objective import aam_loss
@@ -175,3 +175,23 @@ def test_constant_inputs_give_bitwise_the_tensor_inputs_parameter_gradients(name
     assert all(t.grad is not None for t in tensors)
     assert all(t.grad is None for t in constants)
     assert all(run[1:] == runs[0][1:] for run in runs[1:])
+
+
+def state_with(model, name, shape):
+    """The model's parameter arrays with the named one swapped for zeros of ``shape``."""
+    arrays = {n: t.data for n, t in model.named_parameters().items()}
+    arrays[name] = np.zeros(shape)
+    return arrays
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: VerificationModel(TrainConfig(), n_speakers=0), "n_speakers must be >= 1"),
+    (lambda: tiny_model().load_state(state_with(tiny_model(), "aam.weights", (5, 4))),
+     "parameter aam.weights: shape (5, 4) != expected (4, 4)"),
+    (lambda: tiny_model().load_state(state_with(tiny_model(), "asp.bias", (3,))),
+     "parameter asp.bias: shape (3,) != expected (3, 1)"),
+], ids=["no_speakers", "more_classes", "rank_one_bias"])
+def test_model_refusals_are_config_errors(build, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as info:
+        build()
+    assert info.type is ConfigError

@@ -1,6 +1,7 @@
 """Angular-margin loss semantics and cosine scoring."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -226,3 +227,18 @@ class TestCosineScore:
     def test_zero_vector_rejected(self):
         with pytest.raises(NormalizationError):
             cosine_score([0.0, 0.0], [1.0, 0.0])
+
+
+@pytest.mark.parametrize("embedding, label, error, message", [
+    (np.ones((6, 2)), 0, ad.ShapeError, "aam_loss: expected (embed_dim, 1) embeddings, got (6, 2)"),
+    (np.ones(6), 0, ad.ShapeError, "aam_loss: expected (embed_dim, 1) embeddings, got (6,)"),
+    (np.ones((6, 1)), 1.5, ConfigError, "aam_loss: need one integer label per embedding, got 1.5"),
+    (np.ones((2, 6, 1)), [0], ConfigError, "aam_loss: need one integer label per embedding, got [0]"),
+    (np.ones((6, 1)), 5, ConfigError, "label 5 out of range for 5 classes"),
+    (np.ones((2, 6, 1)), [0, -1], ConfigError, "label [0, -1] out of range for 5 classes"),
+], ids=["two_columns", "rank_one", "float_label", "too_few_labels", "label_past_classes", "negative_label"])
+def test_aam_loss_refuses_bad_embedding_shapes_and_labels(embedding, label, error, message):
+    head = random_head(np.random.default_rng(18))
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        aam_loss(Tensor(embedding), label, head)
+    assert info.type is error

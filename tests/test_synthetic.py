@@ -1,5 +1,7 @@
 """Synthetic data generation: the trial list delivers what it was asked for."""
 
+import re
+
 import pytest
 
 from avfuse.config import ConfigError
@@ -26,3 +28,16 @@ def test_default_ratio_delivers_every_requested_nontarget(tmp_path):
     targets = sum(t.is_target for t in trials)
     assert targets == 4
     assert len(trials) - targets == 4 * spec.nontargets_per_target
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(latent_dim=0), "latent_dim must be >= 1"),
+    (dict(visual_noise=-0.1), "noise levels must be >= 0"),
+    (dict(utts_per_speaker=3, eval_utts_per_speaker=3),
+     "eval_utts_per_speaker must leave at least one training utterance"),
+    (dict(eval_utts_per_speaker=-1), "eval_utts_per_speaker must leave at least one training utterance"),
+], ids=["int_below_one", "negative_noise", "no_training_utterance", "negative_held_out"])
+def test_invalid_spec_is_a_config_error(fields, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as info:
+        SyntheticSpec(**fields)
+    assert info.type is ConfigError

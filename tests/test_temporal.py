@@ -223,7 +223,7 @@ def composed_asp(features, proj, bias, score):
     mean = ad.matmul(features, weights)
     second_moment = ad.matmul(ad.mul(features, features), weights)
     variance = ref.clamp(ref.sub(second_moment, ad.mul(mean, mean)), lo=VARIANCE_FLOOR)
-    return ad.concat_rows(mean, ref.sqrt(variance))
+    return ref.concat_rows(mean, ref.sqrt(variance))
 
 
 POOL_ARGS = ("features", "proj", "bias", "score")

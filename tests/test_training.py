@@ -1,11 +1,14 @@
 """Training: bitwise reproducibility, the per-sample reference, and the non-finite guards."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 from avfuse import autodiff as ad
 from avfuse.autodiff import Tape, Tensor
-from avfuse.config import TrainConfig
+from avfuse.config import ConfigError, TrainConfig
 from avfuse.featio import load_dataset, manifest_entries
 from avfuse.model import VerificationModel
 from avfuse.synthetic import SyntheticSpec, generate_dataset
@@ -257,3 +260,23 @@ def test_every_gradient_is_released_after_each_train_step(tiny_train_set, tmp_pa
     monkeypatch.setattr(Optimizer, "step", step)
     train(tiny_config(), tiny_train_set, tmp_path)
     assert params and held == [[]] * 6  # 9 utterances in batches of 4, over 2 epochs
+
+
+def with_first_reshaped(utts, modality, shape):
+    """The utterances with the first one's features of ``modality`` replaced by zeros of ``shape``."""
+    return [dataclasses.replace(utts[0], **{modality: np.zeros(shape)})] + utts[1:]
+
+
+@pytest.mark.parametrize("utts, message", [
+    (lambda utts: [], "no training utterances"),
+    (lambda utts: with_first_reshaped(utts, "audio", (4, 4)),
+     "utterance {id}: feature shapes (4, 4)/(2, 4) do not match config dims"),
+    (lambda utts: with_first_reshaped(utts, "visual", (2, 5)),
+     "utterance {id}: feature shapes (3, 4)/(2, 5) do not match config dims"),
+], ids=["no_utterances", "audio_dim", "visual_segments"])
+def test_train_refuses_bad_utterances_before_writing(tiny_train_set, tmp_path, utts, message):
+    message = message.format(id=tiny_train_set[0].utt_id)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as info:
+        train(tiny_config(), utts(tiny_train_set), tmp_path / "run")
+    assert info.type is ConfigError
+    assert not (tmp_path / "run").exists()
