@@ -30,17 +30,19 @@ and its gradient is formed against the whole batch in one contraction, so one
 tape records a whole mini-batch with the same ops, and the same code runs a
 single utterance.
 
-The primitives (``matmul``, ``add``, ``mul``, ``sum_all``) are matrix or
-elementwise ops with one closure each: the embedding projection and the
-probe losses of ``gradcheck``.  Fused layer ops (``attention_fusion``,
-``blstm``, ``attentive_pool``, ``aam_cross_entropy``) run a whole layer body
-in numpy and record a single closure holding its hand-derived backward, which
-cuts the per-record Python overhead that dominates at these matrix sizes.
+The primitives (``mul``, ``sum_all``) are elementwise ops with one closure
+each: the probe losses of ``gradcheck`` and the training mean.  Fused layer
+ops (``affine``, ``attention_fusion``, ``blstm``, ``attentive_pool``,
+``aam_cross_entropy``) run a whole layer body in numpy and record a single
+closure holding its hand-derived backward, which cuts the per-record Python
+overhead that dominates at these matrix sizes.
 Their large elementwise chains run in place in one buffer each, in the
 operation order of the plain expression, so the bits are the expression's.
-``attention_fusion`` is every step of the fusion stage in one record, with no
-steps the plain joint stack of its inputs, and ``blstm`` the whole
-bidirectional layer, both directions advanced by one time loop.
+``affine`` is the embedding projection, ``attention_fusion`` every step of
+the fusion stage in one record (with no steps the plain joint stack of its
+inputs), and ``blstm`` the whole bidirectional layer, both directions
+advanced by one time loop whose first step forms nothing from the zero
+initial states.
 
 A tape is single-threaded by design: one tape per training worker.  Entered
 tapes nest on one module-level stack, and the innermost records.
@@ -49,6 +51,7 @@ tapes nest on one module-level stack, and the innermost records.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable
 
@@ -277,35 +280,8 @@ def _right_grad(a: np.ndarray, g: np.ndarray, b_ndim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of rank-2 or rank-3 tensors, over the leading batch axis if any."""
-    _require_matrix(a, "matmul")
-    _require_matrix(b, "matmul")
-    if a.shape[-1] != b.shape[-2] or (a.ndim == b.ndim == 3 and a.shape[0] != b.shape[0]):
-        raise ShapeError(f"matmul: inner extents disagree for shapes {a.shape} x {b.shape}")
-    out = Tensor._wrap(_mm(a.data, b.data))
-
-    def backward(g):
-        _accumulate(a, _left_grad(g, b.data, a.ndim))
-        _accumulate(b, _right_grad(a.data, g, b.ndim))
-
-    return _record(backward, out, a, b)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; a rank-2 operand broadcasts along a rank-3 one's batch axis."""
-    _broadcastable(a, b, "add")
-    out = Tensor._wrap(a.data + b.data)
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g, a))
-        _accumulate(b, _unbroadcast(g, b))
-
-    return _record(backward, out, a, b)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise (Hadamard) product, broadcasting like ``add``."""
+    """Elementwise (Hadamard) product; a rank-2 operand broadcasts along a rank-3 one's batch axis."""
     _broadcastable(a, b, "mul")
     out = Tensor._wrap(a.data * b.data)
 
@@ -331,6 +307,52 @@ def sum_all(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def affine(weight: Tensor, x: Tensor, bias: Tensor) -> Tensor:
+    """weight @ x + bias as one tape record: (e, n) weight, (n, c) x or a (B, n, c) batch of
+    them, bias of the output's item shape (e, c).
+
+    The forward and the backward are the arithmetic of a matrix product followed by a
+    sum: a batch's product is one per item, and its weight and bias gradients are summed
+    over the items.  A constant x (see ``Constant``) takes no gradient term.
+    """
+    _require_rank2(weight, "affine")
+    _require_matrix(x, "affine")
+    rows, cols = weight.shape
+    if x.shape[-2] != cols:
+        raise ShapeError(f"affine: input must have {cols} rows for weight {weight.shape}, got {x.shape}")
+    if bias.shape != (rows, x.shape[-1]):
+        raise ShapeError(f"affine: bias must be {(rows, x.shape[-1])}, got {bias.shape}")
+    data = weight.data @ x.data
+    data += bias.data
+    out = Tensor._wrap(data)
+
+    def backward(g):
+        _accumulate(bias, _unbroadcast(g, bias))
+        _accumulate(weight, _left_grad(g, x.data, 2))
+        if not isinstance(x, Constant):
+            _accumulate(x, weight.data.T @ g)
+
+    return _record(backward, out, weight, x, bias)
+
+
+@functools.lru_cache(maxsize=8)
+def _gate_maps(hidden: int, tail: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(scale, offset)`` of a (2, 4h[, B]) block of both directions' gates.
+
+    sigmoid(z) = 1/2 + tanh(z/2)/2: ``scale`` halves the input, forget and
+    output rows (exactly, a power of two), so one tanh over all four blocks,
+    times ``scale`` plus ``offset = 1 - scale``, gives all four gates.  Built
+    once per shape; the cache is bounded because callers may pass batches of
+    any size, and a run uses few (a training batch, its remainder, one
+    utterance).
+    """
+    scale = np.full((2, 4 * hidden) + tail, 0.5)
+    scale[:, 2 * hidden:3 * hidden] = 1.0
+    offset = 1.0 - scale
+    scale.flags.writeable = offset.flags.writeable = False
+    return scale, offset
+
+
 def blstm(x: Tensor, forward: tuple[Tensor, Tensor, Tensor],
           backward: tuple[Tensor, Tensor, Tensor]) -> Tensor:
     """Bidirectional LSTM over the columns of (d, L) -> (2h, L), or (B, d, L) -> (B, 2h, L).
@@ -347,25 +369,29 @@ def blstm(x: Tensor, forward: tuple[Tensor, Tensor, Tensor],
     one utterance runs on (h,) vectors.  Each direction's input projection is
     hoisted out of the loop as BLAS products written straight into the gate
     buffer (a batch's from one contiguous time-major copy), plus a contiguous
-    bias shift; each step is one (4h, h) recurrent product per direction and
-    one tanh over all four gate blocks of both, the sigmoid rows taken as
-    1/2 + tanh(z/2)/2.  The layer is one tape record whose backward runs
-    backpropagation through time by hand from the stored gate values and
-    forms each direction's gradients as whole-sequence GEMMs over its stacked
+    bias shift; each step is one (4h, h) recurrent product per direction (the
+    first step, from the zero states, none and no forget term) and one tanh
+    over all four gate blocks of both, the sigmoid rows taken as
+    1/2 + tanh(z/2)/2 (``_gate_maps``).  The layer is one tape record whose
+    backward runs backpropagation through time by hand from the stored gate
+    values, forming no gradient for the zero initial states, and forms each
+    direction's gradients as whole-sequence GEMMs over its stacked
     pre-activation gradients.
     """
     _require_matrix(x, "blstm")
     dim, length = x.shape[-2:]
     hidden = forward[1].shape[1] if forward[1].ndim == 2 else 0
-    for name, (w_in, w_rec, b) in (("forward", forward), ("backward", backward)):
-        if w_rec.shape != (4 * hidden, hidden) or hidden < 1:
-            raise ShapeError(f"blstm: {name} recurrent weight must be (4h, h) with the forward "
-                             f"direction's h, got {w_rec.shape}")
-        if w_in.shape != (4 * hidden, dim):
-            raise ShapeError(f"blstm: {name} input weight must be {(4 * hidden, dim)} for input "
-                             f"{x.shape}, got {w_in.shape}")
-        if b.shape != (4 * hidden, 1):
-            raise ShapeError(f"blstm: {name} bias must be {(4 * hidden, 1)}, got {b.shape}")
+    expected = [(4 * hidden, dim), (4 * hidden, hidden), (4 * hidden, 1)] * 2
+    if hidden < 1 or [w.data.shape for w in (*forward, *backward)] != expected:
+        for name, (w_in, w_rec, b) in (("forward", forward), ("backward", backward)):
+            if w_rec.shape != (4 * hidden, hidden) or hidden < 1:
+                raise ShapeError(f"blstm: {name} recurrent weight must be (4h, h) with the forward "
+                                 f"direction's h, got {w_rec.shape}")
+            if w_in.shape != (4 * hidden, dim):
+                raise ShapeError(f"blstm: {name} input weight must be {(4 * hidden, dim)} for input "
+                                 f"{x.shape}, got {w_in.shape}")
+            if b.shape != (4 * hidden, 1):
+                raise ShapeError(f"blstm: {name} bias must be {(4 * hidden, 1)}, got {b.shape}")
     if length < 1:
         raise ShapeError(f"blstm: input has no time steps, shape {x.shape}")
     batch = x.shape[0] if x.ndim == 3 else 1
@@ -388,18 +414,14 @@ def blstm(x: Tensor, forward: tuple[Tensor, Tensor, Tensor],
     # step s: both directions' gates, then their cell states, hidden states
     # and tanh of the cell states; row 0 holds the zero initial states.  Each
     # is viewed as (rows, 2, n[, B]), so every step reads and writes
-    # contiguous (2, n[, B]) blocks, both directions at once.
+    # contiguous (2, n[, B]) blocks, both directions at once; splitting one
+    # axis of a column range is always a view, never a copy.
     state = np.empty((length + 1, 14 * hidden) + tail)
     state[0] = 0.0
-
-    def by_direction(part: np.ndarray) -> np.ndarray:
-        # Splitting one axis of a column range is always a view, never a copy.
-        return part.reshape(part.shape[:1] + (2, part.shape[1] // 2) + tail)
-
-    gates = by_direction(state[1:, :8 * hidden])
-    cells = by_direction(state[:, 8 * hidden:10 * hidden])
-    hs = by_direction(state[:, 10 * hidden:12 * hidden])
-    tanh_cells = by_direction(state[1:, 12 * hidden:])
+    gates = state[1:, :8 * hidden].reshape((length, 2, 4 * hidden) + tail)
+    cells = state[:, 8 * hidden:10 * hidden].reshape((length + 1, 2, hidden) + tail)
+    hs = state[:, 10 * hidden:12 * hidden].reshape((length + 1, 2, hidden) + tail)
+    tanh_cells = state[1:, 12 * hidden:].reshape((length, 2, hidden) + tail)
     # gates[s] first holds step s's input pre-activations, the backward
     # direction's time-reversed: BLAS writes each direction's input projection
     # straight into the gate blocks, a batch's from one contiguous time-major
@@ -409,15 +431,11 @@ def blstm(x: Tensor, forward: tuple[Tensor, Tensor, Tensor],
         into = gates[:, k] if k == 0 else gates[::-1, k]
         if x.ndim == 2:
             np.matmul(xs, w_in.data.T, out=into)  # (L, 4h)
+            into += b.data[:, 0]
         else:
             np.matmul(w_in.data, xs, out=into)    # (L, 4h, B)
-        into += np.repeat(b.data, batch, axis=1).reshape(into.shape[1:])
-    # sigmoid(z) = 1/2 + tanh(z/2)/2: ``scale`` halves the input, forget and
-    # output rows (exactly, a power of two), so one tanh over all four blocks,
-    # times ``scale`` plus ``1 - scale``, gives all four gates.
-    scale = np.full(gates.shape[1:], 0.5)
-    scale[:, h2:h3] = 1.0
-    offset = 1.0 - scale
+            into += np.repeat(b.data, batch, axis=1)
+    scale, offset = _gate_maps(hidden, tail)
     w_recs = [w_rec.data for _, w_rec, _ in directions]
     pre = np.empty_like(scale)
     product = np.empty((2, hidden) + tail)
@@ -425,17 +443,23 @@ def blstm(x: Tensor, forward: tuple[Tensor, Tensor, Tensor],
     # leaving it (rows s and s + 1), and tanh of the new cell state.
     steps = zip(gates, gates[:, :, :h1], gates[:, :, h1:h2], gates[:, :, h2:h3],
                 gates[:, :, h3:], cells[:-1], cells[1:], hs[:-1], hs[1:], tanh_cells)
-    for act, i, f, g, o, c_prev, c, h_prev, h, tanh_c in steps:
-        np.matmul(w_recs[0], h_prev[0], out=pre[0])
-        np.matmul(w_recs[1], h_prev[1], out=pre[1])
-        pre += act
-        pre *= scale
-        np.tanh(pre, out=act)
+    for s, (act, i, f, g, o, c_prev, c, h_prev, h, tanh_c) in enumerate(steps):
+        # Step 0 enters zero states: it forms no recurrent product and no forget term.
+        if s:
+            np.matmul(w_recs[0], h_prev[0], out=pre[0])
+            np.matmul(w_recs[1], h_prev[1], out=pre[1])
+            act += pre
+        act *= scale
+        np.tanh(act, out=act)
         act *= scale
         act += offset
-        np.multiply(f, c_prev, out=c)
-        np.multiply(i, g, out=product)
-        c += product
+        if s:
+            np.multiply(f, c_prev, out=c)
+            np.multiply(i, g, out=product)
+            c += product
+        else:
+            np.multiply(i, g, out=c)
+            c += 0.0  # as f * 0 + i * g rounds a -0.0 product: to +0.0
         np.tanh(c, out=tanh_c)
         np.multiply(o, tanh_c, out=h)
     # .T turns (L, h[, B]) step states into ([B,] h, L) output blocks.
@@ -477,16 +501,18 @@ def blstm(x: Tensor, forward: tuple[Tensor, Tensor, Tensor],
         # output gradient of time s, the backward direction that of time L-1-s.
         steps = zip(d_out[::-1, :h1], d_out[:, h1:], dc_from_h[::-1], blocks[::-1, :, :3],
                     blocks[::-1, :, 3], f[::-1], dpre[::-1, 0], dpre[::-1, 1])
-        for d_fw, d_bw, dc_h, cell_blocks, out_block, f_s, dpre_fw, dpre_bw in steps:
+        for s, (d_fw, d_bw, dc_h, cell_blocks, out_block, f_s, dpre_fw, dpre_bw) in zip(
+                range(length - 1, -1, -1), steps):
             # dh holds the recurrent gradient from the step after; add the output's.
             dh_fw += d_fw
             dh_bw += d_bw
             dc += np.multiply(dh, dc_h, out=term)
             cell_blocks *= dc_blocks
             out_block *= dh
-            dc *= f_s
-            np.matmul(w_fw_t, dpre_fw, out=dh_fw)
-            np.matmul(w_bw_t, dpre_bw, out=dh_bw)
+            if s:  # the zero initial states take no gradient
+                dc *= f_s
+                np.matmul(w_fw_t, dpre_fw, out=dh_fw)
+                np.matmul(w_bw_t, dpre_bw, out=dh_bw)
         return dpre
 
     def direction_gradients(k: int, dpre: np.ndarray, xs: np.ndarray) -> np.ndarray | None:
@@ -514,21 +540,23 @@ def blstm(x: Tensor, forward: tuple[Tensor, Tensor, Tensor],
     return _record(backward_pass, out, x, *forward, *backward)
 
 
-def _attend(feats: np.ndarray, key: np.ndarray, weights: tuple[Tensor, Tensor, Tensor]):
-    """One modality's pass of ``attention_fusion`` with ``weights`` (proj, attn_mix, out_mix): feats +
-    relu((feats @ attn_mix) @ C) @ out_mix, and the segment map C = tanh(feats^T (proj @ key) / sqrt(k))."""
-    proj, attn_mix, out_mix = (w.data for w in weights)
+def _attend(feats: np.ndarray, key: np.ndarray, proj: np.ndarray, attn_mix: np.ndarray,
+            out_mix: np.ndarray, inv_scale: float):
+    """One modality's pass of ``attention_fusion``: feats + relu((feats @ attn_mix) @ C) @ out_mix,
+    and the segment map C = tanh(feats^T (proj @ key) * inv_scale), inv_scale = 1/sqrt(k)."""
+    mm = np.matmul if feats.ndim == 2 else _mm
     corr = _swap(feats) @ (proj @ key)
-    corr *= 1.0 / math.sqrt(key.shape[-2])
+    corr *= inv_scale
     np.tanh(corr, out=corr)
-    gated = _mm(_mm(feats, attn_mix), corr)
-    out = _mm(np.maximum(gated, 0.0, out=gated), out_mix)
+    gated = mm(mm(feats, attn_mix), corr)
+    out = mm(np.maximum(gated, 0.0, out=gated), out_mix)
     out += feats
     return out, corr
 
 
 def _attend_backward(g: np.ndarray, feats: Tensor, key: Tensor, weights: tuple[Tensor, Tensor, Tensor],
-                     corr: np.ndarray, key_rows: np.ndarray | None = None) -> np.ndarray | None:
+                     corr: np.ndarray, inv_scale: float,
+                     key_rows: np.ndarray | None = None) -> np.ndarray | None:
     """Accumulate an ``_attend`` pass's gradients: out_mix, attn_mix, feats, proj, key, skipping a
     constant feats or key.  A batch's proj gradient contracts the key's (B*L, k) layout, which
     tensordot would copy per call; formed here unless given, it is returned for reuse."""
@@ -542,11 +570,11 @@ def _attend_backward(g: np.ndarray, feats: Tensor, key: Tensor, weights: tuple[T
     d_pre *= pre_relu > 0.0
     _accumulate(out_mix, _right_grad(np.maximum(pre_relu, 0.0, out=pre_relu), g, 2))
     d_mixed = d_pre @ _swap(corr)
-    # d_corr = (mixed^T @ d_pre) * (1 - corr * corr) / sqrt(k)
+    # d_corr = (mixed^T @ d_pre) * (1 - corr * corr) * inv_scale
     d_corr = _swap(mixed) @ d_pre
     slope = np.multiply(corr, corr)
     d_corr *= np.subtract(1.0, slope, out=slope)
-    d_corr *= 1.0 / math.sqrt(key.shape[-2])
+    d_corr *= inv_scale
     _accumulate(attn_mix, _right_grad(feats.data, d_mixed, 2))
     if not isinstance(feats, Constant):
         # d_feats = g + d_mixed @ attn_mix^T + (proj @ key) @ d_corr^T
@@ -584,27 +612,32 @@ def attention_fusion(audio: Tensor, visual: Tensor, steps: list[tuple[Tensor, ..
     dims, length = (audio.shape[-2], visual.shape[-2]), audio.shape[-1]
     if visual.shape[-1] != length:
         raise ShapeError(f"{op}: segment counts disagree for shapes {audio.shape} vs {visual.shape}")
-    shapes = [((d, k), (length, length), (length, length))
-              for d, k in zip(dims, dims[::-1] if cross else (sum(dims),) * 2)]
-    for weights in steps:
-        for w, shape, name in zip(weights, shapes[0] + shapes[1], ("projection", "attn_mix", "out_mix") * 2):
-            if w.shape != shape:
-                raise ShapeError(f"{op}: {name} must be {shape}, got {w.shape}")
+    keys, mix = dims[::-1] if cross else (sum(dims),) * 2, (length, length)
+    shapes = [(dims[0], keys[0]), mix, mix, (dims[1], keys[1]), mix, mix]
+    inv_scales = [1.0 / math.sqrt(k) for k in keys]
+    arrays = [[w.data for w in weights] for weights in steps]
+    for weights, data in zip(steps, arrays):
+        if [w.shape for w in data] != shapes:
+            for w, shape, name in zip(weights, shapes, ("projection", "attn_mix", "out_mix") * 2):
+                if w.shape != shape:
+                    raise ShapeError(f"{op}: {name} must be {shape}, got {w.shape}")
+            raise ShapeError(f"{op}: a step takes 6 weights, got {len(weights)}")
     # The backward keeps each step's inputs, joint stack and maps, under a tape only.  A step runs
     # in its own call: what it does not keep is freed, and its pages reused, before the next one.
     saved = None if _active_tape() is None else []
 
-    def step(a, v, weights):
+    def step(a, v, data):
         joint = None if cross else np.concatenate([a, v], axis=-2)
         key_a, key_v = (v, a) if cross else (joint, joint)
-        (a_out, corr_a), (v_out, corr_v) = _attend(a, key_a, weights[:3]), _attend(v, key_v, weights[3:])
+        a_out, corr_a = _attend(a, key_a, *data[:3], inv_scales[0])
+        v_out, corr_v = _attend(v, key_v, *data[3:], inv_scales[1])
         if saved is not None:
             saved.append((a, v, joint, corr_a, corr_v))
         return a_out, v_out
 
     a, v = audio.data, visual.data
-    for weights in steps:
-        a, v = step(a, v, weights)
+    for data in arrays:
+        a, v = step(a, v, data)
     out = Tensor._wrap(np.concatenate([a, v], axis=-2))
 
     def backward(g):
@@ -619,14 +652,14 @@ def attention_fusion(audio: Tensor, visual: Tensor, steps: list[tuple[Tensor, ..
             # A joint stack of two constants is a constant, as the op with no steps makes it.
             stack = Constant if isinstance(ins_a, Constant) and isinstance(ins_v, Constant) else Tensor
             key_a, key_v = (ins_v, ins_a) if cross else (stack._wrap(joint),) * 2
-            rows = _attend_backward(g_v, ins_v, key_v, steps[t][3:], corr_v)
-            _attend_backward(g_a, ins_a, key_a, steps[t][:3], corr_a, None if cross else rows)
+            rows = _attend_backward(g_v, ins_v, key_v, steps[t][3:], corr_v, inv_scales[1])
+            _attend_backward(g_a, ins_a, key_a, steps[t][:3], corr_a, inv_scales[0], None if cross else rows)
             if not cross and key_a.grad is not None:
                 _accumulate(ins_a, key_a.grad[..., :dims[0], :])
                 _accumulate(ins_v, key_a.grad[..., dims[0]:, :])
             g_a, g_v = ins_a.grad, ins_v.grad
 
-    return _record(backward, out, audio, visual, *(w for weights in steps for w in weights))
+    return _record(backward, out, audio, visual, *[w for weights in steps for w in weights])
 
 
 def attentive_pool(feats: Tensor, proj: Tensor, bias: Tensor, score: Tensor) -> Tensor:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -47,8 +48,8 @@ class TrainConfig:
             raise ConfigError(f"fusion must be one of {FUSION_MODES}, got {self.fusion!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be >= 0")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must lie in [0, inf)")
         if not 0.0 <= self.score_fusion_weight <= 1.0:
             raise ConfigError("score_fusion_weight must lie in [0, 1]")
 

@@ -60,8 +60,8 @@ class DcfParams:
     def __post_init__(self):
         if not 0.0 < self.p_target < 1.0:
             raise ScoreSetError("p_target must lie strictly between 0 and 1")
-        if self.c_miss <= 0 or self.c_fa <= 0:
-            raise ScoreSetError("costs must be positive")
+        if not (0.0 < self.c_miss < np.inf and 0.0 < self.c_fa < np.inf):
+            raise ScoreSetError("costs must lie in (0, inf)")
 
     @property
     def normalizer(self) -> float:

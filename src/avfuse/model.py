@@ -8,7 +8,7 @@ Every fusion mode runs the same fusion step body (``fusion.fuse``); a mode
 differs only in each modality's key and in the steps the model holds: T for
 RJCA (one set of weights repeated T times when shared), one for the
 cross-attention baseline, none for plain concatenation.  On a tape, ``loss``
-is 6 records at any fusion depth, 5 without the BLSTM, one fewer for ``concat``.
+is 5 records at any fusion depth, 4 without the BLSTM, one fewer for ``concat``.
 
 Parameters are built deterministically from a config and seed, exposed as a
 flat name -> tensor mapping for checkpointing, and can be quantized through

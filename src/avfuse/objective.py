@@ -38,8 +38,8 @@ class AamHead:
     margin: float = 0.2
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ConfigError("scale must be positive")
+        if not 0.0 < self.scale < math.inf:
+            raise ConfigError("scale must lie in (0, inf)")
         if not 0.0 <= self.margin < math.pi / 2:
             raise ConfigError("margin must lie in [0, pi/2)")
 

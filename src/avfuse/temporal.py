@@ -10,8 +10,9 @@ through time.  Attentive statistics pooling collapses the sequence into one
 utterance-level vector: an attention-weighted mean concatenated with the
 attention-weighted standard deviation, as the one fused
 ``autodiff.attentive_pool`` record with a hand-derived backward.  A final
-affine projection produces the fixed-size embedding used for scoring.  The
-layer functions leave shape checks to the ops they call.
+affine projection, the one fused ``autodiff.affine`` record, produces the
+fixed-size embedding used for scoring.  The layer functions leave shape
+checks to the ops they call.
 """
 
 from __future__ import annotations
@@ -117,5 +118,6 @@ class EmbeddingProjection:
 
 
 def project_embedding(pooled: Tensor, params: EmbeddingProjection) -> Tensor:
-    """pooled (input_dim, 1) -> embedding (embed_dim, 1), or the same over a (B, ...) batch."""
-    return ad.add(ad.matmul(params.weight, pooled), params.bias)
+    """pooled (input_dim, 1) -> embedding (embed_dim, 1), or the same over a (B, ...) batch,
+    as one ``ad.affine`` record."""
+    return ad.affine(params.weight, pooled, params.bias)

@@ -2,9 +2,11 @@
 
 Each fused layer op in ``avfuse.autodiff`` is checked against the same layer
 written as a chain of these primitives (``composed_attend``, ``reference_lstm``,
-``composed_asp``, ``composed_aam``); each primitive has its own
-finite-difference test in tests/test_autodiff.py.  They record on the active
-tape exactly as the library's ops do.
+``composed_asp``, ``composed_aam``, and ``matmul`` then ``add`` for
+``affine``); each primitive has its own finite-difference test in
+tests/test_autodiff.py.  They record on the active tape exactly as the
+library's ops do.  ``matmul`` and ``add`` are kept verbatim from when the
+embedding projection chained them.
 
 ``attend`` is one modality's attention pass as a fused op of its own, and
 ``concat_rows`` the stack of two matrices, both kept verbatim from when the
@@ -34,6 +36,33 @@ from avfuse.autodiff import (
     _swap,
     _unbroadcast,
 )
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product of rank-2 or rank-3 tensors, over the leading batch axis if any."""
+    _require_matrix(a, "matmul")
+    _require_matrix(b, "matmul")
+    if a.shape[-1] != b.shape[-2] or (a.ndim == b.ndim == 3 and a.shape[0] != b.shape[0]):
+        raise ShapeError(f"matmul: inner extents disagree for shapes {a.shape} x {b.shape}")
+    out = Tensor._wrap(_mm(a.data, b.data))
+
+    def backward(g):
+        _accumulate(a, _left_grad(g, b.data, a.ndim))
+        _accumulate(b, _right_grad(a.data, g, b.ndim))
+
+    return _record(backward, out, a, b)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum; a rank-2 operand broadcasts along a rank-3 one's batch axis."""
+    _broadcastable(a, b, "add")
+    out = Tensor._wrap(a.data + b.data)
+
+    def backward(g):
+        _accumulate(a, _unbroadcast(g, a))
+        _accumulate(b, _unbroadcast(g, b))
+
+    return _record(backward, out, a, b)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:

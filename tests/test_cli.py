@@ -231,6 +231,13 @@ def test_cost_and_tolerance_flags_default_to_the_library_constants():
     assert parser.parse_args(["gradcheck"]).tolerance == DEFAULT_TOLERANCE
 
 
+@pytest.mark.parametrize("flag", ["--c-miss", "--c-fa"])
+def test_evaluate_refuses_a_nan_cost(trained, tmp_path, capsys, flag):
+    data, _ = trained
+    assert cli.main(evaluate_args(data, tmp_path, "--system", "audio", flag, "nan")) == 2
+    assert capsys.readouterr().err == "error: costs must lie in (0, inf)\n"
+
+
 def test_gradcheck_passes_one_row_per_layer_check_in_order(capsys):
     assert cli.main(["gradcheck"]) == 0
     lines = capsys.readouterr().out.splitlines()

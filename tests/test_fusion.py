@@ -226,9 +226,9 @@ class TestCrossAttentionMode:
 def composed_attend(feats, key, proj, attn_mix, out_mix):
     """One attention pass written on unfused tape ops: the oracle of ``ref.attend``."""
     inv_scale = 1.0 / math.sqrt(key.shape[-2])
-    corr = ref.tanh(ref.scale_shift(ad.matmul(ref.transpose(feats), ad.matmul(proj, key)), inv_scale))
-    attn = ref.relu(ad.matmul(ad.matmul(feats, attn_mix), corr))
-    return ad.add(ad.matmul(attn, out_mix), feats)
+    corr = ref.tanh(ref.scale_shift(ref.matmul(ref.transpose(feats), ref.matmul(proj, key)), inv_scale))
+    attn = ref.relu(ref.matmul(ref.matmul(feats, attn_mix), corr))
+    return ref.add(ref.matmul(attn, out_mix), feats)
 
 
 def chained_fusion(fusion, audio, visual, steps, attend=ref.attend):
@@ -349,6 +349,8 @@ class TestAttend:
         bad_mix = [weights[0][:2] + (Tensor(np.ones((3, 3))),) + weights[0][3:]] + weights[1:]
         with pytest.raises(ad.ShapeError, match=re.escape("out_mix must be (4, 4), got (3, 3)")):
             ad.attention_fusion(audio, visual, bad_mix, cross=False)
+        with pytest.raises(ad.ShapeError, match=re.escape("a step takes 6 weights, got 5")):
+            ad.attention_fusion(audio, visual, [weights[0][:5]], cross=False)
         with pytest.raises(ad.ShapeError, match="batch"):
             ad.attention_fusion(Tensor(np.ones((2, 3, 4))), visual, weights, cross=False)
         with pytest.raises(ad.ShapeError, match="segment counts disagree"):

@@ -225,10 +225,12 @@ class TestReportAndScoreFiles:
     (lambda: ScoreSet([0.1, 0.2], [1, 2]), "labels must be 0 or 1"),
     (lambda: DcfParams(p_target=0.0), "p_target must lie strictly between 0 and 1"),
     (lambda: DcfParams(p_target=1.0), "p_target must lie strictly between 0 and 1"),
-    (lambda: DcfParams(c_miss=0.0), "costs must be positive"),
-    (lambda: DcfParams(c_fa=-1.0), "costs must be positive"),
+    (lambda: DcfParams(c_miss=0.0), r"costs must lie in \(0, inf\)"),
+    (lambda: DcfParams(c_fa=-1.0), r"costs must lie in \(0, inf\)"),
+    (lambda: DcfParams(c_miss=np.nan), r"costs must lie in \(0, inf\)"),
+    (lambda: DcfParams(c_fa=np.inf), r"costs must lie in \(0, inf\)"),
 ], ids=["length_mismatch", "label_two", "p_target_zero", "p_target_one", "zero_miss_cost",
-        "negative_false_alarm_cost"])
+        "negative_false_alarm_cost", "nan_miss_cost", "infinite_false_alarm_cost"])
 def test_invalid_score_sets_and_costs_are_score_set_errors(build, message):
     with pytest.raises(ScoreSetError, match=f"^{message}$") as info:
         build()

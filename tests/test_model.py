@@ -125,11 +125,11 @@ def test_single_utterance_loss_is_one_value():
 # with constant inputs too; concatenation records its stack only for Tensor
 # inputs.
 FULL_SIZE = {
-    "default": ({}, 6, 6),
-    "fusion_deep": ({"segments": 32, "iterations": 5, "use_blstm": False}, 5, 5),
-    "concat": ({"fusion": "concat"}, 6, 5),
-    "concat_no_blstm": ({"fusion": "concat", "use_blstm": False}, 5, 4),
-    "cross_attention": ({"fusion": "cross_attention"}, 6, 6),
+    "default": ({}, 5, 5),
+    "fusion_deep": ({"segments": 32, "iterations": 5, "use_blstm": False}, 4, 4),
+    "concat": ({"fusion": "concat"}, 5, 4),
+    "concat_no_blstm": ({"fusion": "concat", "use_blstm": False}, 4, 3),
+    "cross_attention": ({"fusion": "cross_attention"}, 5, 5),
 }
 
 

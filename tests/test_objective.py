@@ -38,8 +38,8 @@ def composed_aam(embedding, weights, labels, scale, margin):
     np.put_along_axis(one_hot, labels[..., None, None], 1.0, axis=-2)
     unit_emb = ref.l2_normalize_columns(embedding)
     unit_classes = ref.l2_normalize_columns(ref.transpose(weights))     # embed_dim x n
-    cosines = ad.matmul(ref.transpose(unit_classes), unit_emb)          # [B x] n x 1
-    target_cos = ad.matmul(Tensor(np.swapaxes(one_hot, -1, -2)), cosines)
+    cosines = ref.matmul(ref.transpose(unit_classes), unit_emb)          # [B x] n x 1
+    target_cos = ref.matmul(Tensor(np.swapaxes(one_hot, -1, -2)), cosines)
     bounded = ref.clamp(target_cos, -COS_BOUND, COS_BOUND)
     target_sin = ref.sqrt(ref.scale_shift(ad.mul(bounded, bounded), -1.0, 1.0))
     margined = ref.sub(ref.scale_shift(target_cos, math.cos(margin)),
@@ -47,9 +47,9 @@ def composed_aam(embedding, weights, labels, scale, margin):
     delta = ref.sub(margined, target_cos)
     # Past theta = pi - margin, ArcFace's fallback: delta is -margin * sin(pi - margin).
     beyond = target_cos.data <= math.cos(math.pi - margin)
-    delta = ad.add(ad.mul(delta, Tensor(np.where(beyond, 0.0, 1.0))),
+    delta = ref.add(ad.mul(delta, Tensor(np.where(beyond, 0.0, 1.0))),
                    Tensor(np.where(beyond, -margin * math.sin(math.pi - margin), 0.0)))
-    logits = ref.scale_shift(ad.add(cosines, ad.matmul(Tensor(one_hot), delta)), scale)
+    logits = ref.scale_shift(ref.add(cosines, ref.matmul(Tensor(one_hot), delta)), scale)
     return ref.cross_entropy_index(logits, labels)
 
 
@@ -200,10 +200,14 @@ class TestAamLoss:
             aam_loss(Tensor(np.ones((6, 1))), 0, bad)
 
     def test_hyperparameter_validation(self):
-        with pytest.raises(ConfigError):
-            AamHead(weights=Tensor(np.ones((2, 2))), scale=0.0)
-        with pytest.raises(ConfigError):
-            AamHead(weights=Tensor(np.ones((2, 2))), margin=2.0)
+        # Each range is tested as the valid one, so NaN and infinities fall outside it.
+        for fields, message in [(dict(scale=0.0), "scale must lie in (0, inf)"),
+                                (dict(scale=math.nan), "scale must lie in (0, inf)"),
+                                (dict(scale=math.inf), "scale must lie in (0, inf)"),
+                                (dict(margin=2.0), "margin must lie in [0, pi/2)"),
+                                (dict(margin=math.nan), "margin must lie in [0, pi/2)")]:
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                AamHead(weights=Tensor(np.ones((2, 2))), **fields)
 
 
 class TestCosineScore:

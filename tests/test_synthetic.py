@@ -1,5 +1,6 @@
 """Synthetic data generation: the trial list delivers what it was asked for."""
 
+import math
 import re
 
 import pytest
@@ -32,11 +33,14 @@ def test_default_ratio_delivers_every_requested_nontarget(tmp_path):
 
 @pytest.mark.parametrize("fields, message", [
     (dict(latent_dim=0), "latent_dim must be >= 1"),
-    (dict(visual_noise=-0.1), "noise levels must be >= 0"),
+    (dict(visual_noise=-0.1), "noise levels must lie in [0, inf)"),
+    (dict(audio_noise=math.nan), "noise levels must lie in [0, inf)"),
+    (dict(visual_noise=math.inf), "noise levels must lie in [0, inf)"),
     (dict(utts_per_speaker=3, eval_utts_per_speaker=3),
      "eval_utts_per_speaker must leave at least one training utterance"),
     (dict(eval_utts_per_speaker=-1), "eval_utts_per_speaker must leave at least one training utterance"),
-], ids=["int_below_one", "negative_noise", "no_training_utterance", "negative_held_out"])
+], ids=["int_below_one", "negative_noise", "nan_noise", "infinite_noise", "no_training_utterance",
+        "negative_held_out"])
 def test_invalid_spec_is_a_config_error(fields, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as info:
         SyntheticSpec(**fields)

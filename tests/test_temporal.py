@@ -1,6 +1,7 @@
 """BLSTM, attentive statistics pooling, and projection: values and gradients."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -58,13 +59,13 @@ def reference_lstm(x, w_input, w_recurrent, bias, reverse):
     # Row selectors picking each gate's block out of the stacked pre-activations.
     gate_rows = [Tensor(np.eye(4 * hidden)[k * hidden:(k + 1) * hidden]) for k in range(4)]
     for t in order:
-        x_t = ad.matmul(x, Tensor(np.eye(length)[:, t:t + 1]))
-        pre = ad.add(ad.add(ad.matmul(w_input, x_t), ad.matmul(w_recurrent, h_prev)), bias)
-        gate_in = ref.sigmoid(ad.matmul(gate_rows[0], pre))
-        gate_forget = ref.sigmoid(ad.matmul(gate_rows[1], pre))
-        cell_cand = ref.tanh(ad.matmul(gate_rows[2], pre))
-        gate_out = ref.sigmoid(ad.matmul(gate_rows[3], pre))
-        c_prev = ad.add(ad.mul(gate_forget, c_prev), ad.mul(gate_in, cell_cand))
+        x_t = ref.matmul(x, Tensor(np.eye(length)[:, t:t + 1]))
+        pre = ref.add(ref.add(ref.matmul(w_input, x_t), ref.matmul(w_recurrent, h_prev)), bias)
+        gate_in = ref.sigmoid(ref.matmul(gate_rows[0], pre))
+        gate_forget = ref.sigmoid(ref.matmul(gate_rows[1], pre))
+        cell_cand = ref.tanh(ref.matmul(gate_rows[2], pre))
+        gate_out = ref.sigmoid(ref.matmul(gate_rows[3], pre))
+        c_prev = ref.add(ad.mul(gate_forget, c_prev), ad.mul(gate_in, cell_cand))
         h_prev = ad.mul(gate_out, ref.tanh(c_prev))
         outputs[t] = h_prev
     return outputs
@@ -90,7 +91,7 @@ def _reference_run(tensors, probe):
         steps = reference_lstm(tensors["x"], *_direction(tensors, prefix), reverse)
         for t, step in enumerate(steps):
             term = ad.sum_all(ad.mul(step, Tensor(probe[..., rows, t:t + 1])))
-            loss = term if loss is None else ad.add(loss, term)
+            loss = term if loss is None else ref.add(loss, term)
         outputs.append(np.concatenate([step.data for step in steps], axis=-1))
     return np.concatenate(outputs, axis=-2), loss
 
@@ -181,6 +182,45 @@ class TestFusedLstm:
             assert len(tape) == 1
 
 
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_first_steps_read_no_recurrent_weight(self, batch):
+        # Each direction's first step starts from zero states, so no multiple
+        # of w_recurrent can change it: the forward direction's time-0 output
+        # and the backward direction's time-(L-1) output keep their bits.
+        rng = np.random.default_rng([31, len(batch)])
+        dim, hidden, length = 3, 4, 6
+        data = _blstm_data(rng, dim, hidden)
+        x = Tensor(rng.uniform(-1, 1, size=batch + (dim, length)))
+        outs = []
+        for factor in (1.0, 1e3):
+            weights = {name: Tensor(value * (factor if name.endswith("w_recurrent") else 1.0))
+                       for name, value in data.items()}
+            outs.append(ad.blstm(x, _direction(weights, "fw."), _direction(weights, "bw.")).data)
+        first = (..., slice(None, hidden), 0), (..., slice(hidden, None), length - 1)
+        for index in first:
+            assert outs[0][index].tobytes() == outs[1][index].tobytes()
+        assert not np.array_equal(outs[0], outs[1])
+
+    def test_a_zero_first_cell_state_is_positive_zero(self):
+        # f * 0 + i * g is +0.0 when i is 0 and g negative, not the product's -0.0.
+        w_input = Tensor(np.array([[-100.0], [0.0], [-1.0], [1.0]]))
+        direction = (w_input, Tensor(np.zeros((4, 1))), Tensor(np.zeros((4, 1))))
+        out = ad.blstm(Tensor(np.ones((1, 1))), direction, direction).data
+        assert np.array_equal(out, np.zeros((2, 1))) and not np.signbit(out).any()
+
+    def test_gate_maps_are_read_only_and_built_once_per_shape(self):
+        maps = {tail: ad._gate_maps(4, tail) for tail in ((), (3,), (5,))}
+        for tail, (scale, offset) in maps.items():
+            assert ad._gate_maps(4, tail)[0] is scale and ad._gate_maps(4, tail)[1] is offset
+            assert scale.shape == offset.shape == (2, 16) + tail
+            assert np.array_equal(scale[:, 8:12], np.ones((2, 4) + tail))
+            assert np.array_equal(scale + offset, np.ones_like(scale))
+            for gate_map in (scale, offset):
+                with pytest.raises(ValueError, match="read-only"):
+                    gate_map[0] = 0.0
+        assert len({id(scale) for scale, _ in maps.values()}) == 3
+
+
 class TestBlstm:
     def test_all_zero_params_give_zero_outputs(self):
         x = Tensor(RNG.uniform(-1, 1, size=(3, 5)))
@@ -217,11 +257,11 @@ class TestBlstm:
 
 def composed_asp(features, proj, bias, score):
     """Attentive statistics pooling written on unfused tape ops: the oracle ``ad.attentive_pool`` fuses."""
-    hidden = ref.tanh(ref.add_bias(ad.matmul(proj, features), bias))
-    scores = ad.matmul(ref.transpose(score), hidden)                   # [B x] 1 x segments
+    hidden = ref.tanh(ref.add_bias(ref.matmul(proj, features), bias))
+    scores = ref.matmul(ref.transpose(score), hidden)                   # [B x] 1 x segments
     weights = ref.softmax_columns(ref.transpose(scores))
-    mean = ad.matmul(features, weights)
-    second_moment = ad.matmul(ad.mul(features, features), weights)
+    mean = ref.matmul(features, weights)
+    second_moment = ref.matmul(ad.mul(features, features), weights)
     variance = ref.clamp(ref.sub(second_moment, ad.mul(mean, mean)), lo=VARIANCE_FLOOR)
     return ref.concat_rows(mean, ref.sqrt(variance))
 
@@ -351,3 +391,72 @@ class TestProjection:
 
         err = check_function(loss_value, {"pooled": pooled, **named_tensors(params)})
         assert err < 1e-4, f"worst relative error {err}"
+
+
+AFFINE_ARGS = ("weight", "x", "bias")
+
+
+def _run_affine(fn, tensors, probe):
+    with Tape() as tape:
+        out = fn(*(tensors[name] for name in AFFINE_ARGS))
+    records = len(tape)
+    with tape:
+        loss = ad.sum_all(ad.mul(out, Tensor(probe)))
+    tape.backward(loss)
+    return out.data, {name: t.grad for name, t in tensors.items()}, records
+
+
+def _affine_data(rng, batch):
+    return {"weight": rng.uniform(-1, 1, size=(4, 6)), "x": rng.uniform(-1, 1, size=batch + (6, 1)),
+            "bias": rng.uniform(-1, 1, size=(4, 1))}
+
+
+class TestAffine:
+    @pytest.mark.parametrize("batch", [(), (3,), (16,)])
+    def test_is_bitwise_the_matmul_add_chain_in_one_record(self, batch):
+        rng = np.random.default_rng([41, len(batch)])
+        data = _affine_data(rng, batch)
+        probe = rng.uniform(-1, 1, size=batch + (4, 1))
+        runs = [_run_affine(fn, {name: Tensor(value) for name, value in data.items()}, probe)
+                for fn in (ad.affine, lambda w, x, b: ref.add(ref.matmul(w, x), b))]
+        (out, grads, records), (ref_out, ref_grads, ref_records) = runs
+        assert (records, ref_records) == (1, 2)
+        assert out.tobytes() == ref_out.tobytes()
+        for name in AFFINE_ARGS:
+            assert grads[name].shape == data[name].shape, name
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_a_constant_input_forms_no_gradient_term(self, batch, monkeypatch):
+        rng = np.random.default_rng([43, len(batch)])
+        data = _affine_data(rng, batch)
+        probe = rng.uniform(-1, 1, size=batch + (4, 1))
+        _, grads, _ = _run_affine(ad.affine, {name: Tensor(value) for name, value in data.items()}, probe)
+        tensors = {name: (ad.Constant if name == "x" else Tensor)(value) for name, value in data.items()}
+        accumulate, targets = ad._accumulate, []
+        monkeypatch.setattr(ad, "_accumulate", lambda t, delta: (targets.append(t), accumulate(t, delta)))
+        _run_affine(ad.affine, tensors, probe)
+        assert all(t is not tensors["x"] for t in targets)
+        assert tensors["x"].grad is None
+        for name in ("weight", "bias"):
+            assert tensors[name].grad.tobytes() == grads[name].tobytes(), name
+
+    def test_constants_only_record_nothing(self):
+        data = _affine_data(np.random.default_rng(44), ())
+        with Tape() as tape:
+            out = ad.affine(*(ad.Constant(data[name]) for name in AFFINE_ARGS))
+        assert len(tape) == 0 and isinstance(out, ad.Constant)
+
+    def test_shape_errors_name_the_operand(self):
+        weight, x, bias = Tensor(np.ones((4, 6))), Tensor(np.ones((6, 1))), Tensor(np.ones((4, 1)))
+        with pytest.raises(ShapeError, match="affine: rank-2 tensor required"):
+            ad.affine(Tensor(np.ones((2, 4, 6))), x, bias)
+        with pytest.raises(ShapeError, match="affine: rank-2 or rank-3"):
+            ad.affine(weight, Tensor(np.ones(6)), bias)
+        with pytest.raises(ShapeError, match=re.escape("affine: input must have 6 rows for weight (4, 6), "
+                                                       "got (2, 5, 1)")):
+            ad.affine(weight, Tensor(np.ones((2, 5, 1))), bias)
+        with pytest.raises(ShapeError, match=re.escape("affine: bias must be (4, 1), got (4, 2)")):
+            ad.affine(weight, x, Tensor(np.ones((4, 2))))
+        with pytest.raises(ShapeError, match=re.escape("affine: bias must be (4, 1), got (2, 4, 1)")):
+            ad.affine(weight, x, Tensor(np.ones((2, 4, 1))))
