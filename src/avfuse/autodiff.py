@@ -44,8 +44,17 @@ inputs), and ``blstm`` the whole bidirectional layer, both directions
 advanced by one time loop whose first step forms nothing from the zero
 initial states.
 
+Every matrix product of the fused ops goes through ``_mm``: 2-D operands
+through ``np.dot``, which makes the same BLAS call as ``@`` (gemm, gemv, or
+syrk for ``a @ a.T``) at less per-call cost, and only stacks through
+``np.matmul``.  A tape-free one-utterance ``blstm`` call reuses one workspace
+per shape (``_utterance_workspace``) rather than allocating its buffers and
+step views anew.
+
 A tape is single-threaded by design: one tape per training worker.  Entered
-tapes nest on one module-level stack, and the innermost records.
+tapes nest on one module-level stack, and the innermost records.  The module
+as a whole is single-threaded: the tape stack and the reused workspaces are
+module state, so tape-free inference from concurrent threads is unsupported.
 """
 
 from __future__ import annotations
@@ -84,7 +93,7 @@ def _active_tape() -> "Tape | None":
 class Tensor:
     """Dense float64 array of rank 1-3 with an optional gradient buffer.
 
-    Values are validated to be finite at construction.  ``grad`` stays None
+    Values are copied and validated to be finite at construction.  ``grad`` stays None
     until backward hands the tensor a gradient (see the module docstring); an
     op result's gradient is released once its op's closure has used it, while
     tensors built here (parameters, inputs) keep theirs.  ``Constant``, the
@@ -92,9 +101,10 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad")
+    _copy: bool | None = True  # np.array's copy flag: None copies only what is not float64 C order
 
     def __init__(self, data):
-        arr = np.array(data, dtype=np.float64, order="C")
+        arr = np.array(data, dtype=np.float64, order="C", copy=self._copy)
         if not 1 <= arr.ndim <= _MAX_RANK:
             raise ShapeError(f"tensor rank must be 1..{_MAX_RANK}, got shape {arr.shape}")
         if arr.size and not np.isfinite(arr).all():
@@ -130,12 +140,15 @@ class Tensor:
 class Constant(Tensor):
     """A leaf tensor that never gets a gradient, such as the model's input features.
 
-    Built and validated like a ``Tensor``.  Backward hands it nothing: ops
-    skip the gradient terms that would only feed a constant, and an op whose
-    inputs are all constants records nothing and returns a constant.
+    Validated like a ``Tensor``, but an array already float64 and C-contiguous
+    is held as it is, not copied: no op writes to a constant's data.  Backward
+    hands it nothing: ops skip the gradient terms that would only feed a
+    constant, and an op whose inputs are all constants records nothing and
+    returns a constant.
     """
 
     __slots__ = ()
+    _copy = None
 
 
 def named_tensors(params, prefix: str = "") -> dict[str, Tensor]:
@@ -251,14 +264,22 @@ def _swap(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-1, -2)
 
 
-def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over an optional leading batch axis on either side.
+def _mm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Matrix product over an optional leading batch axis on either side: the fused ops' one product.
 
-    A batch times a shared rank-2 matrix is one 2-D GEMM over the stacked rows.
+    A 2-D matrix times a matrix or a vector is ``np.dot`` (into a C-contiguous ``out`` if
+    given), which makes the BLAS call of ``@`` at less per-call cost, called as the array
+    method to skip the function's dispatch; a batch times a shared rank-2 matrix is that
+    product over the stacked rows.  Only stacks and a rank-2
+    matrix against a batch take ``np.matmul``, and so does a product of two one-element
+    operands: ``np.dot`` multiplies them directly, keeping a -0.0 that the BLAS dot product
+    behind ``@`` rounds to +0.0.
     """
     if a.ndim == 3 and b.ndim == 2:
-        return (a.reshape(-1, a.shape[2]) @ b).reshape(a.shape[0], a.shape[1], b.shape[1])
-    return a @ b
+        return _mm(a.reshape(-1, a.shape[2]), b).reshape(a.shape[0], a.shape[1], b.shape[1])
+    if a.ndim == 3 or b.ndim == 3 or a.size == b.size == 1:
+        return np.matmul(a, b, out=out)
+    return a.dot(b, out)
 
 
 def _left_grad(g: np.ndarray, b: np.ndarray, a_ndim: int) -> np.ndarray:
@@ -271,8 +292,8 @@ def _left_grad(g: np.ndarray, b: np.ndarray, a_ndim: int) -> np.ndarray:
 def _right_grad(a: np.ndarray, g: np.ndarray, b_ndim: int) -> np.ndarray:
     """Gradient of b in out = a @ b: a^T @ g, one contraction over the batch if b is shared."""
     if b_ndim < g.ndim:
-        return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-    return _swap(a) @ g
+        return _mm(a.reshape(-1, a.shape[-1]).T, g.reshape(-1, g.shape[-1]))
+    return _mm(_swap(a), g)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +343,7 @@ def affine(weight: Tensor, x: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"affine: input must have {cols} rows for weight {weight.shape}, got {x.shape}")
     if bias.shape != (rows, x.shape[-1]):
         raise ShapeError(f"affine: bias must be {(rows, x.shape[-1])}, got {bias.shape}")
-    data = weight.data @ x.data
+    data = _mm(weight.data, x.data)
     data += bias.data
     out = Tensor._wrap(data)
 
@@ -330,7 +351,7 @@ def affine(weight: Tensor, x: Tensor, bias: Tensor) -> Tensor:
         _accumulate(bias, _unbroadcast(g, bias))
         _accumulate(weight, _left_grad(g, x.data, 2))
         if not isinstance(x, Constant):
-            _accumulate(x, weight.data.T @ g)
+            _accumulate(x, _mm(weight.data.T, g))
 
     return _record(backward, out, weight, x, bias)
 
@@ -351,6 +372,47 @@ def _gate_maps(hidden: int, tail: tuple[int, ...]) -> tuple[np.ndarray, np.ndarr
     offset = 1.0 - scale
     scale.flags.writeable = offset.flags.writeable = False
     return scale, offset
+
+
+def _blstm_workspace(hidden: int, length: int, tail: tuple[int, ...]) -> tuple:
+    """``blstm``'s buffers for one shape: ``(gates, cells, hs, tanh_cells, pre, pre_fw,
+    pre_bw, product, steps)``, ``steps`` holding the time loop's views of each step.
+
+    One allocation holds everything the backward keeps (one array each made
+    repeated batched calls fault in fresh pages).  Row s + 1 of it is step s:
+    both directions' gates, then their cell states, hidden states and tanh of
+    the cell states; row 0 holds the zero initial states, which no step
+    writes.  Each is viewed as (rows, 2, n[, B]), so every step reads and
+    writes contiguous (2, n[, B]) blocks, both directions at once; splitting
+    one axis of a column range is always a view, never a copy.  ``pre`` (with
+    its direction rows ``pre_fw`` and ``pre_bw``) takes the recurrent products
+    and ``product`` the input-times-cell term.
+    """
+    state = np.empty((length + 1, 14 * hidden) + tail)
+    state[0] = 0.0
+    gates = state[1:, :8 * hidden].reshape((length, 2, 4 * hidden) + tail)
+    cells = state[:, 8 * hidden:10 * hidden].reshape((length + 1, 2, hidden) + tail)
+    hs = state[:, 10 * hidden:12 * hidden].reshape((length + 1, 2, hidden) + tail)
+    tanh_cells = state[1:, 12 * hidden:].reshape((length, 2, hidden) + tail)
+    pre = np.empty((2, 4 * hidden) + tail)
+    product = np.empty((2, hidden) + tail)
+    h1, h2, h3 = hidden, 2 * hidden, 3 * hidden
+    # Per step s: its gates and their four blocks, the states entering it (row
+    # s, each direction's hidden state apart) and leaving it (row s + 1), and
+    # tanh of the new cell state.
+    steps = tuple(zip(gates, gates[:, :, :h1], gates[:, :, h1:h2], gates[:, :, h2:h3], gates[:, :, h3:],
+                      cells[:-1], cells[1:], hs[:-1, 0], hs[:-1, 1], hs[1:], tanh_cells))
+    return gates, cells, hs, tanh_cells, pre, pre[0], pre[1], product, steps
+
+
+@functools.lru_cache(maxsize=8)
+def _utterance_workspace(hidden: int, length: int) -> tuple:
+    """The ``_blstm_workspace`` of a tape-free one-utterance ``blstm`` call, built once per
+    (hidden, length) and reused: such a call keeps nothing for a backward and returns a
+    fresh output, so the next one may overwrite it.  A taped or batched call builds its own,
+    so a tape's saved state is never shared and a batch holds no memory past its call;
+    bounded like ``_gate_maps``."""
+    return _blstm_workspace(hidden, length, ())
 
 
 def blstm(x: Tensor, forward: tuple[Tensor, Tensor, Tensor],
@@ -376,7 +438,9 @@ def blstm(x: Tensor, forward: tuple[Tensor, Tensor, Tensor],
     backward runs backpropagation through time by hand from the stored gate
     values, forming no gradient for the zero initial states, and forms each
     direction's gradients as whole-sequence GEMMs over its stacked
-    pre-activation gradients.
+    pre-activation gradients.  Every product goes through ``_mm``, the
+    recurrent ones into the rows of a preallocated block; a tape-free call on
+    one utterance runs in its shape's reused ``_utterance_workspace``.
     """
     _require_matrix(x, "blstm")
     dim, length = x.shape[-2:]
@@ -409,19 +473,11 @@ def blstm(x: Tensor, forward: tuple[Tensor, Tensor, Tensor],
         n = a.shape[1]
         return a.reshape(length, n, batch).transpose(1, 0, 2).reshape(n, -1)
 
-    # One allocation holds everything the backward keeps (one array each made
-    # repeated batched calls fault in fresh pages).  Row s + 1 of ``state`` is
-    # step s: both directions' gates, then their cell states, hidden states
-    # and tanh of the cell states; row 0 holds the zero initial states.  Each
-    # is viewed as (rows, 2, n[, B]), so every step reads and writes
-    # contiguous (2, n[, B]) blocks, both directions at once; splitting one
-    # axis of a column range is always a view, never a copy.
-    state = np.empty((length + 1, 14 * hidden) + tail)
-    state[0] = 0.0
-    gates = state[1:, :8 * hidden].reshape((length, 2, 4 * hidden) + tail)
-    cells = state[:, 8 * hidden:10 * hidden].reshape((length + 1, 2, hidden) + tail)
-    hs = state[:, 10 * hidden:12 * hidden].reshape((length + 1, 2, hidden) + tail)
-    tanh_cells = state[1:, 12 * hidden:].reshape((length, 2, hidden) + tail)
+    if x.ndim == 2 and _active_tape() is None:
+        workspace = _utterance_workspace(hidden, length)
+    else:
+        workspace = _blstm_workspace(hidden, length, tail)
+    gates, cells, hs, tanh_cells, pre, pre_fw, pre_bw, product, steps = workspace
     # gates[s] first holds step s's input pre-activations, the backward
     # direction's time-reversed: BLAS writes each direction's input projection
     # straight into the gate blocks, a batch's from one contiguous time-major
@@ -436,18 +492,12 @@ def blstm(x: Tensor, forward: tuple[Tensor, Tensor, Tensor],
             np.matmul(w_in.data, xs, out=into)    # (L, 4h, B)
             into += np.repeat(b.data, batch, axis=1)
     scale, offset = _gate_maps(hidden, tail)
-    w_recs = [w_rec.data for _, w_rec, _ in directions]
-    pre = np.empty_like(scale)
-    product = np.empty((2, hidden) + tail)
-    # Per step s: its gates and their four blocks, the states entering and
-    # leaving it (rows s and s + 1), and tanh of the new cell state.
-    steps = zip(gates, gates[:, :, :h1], gates[:, :, h1:h2], gates[:, :, h2:h3],
-                gates[:, :, h3:], cells[:-1], cells[1:], hs[:-1], hs[1:], tanh_cells)
-    for s, (act, i, f, g, o, c_prev, c, h_prev, h, tanh_c) in enumerate(steps):
+    w_fw, w_bw = forward[1].data, backward[1].data
+    for s, (act, i, f, g, o, c_prev, c, h_prev_fw, h_prev_bw, h, tanh_c) in enumerate(steps):
         # Step 0 enters zero states: it forms no recurrent product and no forget term.
         if s:
-            np.matmul(w_recs[0], h_prev[0], out=pre[0])
-            np.matmul(w_recs[1], h_prev[1], out=pre[1])
+            _mm(w_fw, h_prev_fw, out=pre_fw)
+            _mm(w_bw, h_prev_bw, out=pre_bw)
             act += pre
         act *= scale
         np.tanh(act, out=act)
@@ -492,7 +542,7 @@ def blstm(x: Tensor, forward: tuple[Tensor, Tensor, Tensor],
         dc_from_h *= o
         # Output gradients by time: rows [:h] feed the forward direction, [h:] the backward.
         d_out = grad.T
-        w_fw_t, w_bw_t = (w.T for w in w_recs)
+        w_fw_t, w_bw_t = w_fw.T, w_bw.T
         dh = np.zeros((2, hidden) + tail)
         dc = np.zeros((2, hidden) + tail)
         dh_fw, dh_bw, dc_blocks = dh[0], dh[1], dc[:, None]
@@ -511,8 +561,8 @@ def blstm(x: Tensor, forward: tuple[Tensor, Tensor, Tensor],
             out_block *= dh
             if s:  # the zero initial states take no gradient
                 dc *= f_s
-                np.matmul(w_fw_t, dpre_fw, out=dh_fw)
-                np.matmul(w_bw_t, dpre_bw, out=dh_bw)
+                _mm(w_fw_t, dpre_fw, out=dh_fw)
+                _mm(w_bw_t, dpre_bw, out=dh_bw)
         return dpre
 
     def direction_gradients(k: int, dpre: np.ndarray, xs: np.ndarray) -> np.ndarray | None:
@@ -522,10 +572,10 @@ def blstm(x: Tensor, forward: tuple[Tensor, Tensor, Tensor],
         # Back to time order: the backward direction's steps run from the last time.
         dpre_cols = columns(dpre[:, k] if k == 0 else dpre[::-1, k])
         hs_prev = hs[:-1, k] if k == 0 else hs[-2::-1, k]
-        _accumulate(w_in, dpre_cols @ xs.T)
-        _accumulate(w_rec, dpre_cols @ columns(hs_prev).T)
+        _accumulate(w_in, _mm(dpre_cols, xs.T))
+        _accumulate(w_rec, _mm(dpre_cols, columns(hs_prev).T))
         _accumulate(b, dpre_cols.sum(axis=1, keepdims=True))
-        return None if isinstance(x, Constant) else w_in.data.T @ dpre_cols
+        return None if isinstance(x, Constant) else _mm(w_in.data.T, dpre_cols)
 
     def backward_pass(grad):
         # Each helper's scratch is freed on return, before the next allocates.
@@ -544,12 +594,11 @@ def _attend(feats: np.ndarray, key: np.ndarray, proj: np.ndarray, attn_mix: np.n
             out_mix: np.ndarray, inv_scale: float):
     """One modality's pass of ``attention_fusion``: feats + relu((feats @ attn_mix) @ C) @ out_mix,
     and the segment map C = tanh(feats^T (proj @ key) * inv_scale), inv_scale = 1/sqrt(k)."""
-    mm = np.matmul if feats.ndim == 2 else _mm
-    corr = _swap(feats) @ (proj @ key)
+    corr = _mm(_swap(feats), _mm(proj, key))
     corr *= inv_scale
     np.tanh(corr, out=corr)
-    gated = mm(mm(feats, attn_mix), corr)
-    out = mm(np.maximum(gated, 0.0, out=gated), out_mix)
+    gated = _mm(_mm(feats, attn_mix), corr)
+    out = _mm(np.maximum(gated, 0.0, out=gated), out_mix)
     out += feats
     return out, corr
 
@@ -565,13 +614,13 @@ def _attend_backward(g: np.ndarray, feats: Tensor, key: Tensor, weights: tuple[T
     # feats.  Each chain of elementwise steps runs in place in its first
     # array, in the order of the plain expression, so the bits are the same.
     mixed = _mm(feats.data, attn_mix.data)
-    pre_relu = mixed @ corr
+    pre_relu = _mm(mixed, corr)
     d_pre = _mm(g, out_mix.data.T)
     d_pre *= pre_relu > 0.0
     _accumulate(out_mix, _right_grad(np.maximum(pre_relu, 0.0, out=pre_relu), g, 2))
-    d_mixed = d_pre @ _swap(corr)
+    d_mixed = _mm(d_pre, _swap(corr))
     # d_corr = (mixed^T @ d_pre) * (1 - corr * corr) * inv_scale
-    d_corr = _swap(mixed) @ d_pre
+    d_corr = _mm(_swap(mixed), d_pre)
     slope = np.multiply(corr, corr)
     d_corr *= np.subtract(1.0, slope, out=slope)
     d_corr *= inv_scale
@@ -580,17 +629,17 @@ def _attend_backward(g: np.ndarray, feats: Tensor, key: Tensor, weights: tuple[T
         # d_feats = g + d_mixed @ attn_mix^T + (proj @ key) @ d_corr^T
         d_feats = _mm(d_mixed, attn_mix.data.T)
         d_feats += g
-        d_feats += (proj.data @ key.data) @ _swap(d_corr)
+        d_feats += _mm(_mm(proj.data, key.data), _swap(d_corr))
         _accumulate(feats, d_feats)
-    d_projected = feats.data @ d_corr
+    d_projected = _mm(feats.data, d_corr)
     if d_projected.ndim == 2:
-        _accumulate(proj, d_projected @ key.data.T)
+        _accumulate(proj, _mm(d_projected, key.data.T))
     else:
         if key_rows is None:
             key_rows = key.data.transpose(0, 2, 1).reshape(-1, key.shape[1])
         _accumulate(proj, np.dot(d_projected.transpose(1, 0, 2).reshape(len(proj.data), -1), key_rows))
     if not isinstance(key, Constant):
-        _accumulate(key, proj.data.T @ d_projected)
+        _accumulate(key, _mm(proj.data.T, d_projected))
     return key_rows
 
 
@@ -680,15 +729,15 @@ def attentive_pool(feats: Tensor, proj: Tensor, bias: Tensor, score: Tensor) -> 
         if column.shape != (bottleneck, 1):
             raise ShapeError(f"attentive_pool: {name} must be {(bottleneck, 1)}, got {column.shape}")
     x = feats.data
-    hidden = proj.data @ x
+    hidden = _mm(proj.data, x)
     hidden += bias.data
     np.tanh(hidden, out=hidden)
-    scores = _swap(score.data.T @ hidden)
+    scores = _swap(_mm(score.data.T, hidden))
     e = np.exp(scores - scores.max(axis=-2, keepdims=True))
     weights = e / e.sum(axis=-2, keepdims=True)
     squares = x * x
-    mean = x @ weights
-    variance = squares @ weights - mean * mean
+    mean = _mm(x, weights)
+    variance = _mm(squares, weights) - mean * mean
     sigma = np.sqrt(np.maximum(variance, VARIANCE_FLOOR))
     out = Tensor._wrap(np.concatenate([mean, sigma], axis=-2))
 
@@ -697,10 +746,10 @@ def attentive_pool(feats: Tensor, proj: Tensor, bias: Tensor, score: Tensor) -> 
         # moment squares @ w, from which the variance subtracts mu * mu.
         d_second = g[..., dim:, :] * 0.5 / sigma * (variance > VARIANCE_FLOOR)
         d_mean = g[..., :dim, :] - 2.0 * d_second * mean
-        d_weights = _swap(x) @ d_mean + _swap(squares) @ d_second
+        d_weights = _mm(_swap(x), d_mean) + _mm(_swap(squares), d_second)
         # Softmax over segments, then scores = score^T hidden.
         d_scores = weights * (d_weights - (weights * d_weights).sum(axis=-2, keepdims=True))
-        _accumulate(score, _unbroadcast(hidden @ d_scores, score))
+        _accumulate(score, _unbroadcast(_mm(hidden, d_scores), score))
         # d_pre = (1 - hidden * hidden) * score * d_scores^T, in one buffer.
         d_pre = np.multiply(hidden, hidden)
         np.subtract(1.0, d_pre, out=d_pre)
@@ -709,7 +758,7 @@ def attentive_pool(feats: Tensor, proj: Tensor, bias: Tensor, score: Tensor) -> 
             d_x = x * (2.0 * d_second)
             d_x += d_mean
             d_x *= _swap(weights)
-            d_x += proj.data.T @ d_pre
+            d_x += _mm(proj.data.T, d_pre)
             _accumulate(feats, d_x)
         _accumulate(proj, _left_grad(d_pre, x, 2))
         _accumulate(bias, _unbroadcast(d_pre.sum(axis=-1, keepdims=True), bias))

@@ -50,6 +50,8 @@ class TrainConfig:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if not 0.0 <= self.learning_rate < math.inf:
             raise ConfigError("learning_rate must lie in [0, inf)")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError("momentum must lie in [0, 1)")
         if not 0.0 <= self.score_fusion_weight <= 1.0:
             raise ConfigError("score_fusion_weight must lie in [0, 1]")
 

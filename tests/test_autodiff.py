@@ -11,7 +11,9 @@ from avfuse.autodiff import (
     Tape,
     Tensor,
 )
+from avfuse.config import TrainConfig
 from avfuse.gradcheck import check_function, numeric_gradient
+from avfuse.model import VerificationModel
 
 import reference_ops as ref
 
@@ -344,8 +346,19 @@ class TestConstant:
     def test_rejects_non_finite_values_like_tensor(self):
         with pytest.raises(NonFiniteError):
             Constant([[1.0, np.nan]])
+        with pytest.raises(NonFiniteError):
+            Constant(np.array([[1.0], [-np.inf]]))
         with pytest.raises(ShapeError):
             Constant(np.ones((1, 1, 1, 1)))
+
+    def test_holds_a_float64_c_contiguous_array_without_a_copy(self):
+        x = np.arange(6.0).reshape(2, 3)
+        assert Constant(x).data is x and np.shares_memory(Constant(x[1]).data, x)
+        assert Tensor(x).data is not x
+        for other in (x.T, x.astype(np.float32), x.astype(int), x.tolist()):
+            held = Constant(other).data
+            assert held.dtype == np.float64 and held.flags.c_contiguous
+            assert np.array_equal(held, np.asarray(other)) and not np.shares_memory(held, x)
 
     def test_op_of_constants_only_records_nothing_and_returns_a_constant(self):
         a, b = Constant(np.ones((2, 3))), Constant(np.zeros((1, 3)))
@@ -370,3 +383,51 @@ class TestConstant:
             grads[kind] = w.grad, x.grad
         assert grads[Constant][0].tobytes() == grads[Tensor][0].tobytes()
         assert grads[Constant][1] is None and grads[Tensor][1] is not None
+
+
+# The model's real products: a batched training step (loss and backward) and a
+# tape-free embed, of the default model and of fusion_deep (RJCA at T=5 over 32
+# segments, no BLSTM), one utterance (rank 2) or a batch of 16 (rank 3).
+PRODUCT_CONFIGS = {
+    "default": {},
+    "fusion_deep": {"segments": 32, "iterations": 5, "use_blstm": False},
+}
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("name", list(PRODUCT_CONFIGS))
+def test_mm_is_bitwise_matmul_at_the_model_shapes(name, rank, monkeypatch):
+    # ad._mm takes np.dot for 2-D operands on the premise that it makes the
+    # BLAS call of ``@`` (gemm, gemv; syrk for a @ a.T).  A numpy or BLAS
+    # upgrade that breaks that premise fails here, by name.
+    config = TrainConfig(**PRODUCT_CONFIGS[name])
+    model = VerificationModel(config, n_speakers=50)
+    rng = np.random.default_rng([rank, len(name)])
+    lead = (16,) if rank == 3 else ()
+    audio = rng.standard_normal(lead + (config.audio_dim, config.segments))
+    visual = rng.standard_normal(lead + (config.visual_dim, config.segments))
+    labels = rng.integers(0, 50, size=16) if rank == 3 else 7
+    mm, kinds = ad._mm, set()
+
+    def checked(a, b, out=None):
+        # A batch against a shared matrix is one product over its stacked rows.
+        if a.ndim == 3 and b.ndim == 2:
+            expected = (a.reshape(-1, a.shape[2]) @ b).reshape(a.shape[0], a.shape[1], b.shape[1])
+        else:
+            expected = a @ b
+        result = mm(a, b, out)
+        assert result.tobytes() == expected.tobytes(), (a.shape, a.strides, b.shape, b.strides)
+        kinds.add((a.ndim, b.ndim, out is not None))
+        return result
+
+    monkeypatch.setattr(ad, "_mm", checked)
+    with Tape() as tape:
+        loss = ad.sum_all(model.loss(audio, visual, labels))
+    tape.backward(loss)
+    model.embed(audio, visual)
+    assert (2, 2, False) in kinds
+    if config.use_blstm:
+        assert (2, 2 if rank == 3 else 1, True) in kinds  # the recurrent products
+    joint = np.concatenate([audio, visual], axis=-2).reshape(-1, config.segments)
+    checked(joint, joint.T)
+    checked(joint.T, joint)

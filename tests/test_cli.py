@@ -178,6 +178,15 @@ def test_train_reports_divergence_as_an_error(trained, tmp_path, capsys):
         VerificationModel.from_checkpoint(path)
 
 
+def test_train_refuses_a_nan_momentum_before_writing(trained, tmp_path, capsys):
+    data, _ = trained
+    run = tmp_path / "run"
+    assert cli.main(["train", "--data", str(data), "--out", str(run), "--epochs", "1",
+                     "--optimizer", "momentum", "--momentum", "nan", *DIMS]) == 2
+    assert capsys.readouterr().err == "error: momentum must lie in [0, 1)\n"
+    assert not run.exists()  # so no checkpoint either
+
+
 @pytest.mark.parametrize("held_out", ["1", "0"])
 def test_synth_without_target_trials_writes_nothing(tmp_path, capsys, held_out):
     out = tmp_path / "data"

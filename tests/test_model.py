@@ -111,6 +111,35 @@ def test_fuse_refuses_features_off_the_config_dims(name, modality, shape):
         model.embed(inputs["audio"], inputs["visual"])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("modality", ["audio", "visual"])
+@pytest.mark.parametrize("batched", [False, True])
+def test_non_finite_features_raise_from_embed(batched, modality, value):
+    # The features are held without a copy, but still screened.
+    model = tiny_model()
+    audio, visual, _ = tiny_batch()
+    inputs = {"audio": audio, "visual": visual} if batched else {"audio": audio[0], "visual": visual[0]}
+    inputs[modality][..., 1, 2] = value
+    with pytest.raises(ad.NonFiniteError):
+        model.embed(inputs["audio"], inputs["visual"])
+
+
+@pytest.mark.parametrize("use_blstm", [True, False])
+@pytest.mark.parametrize("fusion", ["rjca", "cross_attention", "concat"])
+def test_embed_and_loss_leave_the_callers_features_unchanged(fusion, use_blstm):
+    # The model holds float64 C-contiguous features as they are, a batch's
+    # items (views) included, and writes to none of them.
+    model = tiny_model(fusion=fusion, use_blstm=use_blstm)
+    audio, visual, labels = tiny_batch()
+    kept = audio.tobytes(), visual.tobytes()
+    for a, v, y in ((audio, visual, labels), (audio[0], visual[0], int(labels[0]))):
+        model.embed(a, v)
+        with Tape() as tape:
+            loss = ad.sum_all(model.loss(a, v, y))
+        tape.backward(loss)
+    assert (audio.tobytes(), visual.tobytes()) == kept
+
+
 def test_single_utterance_loss_is_one_value():
     model = tiny_model()
     audio, visual, labels = tiny_batch()

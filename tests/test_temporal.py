@@ -220,6 +220,70 @@ class TestFusedLstm:
                     gate_map[0] = 0.0
         assert len({id(scale) for scale, _ in maps.values()}) == 3
 
+    @staticmethod
+    def _directions(seed, dim, hidden):
+        weights = {name: Tensor(value) for name, value in
+                   _blstm_data(np.random.default_rng(seed), dim, hidden).items()}
+        return _direction(weights, "fw."), _direction(weights, "bw.")
+
+    def test_tape_free_one_utterance_calls_return_fresh_outputs(self):
+        # The reused workspace never leaks into an output: each of two calls
+        # returns what a taped call (with a workspace of its own) returns, and
+        # the second leaves the first's output as it was.
+        fw, bw = self._directions(51, 3, 4)
+        xs = [Tensor(RNG.uniform(-1, 1, size=(3, 6))) for _ in range(2)]
+
+        def taped(x):
+            with Tape():
+                return ad.blstm(x, fw, bw).data
+
+        first = ad.blstm(xs[0], fw, bw).data
+        kept = first.copy()
+        second = ad.blstm(xs[1], fw, bw).data
+        assert first.tobytes() == kept.tobytes() == taped(xs[0]).tobytes()
+        assert second.tobytes() == taped(xs[1]).tobytes()
+
+    def test_a_tape_free_call_before_backward_leaves_the_gradients(self):
+        # A tape's saved state is its own: a tape-free call of the same shape
+        # between a taped forward and its backward changes no gradient bit.
+        data = _blstm_data(np.random.default_rng(52), 3, 4)
+        x_data, other = RNG.uniform(-1, 1, size=(2, 3, 6))
+        probe = RNG.uniform(-1, 1, size=(8, 6))
+
+        def gradient_bytes(interrupt):
+            tensors = {name: Tensor(value) for name, value in {"x": x_data, **data}.items()}
+            with Tape() as tape:
+                _, loss = _fused_run(tensors, probe)
+            if interrupt:
+                ad.blstm(Tensor(other), _direction(tensors, "fw."), _direction(tensors, "bw."))
+            tape.backward(loss)
+            return {name: t.grad.tobytes() for name, t in tensors.items()}
+
+        assert gradient_bytes(True) == gradient_bytes(False)
+
+    def test_only_tape_free_one_utterance_calls_use_the_workspace_cache(self):
+        fw, bw = self._directions(53, 3, 4)
+        one, batch = Tensor(RNG.uniform(-1, 1, size=(3, 6))), Tensor(RNG.uniform(-1, 1, size=(2, 3, 6)))
+        ad._utterance_workspace.cache_clear()
+        with Tape():
+            ad.blstm(one, fw, bw)
+            ad.blstm(batch, fw, bw)
+        ad.blstm(batch, fw, bw)
+        info = ad._utterance_workspace.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+        ad.blstm(one, fw, bw)
+        ad.blstm(one, fw, bw)
+        info = ad._utterance_workspace.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    def test_the_workspace_cache_is_bounded(self):
+        fw, bw = self._directions(54, 3, 4)
+        bound = ad._utterance_workspace.cache_info().maxsize
+        assert bound is not None
+        for length in range(1, bound + 3):
+            ad.blstm(Tensor(RNG.uniform(-1, 1, size=(3, length))), fw, bw)
+        assert ad._utterance_workspace.cache_info().currsize == bound
+
 
 class TestBlstm:
     def test_all_zero_params_give_zero_outputs(self):
