@@ -110,8 +110,8 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    print(f"seed = {args.seed}")
     results = run_suite(seed=args.seed, tolerance=args.tolerance)
+    print(f"seed = {args.seed}")
     print(format_suite_report(results))
     return 0 if all(r.passed for r in results) else 1
 

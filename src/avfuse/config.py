@@ -44,6 +44,8 @@ class TrainConfig:
                      "blstm_hidden", "asp_hidden", "embed_dim", "batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.fusion not in FUSION_MODES:
             raise ConfigError(f"fusion must be one of {FUSION_MODES}, got {self.fusion!r}")
         if self.optimizer not in OPTIMIZERS:

@@ -23,6 +23,7 @@ import numpy as np
 
 from avfuse import autodiff as ad
 from avfuse.autodiff import NonFiniteError, ShapeError, Tape, Tensor, named_tensors
+from avfuse.config import ConfigError
 from avfuse.fusion import JcaStepParams, fuse
 from avfuse.objective import AamHead, aam_loss
 from avfuse.temporal import AspParams, BlstmParams, EmbeddingProjection, asp, blstm_forward, project_embedding
@@ -169,6 +170,10 @@ LAYER_CHECKS: dict[str, Callable] = {
 def run_suite(seed: int = 0, tolerance: float = DEFAULT_TOLERANCE) -> list[LayerCheck]:
     """Run every layer check with an independent generator per layer, seeded by
     the layer's name, so adding or removing a row leaves the others' draws alone."""
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
+    if not 0.0 < tolerance < np.inf:
+        raise ConfigError("tolerance must lie in (0, inf)")
     results = []
     for name, check in LAYER_CHECKS.items():
         rng = np.random.default_rng([seed, zlib.crc32(name.encode())])

@@ -41,6 +41,8 @@ class SyntheticSpec:
                      "segments", "latent_dim", "nontargets_per_target"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not (0.0 <= self.audio_noise < np.inf and 0.0 <= self.visual_noise < np.inf):
             raise ConfigError("noise levels must lie in [0, inf)")
         if not 0 <= self.eval_utts_per_speaker < self.utts_per_speaker:

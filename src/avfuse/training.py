@@ -133,11 +133,11 @@ def train(config: TrainConfig, train_utts: list[Utterance], out_dir,
                 f"utterance {u.utt_id}: feature shapes {u.audio.shape}/{u.visual.shape} "
                 f"do not match config dims"
             )
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     speakers = speaker_index_map(train_utts)
     model = VerificationModel(config, n_speakers=len(speakers))
     optimizer = Optimizer(model.named_parameters(), config)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     shuffle_rng = np.random.default_rng(config.seed + 1)
 
     order = sorted(range(len(train_utts)), key=lambda i: train_utts[i].utt_id)

@@ -187,6 +187,34 @@ def test_train_refuses_a_nan_momentum_before_writing(trained, tmp_path, capsys):
     assert not run.exists()  # so no checkpoint either
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--aam-margin", "2"], "margin must lie in [0, pi/2)"),
+    (["--aam-scale", "0"], "scale must lie in (0, inf)"),
+    (["--seed", "-1"], "seed must be >= 0"),
+], ids=["aam_margin", "aam_scale", "negative_seed"])
+def test_train_refuses_a_bad_setting_before_writing(trained, tmp_path, capsys, flags, message):
+    data, _ = trained
+    run = tmp_path / "run"
+    assert cli.main(["train", "--data", str(data), "--out", str(run), "--epochs", "1",
+                     *flags, *DIMS]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "gradcheck"])
+def test_a_negative_seed_is_refused_by_name(tmp_path, capsys, command):
+    out = tmp_path / "data"
+    assert cli.main([command, "--seed", "-1", *(["--out", str(out)] if command == "synth" else [])]) == 2
+    assert capsys.readouterr() == ("", "error: seed must be >= 0\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "0", "-1e-4", "inf"])
+def test_gradcheck_refuses_a_tolerance_that_is_not_positive_and_finite(capsys, tolerance):
+    assert cli.main(["gradcheck", f"--tolerance={tolerance}"]) == 2
+    assert capsys.readouterr() == ("", "error: tolerance must lie in (0, inf)\n")
+
+
 @pytest.mark.parametrize("held_out", ["1", "0"])
 def test_synth_without_target_trials_writes_nothing(tmp_path, capsys, held_out):
     out = tmp_path / "data"

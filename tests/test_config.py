@@ -97,13 +97,15 @@ def test_bad_config_file_is_reported_with_its_path(tmp_path, capsys, content, me
     (lambda: load_config(None, {"momentum": "inf"}), "momentum must lie in [0, 1)"),
     (lambda: TrainConfig(score_fusion_weight=-0.1), "score_fusion_weight must lie in [0, 1]"),
     (lambda: TrainConfig(score_fusion_weight=1.5), "score_fusion_weight must lie in [0, 1]"),
+    (lambda: TrainConfig(seed=-1), "seed must be >= 0"),
+    (lambda: load_config(None, {"seed": "-1"}), "seed must be >= 0"),
     (lambda: load_config(None, {"use_blstm": "maybe"}), "use_blstm: expected a boolean, got 'maybe'"),
     (lambda: load_config(None, {"learning_rate": "fast"}), "learning_rate: expected a number, got 'fast'"),
 ], ids=["int_below_one", "unknown_optimizer", "negative_learning_rate", "nan_learning_rate",
         "infinite_learning_rate", "nan_momentum", "negative_momentum", "unit_momentum",
         "infinite_momentum", "nan_momentum_flag", "negative_momentum_flag", "unit_momentum_flag",
         "infinite_momentum_flag", "fusion_weight_below_zero",
-        "fusion_weight_above_one", "bad_boolean", "bad_number"])
+        "fusion_weight_above_one", "negative_seed", "negative_seed_flag", "bad_boolean", "bad_number"])
 def test_invalid_field_values_are_config_errors_naming_the_field(build, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as info:
         build()

@@ -1,4 +1,4 @@
-"""Trial scoring: batched embedding and grouped cosines equal per-trial scoring."""
+"""Trial scoring: batched embedding and the Gram product of unit rows equal per-trial scoring."""
 
 import dataclasses
 import itertools
@@ -40,15 +40,17 @@ def all_pairs(utterances):
 
 def reference_cosines(trials, index, vectors):
     """Per-trial grouping: a dict of trial positions per enrollment id, in order of
-    first appearance, then one product per enrollment utterance."""
+    first appearance, then one gather per enrollment from its row of the Gram
+    product of the unit rows."""
     unit = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+    gram = unit @ unit.T
     by_enroll = {}
     for k, t in enumerate(trials):
         by_enroll.setdefault(t.enroll_id, []).append(k)
     scores = np.empty(len(trials))
     for enroll_id, positions in by_enroll.items():
         tests = [index[trials[k].test_id] for k in positions]
-        scores[positions] = unit[tests] @ unit[index[enroll_id]]
+        scores[positions] = gram[index[enroll_id], tests]
     return scores
 
 
@@ -96,6 +98,16 @@ def test_scores_are_bitwise_the_per_enrollment_products(utterances, system):
     assert got.labels.tolist() == [int(t.is_target) for t in trials]
 
 
+@pytest.mark.parametrize("system", ["rjca", "audio", "visual", "score_level"])
+def test_swapping_enrollment_and_test_gives_bitwise_equal_scores(utterances, system):
+    trials = shuffled_trials(utterances)
+    swapped = [TrialPair(t.is_target, t.test_id, t.enroll_id) for t in trials]
+    model = tiny_model() if system == "rjca" else None
+    got, back = (score_trials(system, ts, utterances, model=model, weight=0.3)
+                 for ts in (trials, swapped))
+    assert got.scores.tobytes() == back.scores.tobytes()
+
+
 def test_resolve_matches_a_per_trial_dict_reference(utterances):
     trials = shuffled_trials(utterances)
     ids, enroll_rows, test_rows, labels = evaluation._resolve(trials, utterances)
@@ -138,16 +150,17 @@ def test_evaluate_scores_and_reports_through_the_module_functions(utterances, mo
 
 def test_model_scores_are_cosines_of_single_embeddings(utterances):
     model = tiny_model()
-    trials = all_pairs(utterances)[::-1]
-    scores = score_trials("rjca", trials, utterances, model=model).scores
+    trials = shuffled_trials(utterances)
+    score_set = score_trials("rjca", trials, utterances, model=model)
     emb = {u: model.embed(utt.audio, utt.visual) for u, utt in utterances.items()}
     expected = [cosine_score(emb[t.enroll_id], emb[t.test_id]) for t in trials]
-    assert np.abs(scores - expected).max() <= 1e-12
+    assert np.abs(score_set.scores - expected).max() <= 1e-12
+    assert score_set.labels.tolist() == [int(t.is_target) for t in trials]
 
 
 @pytest.mark.parametrize("system", ["audio", "visual", "score_level"])
 def test_raw_scores_match_per_trial_cosines(utterances, system):
-    trials = all_pairs(utterances)
+    trials = shuffled_trials(utterances)
     report, score_set = evaluate(system, trials, utterances, weight=0.3)
 
     def raw(utt_id, modality):

@@ -39,8 +39,9 @@ def test_default_ratio_delivers_every_requested_nontarget(tmp_path):
     (dict(utts_per_speaker=3, eval_utts_per_speaker=3),
      "eval_utts_per_speaker must leave at least one training utterance"),
     (dict(eval_utts_per_speaker=-1), "eval_utts_per_speaker must leave at least one training utterance"),
+    (dict(seed=-1), "seed must be >= 0"),
 ], ids=["int_below_one", "negative_noise", "nan_noise", "infinite_noise", "no_training_utterance",
-        "negative_held_out"])
+        "negative_held_out", "negative_seed"])
 def test_invalid_spec_is_a_config_error(fields, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as info:
         SyntheticSpec(**fields)
