@@ -247,9 +247,8 @@ def _require_same_batch(a: Tensor, b: Tensor, op: str) -> None:
 
 
 def _broadcastable(a: Tensor, b: Tensor, op: str) -> None:
-    """Equal shapes, or a rank-3 batch against a rank-2 operand of its item shape."""
-    if a.shape == b.shape or (a.ndim == 3 and a.shape[1:] == b.shape) \
-            or (b.ndim == 3 and b.shape[1:] == a.shape):
+    """Equal shapes, or a rank-3 batch ``a`` against a rank-2 ``b`` of its item shape."""
+    if a.shape == b.shape or (a.ndim == 3 and a.shape[1:] == b.shape):
         return
     raise ShapeError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
 
@@ -302,12 +301,12 @@ def _right_grad(a: np.ndarray, g: np.ndarray, b_ndim: int) -> np.ndarray:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise (Hadamard) product; a rank-2 operand broadcasts along a rank-3 one's batch axis."""
+    """Elementwise (Hadamard) product; ``b`` may be one item of a rank-3 batch ``a``."""
     _broadcastable(a, b, "mul")
     out = Tensor._wrap(a.data * b.data)
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a))
+        _accumulate(a, g * b.data)
         _accumulate(b, _unbroadcast(g * a.data, b))
 
     return _record(backward, out, a, b)

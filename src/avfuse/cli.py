@@ -1,9 +1,10 @@
 """Command-line entry points: synth, train, evaluate, embed, gradcheck.
 
-``train`` reads an optional `key = value` config file, overridden by one flag per
-config field.  ``evaluate`` takes no config: a trained system's is its checkpoint's.
-Its one model setting, ``--score-fusion-weight``, is read by ``score_level`` alone
-(0.5 when not given) and refused for every other system.  Every command that draws
+``train`` fits the manifest's ``train`` split, saving every epoch and ``final.ckpt``; it
+reads an optional `key = value` config file, overridden by one flag per config field.
+``evaluate`` takes no config: a trained system's is its checkpoint's.  Its one model
+setting, ``--score-fusion-weight`` (default ``TrainConfig.score_fusion_weight``), is read
+by ``score_level`` alone and refused for every other system.  Every command that draws
 from a seed echoes it for reproduction.
 """
 
@@ -58,11 +59,8 @@ def _cmd_train(args) -> int:
     config = _resolve_config(args)
     print(f"seed = {config.seed}")
     utterances = load_dataset(args.data)
-    splits = {e.utt_id: e.split for e in manifest_entries(args.data)}
-    train_utts = [u for uid, u in sorted(utterances.items())
-                  if args.include_eval or splits[uid] == "train"]
-    result = train(config, train_utts, args.out,
-                   keep_epoch_checkpoints=not args.final_only)
+    train_utts = [utterances[e.utt_id] for e in manifest_entries(args.data) if e.split == "train"]
+    result = train(config, train_utts, args.out)
     for epoch, loss in enumerate(result.epoch_losses):
         print(f"epoch {epoch} loss {loss!r}")
     print(f"checkpoint: {result.checkpoint_path}")
@@ -100,10 +98,11 @@ def _cmd_embed(args) -> int:
     model = VerificationModel.from_checkpoint(args.checkpoint)
     print(f"seed = {model.config.seed}")
     utterances = load_dataset(args.data)
+    ids = sorted(utterances)
+    embeddings = embed_utterances(model, ids, utterances)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ids = sorted(utterances)
-    for utt_id, emb in zip(ids, embed_utterances(model, ids, utterances)):
+    for utt_id, emb in zip(ids, embeddings):
         save_features(out_dir / f"{utt_id}.emb.avf", emb.reshape(-1, 1))
     print(f"embedded {len(utterances)} utterances to {out_dir}")
     return 0
@@ -134,10 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a fusion model")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--include-eval", action="store_true",
-                   help="train on held-out utterances too")
-    p.add_argument("--final-only", action="store_true",
-                   help="skip per-epoch checkpoints")
     _add_config_flags(p)
     p.set_defaults(func=_cmd_train)
 

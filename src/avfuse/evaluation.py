@@ -17,7 +17,7 @@ from itertools import chain
 
 import numpy as np
 
-from avfuse.config import FUSION_MODES, ConfigError
+from avfuse.config import FUSION_MODES, ConfigError, TrainConfig
 from avfuse.featio import TrialPair, Utterance
 from avfuse.fusion import score_level_fusion
 from avfuse.metrics import DcfParams, MetricsReport, ScoreSet, compute_report, write_scores
@@ -88,7 +88,8 @@ def _cosines(enroll_rows: np.ndarray, test_rows: np.ndarray, vectors: np.ndarray
 
 
 def score_trials(system: str, trials: list[TrialPair], utterances: dict[str, Utterance],
-                 model: VerificationModel | None = None, weight: float = 0.5) -> ScoreSet:
+                 model: VerificationModel | None = None,
+                 weight: float = TrainConfig.score_fusion_weight) -> ScoreSet:
     """Score every trial with the chosen system, preserving trial order.
 
     Each distinct trial utterance is embedded (or pooled) once, whatever the
@@ -122,7 +123,8 @@ def score_trials(system: str, trials: list[TrialPair], utterances: dict[str, Utt
 def evaluate(system: str, trials: list[TrialPair], utterances: dict[str, Utterance],
              model: VerificationModel | None = None,
              dcf_params: DcfParams = DcfParams(),
-             weight: float = 0.5, scores_path=None) -> tuple[MetricsReport, ScoreSet]:
+             weight: float = TrainConfig.score_fusion_weight,
+             scores_path=None) -> tuple[MetricsReport, ScoreSet]:
     """Score trials, optionally persist the scores file, and compute metrics."""
     score_set = score_trials(system, trials, utterances, model=model, weight=weight)
     if scores_path is not None:

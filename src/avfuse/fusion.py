@@ -97,7 +97,7 @@ def fuse(fusion: str, audio: Tensor, visual: Tensor, steps: Sequence[JcaStepPara
     return ad.attention_fusion(audio, visual, weights, cross=fusion == "cross_attention")
 
 
-def score_level_fusion(audio_score, visual_score, weight: float = 0.5):
+def score_level_fusion(audio_score, visual_score, weight: float):
     """Convex combination of per-modality trial scores (floats or arrays of them)."""
     if not 0.0 <= weight <= 1.0:
         raise ConfigError(f"score fusion weight must lie in [0, 1], got {weight}")

@@ -64,7 +64,7 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     if a.shape != n.shape:
         raise ShapeError(f"relative_error: shape mismatch {a.shape} vs {n.shape}")
     denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), FD_FLOOR)
-    return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
+    return float(np.max(np.abs(a - n) / denom, initial=0.0))
 
 
 @dataclass
@@ -112,28 +112,28 @@ def check_fusion(rng, steps: int = 1, batch: tuple[int, ...] = (), fusion: str =
         lambda: _probe_loss(fuse(fusion, audio, visual, chain), probe), tensors)
 
 
-def check_blstm(rng, batch: tuple[int, ...] = ()) -> float:
-    params = BlstmParams.init(input_dim=3, hidden=3, rng=rng)
-    x = Tensor(rng.uniform(-1, 1, size=batch + (3, 5)))
-    probe = Tensor(rng.uniform(-1, 1, size=batch + (6, 5)))
+def _check_single_input(params, forward: Callable, input_shape: tuple[int, int],
+                        probe_shape: tuple[int, int], rng, batch: tuple[int, ...]) -> float:
+    """A layer ``forward(x, params)`` of one input, drawn after ``params`` and before the probe."""
+    x = Tensor(rng.uniform(-1, 1, size=batch + input_shape))
+    probe = Tensor(rng.uniform(-1, 1, size=batch + probe_shape))
     tensors = {"x": x, **named_tensors(params)}
-    return check_function(lambda: _probe_loss(blstm_forward(x, params), probe), tensors)
+    return check_function(lambda: _probe_loss(forward(x, params), probe), tensors)
+
+
+def check_blstm(rng, batch: tuple[int, ...] = ()) -> float:
+    return _check_single_input(BlstmParams.init(input_dim=3, hidden=3, rng=rng), blstm_forward,
+                               (3, 5), (6, 5), rng, batch)
 
 
 def check_asp(rng, batch: tuple[int, ...] = ()) -> float:
-    params = AspParams.init(input_dim=4, bottleneck=3, rng=rng)
-    x = Tensor(rng.uniform(-1, 1, size=batch + (4, 5)))
-    probe = Tensor(rng.uniform(-1, 1, size=batch + (8, 1)))
-    tensors = {"x": x, **named_tensors(params)}
-    return check_function(lambda: _probe_loss(asp(x, params), probe), tensors)
+    return _check_single_input(AspParams.init(input_dim=4, bottleneck=3, rng=rng), asp,
+                               (4, 5), (8, 1), rng, batch)
 
 
 def check_projection(rng, batch: tuple[int, ...] = ()) -> float:
-    params = EmbeddingProjection.init(input_dim=6, embed_dim=4, rng=rng)
-    pooled = Tensor(rng.uniform(-1, 1, size=batch + (6, 1)))
-    probe = Tensor(rng.uniform(-1, 1, size=batch + (4, 1)))
-    tensors = {"pooled": pooled, **named_tensors(params)}
-    return check_function(lambda: _probe_loss(project_embedding(pooled, params), probe), tensors)
+    return _check_single_input(EmbeddingProjection.init(input_dim=6, embed_dim=4, rng=rng),
+                               project_embedding, (6, 1), (4, 1), rng, batch)
 
 
 def check_aam(rng, batch: tuple[int, ...] = ()) -> float:

@@ -91,14 +91,16 @@ def _eer(thresholds: np.ndarray, far: np.ndarray, frr: np.ndarray) -> tuple[floa
     linearly interpolated between the adjacent sweep points when not exact.
     """
     diff = far - frr
-    k = int(np.argmax(diff <= 0.0))  # first non-positive difference; k >= 1
+    # First non-positive difference.  The sweep's first two points (-inf and the
+    # lowest score) accept every trial, FAR 1 and FRR 0, so k >= 2.
+    k = int(np.argmax(diff <= 0.0))
     if diff[k] == 0.0:
         return float(far[k]), float(thresholds[k])
     frac = diff[k - 1] / (diff[k - 1] - diff[k])
     rate = far[k - 1] + frac * (far[k] - far[k - 1])
     threshold = thresholds[k - 1] + frac * (thresholds[k] - thresholds[k - 1])
-    if not np.isfinite(threshold):  # crossing against a sentinel
-        threshold = thresholds[k - 1] if np.isfinite(thresholds[k - 1]) else thresholds[k]
+    if not np.isfinite(threshold):  # crossing against the +inf sentinel
+        threshold = thresholds[k - 1]
     return float(rate), float(threshold)
 
 

@@ -51,13 +51,9 @@ class SyntheticSpec:
 
 def _smoothing_matrix(segments: int) -> np.ndarray:
     """Moving-average mixing of adjacent segments, rows scaled to unit L2 norm
-    so smoothed noise keeps unit per-element variance."""
-    kernel = np.array([1.0, 2.0, 1.0])
-    mat = np.zeros((segments, segments))
-    for i in range(segments):
-        for k, w in zip((i - 1, i, i + 1), kernel):
-            if 0 <= k < segments:
-                mat[i, k] = w
+    so smoothed noise keeps unit per-element variance: the kernel (1, 2, 1),
+    cut off at the first and last segment."""
+    mat = 2.0 * np.eye(segments) + np.eye(segments, k=1) + np.eye(segments, k=-1)
     mat /= np.linalg.norm(mat, axis=1, keepdims=True)
     return mat
 

@@ -11,9 +11,9 @@ per-parameter scan that names the parameter and refuses the step with a
 DivergenceError), runs its update formula once over whole rows, subtracts
 each parameter's slice in place and releases every gradient.
 Everything is driven by one seeded generator, so a fixed config reproduces
-the loss log and checkpoints exactly.  Parameters pass through storage
-precision at every epoch boundary, keeping the in-memory model identical to
-its last saved checkpoint; a parameter beyond it is a DivergenceError.
+the loss log and checkpoints exactly.  Each epoch ends by passing the parameters
+through storage precision, a parameter beyond it being a DivergenceError, and
+saving ``epoch_NNN.ckpt``, so the in-memory model equals its last checkpoint.
 """
 
 from __future__ import annotations
@@ -121,8 +121,7 @@ def speaker_index_map(utterances: list[Utterance]) -> dict[str, int]:
     return {spk: i for i, spk in enumerate(sorted({u.speaker_id for u in utterances}))}
 
 
-def train(config: TrainConfig, train_utts: list[Utterance], out_dir,
-          keep_epoch_checkpoints: bool = True) -> TrainResult:
+def train(config: TrainConfig, train_utts: list[Utterance], out_dir) -> TrainResult:
     """Optimize the full stack on the given utterances; see module docstring."""
     if not train_utts:
         raise ConfigError("no training utterances")
@@ -171,8 +170,7 @@ def train(config: TrainConfig, train_utts: list[Utterance], out_dir,
             model.quantize_single_precision()
         except FeatureFileError as exc:
             raise DivergenceError(f"epoch {epoch}: {exc}") from None
-        if keep_epoch_checkpoints:
-            model.save(out_dir / f"epoch_{epoch:03d}.ckpt")
+        model.save(out_dir / f"epoch_{epoch:03d}.ckpt")
     model.save(final_path)
     log_path = out_dir / "train_log.txt"
     log_path.write_text("\n".join(log_lines) + "\n", encoding="utf-8")

@@ -54,12 +54,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; a rank-2 operand broadcasts along a rank-3 one's batch axis."""
+    """Elementwise sum; ``b`` may be one item of a rank-3 batch ``a``."""
     _broadcastable(a, b, "add")
     out = Tensor._wrap(a.data + b.data)
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a))
+        _accumulate(a, g)
         _accumulate(b, _unbroadcast(g, b))
 
     return _record(backward, out, a, b)
@@ -71,7 +71,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor._wrap(a.data - b.data)
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a))
+        _accumulate(a, g)
         _accumulate(b, _unbroadcast(-g, b))
 
     _record(backward, out)

@@ -1,5 +1,7 @@
 """Kernel-level tests: forward values, backward vs finite differences, tape behavior."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,15 @@ class TestForwardValues:
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
             ref.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
+    def test_mul_shape_error_names_both_shapes(self):
+        batch, item = Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4)))
+        assert ad.mul(batch, item).shape == (2, 3, 4)
+        # Only the second operand broadcasts along the first's batch axis.
+        for a, b in [(item, Tensor(np.ones((4, 3)))), (item, batch)]:
+            message = f"mul: shape mismatch {a.shape} vs {b.shape}"
+            with pytest.raises(ShapeError, match=re.escape(message)):
+                ad.mul(a, b)
+
     def test_tanh_zero(self):
         z = Tensor(np.zeros((3, 2)))
         assert np.array_equal(ref.tanh(z).data, np.zeros((3, 2)))
@@ -72,6 +83,8 @@ class TestForwardValues:
         good = (w_in, w_rec, b)
         with pytest.raises(ShapeError, match="forward recurrent"):
             ad.blstm(x, (w_in, Tensor(np.ones((6, 2))), b), good)
+        with pytest.raises(ShapeError, match="forward recurrent"):
+            ad.blstm(x, (w_in, Tensor(np.ones((2, 8, 2))), b), good)
         with pytest.raises(ShapeError, match="backward input weight"):
             ad.blstm(x, good, (Tensor(np.ones((8, 4))), w_rec, b))
         with pytest.raises(ShapeError, match="backward bias"):
@@ -111,6 +124,16 @@ class TestForwardValues:
             Tensor(3.0)
         with pytest.raises(ShapeError):
             Tensor(np.zeros((2, 2, 2, 2)))
+
+    def test_item_needs_a_single_element(self):
+        assert Tensor([[2.5]]).item() == 2.5
+        message = "item() needs a single-element tensor, got shape (2, 1)"
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            Tensor(np.ones((2, 1))).item()
+
+    def test_repr_names_the_type_and_shape(self):
+        assert repr(Tensor(np.ones((2, 3)))) == "Tensor(shape=(2, 3))"
+        assert repr(Constant(np.ones((2, 3, 1)))) == "Constant(shape=(2, 3, 1))"
 
 
 class TestNumericGradientOracle:

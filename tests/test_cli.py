@@ -9,11 +9,13 @@ from avfuse import cli, gradcheck
 from avfuse.checkpoint import load_checkpoint, save_checkpoint
 from avfuse.config import TrainConfig
 from avfuse.evaluation import score_trials
-from avfuse.featio import TrialPair, load_dataset, load_features, parse_trial_list, write_trial_list
+from avfuse.featio import (TrialPair, load_dataset, load_features, manifest_entries,
+                           parse_trial_list, write_trial_list)
 from avfuse.gradcheck import DEFAULT_TOLERANCE
 from avfuse.metrics import DcfParams
 from avfuse.model import VerificationModel
 from avfuse.synthetic import SyntheticSpec
+from avfuse.training import train
 
 DIMS = ["--audio-dim", "3", "--visual-dim", "2", "--segments", "4"]
 
@@ -45,6 +47,16 @@ def test_synth_train_embed(trained, tmp_path):
         stored = load_features(emb / f"{utt_id}.emb.avf")
         assert stored.shape == (4, 1)
         np.testing.assert_allclose(stored[:, 0], model.embed(utt.audio, utt.visual), rtol=1e-6)
+
+
+def test_train_fits_the_manifest_train_split_and_saves_every_epoch(trained, tmp_path):
+    data, checkpoint = trained
+    utterances = load_dataset(data)
+    train_split = [utterances[e.utt_id] for e in manifest_entries(data) if e.split == "train"]
+    result = train(VerificationModel.from_checkpoint(checkpoint).config, train_split, tmp_path)
+    assert result.checkpoint_path.read_bytes() == checkpoint.read_bytes()
+    epoch = "epoch_000.ckpt"
+    assert (tmp_path / epoch).read_bytes() == (checkpoint.parent / epoch).read_bytes()
 
 
 def evaluate_args(data, tmp_path, *flags):
@@ -110,6 +122,12 @@ def test_evaluate_refuses_the_score_fusion_weight_outside_score_level(trained, t
                                        "--score-fusion-weight; remove it\n")
 
 
+def test_evaluate_refuses_a_trained_system_without_a_checkpoint(trained, tmp_path, capsys):
+    data, _ = trained
+    assert cli.main(evaluate_args(data, tmp_path, "--system", "rjca")) == 2
+    assert capsys.readouterr().err == "error: system 'rjca' requires --checkpoint\n"
+
+
 def test_evaluate_refuses_a_checkpoint_for_a_raw_system(trained, tmp_path, capsys):
     data, checkpoint = trained
     args = evaluate_args(data, tmp_path, "--system", "audio", "--checkpoint", str(checkpoint))
@@ -158,6 +176,7 @@ def test_evaluate_and_embed_refuse_data_off_the_checkpoint_dims(fusion, tmp_path
     capsys.readouterr()
     assert cli.main(evaluate_args(data, tmp_path, "--system", fusion, *checkpoint)) == 2
     assert cli.main(["embed", *checkpoint, "--data", str(data), "--out", str(tmp_path / "emb")]) == 2
+    assert not (tmp_path / "emb").exists()
     expected = "do not match the model's (audio_dim, segments) = (3, 4)\n"
     assert capsys.readouterr().err == (f"error: audio features of shape (3, 3, 6) {expected}"
                                        f"error: audio features of shape (9, 3, 6) {expected}")

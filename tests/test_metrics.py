@@ -139,6 +139,14 @@ class TestMinDcf:
         assert value == pytest.approx(oracle_min_dcf(scores, labels, PAPER_DCF), abs=1e-12)
         assert threshold == pytest.approx(0.8)
 
+    def test_an_accept_all_minimizer_reports_the_lowest_score(self):
+        # A miss costs 99 times a false alarm, so accepting every trial (the
+        # -inf sentinel, tied with the lowest score) is the cheapest point.
+        scores, labels = [0.1, 0.2, 0.8, 0.9], [1, 1, 0, 0]
+        report = compute_report(ScoreSet(scores, labels), DcfParams(p_target=0.99))
+        assert report.min_dcf == pytest.approx(1.0, abs=1e-12)
+        assert report.dcf_threshold == 0.1
+
     def test_matches_oracle_on_random_sets(self):
         rng = np.random.default_rng(2)
         for _ in range(60):

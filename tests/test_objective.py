@@ -232,6 +232,11 @@ class TestCosineScore:
         with pytest.raises(NormalizationError):
             cosine_score([0.0, 0.0], [1.0, 0.0])
 
+    def test_dimension_mismatch_rejected(self):
+        message = "cosine_score: dimension mismatch (2,) vs (3,)"
+        with pytest.raises(ad.ShapeError, match=re.escape(message)):
+            cosine_score([1.0, 0.0], [1.0, 0.0, 0.0])
+
 
 @pytest.mark.parametrize("embedding, label, error, message", [
     (np.ones((6, 2)), 0, ad.ShapeError, "aam_loss: expected (embed_dim, 1) embeddings, got (6, 2)"),
