@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a trial list and report metrics")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--trials", type=Path, required=True)
-    p.add_argument("--system", choices=TRAINED_SYSTEMS + RAW_SYSTEMS, default="rjca")
+    p.add_argument("--system", choices=TRAINED_SYSTEMS + RAW_SYSTEMS, default=TrainConfig.fusion)
     p.add_argument("--checkpoint", type=Path)
     p.add_argument("--scores-out", type=Path)
     for field in fields(DcfParams):

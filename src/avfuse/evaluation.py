@@ -3,9 +3,10 @@
 Besides the trained fusion systems (recursive joint cross-attention, plain
 concatenation, two-way cross-attention), the harness scores the untrained
 reference systems: single-modality statistics of the raw features, and
-score-level fusion of the two single-modality cosines.  Trials are
-``NamedTuple`` rows: one pass flattens the list into its cells, which give the
-labels, the distinct utterance ids and each trial's enrollment and test rows.
+score-level fusion ``weight * audio + (1 - weight) * visual`` of their cosines.
+Every system refuses a weight outside [0, 1]; only a trained one takes a model.
+Trials are ``NamedTuple`` rows: one pass flattens the list into its cells, which
+give the labels, the distinct utterance ids and each trial's enrollment and test rows.
 Every trial utterance is then embedded once, in mini-batches through
 ``VerificationModel.embed``; each trial reads its cell of one Gram product of
 the unit rows, so ``score(a, b) == score(b, a)`` bit for bit.
@@ -19,7 +20,6 @@ import numpy as np
 
 from avfuse.config import FUSION_MODES, ConfigError, TrainConfig
 from avfuse.featio import TrialPair, Utterance
-from avfuse.fusion import score_level_fusion
 from avfuse.metrics import DcfParams, MetricsReport, ScoreSet, compute_report, write_scores
 from avfuse.model import VerificationModel
 from avfuse.objective import NormalizationError
@@ -93,8 +93,11 @@ def score_trials(system: str, trials: list[TrialPair], utterances: dict[str, Utt
     """Score every trial with the chosen system, preserving trial order.
 
     Each distinct trial utterance is embedded (or pooled) once, whatever the
-    number of trials it appears in.
+    number of trials it appears in.  ``weight``, the audio weight of ``score_level``,
+    is refused outside [0, 1] by every system; only a trained system takes ``model``.
     """
+    if not 0.0 <= weight <= 1.0:
+        raise ConfigError(f"score fusion weight must lie in [0, 1], got {weight}")
     if not trials:
         raise ConfigError("empty trial list")
     ids, enroll_rows, test_rows, labels = _resolve(trials, utterances)
@@ -107,12 +110,15 @@ def score_trials(system: str, trials: list[TrialPair], utterances: dict[str, Utt
             )
         scores = _cosines(enroll_rows, test_rows, embed_utterances(model, ids, utterances))
     elif system in RAW_SYSTEMS:
+        if model is not None:
+            raise ConfigError(f"system {system!r} is untrained; it takes no model")
+
         def raw(modality: str) -> np.ndarray:
             stacked = np.stack([getattr(utterances[u], modality) for u in ids])
             return _cosines(enroll_rows, test_rows, pooled_raw_embedding(stacked))
 
         if system == "score_level":
-            scores = score_level_fusion(raw("audio"), raw("visual"), weight)
+            scores = weight * raw("audio") + (1.0 - weight) * raw("visual")
         else:
             scores = raw(system)
     else:

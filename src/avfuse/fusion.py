@@ -17,7 +17,6 @@ differ in two things only, both picked by ``fuse``:
 ``fuse`` returns only the joint stack the model reads, and leaves every
 weight's shape check to ``ad.attention_fusion``.  Every function takes single
 (dim, segments) utterances or (B, dim, segments) batches alike.
-Score-level averaging, the other ablation baseline, is here too.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import numpy as np
 
 from avfuse import autodiff as ad
 from avfuse.autodiff import Tensor
-from avfuse.config import FUSION_MODES, ConfigError
+from avfuse.config import FUSION_MODES, ConfigError, TrainConfig
 
 
 def init_weight(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
@@ -59,7 +58,7 @@ class JcaStepParams:
 
     @staticmethod
     def shapes(audio_dim: int, visual_dim: int, segments: int,
-               fusion: str = "rjca") -> dict[str, tuple[int, int]]:
+               fusion: str = TrainConfig.fusion) -> dict[str, tuple[int, int]]:
         """Shape of every weight, in field order (the order ``init`` draws them)."""
         key_dims = {"rjca": (audio_dim + visual_dim,) * 2, "cross_attention": (visual_dim, audio_dim)}
         if fusion not in key_dims:
@@ -72,7 +71,7 @@ class JcaStepParams:
 
     @classmethod
     def init(cls, audio_dim: int, visual_dim: int, segments: int,
-             rng: np.random.Generator, fusion: str = "rjca") -> "JcaStepParams":
+             rng: np.random.Generator, fusion: str = TrainConfig.fusion) -> "JcaStepParams":
         shapes = cls.shapes(audio_dim, visual_dim, segments, fusion)
         return cls(**{name: init_weight(rng, *shape) for name, shape in shapes.items()})
 
@@ -95,11 +94,3 @@ def fuse(fusion: str, audio: Tensor, visual: Tensor, steps: Sequence[JcaStepPara
     weights = [(p.corr_proj_audio, p.attn_mix_audio, p.out_mix_audio,
                 p.corr_proj_visual, p.attn_mix_visual, p.out_mix_visual) for p in steps]
     return ad.attention_fusion(audio, visual, weights, cross=fusion == "cross_attention")
-
-
-def score_level_fusion(audio_score, visual_score, weight: float):
-    """Convex combination of per-modality trial scores (floats or arrays of them)."""
-    if not 0.0 <= weight <= 1.0:
-        raise ConfigError(f"score fusion weight must lie in [0, 1], got {weight}")
-    return weight * audio_score + (1.0 - weight) * visual_score
-

@@ -23,7 +23,7 @@ import numpy as np
 
 from avfuse import autodiff as ad
 from avfuse.autodiff import NonFiniteError, ShapeError, Tape, Tensor, named_tensors
-from avfuse.config import ConfigError
+from avfuse.config import ConfigError, TrainConfig
 from avfuse.fusion import JcaStepParams, fuse
 from avfuse.objective import AamHead, aam_loss
 from avfuse.temporal import AspParams, BlstmParams, EmbeddingProjection, asp, blstm_forward, project_embedding
@@ -100,7 +100,7 @@ def _probe_loss(output: Tensor, probe: Tensor) -> Tensor:
     return ad.sum_all(ad.mul(output, probe))
 
 
-def check_fusion(rng, steps: int = 1, batch: tuple[int, ...] = (), fusion: str = "rjca") -> float:
+def check_fusion(rng, steps: int = 1, batch: tuple[int, ...] = (), fusion: str = TrainConfig.fusion) -> float:
     audio = Tensor(rng.uniform(-1, 1, size=batch + (3, 4)))
     visual = Tensor(rng.uniform(-1, 1, size=batch + (2, 4)))
     chain = [JcaStepParams.init(3, 2, 4, rng, fusion) for _ in range(steps)]

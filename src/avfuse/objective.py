@@ -17,7 +17,7 @@ import numpy as np
 
 from avfuse import autodiff as ad
 from avfuse.autodiff import Tensor
-from avfuse.config import ConfigError
+from avfuse.config import ConfigError, TrainConfig
 from avfuse.fusion import init_weight
 
 
@@ -34,8 +34,8 @@ class AamHead:
     """
 
     weights: Tensor  # n_classes x embed_dim
-    scale: float = 30.0
-    margin: float = 0.2
+    scale: float = TrainConfig.aam_scale
+    margin: float = TrainConfig.aam_margin
 
     def __post_init__(self):
         if not 0.0 < self.scale < math.inf:
@@ -45,7 +45,7 @@ class AamHead:
 
     @classmethod
     def init(cls, n_classes: int, embed_dim: int, rng: np.random.Generator,
-             scale: float = 30.0, margin: float = 0.2) -> "AamHead":
+             scale: float = TrainConfig.aam_scale, margin: float = TrainConfig.aam_margin) -> "AamHead":
         return cls(weights=init_weight(rng, n_classes, embed_dim), scale=scale, margin=margin)
 
     @property

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from avfuse.config import ConfigError
+from avfuse.config import ConfigError, TrainConfig
 from avfuse.featio import ManifestEntry, TrialPair, save_features, write_manifest, write_trial_list
 
 
@@ -26,9 +26,9 @@ class SyntheticSpec:
 
     n_speakers: int = 50
     utts_per_speaker: int = 10
-    audio_dim: int = 16
-    visual_dim: int = 16
-    segments: int = 8
+    audio_dim: int = TrainConfig.audio_dim
+    visual_dim: int = TrainConfig.visual_dim
+    segments: int = TrainConfig.segments
     latent_dim: int = 8
     audio_noise: float = 0.8
     visual_noise: float = 0.8

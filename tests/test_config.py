@@ -1,15 +1,23 @@
-"""Training config: field validation, CLI flags derived from the fields, text round trip."""
+"""Training config: field validation, CLI flags derived from the fields, text round trip,
+and the defaults other modules read from it."""
 
+import inspect
 import math
 import re
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avfuse import cli
+from avfuse import cli, gradcheck
 from avfuse.config import ConfigError, TrainConfig, config_to_text, load_config, parse_config_text
+from avfuse.featio import load_dataset
+from avfuse.fusion import JcaStepParams
+from avfuse.model import VerificationModel
+from avfuse.objective import AamHead
+from avfuse.synthetic import SyntheticSpec, generate_dataset
 
 
 def parse_train_args(*flags):
@@ -37,6 +45,24 @@ def test_malformed_flag_value_is_a_reported_error(tmp_path, capsys):
                      "--iterations", "x"])
     assert code == 2
     assert "error: iterations: expected an integer, got 'x'" in capsys.readouterr().err
+
+
+def test_defaults_restated_elsewhere_are_the_train_config_defaults(tmp_path):
+    config = TrainConfig()
+    spec = SyntheticSpec()
+    generate_dataset(spec, tmp_path)
+    utterance = load_dataset(tmp_path)["spk000_utt00"]
+    assert utterance.audio.shape == (config.audio_dim, config.segments)
+    assert utterance.visual.shape == (config.visual_dim, config.segments)
+    model = VerificationModel(config, n_speakers=spec.n_speakers)
+    assert model.embed(utterance.audio, utterance.visual).shape == (config.embed_dim,)
+    head = AamHead.init(3, 4, np.random.default_rng(0))
+    for built in (head, AamHead(head.weights)):
+        assert (built.scale, built.margin) == (config.aam_scale, config.aam_margin)
+    for function in (JcaStepParams.shapes, JcaStepParams.init, gradcheck.check_fusion):
+        assert inspect.signature(function).parameters["fusion"].default == config.fusion
+    evaluate_args = cli.build_parser().parse_args(["evaluate", "--data", "d", "--trials", "t"])
+    assert evaluate_args.system == config.fusion
 
 
 def test_default_config_text_round_trip():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import re
 
 import numpy as np
@@ -17,7 +18,6 @@ from avfuse.evaluation import (
     score_trials,
 )
 from avfuse.featio import TrialPair, load_dataset
-from avfuse.fusion import score_level_fusion
 from avfuse.model import VerificationModel
 from avfuse.objective import NormalizationError, cosine_score
 from avfuse.synthetic import SyntheticSpec, generate_dataset
@@ -91,7 +91,7 @@ def test_scores_are_bitwise_the_per_enrollment_products(utterances, system):
     if system == "rjca":
         expected = reference_cosines(trials, index, embed_utterances(model, ids, utterances))
     elif system == "score_level":
-        expected = score_level_fusion(raw("audio"), raw("visual"), 0.3)
+        expected = 0.3 * raw("audio") + (1.0 - 0.3) * raw("visual")
     else:
         expected = raw(system)
     assert got.scores.tobytes() == expected.tobytes()
@@ -170,11 +170,18 @@ def test_raw_scores_match_per_trial_cosines(utterances, system):
     for t in trials:
         per_modality = {m: cosine_score(raw(t.enroll_id, m), raw(t.test_id, m))
                         for m in ("audio", "visual")}
-        expected.append(score_level_fusion(per_modality["audio"], per_modality["visual"], 0.3)
+        expected.append(0.3 * per_modality["audio"] + (1.0 - 0.3) * per_modality["visual"]
                         if system == "score_level" else per_modality[system])
     assert np.abs(score_set.scores - expected).max() <= 1e-12
     assert list(score_set.labels) == [int(t.is_target) for t in trials]
     assert 0.0 <= report.eer <= 1.0
+
+
+def test_score_level_at_weight_one_is_bitwise_the_audio_system(utterances):
+    trials = shuffled_trials(utterances)
+    fused, audio = (score_trials(system, trials, utterances, weight=1.0)
+                    for system in ("score_level", "audio"))
+    assert fused.scores.tobytes() == audio.scores.tobytes()
 
 
 def test_trained_system_needs_a_model(utterances):
@@ -194,14 +201,29 @@ def with_silent_audio(utterances):
     return {**utterances, first: silent}
 
 
-@pytest.mark.parametrize("system, trials, data, model, error, message", [
-    ("audio", lambda u: [], lambda u: u, None, ConfigError, "empty trial list"),
-    ("concat", all_pairs, lambda u: u, tiny_model, ConfigError,
+@pytest.mark.parametrize("system, trials, data, model, weight, error, message", [
+    ("audio", lambda u: [], lambda u: u, None, 0.5, ConfigError, "empty trial list"),
+    ("concat", all_pairs, lambda u: u, tiny_model, 0.5, ConfigError,
      "checkpoint was trained with fusion 'rjca', not 'concat'"),
-    ("bogus", all_pairs, lambda u: u, None, ConfigError, "unknown evaluation system 'bogus'"),
-    ("audio", all_pairs, with_silent_audio, None, NormalizationError, "cosine scoring: zero-norm embedding"),
-], ids=["empty_trial_list", "fusion_mismatch", "unknown_system", "zero_norm_embedding"])
-def test_score_trials_refusals_name_the_cause(utterances, system, trials, data, model, error, message):
+    ("bogus", all_pairs, lambda u: u, None, 0.5, ConfigError, "unknown evaluation system 'bogus'"),
+    ("audio", all_pairs, with_silent_audio, None, 0.5, NormalizationError,
+     "cosine scoring: zero-norm embedding"),
+    ("score_level", all_pairs, lambda u: u, None, 1.5, ConfigError,
+     "score fusion weight must lie in [0, 1], got 1.5"),
+    ("audio", all_pairs, lambda u: u, None, 7.0, ConfigError,
+     "score fusion weight must lie in [0, 1], got 7.0"),
+    ("rjca", all_pairs, lambda u: u, tiny_model, 7.0, ConfigError,
+     "score fusion weight must lie in [0, 1], got 7.0"),
+    ("visual", all_pairs, lambda u: u, None, math.nan, ConfigError,
+     "score fusion weight must lie in [0, 1], got nan"),
+    ("audio", all_pairs, lambda u: u, tiny_model, 0.5, ConfigError,
+     "system 'audio' is untrained; it takes no model"),
+], ids=["empty_trial_list", "fusion_mismatch", "unknown_system", "zero_norm_embedding",
+        "score_level_weight_above_one", "audio_weight_above_one", "rjca_weight_above_one",
+        "visual_nan_weight", "model_for_audio"])
+def test_score_trials_refusals_name_the_cause(utterances, system, trials, data, model, weight,
+                                              error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
-        score_trials(system, trials(utterances), data(utterances), model=model and model())
+        score_trials(system, trials(utterances), data(utterances), model=model and model(),
+                     weight=weight)
     assert info.type is error

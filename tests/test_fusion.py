@@ -12,7 +12,7 @@ from avfuse import autodiff as ad
 from avfuse.autodiff import Tape, Tensor, named_tensors
 from avfuse.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from avfuse.config import ConfigError, TrainConfig
-from avfuse.fusion import JcaStepParams, fuse, score_level_fusion
+from avfuse.fusion import JcaStepParams, fuse
 from avfuse.gradcheck import check_function
 from avfuse.model import VerificationModel
 
@@ -132,13 +132,6 @@ class TestRecursion:
 
 
 class TestBaselines:
-    def test_score_level_weight_one_returns_audio_score(self):
-        assert score_level_fusion(0.73, -0.4, weight=1.0) == 0.73
-
-    def test_score_level_weight_bounds(self):
-        with pytest.raises(ConfigError):
-            score_level_fusion(0.0, 0.0, weight=1.5)
-
     def test_cross_attention_zero_weights_identity(self):
         audio, visual = random_inputs(3, 2, 4)
         joint = fuse("cross_attention", audio, visual, [zero_step(3, 2, 4, "cross_attention")])
