@@ -18,7 +18,7 @@ from pathlib import Path
 from avfuse.config import ConfigError, TrainConfig, load_config
 from avfuse.evaluation import RAW_SYSTEMS, TRAINED_SYSTEMS, embed_utterances, evaluate
 from avfuse.featio import load_dataset, manifest_entries, parse_trial_list, save_features
-from avfuse.gradcheck import DEFAULT_TOLERANCE, format_suite_report, run_suite
+from avfuse.gradcheck import format_suite_report, run_suite
 from avfuse.metrics import DcfParams, format_report
 from avfuse.model import VerificationModel
 from avfuse.synthetic import SyntheticSpec, generate_dataset
@@ -109,7 +109,7 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    results = run_suite(seed=args.seed, tolerance=args.tolerance)
+    results = run_suite(seed=args.seed)
     print(f"seed = {args.seed}")
     print(format_suite_report(results))
     return 0 if all(r.passed for r in results) else 1
@@ -157,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every layer")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.set_defaults(func=_cmd_gradcheck)
 
     return parser

@@ -8,8 +8,9 @@ u32 extents (rows, cols), then the rows*cols values in row-major order.
 One file per modality per utterance: ``<id>.audio.avf`` / ``<id>.visual.avf``,
 each read whole by one unbuffered read, from paths built once per dataset.
 Trial-list and manifest rows are ``NamedTuple``s, so a row costs what a
-3-tuple costs and a list of them flattens in one pass.  Every writer refuses,
-before opening its file, what its reader would refuse or change.
+3-tuple costs and a list of them flattens in one pass.  An utterance id names
+its files, so it holds no path separator.  Every writer refuses, before
+opening its file, what its reader would refuse or change.
 """
 
 from __future__ import annotations
@@ -193,14 +194,16 @@ class Utterance:
 
 
 def write_manifest(path, entries) -> None:
-    """Write `utt_id<TAB>speaker_id<TAB>split` rows: unique utterance ids, splits `train` or `eval`,
-    and ids that are non-empty, without tab or line break, and unpadded by whitespace."""
+    """Write `utt_id<TAB>speaker_id<TAB>split` rows: unique utterance ids without a path
+    separator, splits `train` or `eval`, and ids that are non-empty, without tab or line
+    break, and unpadded by whitespace."""
     entries = list(entries)
     _refuse(path, (u for e in entries for u in e[:2]),
             lambda u: not u or u != u.strip() or any(c in u for c in "\t\n\r"),
             "id {!r} is empty, holds a tab or line break, or has leading or trailing whitespace")
     rows = Counter(e[0] for e in entries)
     _refuse(path, rows, lambda u: rows[u] > 1, "duplicate utterance id {!r}")
+    _refuse(path, rows, lambda u: "/" in u or "\\" in u, "utterance id {!r} holds a path separator")
     _refuse(path, (e[2] for e in entries), lambda v: v not in ("train", "eval"),
             "split must be train or eval, got {!r}")
     with open(path, "w", encoding="utf-8") as fh:
@@ -220,6 +223,8 @@ def read_manifest(path) -> list[ManifestEntry]:
             raise TrialParseError(f"{path}: line {lineno}: malformed manifest row")
         if "" in parts:
             raise TrialParseError(f"{path}: line {lineno}: empty field in manifest row")
+        if "/" in parts[0] or "\\" in parts[0]:
+            raise TrialParseError(f"{path}: line {lineno}: utterance id {parts[0]!r} holds a path separator")
         if parts[0] in seen:
             raise TrialParseError(f"{path}: line {lineno}: duplicate utterance id {parts[0]!r}")
         seen.add(parts[0])

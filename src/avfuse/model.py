@@ -4,9 +4,9 @@ The forward runs on one (dim, segments) utterance or on a (B, dim, segments)
 mini-batch through the same ops, and refuses features whose dims or segment
 count differ from the config's.  The features are data: ``fuse`` takes them
 as ``autodiff.Constant`` leaves, so a backward forms no gradient for them.
-Every fusion mode runs the same fusion step body (``fusion.fuse``); a mode
-differs only in each modality's key and in the steps the model holds: T for
-RJCA (one set of weights repeated T times when shared), one for the
+Every fusion mode runs one fusion stage (``fusion.fuse``); only the model maps
+the mode to the stage's steps and key rule: T joint-key steps for RJCA (one set
+of weights repeated T times when shared), one ``cross`` step for the
 cross-attention baseline, none for plain concatenation.  On a tape, ``loss``
 is 5 records at any fusion depth, 4 without the BLSTM, one fewer for ``concat``.
 
@@ -41,11 +41,12 @@ class VerificationModel:
         rng = np.random.default_rng(config.seed)
         dims = (config.audio_dim, config.visual_dim, config.segments)
 
-        # The fusion steps in the order they run; shared weights are one
-        # JcaStepParams repeated, drawn once.
+        # The fusion mode as the stage's steps, in the order they run, and key
+        # rule; shared weights are one JcaStepParams repeated, drawn once.
         n_steps = {"rjca": config.iterations, "cross_attention": 1, "concat": 0}[config.fusion]
+        self.cross = config.fusion == "cross_attention"
         n_weights = min(n_steps, 1) if config.share_fusion_weights else n_steps
-        self.fusion_steps = [JcaStepParams.init(*dims, rng, config.fusion) for _ in range(n_weights)]
+        self.fusion_steps = [JcaStepParams.init(*dims, rng, self.cross) for _ in range(n_weights)]
         if config.share_fusion_weights:
             self.fusion_steps *= n_steps
 
@@ -71,7 +72,7 @@ class VerificationModel:
             if x.shape[-2:] != (dim, config.segments):
                 raise ShapeError(f"{name} features of shape {x.shape} do not match the model's "
                                  f"({name}_dim, segments) = {(dim, config.segments)}")
-        return fuse(config.fusion, audio, visual, self.fusion_steps)
+        return fuse(audio, visual, self.fusion_steps, self.cross)
 
     def embed_tensors(self, audio: np.ndarray | Tensor, visual: np.ndarray | Tensor) -> Tensor:
         fused = self.fuse(audio, visual)

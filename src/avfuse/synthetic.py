@@ -138,7 +138,7 @@ def _build_trials(spec: SyntheticSpec, rng: np.random.Generator,
         key = (flat[i][1], flat[j][1])
         if key in seen:
             continue
-        seen.add(key)
+        seen.update((key, key[::-1]))  # scores are symmetric: each pair in one order only
         nontargets.append(TrialPair(False, *key))
     if len(nontargets) < wanted:
         raise ConfigError(

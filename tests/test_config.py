@@ -1,7 +1,6 @@
 """Training config: field validation, CLI flags derived from the fields, text round trip,
 and the defaults other modules read from it."""
 
-import inspect
 import math
 import re
 from dataclasses import fields
@@ -11,10 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avfuse import cli, gradcheck
+from avfuse import cli
 from avfuse.config import ConfigError, TrainConfig, config_to_text, load_config, parse_config_text
 from avfuse.featio import load_dataset
-from avfuse.fusion import JcaStepParams
 from avfuse.model import VerificationModel
 from avfuse.objective import AamHead
 from avfuse.synthetic import SyntheticSpec, generate_dataset
@@ -59,8 +57,6 @@ def test_defaults_restated_elsewhere_are_the_train_config_defaults(tmp_path):
     head = AamHead.init(3, 4, np.random.default_rng(0))
     for built in (head, AamHead(head.weights)):
         assert (built.scale, built.margin) == (config.aam_scale, config.aam_margin)
-    for function in (JcaStepParams.shapes, JcaStepParams.init, gradcheck.check_fusion):
-        assert inspect.signature(function).parameters["fusion"].default == config.fusion
     evaluate_args = cli.build_parser().parse_args(["evaluate", "--data", "d", "--trials", "t"])
     assert evaluate_args.system == config.fusion
 

@@ -95,6 +95,9 @@ def test_malformed_trial_line_names_its_line(tmp_path, text, message):
     ("u1\tspk\ttrain\nu1\tspk\teval\n", "line 2: duplicate utterance id 'u1'"),
     ("u1\tspk\ttest\n", "line 1: malformed manifest row"),
     ("u1\tspk\ttrain\nu2\t\teval\n", "line 2: empty field in manifest row"),
+    ("u1\tspk\ttrain\n../../outside\tspk\teval\n",
+     "line 2: utterance id '../../outside' holds a path separator"),
+    ("..\\u1\tspk\ttrain\n", re.escape("line 1: utterance id '..\\\\u1' holds a path separator")),
 ])
 def test_malformed_manifest_row_names_its_line(tmp_path, text, message):
     (tmp_path / "manifest.tsv").write_text(text, encoding="utf-8")
@@ -161,7 +164,9 @@ def test_manifest_writer_refuses_an_id_its_reader_would_change(tmp_path, bad, fi
      "split must be train or eval, got 'test'"),
     (write_manifest, [ManifestEntry("u1", "spk", "train"), ManifestEntry("u1", "spk", "eval")],
      "duplicate utterance id 'u1'"),
-], ids=["trial_label", "manifest_split", "manifest_repeated_id"])
+    (write_manifest, [ManifestEntry("u1", "spk", "train"), ManifestEntry("../u2", "spk", "eval")],
+     "utterance id '../u2' holds a path separator"),
+], ids=["trial_label", "manifest_split", "manifest_repeated_id", "manifest_path_id"])
 def test_writers_refuse_a_row_their_reader_would_refuse(tmp_path, writer, rows, message):
     path = tmp_path / "rows.txt"
     with pytest.raises(TrialParseError, match=re.escape(f"{path}: {message}")):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from avfuse import autodiff as ad
 from avfuse.autodiff import Tape, Tensor, named_tensors
 from avfuse.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from avfuse.config import ConfigError, TrainConfig
+from avfuse.config import TrainConfig
 from avfuse.fusion import JcaStepParams, fuse
 from avfuse.gradcheck import check_function
 from avfuse.model import VerificationModel
@@ -27,9 +27,9 @@ def random_inputs(audio_dim, visual_dim, segments, rng=RNG):
     return audio, visual
 
 
-def zero_step(audio_dim, visual_dim, segments, fusion="rjca"):
+def zero_step(audio_dim, visual_dim, segments, cross=False):
     """All-zero weights of one step, shaped by the step's own shape table."""
-    shapes = JcaStepParams.shapes(audio_dim, visual_dim, segments, fusion)
+    shapes = JcaStepParams.shapes(audio_dim, visual_dim, segments, cross)
     return JcaStepParams(**{name: Tensor(np.zeros(shape)) for name, shape in shapes.items()})
 
 
@@ -39,33 +39,33 @@ class TestJointRepresentation:
     def test_shape(self):
         a = Tensor(np.ones((2, 4)))
         v = Tensor(np.ones((3, 4)))
-        assert fuse("concat", a, v, []).shape == (5, 4)
+        assert fuse(a, v, []).shape == (5, 4)
 
     def test_zero_visual_block(self):
         a = Tensor(np.ones((2, 4)))
         v = Tensor(np.zeros((3, 4)))
-        j = fuse("concat", a, v, []).data
+        j = fuse(a, v, []).data
         assert np.array_equal(j[:2], a.data) and np.array_equal(j[2:], np.zeros((3, 4)))
 
     def test_scalar_case(self):
-        j = fuse("concat", Tensor([[1.0]]), Tensor([[1.0]]), [])
+        j = fuse(Tensor([[1.0]]), Tensor([[1.0]]), [])
         assert np.array_equal(j.data, [[1.0], [1.0]])
 
     def test_segment_mismatch(self):
         with pytest.raises(ad.ShapeError):
-            fuse("concat", Tensor(np.ones((2, 4))), Tensor(np.ones((3, 5))), [])
+            fuse(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 5))), [])
 
 
 class TestJcaStep:
     def test_zero_weights_are_exact_identity(self):
         audio, visual = random_inputs(3, 2, 5)
-        joint = fuse("rjca", audio, visual, [zero_step(3, 2, 5)])
+        joint = fuse(audio, visual, [zero_step(3, 2, 5)])
         assert np.array_equal(joint.data, np.concatenate([audio.data, visual.data]))
 
     def test_shape_contract(self):
         audio, visual = random_inputs(2, 3, 4)
         params = JcaStepParams.init(2, 3, 4, np.random.default_rng(0))
-        assert fuse("rjca", audio, visual, [params]).shape == (5, 4)
+        assert fuse(audio, visual, [params]).shape == (5, 4)
 
     def test_scalar_hand_value(self):
         # All-ones scalar case evaluated by hand: correlation tanh(2/sqrt(2)),
@@ -74,7 +74,7 @@ class TestJcaStep:
         params = JcaStepParams(Tensor([[1.0, 1.0]]), Tensor([[1.0, 1.0]]),
                                *[Tensor([[1.0]]) for _ in range(4)])
         expected_corr = math.tanh(2.0 / math.sqrt(2.0))
-        audio, visual = fuse("rjca", ones, Tensor([[1.0]]), [params]).data[:, 0]
+        audio, visual = fuse(ones, Tensor([[1.0]]), [params]).data[:, 0]
         assert audio == pytest.approx(1.0 + expected_corr, abs=1e-12)
         assert visual == pytest.approx(1.0 + expected_corr, abs=1e-12)
         assert audio == pytest.approx(1.88839, abs=5e-6)
@@ -84,7 +84,7 @@ class TestJcaStep:
         params.attn_mix_audio = Tensor(np.zeros((4, 4)))
         audio, visual = random_inputs(2, 2, 3)
         with pytest.raises(ad.ShapeError, match=re.escape("attn_mix must be (3, 3), got (4, 4)")):
-            fuse("rjca", audio, visual, [params])
+            fuse(audio, visual, [params])
 
 
 class TestRecursion:
@@ -92,29 +92,14 @@ class TestRecursion:
     def test_zero_weights_identity_telescopes(self, steps):
         audio, visual = random_inputs(2, 3, 4)
         chain = [zero_step(2, 3, 4) for _ in range(steps)]
-        joint = fuse("rjca", audio, visual, chain)
+        joint = fuse(audio, visual, chain)
         assert np.array_equal(joint.data, np.concatenate([audio.data, visual.data]))
 
     def test_shape_closure_over_depth(self):
         audio, visual = random_inputs(3, 5, 4)
         rng = np.random.default_rng(3)
         chain = [JcaStepParams.init(3, 5, 4, rng) for _ in range(4)]
-        assert fuse("rjca", audio, visual, chain).shape == (8, 4)
-
-    def test_empty_params_rejected(self):
-        audio, visual = random_inputs(2, 2, 2)
-        with pytest.raises(ConfigError):
-            fuse("rjca", audio, visual, [])
-
-    def test_unknown_mode_is_refused_by_name(self):
-        audio, visual = random_inputs(3, 2, 4)
-        with pytest.raises(ConfigError, match="'bogus'"):
-            fuse("bogus", audio, visual, [zero_step(3, 2, 4)])
-
-    def test_concat_refuses_step_weights(self):
-        audio, visual = random_inputs(3, 2, 4)
-        with pytest.raises(ConfigError, match="concat fusion takes no step weights"):
-            fuse("concat", audio, visual, [zero_step(3, 2, 4)])
+        assert fuse(audio, visual, chain).shape == (8, 4)
 
     @pytest.mark.parametrize("steps", [1, 3, 4])
     def test_gradients_match_finite_differences(self, steps):
@@ -127,24 +112,24 @@ class TestRecursion:
         for i, p in enumerate(chain):
             checked.update(named_tensors(p, f"step{i}."))
         err = check_function(
-            lambda: ad.sum_all(ad.mul(fuse("rjca", audio, visual, chain), probe)), checked)
+            lambda: ad.sum_all(ad.mul(fuse(audio, visual, chain), probe)), checked)
         assert err < 1e-4, f"worst relative error {err}"
 
 
 class TestBaselines:
     def test_cross_attention_zero_weights_identity(self):
         audio, visual = random_inputs(3, 2, 4)
-        joint = fuse("cross_attention", audio, visual, [zero_step(3, 2, 4, "cross_attention")])
+        joint = fuse(audio, visual, [zero_step(3, 2, 4, cross=True)], cross=True)
         assert np.array_equal(joint.data, np.concatenate([audio.data, visual.data]))
 
     def test_cross_attention_gradients(self):
         rng = np.random.default_rng(9)
         audio = Tensor(rng.uniform(-1, 1, size=(2, 3)))
         visual = Tensor(rng.uniform(-1, 1, size=(3, 3)))
-        params = JcaStepParams.init(2, 3, 3, rng, "cross_attention")
+        params = JcaStepParams.init(2, 3, 3, rng, cross=True)
         probe = Tensor(rng.uniform(-1, 1, size=(5, 3)))
         err = check_function(
-            lambda: ad.sum_all(ad.mul(fuse("cross_attention", audio, visual, [params]), probe)),
+            lambda: ad.sum_all(ad.mul(fuse(audio, visual, [params], cross=True), probe)),
             {"audio": audio, "visual": visual, **named_tensors(params)})
         assert err < 1e-4, f"worst relative error {err}"
 
@@ -167,10 +152,10 @@ class TestCrossAttentionMode:
         rng = np.random.default_rng([14, len(batch)])
         audio = rng.uniform(-1, 1, size=batch + (3, 4))
         visual = rng.uniform(-1, 1, size=batch + (2, 4))
-        params = JcaStepParams.init(3, 2, 4, rng, "cross_attention")
+        params = JcaStepParams.init(3, 2, 4, rng, cross=True)
         probe = Tensor(rng.uniform(-1, 1, size=batch + (5, 4)))
         runs = []
-        for forward in (lambda a, v: fuse("cross_attention", a, v, [params]),
+        for forward in (lambda a, v: fuse(a, v, [params], cross=True),
                         lambda a, v: composed_cross_attention(a, v, params)):
             inputs = {"audio": Tensor(audio), "visual": Tensor(visual)}
             checked = {**inputs, **named_tensors(params)}
@@ -184,16 +169,14 @@ class TestCrossAttentionMode:
         assert runs[0] == runs[1]
 
     def test_step_weights_take_the_other_modality_as_key(self):
-        shapes = JcaStepParams.shapes(3, 2, 4, "cross_attention")
+        shapes = JcaStepParams.shapes(3, 2, 4, cross=True)
         assert shapes["corr_proj_audio"] == (3, 2) and shapes["corr_proj_visual"] == (2, 3)
         assert JcaStepParams.shapes(3, 2, 4)["corr_proj_audio"] == (3, 5)
-        with pytest.raises(ConfigError, match="concat"):
-            JcaStepParams.shapes(3, 2, 4, "concat")
 
     def test_rjca_weights_are_refused_in_cross_attention_mode(self):
         audio, visual = random_inputs(3, 2, 4)
         with pytest.raises(ad.ShapeError, match=re.escape("projection must be (3, 2), got (3, 5)")):
-            fuse("cross_attention", audio, visual, [zero_step(3, 2, 4)])
+            fuse(audio, visual, [zero_step(3, 2, 4)], cross=True)
 
     def test_checkpoint_round_trips_and_old_names_are_refused(self, tmp_path):
         config = TrainConfig(fusion="cross_attention", audio_dim=3, visual_dim=2, segments=4,
@@ -204,7 +187,7 @@ class TestCrossAttentionMode:
         loaded = VerificationModel.from_checkpoint(tmp_path / "cross.ckpt")
         params = model.named_parameters()
         assert [name for name in params if name.startswith("fusion.")] == [
-            f"fusion.step0.{name}" for name in JcaStepParams.shapes(3, 2, 4, "cross_attention")]
+            f"fusion.step0.{name}" for name in JcaStepParams.shapes(3, 2, 4, cross=True)]
         assert {name: t.data.tobytes() for name, t in loaded.named_parameters().items()} == \
             {name: t.data.tobytes() for name, t in params.items()}
         # The names the separate cross-attention weights were saved under.
@@ -224,12 +207,12 @@ def composed_attend(feats, key, proj, attn_mix, out_mix):
     return ref.add(ref.matmul(attn, out_mix), feats)
 
 
-def chained_fusion(fusion, audio, visual, steps, attend=ref.attend):
+def chained_fusion(cross, audio, visual, steps, attend=ref.attend):
     """The fusion stage as a chain of one op per pass: each step two ``attend``
-    passes and one stack, after the first joint stack of ``rjca``."""
-    joint = None if fusion == "cross_attention" else ref.concat_rows(audio, visual)
+    passes and one stack, after the first joint stack unless ``cross``."""
+    joint = None if cross else ref.concat_rows(audio, visual)
     for p in steps:
-        audio_key, visual_key = (visual, audio) if fusion == "cross_attention" else (joint, joint)
+        audio_key, visual_key = (visual, audio) if cross else (joint, joint)
         audio, visual = (
             attend(audio, audio_key, p.corr_proj_audio, p.attn_mix_audio, p.out_mix_audio),
             attend(visual, visual_key, p.corr_proj_visual, p.attn_mix_visual, p.out_mix_visual))
@@ -237,11 +220,11 @@ def chained_fusion(fusion, audio, visual, steps, attend=ref.attend):
     return joint
 
 
-def random_steps(rng, audio_dim, visual_dim, segments, count, fusion="rjca", shared=False):
+def random_steps(rng, audio_dim, visual_dim, segments, count, cross=False, shared=False):
     """``count`` steps' weights drawn over [-1, 1]; shared repeats the first."""
     steps = []
     for _ in range(1 if shared else count):
-        shapes = JcaStepParams.shapes(audio_dim, visual_dim, segments, fusion)
+        shapes = JcaStepParams.shapes(audio_dim, visual_dim, segments, cross)
         steps.append(JcaStepParams(**{name: Tensor(rng.uniform(-1, 1, size=shape))
                                       for name, shape in shapes.items()}))
     return steps * count if shared else steps
@@ -270,13 +253,13 @@ class TestAttend:
 
     @pytest.mark.parametrize("batch", [(), (3,)])
     def test_matches_composed_ops(self, batch):
-        for fusion in ("rjca", "cross_attention"):
+        for cross in (False, True):
             rng = np.random.default_rng([7, len(batch)])
             audio, visual = rng.uniform(-1, 1, size=batch + (3, 4)), rng.uniform(-1, 1, size=batch + (2, 4))
-            steps = random_steps(rng, 3, 2, 4, 2, fusion)
+            steps = random_steps(rng, 3, 2, 4, 2, cross)
             probe = rng.uniform(-1, 1, size=batch + (5, 4))
-            out, grads = run_stage(lambda a, v: fuse(fusion, a, v, steps), audio, visual, steps, probe)
-            composed = lambda a, v: chained_fusion(fusion, a, v, steps, composed_attend)  # noqa: E731
+            out, grads = run_stage(lambda a, v: fuse(a, v, steps, cross), audio, visual, steps, probe)
+            composed = lambda a, v: chained_fusion(cross, a, v, steps, composed_attend)  # noqa: E731
             if batch:
                 # Oracle per item on rank-2 slices; shared weights sum over items.
                 items = [run_stage(composed, audio[b], visual[b], steps, probe[b]) for b in range(batch[0])]
@@ -285,27 +268,27 @@ class TestAttend:
                              for name in grads}
             else:
                 ref_out, ref_grads = run_stage(composed, audio, visual, steps, probe)
-            assert np.abs(out - ref_out).max() <= 1e-12, fusion
+            assert np.abs(out - ref_out).max() <= 1e-12, cross
             for name, grad in grads.items():
-                assert grad is not None and grad.shape == ref_grads[name].shape, (fusion, name)
-                assert np.abs(grad - ref_grads[name]).max() <= 1e-12, (fusion, name)
+                assert grad is not None and grad.shape == ref_grads[name].shape, (cross, name)
+                assert np.abs(grad - ref_grads[name]).max() <= 1e-12, (cross, name)
 
     @pytest.mark.parametrize("batch", [(), (3,)])
     @pytest.mark.parametrize("constant", [("audio",), ("visual",), ("audio", "visual")])
     def test_constant_inputs_skip_only_their_own_gradient_terms(self, batch, constant):
-        for fusion in ("rjca", "cross_attention"):
+        for cross in (False, True):
             rng = np.random.default_rng([12, len(batch)])
             audio, visual = rng.uniform(-1, 1, size=batch + (3, 4)), rng.uniform(-1, 1, size=batch + (2, 4))
-            steps = random_steps(rng, 3, 2, 4, 2, fusion)
+            steps = random_steps(rng, 3, 2, 4, 2, cross)
             probe = rng.uniform(-1, 1, size=batch + (5, 4))
-            forward = lambda a, v: fuse(fusion, a, v, steps)  # noqa: E731
+            forward = lambda a, v: fuse(a, v, steps, cross)  # noqa: E731
             _, grads = run_stage(forward, audio, visual, steps, probe)
             _, skipped = run_stage(forward, audio, visual, steps, probe, constant)
             for name, grad in skipped.items():
                 if name in constant:
-                    assert grad is None, (fusion, name)
+                    assert grad is None, (cross, name)
                 else:
-                    assert grad.tobytes() == grads[name].tobytes(), (fusion, name)
+                    assert grad.tobytes() == grads[name].tobytes(), (cross, name)
 
     def test_output_is_bitwise_its_expression(self):
         # The in-place scaling and tanh of each correlation map keep the bits
@@ -320,15 +303,14 @@ class TestAttend:
                                0.0) @ out.data + x
                     for x, proj, mix, out in ((a, p.corr_proj_audio, p.attn_mix_audio, p.out_mix_audio),
                                               (v, p.corr_proj_visual, p.attn_mix_visual, p.out_mix_visual)))
-        out = fuse("rjca", Tensor(audio), Tensor(visual), steps)
+        out = fuse(Tensor(audio), Tensor(visual), steps)
         assert out.data.tobytes() == np.concatenate([a, v]).tobytes()
 
     def test_is_one_tape_record(self):
         rng = np.random.default_rng(8)
         steps = random_steps(rng, 3, 2, 4, 3)
         with Tape() as tape:
-            fuse("rjca", Tensor(rng.uniform(-1, 1, size=(2, 3, 4))), Tensor(rng.uniform(-1, 1, size=(2, 2, 4))),
-                 steps)
+            fuse(Tensor(rng.uniform(-1, 1, size=(2, 3, 4))), Tensor(rng.uniform(-1, 1, size=(2, 2, 4))), steps)
         assert len(tape) == 1
 
     def test_shape_errors_name_the_operand(self):
@@ -350,11 +332,11 @@ class TestAttend:
             ad.attention_fusion(audio, Tensor(np.ones((2, 5))), weights, cross=True)
 
 
-# (fusion, count, shared) with each mode a third of the draws: concat takes no steps, so
-# no weights to share.  300 examples keep about 190 of the modes with steps.
-STAGES = st.sampled_from(["rjca", "cross_attention", "concat"]).flatmap(
-    lambda fusion: st.just((fusion, 0, False)) if fusion == "concat"
-    else st.tuples(st.just(fusion), st.integers(1, 4), st.booleans()))
+# (cross, count, shared) with each key rule and no steps a third of the draws: a stage
+# of no steps has no weights to share.  300 examples keep about 190 stages with steps.
+STAGES = st.sampled_from([False, True, None]).flatmap(
+    lambda cross: st.just((False, 0, False)) if cross is None
+    else st.tuples(st.just(cross), st.integers(1, 4), st.booleans()))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -364,16 +346,16 @@ STAGES = st.sampled_from(["rjca", "cross_attention", "concat"]).flatmap(
        segments=st.integers(1, 5), batch=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_fused_stage_is_bitwise_the_chain_of_one_op_per_pass(rank3, stage, constant, audio_dim, visual_dim,
                                                              segments, batch, seed):
-    fusion, count, shared = stage
+    cross, count, shared = stage
     rng = np.random.default_rng(seed)
     lead = (batch,) if rank3 else ()
     audio = rng.uniform(-1, 1, size=lead + (audio_dim, segments))
     visual = rng.uniform(-1, 1, size=lead + (visual_dim, segments))
-    steps = random_steps(rng, audio_dim, visual_dim, segments, count, fusion, shared)
+    steps = random_steps(rng, audio_dim, visual_dim, segments, count, cross, shared)
     probe = rng.uniform(-1, 1, size=lead + (audio_dim + visual_dim, segments))
     runs = [run_stage(forward, audio, visual, steps, probe, constant)
-            for forward in (lambda a, v: fuse(fusion, a, v, steps),
-                            lambda a, v: chained_fusion(fusion, a, v, steps))]
+            for forward in (lambda a, v: fuse(a, v, steps, cross),
+                            lambda a, v: chained_fusion(cross, a, v, steps))]
     (out, grads), (ref_out, ref_grads) = runs
     assert out.tobytes() == ref_out.tobytes()
     assert grads.keys() == ref_grads.keys()
@@ -385,21 +367,21 @@ def test_fused_stage_is_bitwise_the_chain_of_one_op_per_pass(rank3, stage, const
 
 class TestRecordCounts:
     @pytest.mark.parametrize("steps", [1, 3, 5])
-    @pytest.mark.parametrize("fusion", ["rjca", "cross_attention"])
-    def test_fusion_stage_is_one_record_at_any_depth(self, fusion, steps):
+    @pytest.mark.parametrize("cross", [False, True], ids=["rjca", "cross_attention"])
+    def test_fusion_stage_is_one_record_at_any_depth(self, cross, steps):
         audio, visual = random_inputs(3, 2, 4)
-        chain = random_steps(np.random.default_rng(steps), 3, 2, 4, steps, fusion)
+        chain = random_steps(np.random.default_rng(steps), 3, 2, 4, steps, cross)
         with Tape() as tape:
-            fuse(fusion, audio, visual, chain)
+            fuse(audio, visual, chain, cross)
         assert len(tape) == 1
 
     def test_concat_is_one_record_unless_both_inputs_are_constants(self):
         audio, visual = random_inputs(3, 2, 4)
         with Tape() as tape:
-            fuse("concat", audio, visual, [])
+            fuse(audio, visual, [])
         assert len(tape) == 1
         with Tape() as tape:
-            joint = fuse("concat", ad.Constant(audio.data), ad.Constant(visual.data), [])
+            joint = fuse(ad.Constant(audio.data), ad.Constant(visual.data), [])
         assert len(tape) == 0 and isinstance(joint, ad.Constant)
 
     def test_batched_recursion_rows_match_single_utterances(self):
@@ -407,7 +389,7 @@ class TestRecordCounts:
         audio = rng.uniform(-1, 1, size=(3, 3, 4))
         visual = rng.uniform(-1, 1, size=(3, 2, 4))
         chain = [JcaStepParams.init(3, 2, 4, rng) for _ in range(3)]
-        joint = fuse("rjca", Tensor(audio), Tensor(visual), chain).data
+        joint = fuse(Tensor(audio), Tensor(visual), chain).data
         for b in range(3):
-            single = fuse("rjca", Tensor(audio[b]), Tensor(visual[b]), chain).data
+            single = fuse(Tensor(audio[b]), Tensor(visual[b]), chain).data
             assert np.abs(joint[b] - single).max() <= 1e-12

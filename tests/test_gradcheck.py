@@ -14,7 +14,7 @@ def test_every_layer_passes():
     results = gradcheck.run_suite()
     assert [r.name for r in results] == list(gradcheck.LAYER_CHECKS)
     failed = {r.name: r.worst_error for r in results if not r.passed}
-    assert not failed, f"layers over tolerance {gradcheck.DEFAULT_TOLERANCE}: {failed}"
+    assert not failed, f"layers over tolerance {gradcheck.TOLERANCE}: {failed}"
 
 
 def test_a_row_reports_the_same_error_alone_as_in_the_suite(monkeypatch):
@@ -43,5 +43,5 @@ def test_a_tensor_the_tape_gives_no_gradient_is_checked_against_zero():
         # the tape gives b no gradient while perturbing b still moves the loss.
         return ad.sum_all(ad.mul(a, Constant(b.data)))
 
-    assert gradcheck.check_function(loss, {"a": a}) < gradcheck.DEFAULT_TOLERANCE
+    assert gradcheck.check_function(loss, {"a": a}) < gradcheck.TOLERANCE
     assert gradcheck.check_function(loss, {"a": a, "b": b}) == 1.0

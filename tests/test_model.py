@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from avfuse import autodiff as ad
-from avfuse.autodiff import Constant, Tape, Tensor
-from avfuse.config import ConfigError, TrainConfig
+from avfuse.autodiff import Constant, Tape, Tensor, named_tensors
+from avfuse.config import FUSION_MODES, ConfigError, TrainConfig
 from avfuse.fusion import fuse
 from avfuse.model import VerificationModel
 from avfuse.objective import aam_loss
@@ -124,6 +124,28 @@ def test_non_finite_features_raise_from_embed(batched, modality, value):
         model.embed(inputs["audio"], inputs["visual"])
 
 
+# Each mode's fusion stage as the paper defines it: step count, and each step's
+# correlation projections (audio, visual) keyed on the joint stack or the other modality.
+JOINT_KEY = {"corr_proj_audio": (3, 5), "corr_proj_visual": (2, 5)}
+CROSS_KEY = {"corr_proj_audio": (3, 2), "corr_proj_visual": (2, 3)}
+PAPER_STAGES = {"rjca": (3, JOINT_KEY), "cross_attention": (1, CROSS_KEY), "concat": (0, None)}
+
+
+@pytest.mark.parametrize("fusion", FUSION_MODES)
+def test_each_fusion_mode_builds_the_stage_the_paper_defines(fusion):
+    model = tiny_model(fusion=fusion)
+    n_steps, key_shapes = PAPER_STAGES[fusion]
+    assert len(model.fusion_steps) == n_steps
+    assert model.cross == (key_shapes is CROSS_KEY)
+    for step in model.fusion_steps:
+        shapes = {name: t.shape for name, t in named_tensors(step).items()}
+        assert {name: shapes[name] for name in key_shapes} == key_shapes
+    # With no steps there is no key, so the key rule changes nothing.
+    audio, visual, _ = tiny_batch()
+    assert fuse(Tensor(audio), Tensor(visual), [], cross=True).data.tobytes() == \
+        fuse(Tensor(audio), Tensor(visual), []).data.tobytes()
+
+
 @pytest.mark.parametrize("use_blstm", [True, False])
 @pytest.mark.parametrize("fusion", ["rjca", "cross_attention", "concat"])
 def test_embed_and_loss_leave_the_callers_features_unchanged(fusion, use_blstm):
@@ -165,7 +187,7 @@ FULL_SIZE = {
 def _embed_stack(model, audio, visual):
     """``model.embed_tensors`` without its constant inputs: whatever leaves
     come in, Tensor or Constant, the fusion stage attends them as they are."""
-    fused = fuse(model.config.fusion, audio, visual, model.fusion_steps)
+    fused = fuse(audio, visual, model.fusion_steps, model.cross)
     if model.blstm is not None:
         fused = blstm_forward(fused, model.blstm)
     return project_embedding(asp(fused, model.asp), model.projection)

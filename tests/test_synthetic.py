@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from avfuse import synthetic
 from avfuse.config import ConfigError
 from avfuse.featio import parse_trial_list
 from avfuse.synthetic import SyntheticSpec, generate_dataset
@@ -12,13 +13,26 @@ from avfuse.synthetic import SyntheticSpec, generate_dataset
 
 def test_too_few_cross_speaker_pairs_raise_with_both_counts(tmp_path):
     # 2 speakers x 2 held-out utterances: 2 target trials, so 20 nontargets
-    # are requested, but only 8 ordered cross-speaker pairs exist.
+    # are requested, but only 4 cross-speaker pairs exist (8 counting order).
     spec = SyntheticSpec(n_speakers=2, utts_per_speaker=3, eval_utts_per_speaker=2,
                          nontargets_per_target=10)
     out_dir = tmp_path / "data"
-    with pytest.raises(ConfigError, match=r"requested 20 nontarget.*found only 8"):
+    with pytest.raises(ConfigError, match=r"requested 20 nontarget.*found only 4"):
         generate_dataset(spec, out_dir)
     assert list(tmp_path.rglob("*")) == [], "a failed spec must leave no files behind"
+
+
+def test_default_trial_lists_hold_each_pair_once_in_either_order(tmp_path, monkeypatch):
+    # Scores are symmetric, so a pair listed in both orders would count twice.  The
+    # writers are stubbed: only the trial list, built from the full seeded draws, matters.
+    written = []
+    monkeypatch.setattr(synthetic, "save_features", lambda path, matrix: None)
+    monkeypatch.setattr(synthetic, "write_manifest", lambda path, entries: None)
+    monkeypatch.setattr(synthetic, "write_trial_list", lambda path, trials: written.append(trials))
+    for seed in range(12):
+        generate_dataset(SyntheticSpec(seed=seed), tmp_path)
+        pairs = [frozenset(t[1:]) for t in written.pop()]
+        assert len(set(pairs)) == len(pairs), seed
 
 
 def test_default_ratio_delivers_every_requested_nontarget(tmp_path):
