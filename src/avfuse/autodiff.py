@@ -47,9 +47,12 @@ initial states.
 Every matrix product of the fused ops goes through ``_mm``: 2-D operands
 through ``np.dot``, which makes the same BLAS call as ``@`` (gemm, gemv, or
 syrk for ``a @ a.T``) at less per-call cost, and only stacks through
-``np.matmul``.  A tape-free one-utterance ``blstm`` call reuses one workspace
-per shape (``_utterance_workspace``) rather than allocating its buffers and
-step views anew.
+``np.matmul``.  The exception is a one-utterance ``attention_fusion``
+forward: it calls that 2-D ``ndarray.dot`` itself and keeps its recursion
+state in one joint stack per step, while a batch keeps ``_mm`` (see the op).
+A tape-free one-utterance ``blstm`` call reuses one workspace per shape
+(``_utterance_workspace``) rather than allocating its buffers and step views
+anew.
 
 A tape is single-threaded by design: one tape per training worker.  Entered
 tapes nest on one module-level stack, and the innermost records.  The module
@@ -590,14 +593,15 @@ def blstm(x: Tensor, forward: tuple[Tensor, Tensor, Tensor],
 
 
 def _attend(feats: np.ndarray, key: np.ndarray, proj: np.ndarray, attn_mix: np.ndarray,
-            out_mix: np.ndarray, inv_scale: float):
+            out_mix: np.ndarray, inv_scale: float, out: np.ndarray | None = None, mm=_mm):
     """One modality's pass of ``attention_fusion``: feats + relu((feats @ attn_mix) @ C) @ out_mix,
-    and the segment map C = tanh(feats^T (proj @ key) * inv_scale), inv_scale = 1/sqrt(k)."""
-    corr = _mm(_swap(feats), _mm(proj, key))
+    and the segment map C = tanh(feats^T (proj @ key) * inv_scale), inv_scale = 1/sqrt(k).
+    ``mm`` forms the products, and the last writes into ``out`` when given."""
+    corr = mm(_swap(feats), mm(proj, key))
     corr *= inv_scale
     np.tanh(corr, out=corr)
-    gated = _mm(_mm(feats, attn_mix), corr)
-    out = _mm(np.maximum(gated, 0.0, out=gated), out_mix)
+    gated = mm(mm(feats, attn_mix), corr)
+    out = mm(np.maximum(gated, 0.0, out=gated), out_mix, out)
     out += feats
     return out, corr
 
@@ -653,6 +657,12 @@ def attention_fusion(audio: Tensor, visual: Tensor, steps: list[tuple[Tensor, ..
     per stack; a constant input (see ``Constant``), or a joint stack of two, takes none.  With
     no steps the output is the joint stack of the inputs, and each input's gradient is its
     block of the output's.
+
+    One utterance's forward stacks its inputs once, and each step writes both passes into the
+    row blocks of a fresh stack: the next step's inputs and joint key, and after the last step
+    the output.  Its products are direct ``ndarray.dot`` calls, the ones ``_mm`` makes.  A
+    batch keeps two arrays and stacks them per step, as ``_mm`` would copy its strided row
+    blocks before the one GEMM.  The backward is the same for both.
     """
     op = "attention_fusion"
     _require_matrix(audio, op)
@@ -674,19 +684,29 @@ def attention_fusion(audio: Tensor, visual: Tensor, steps: list[tuple[Tensor, ..
     # in its own call: what it does not keep is freed, and its pages reused, before the next one.
     saved = None if _active_tape() is None else []
 
-    def step(a, v, data):
-        joint = None if cross else np.concatenate([a, v], axis=-2)
+    def step(a, v, joint, data, rows=(None, None), mm=_mm):
         key_a, key_v = (v, a) if cross else (joint, joint)
-        a_out, corr_a = _attend(a, key_a, *data[:3], inv_scales[0])
-        v_out, corr_v = _attend(v, key_v, *data[3:], inv_scales[1])
+        a_out, corr_a = _attend(a, key_a, *data[:3], inv_scales[0], rows[0], mm)
+        v_out, corr_v = _attend(v, key_v, *data[3:], inv_scales[1], rows[1], mm)
         if saved is not None:
             saved.append((a, v, joint, corr_a, corr_v))
         return a_out, v_out
 
     a, v = audio.data, visual.data
-    for data in arrays:
-        a, v = step(a, v, data)
-    out = Tensor._wrap(np.concatenate([a, v], axis=-2))
+    if a.ndim == 2:
+        # ndarray.dot is _mm's call for 2-D operands but two 1x1 ones, which one segment can give.
+        joint = np.concatenate([a, v])
+        mm = np.ndarray.dot if length > 1 else _mm
+        for data in arrays:
+            state = np.empty_like(joint)
+            rows = state[:dims[0]], state[dims[0]:]
+            step(joint[:dims[0]], joint[dims[0]:], joint, data, rows, mm)
+            joint = state
+    else:
+        for data in arrays:
+            a, v = step(a, v, None if cross else np.concatenate([a, v], axis=-2), data)
+        joint = np.concatenate([a, v], axis=-2)
+    out = Tensor._wrap(joint)
 
     def backward(g):
         g_a, g_v = g[..., :dims[0], :], g[..., dims[0]:, :]

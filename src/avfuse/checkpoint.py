@@ -7,21 +7,19 @@ in ``featio``'s storage format, which that module alone encodes and decodes.
 Serialization is canonical, so save(load(x)) reproduces x byte for byte.  The
 reader rejects names that are not strictly increasing (so no name given twice),
 ranks outside 1..3 and NaN or Inf values; the writer refuses those ranks and
-values before any file exists.  A save writes a temporary file in the target's
-directory and renames it over the target, so a failed save leaves any previous
-file at that path intact.
+values before any file exists.  A save goes through ``featio.replace_file``, so a
+failed save leaves any previous file at that path intact.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from avfuse.featio import BadMagicError, FeatureFileError, TruncatedPayloadError, narrow, widen
+from avfuse.featio import BadMagicError, FeatureFileError, TruncatedPayloadError, narrow, replace_file, widen
 
 CHECKPOINT_MAGIC = b"AVCK"
 CHECKPOINT_VERSION = 1
@@ -44,15 +42,7 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], config_text: str) -> N
         parts.append(struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded, arr.ndim,
                                  *arr.shape))
         parts.append(stored)
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(b"".join(parts))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    replace_file(path, b"".join(parts))
 
 
 def _utf8(raw: bytes, path, what: str) -> str:

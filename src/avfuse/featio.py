@@ -10,7 +10,8 @@ each read whole by one unbuffered read, from paths built once per dataset.
 Trial-list and manifest rows are ``NamedTuple``s, so a row costs what a
 3-tuple costs and a list of them flattens in one pass.  An utterance id names
 its files, so it holds no path separator.  Every writer refuses, before
-opening its file, what its reader would refuse or change.
+opening its file, what its reader would refuse or change.  ``replace_file``
+is the one atomic write, of checkpoints and scores files.
 """
 
 from __future__ import annotations
@@ -75,6 +76,20 @@ def _screened(values: np.ndarray, what: str, error: type) -> np.ndarray:
         index = tuple(int(i) for i in bad[0])
         raise error(f"{what}: {values[index]} at index {index} is not a finite single-precision value")
     return values
+
+
+def replace_file(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file in ``path``'s directory and rename it over ``path``:
+    a failed write leaves any previous file at ``path`` intact and no temporary file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_features(path, matrix: np.ndarray) -> None:

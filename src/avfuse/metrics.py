@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from avfuse.featio import replace_file
+
 
 class ScoreSetError(ValueError):
     """A score set missing a class, empty, or containing non-finite scores."""
@@ -179,8 +181,8 @@ def format_report(report: MetricsReport) -> str:
 
 
 def write_scores(path, score_set: ScoreSet) -> None:
-    """One `label score` line per trial; repr round-trips the float exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for label, score in zip(score_set.labels, score_set.scores):
-            fh.write(f"{int(label)} {float(score)!r}\n")
+    """One `label score` line per trial; repr round-trips the float exactly.  The file is
+    replaced whole (``featio.replace_file``): a failed write leaves the previous one."""
+    lines = [f"{int(label)} {float(score)!r}\n" for label, score in zip(score_set.labels, score_set.scores)]
+    replace_file(path, "".join(lines).encode("utf-8"))
 

@@ -10,9 +10,10 @@ embedding projection chained them.
 
 ``attend`` is one modality's attention pass as a fused op of its own, and
 ``concat_rows`` the stack of two matrices, both kept verbatim from when the
-fusion stage chained them: two ``attend`` and one ``concat_rows`` per step are
-the bitwise oracle of ``attention_fusion``, one ``concat_rows`` its oracle with
-no steps, and ``composed_attend`` the oracle of ``attend`` in turn.
+fusion stage chained them: two ``attend`` and one ``concat_rows`` per step
+(``chained_fusion``) are the bitwise oracle of ``attention_fusion``, one
+``concat_rows`` its oracle with no steps, and ``composed_attend`` the oracle of
+``attend`` in turn.
 """
 
 import math
@@ -321,3 +322,16 @@ def attend(feats: Tensor, key: Tensor, proj: Tensor, attn_mix: Tensor, out_mix: 
             _accumulate(key, proj.data.T @ d_projected)
 
     return _record(backward, out, feats, key, proj, attn_mix, out_mix)
+
+
+def chained_fusion(cross, audio, visual, steps, attend=attend):
+    """The fusion stage as a chain of one op per pass: each step two ``attend``
+    passes and one stack, after the first joint stack unless ``cross``."""
+    joint = None if cross else concat_rows(audio, visual)
+    for p in steps:
+        audio_key, visual_key = (visual, audio) if cross else (joint, joint)
+        audio, visual = (
+            attend(audio, audio_key, p.corr_proj_audio, p.attn_mix_audio, p.out_mix_audio),
+            attend(visual, visual_key, p.corr_proj_visual, p.attn_mix_visual, p.out_mix_visual))
+        joint = concat_rows(audio, visual)
+    return joint

@@ -454,3 +454,19 @@ def test_mm_is_bitwise_matmul_at_the_model_shapes(name, rank, monkeypatch):
     joint = np.concatenate([audio, visual], axis=-2).reshape(-1, config.segments)
     checked(joint, joint.T)
     checked(joint.T, joint)
+
+
+@pytest.mark.parametrize("name", list(PRODUCT_CONFIGS))
+def test_one_utterance_fusion_is_bitwise_its_matmul_chain_at_the_model_shapes(name, monkeypatch):
+    # A one-utterance fusion stage calls ndarray.dot itself, not through ad._mm, on the
+    # same premise; the oracle chain here takes ``@`` for every product.
+    config = TrainConfig(**PRODUCT_CONFIGS[name])
+    model = VerificationModel(config, n_speakers=50)
+    rng = np.random.default_rng(len(name))
+    audio = Tensor(rng.standard_normal((config.audio_dim, config.segments)))
+    visual = Tensor(rng.standard_normal((config.visual_dim, config.segments)))
+    fused = model.fuse(audio, visual).data
+    monkeypatch.setattr(ref, "_mm", lambda a, b, out=None: np.matmul(a, b, out=out))
+    chained = ref.chained_fusion(model.cross, audio, visual, model.fusion_steps).data
+    assert len(model.fusion_steps) == config.iterations
+    assert fused.tobytes() == chained.tobytes()

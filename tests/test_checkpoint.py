@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from avfuse import checkpoint
+from avfuse import featio
 from avfuse.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from avfuse.config import TrainConfig, config_to_text
 from avfuse.featio import TruncatedPayloadError
@@ -50,7 +50,7 @@ def test_failed_save_keeps_previous_file_and_leaves_no_temp_file(tmp_path, monke
             self.fh.flush()
             raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(checkpoint, "open", lambda *a, **k: TornWriter(real_open(*a, **k)),
+    monkeypatch.setattr(featio, "open", lambda *a, **k: TornWriter(real_open(*a, **k)),
                         raising=False)
     with pytest.raises(OSError, match="No space left"):
         save_checkpoint(target, {"w": np.zeros((3, 3))}, "seed = 2\n")

@@ -207,19 +207,6 @@ def composed_attend(feats, key, proj, attn_mix, out_mix):
     return ref.add(ref.matmul(attn, out_mix), feats)
 
 
-def chained_fusion(cross, audio, visual, steps, attend=ref.attend):
-    """The fusion stage as a chain of one op per pass: each step two ``attend``
-    passes and one stack, after the first joint stack unless ``cross``."""
-    joint = None if cross else ref.concat_rows(audio, visual)
-    for p in steps:
-        audio_key, visual_key = (visual, audio) if cross else (joint, joint)
-        audio, visual = (
-            attend(audio, audio_key, p.corr_proj_audio, p.attn_mix_audio, p.out_mix_audio),
-            attend(visual, visual_key, p.corr_proj_visual, p.attn_mix_visual, p.out_mix_visual))
-        joint = ref.concat_rows(audio, visual)
-    return joint
-
-
 def random_steps(rng, audio_dim, visual_dim, segments, count, cross=False, shared=False):
     """``count`` steps' weights drawn over [-1, 1]; shared repeats the first."""
     steps = []
@@ -259,7 +246,7 @@ class TestAttend:
             steps = random_steps(rng, 3, 2, 4, 2, cross)
             probe = rng.uniform(-1, 1, size=batch + (5, 4))
             out, grads = run_stage(lambda a, v: fuse(a, v, steps, cross), audio, visual, steps, probe)
-            composed = lambda a, v: chained_fusion(cross, a, v, steps, composed_attend)  # noqa: E731
+            composed = lambda a, v: ref.chained_fusion(cross, a, v, steps, composed_attend)  # noqa: E731
             if batch:
                 # Oracle per item on rank-2 slices; shared weights sum over items.
                 items = [run_stage(composed, audio[b], visual[b], steps, probe[b]) for b in range(batch[0])]
@@ -305,6 +292,32 @@ class TestAttend:
                                               (v, p.corr_proj_visual, p.attn_mix_visual, p.out_mix_visual)))
         out = fuse(Tensor(audio), Tensor(visual), steps)
         assert out.data.tobytes() == np.concatenate([a, v]).tobytes()
+
+    def test_a_tape_free_call_before_backward_leaves_the_gradients(self):
+        # A taped stage's saved state is its own: a tape-free one-utterance call of
+        # the same shape between a taped forward and its backward changes no gradient bit.
+        for cross in (False, True):
+            rng = np.random.default_rng([14, cross])
+            (audio, other_audio), (visual, other_visual) = (rng.uniform(-1, 1, size=(2, dim, 4))
+                                                            for dim in (3, 2))
+            steps = random_steps(rng, 3, 2, 4, 3, cross)
+            probe = rng.uniform(-1, 1, size=(5, 4))
+
+            def gradient_bytes(interrupt):
+                tensors = {"audio": Tensor(audio), "visual": Tensor(visual)}
+                for i, step in enumerate(steps):
+                    tensors.update(named_tensors(step, f"step{i}."))
+                for t in tensors.values():
+                    t.grad = None
+                with Tape() as tape:
+                    fused = fuse(tensors["audio"], tensors["visual"], steps, cross)
+                    loss = ad.sum_all(ad.mul(fused, Tensor(probe)))
+                if interrupt:
+                    fuse(Tensor(other_audio), Tensor(other_visual), steps, cross)
+                tape.backward(loss)
+                return {name: t.grad.tobytes() for name, t in tensors.items()}
+
+            assert gradient_bytes(True) == gradient_bytes(False), cross
 
     def test_is_one_tape_record(self):
         rng = np.random.default_rng(8)
@@ -355,9 +368,11 @@ def test_fused_stage_is_bitwise_the_chain_of_one_op_per_pass(rank3, stage, const
     probe = rng.uniform(-1, 1, size=lead + (audio_dim + visual_dim, segments))
     runs = [run_stage(forward, audio, visual, steps, probe, constant)
             for forward in (lambda a, v: fuse(a, v, steps, cross),
-                            lambda a, v: chained_fusion(cross, a, v, steps))]
+                            lambda a, v: ref.chained_fusion(cross, a, v, steps))]
     (out, grads), (ref_out, ref_grads) = runs
     assert out.tobytes() == ref_out.tobytes()
+    # The same stage tape-free, as embedding runs it, gives the same bits.
+    assert fuse(Tensor(audio), Tensor(visual), steps, cross).data.tobytes() == out.tobytes()
     assert grads.keys() == ref_grads.keys()
     for name, grad in grads.items():
         assert (grad is None) == (name in constant), name
