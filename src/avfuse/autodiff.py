@@ -17,10 +17,10 @@ array; hence nothing may mutate a ``.grad`` array in place.  Without an active
 tape, ops run as plain numpy forward passes (the inference path).
 
 A ``Constant`` is a leaf tensor that never gets a gradient; the model takes
-its input features as constants.  The fused ops do not form the gradient
-terms of constant inputs, a primitive's term for one is dropped on
-accumulation, and an op whose inputs are all constants records nothing and
-returns a constant.
+its input features as constants.  Ops treat it as any other input: every op
+records, and returns a ``Tensor``, and a term for a constant is dropped on
+accumulation.  Only the fusion stage, where the features enter, skips
+forming the terms that would feed them.
 
 Tensors have rank 1 to 3.  A rank-2 ``(rows, cols)`` tensor is one
 utterance's matrix; a rank-3 ``(B, rows, cols)`` tensor stacks B of them on a
@@ -145,9 +145,7 @@ class Constant(Tensor):
 
     Validated like a ``Tensor``, but an array already float64 and C-contiguous
     is held as it is, not copied: no op writes to a constant's data.  Backward
-    hands it nothing: ops skip the gradient terms that would only feed a
-    constant, and an op whose inputs are all constants records nothing and
-    returns a constant.
+    hands it nothing: ``_accumulate`` drops every term for it.
     """
 
     __slots__ = ()
@@ -218,16 +216,8 @@ def _accumulate(t: Tensor, delta: np.ndarray) -> None:
     t.grad = delta if t.grad is None else t.grad + delta
 
 
-def _record(backward: Callable[[np.ndarray], None], out: Tensor, *inputs: Tensor) -> Tensor:
-    """Record one op on the active tape and return its output.
-
-    When ``inputs`` are given and all are constants, nothing could receive a
-    gradient: the op records nothing and its output comes back as a constant.
-    """
-    # A tensor that is not a plain Tensor is a Constant.  Most ops' first
-    # input is a plain Tensor, so one type test settles the common case.
-    if inputs and type(inputs[0]) is Constant and Tensor not in map(type, inputs):
-        return Constant._wrap(out.data)
+def _record(backward: Callable[[np.ndarray], None], out: Tensor) -> Tensor:
+    """Record one op on the active tape, if any, and return its output."""
     tape = _active_tape()
     if tape is not None:
         tape._records.append((backward, out))
@@ -312,7 +302,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(a, g * b.data)
         _accumulate(b, _unbroadcast(g * a.data, b))
 
-    return _record(backward, out, a, b)
+    return _record(backward, out)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -322,7 +312,7 @@ def sum_all(x: Tensor) -> Tensor:
     def backward(g):
         _accumulate(x, np.full_like(x.data, g.reshape(-1)[0]))
 
-    return _record(backward, out, x)
+    return _record(backward, out)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +326,7 @@ def affine(weight: Tensor, x: Tensor, bias: Tensor) -> Tensor:
 
     The forward and the backward are the arithmetic of a matrix product followed by a
     sum: a batch's product is one per item, and its weight and bias gradients are summed
-    over the items.  A constant x (see ``Constant``) takes no gradient term.
+    over the items.
     """
     _require_rank2(weight, "affine")
     _require_matrix(x, "affine")
@@ -352,10 +342,9 @@ def affine(weight: Tensor, x: Tensor, bias: Tensor) -> Tensor:
     def backward(g):
         _accumulate(bias, _unbroadcast(g, bias))
         _accumulate(weight, _left_grad(g, x.data, 2))
-        if not isinstance(x, Constant):
-            _accumulate(x, _mm(weight.data.T, g))
+        _accumulate(x, _mm(weight.data.T, g))
 
-    return _record(backward, out, weight, x, bias)
+    return _record(backward, out)
 
 
 @functools.lru_cache(maxsize=8)
@@ -567,9 +556,8 @@ def blstm(x: Tensor, forward: tuple[Tensor, Tensor, Tensor],
                 _mm(w_bw_t, dpre_bw, out=dh_bw)
         return dpre
 
-    def direction_gradients(k: int, dpre: np.ndarray, xs: np.ndarray) -> np.ndarray | None:
-        """Accumulate direction k's weight gradients; returns its part of the input
-        gradient, or None for a constant input."""
+    def direction_gradients(k: int, dpre: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """Accumulate direction k's weight gradients; returns its part of the input gradient."""
         w_in, w_rec, b = directions[k]
         # Back to time order: the backward direction's steps run from the last time.
         dpre_cols = columns(dpre[:, k] if k == 0 else dpre[::-1, k])
@@ -577,19 +565,16 @@ def blstm(x: Tensor, forward: tuple[Tensor, Tensor, Tensor],
         _accumulate(w_in, _mm(dpre_cols, xs.T))
         _accumulate(w_rec, _mm(dpre_cols, columns(hs_prev).T))
         _accumulate(b, dpre_cols.sum(axis=1, keepdims=True))
-        return None if isinstance(x, Constant) else _mm(w_in.data.T, dpre_cols)
+        return _mm(w_in.data.T, dpre_cols)
 
     def backward_pass(grad):
         # Each helper's scratch is freed on return, before the next allocates.
         dpre = step_gradients(grad)
         xs = x.data if x.ndim == 2 else x.data.transpose(1, 2, 0).reshape(dim, -1)
-        dx_fw = direction_gradients(0, dpre, xs)
-        dx_bw = direction_gradients(1, dpre, xs)
-        if dx_fw is not None:
-            dxs = dx_fw + dx_bw
-            _accumulate(x, dxs if x.ndim == 2 else dxs.reshape(dim, length, batch).transpose(2, 0, 1))
+        dxs = direction_gradients(0, dpre, xs) + direction_gradients(1, dpre, xs)
+        _accumulate(x, dxs if x.ndim == 2 else dxs.reshape(dim, length, batch).transpose(2, 0, 1))
 
-    return _record(backward_pass, out, x, *forward, *backward)
+    return _record(backward_pass, out)
 
 
 def _attend(feats: np.ndarray, key: np.ndarray, proj: np.ndarray, attn_mix: np.ndarray,
@@ -717,7 +702,7 @@ def attention_fusion(audio: Tensor, visual: Tensor, steps: list[tuple[Tensor, ..
             a, v, joint, corr_a, corr_v = saved[t]
             # Step 0 accumulates into the op's inputs, a later step into fresh holders.
             ins_a, ins_v = (audio, visual) if t == 0 else (Tensor._wrap(a), Tensor._wrap(v))
-            # A joint stack of two constants is a constant, as the op with no steps makes it.
+            # Step 0's joint stack of two constant inputs is a constant: it forms no key gradient.
             stack = Constant if isinstance(ins_a, Constant) and isinstance(ins_v, Constant) else Tensor
             key_a, key_v = (ins_v, ins_a) if cross else (stack._wrap(joint),) * 2
             rows = _attend_backward(g_v, ins_v, key_v, steps[t][3:], corr_v, inv_scales[1])
@@ -727,7 +712,7 @@ def attention_fusion(audio: Tensor, visual: Tensor, steps: list[tuple[Tensor, ..
                 _accumulate(ins_v, key_a.grad[..., dims[0]:, :])
             g_a, g_v = ins_a.grad, ins_v.grad
 
-    return _record(backward, out, audio, visual, *[w for weights in steps for w in weights])
+    return _record(backward, out)
 
 
 def attentive_pool(feats: Tensor, proj: Tensor, bias: Tensor, score: Tensor) -> Tensor:
@@ -773,16 +758,15 @@ def attentive_pool(feats: Tensor, proj: Tensor, bias: Tensor, score: Tensor) -> 
         d_pre = np.multiply(hidden, hidden)
         np.subtract(1.0, d_pre, out=d_pre)
         d_pre *= score.data * _swap(d_scores)
-        if not isinstance(feats, Constant):
-            d_x = x * (2.0 * d_second)
-            d_x += d_mean
-            d_x *= _swap(weights)
-            d_x += _mm(proj.data.T, d_pre)
-            _accumulate(feats, d_x)
+        d_x = x * (2.0 * d_second)
+        d_x += d_mean
+        d_x *= _swap(weights)
+        d_x += _mm(proj.data.T, d_pre)
+        _accumulate(feats, d_x)
         _accumulate(proj, _left_grad(d_pre, x, 2))
         _accumulate(bias, _unbroadcast(d_pre.sum(axis=-1, keepdims=True), bias))
 
-    return _record(backward, out, feats, proj, bias, score)
+    return _record(backward, out)
 
 
 def aam_cross_entropy(embedding: Tensor, weights: Tensor, labels: np.ndarray, scale: float,
@@ -849,4 +833,4 @@ def aam_cross_entropy(embedding: Tensor, weights: Tensor, labels: np.ndarray, sc
         inner = (unit_classes * d_unit_classes).sum(axis=-1, keepdims=True)
         _accumulate(weights, (d_unit_classes - unit_classes * inner) / class_norms.T)
 
-    return _record(backward, out, embedding, weights)
+    return _record(backward, out)

@@ -5,7 +5,8 @@ reads an optional `key = value` config file, overridden by one flag per config f
 ``evaluate`` takes no config: a trained system's is its checkpoint's.  Its one model
 setting, ``--score-fusion-weight`` (default ``TrainConfig.score_fusion_weight``), is read
 by ``score_level`` alone and refused for every other system.  Every command that draws
-from a seed echoes it for reproduction.
+from a seed echoes it for reproduction.  Flags are taken only in full: a prefix of one is
+refused, so no later flag can change what an old command means.
 """
 
 from __future__ import annotations
@@ -119,10 +120,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="avfuse",
         description="Audio-visual person verification: synthesis, training, evaluation.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
+    p = sub.add_parser("synth", help="generate a synthetic dataset", allow_abbrev=False)
     p.add_argument("--out", type=Path, required=True)
     for field in fields(SyntheticSpec):
         # --speakers sets n_speakers; every other flag spells its field with dashes.
@@ -130,13 +132,13 @@ def build_parser() -> argparse.ArgumentParser:
                        type=type(field.default), default=field.default)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("train", help="train a fusion model")
+    p = sub.add_parser("train", help="train a fusion model", allow_abbrev=False)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     _add_config_flags(p)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("evaluate", help="score a trial list and report metrics")
+    p = sub.add_parser("evaluate", help="score a trial list and report metrics", allow_abbrev=False)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--trials", type=Path, required=True)
     p.add_argument("--system", choices=TRAINED_SYSTEMS + RAW_SYSTEMS, default=TrainConfig.fusion)
@@ -149,13 +151,13 @@ def build_parser() -> argparse.ArgumentParser:
                         f"(default {TrainConfig.score_fusion_weight})")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("embed", help="write per-utterance embeddings")
+    p = sub.add_parser("embed", help="write per-utterance embeddings", allow_abbrev=False)
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=_cmd_embed)
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of every layer")
+    p = sub.add_parser("gradcheck", help="finite-difference check of every layer", allow_abbrev=False)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gradcheck)
 

@@ -11,7 +11,8 @@ Trial-list and manifest rows are ``NamedTuple``s, so a row costs what a
 3-tuple costs and a list of them flattens in one pass.  An utterance id names
 its files, so it holds no path separator.  Every writer refuses, before
 opening its file, what its reader would refuse or change.  ``replace_file``
-is the one atomic write, of checkpoints and scores files.
+is the one atomic write, of checkpoints, scores files, trial lists, manifests
+and the training log.
 """
 
 from __future__ import annotations
@@ -182,9 +183,8 @@ def write_trial_list(path, trials) -> None:
     _refuse(path, (t[0] for t in trials), lambda v: v not in (0, 1), "label must be 0 or 1, got {!r}")
     _refuse(path, (u for t in trials for u in t[1:]), lambda u: u.split() != [u],
             "id {!r} is empty or holds whitespace")
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in trials:
-            fh.write(f"{int(t.is_target)} {t.enroll_id} {t.test_id}\n")
+    lines = (f"{int(t.is_target)} {t.enroll_id} {t.test_id}\n" for t in trials)
+    replace_file(path, "".join(lines).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +221,8 @@ def write_manifest(path, entries) -> None:
     _refuse(path, rows, lambda u: "/" in u or "\\" in u, "utterance id {!r} holds a path separator")
     _refuse(path, (e[2] for e in entries), lambda v: v not in ("train", "eval"),
             "split must be train or eval, got {!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in entries:
-            fh.write(f"{e.utt_id}\t{e.speaker_id}\t{e.split}\n")
+    lines = (f"{e.utt_id}\t{e.speaker_id}\t{e.split}\n" for e in entries)
+    replace_file(path, "".join(lines).encode("utf-8"))
 
 
 def read_manifest(path) -> list[ManifestEntry]:

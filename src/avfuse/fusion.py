@@ -78,7 +78,7 @@ def fuse(audio: Tensor, visual: Tensor, steps: Sequence[JcaStepParams], cross: b
     joint stack, (audio_dim + visual_dim, segments) per utterance; all-zero
     weights make each step the identity, and no steps leave the joint stack of
     the inputs.  One call of ``ad.attention_fusion``: one tape record at any
-    depth, none for no steps on two constant inputs.
+    depth, zero included.
     """
     weights = [(p.corr_proj_audio, p.attn_mix_audio, p.out_mix_audio,
                 p.corr_proj_visual, p.attn_mix_visual, p.out_mix_visual) for p in steps]

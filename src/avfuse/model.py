@@ -8,7 +8,7 @@ Every fusion mode runs one fusion stage (``fusion.fuse``); only the model maps
 the mode to the stage's steps and key rule: T joint-key steps for RJCA (one set
 of weights repeated T times when shared), one ``cross`` step for the
 cross-attention baseline, none for plain concatenation.  On a tape, ``loss``
-is 5 records at any fusion depth, 4 without the BLSTM, one fewer for ``concat``.
+is 5 records for every fusion mode and depth, 4 without the BLSTM.
 
 Parameters are built deterministically from a config and seed, exposed as a
 flat name -> tensor mapping for checkpointing, and can be quantized through

@@ -12,8 +12,10 @@ DivergenceError), runs its update formula once over whole rows, subtracts
 each parameter's slice in place and releases every gradient.
 Everything is driven by one seeded generator, so a fixed config reproduces
 the loss log and checkpoints exactly.  Each epoch ends by passing the parameters
-through storage precision, a parameter beyond it being a DivergenceError, and
-saving ``epoch_NNN.ckpt``, so the in-memory model equals its last checkpoint.
+through storage precision, a parameter beyond it being a DivergenceError,
+saving ``epoch_NNN.ckpt``, so the in-memory model equals its last checkpoint, and
+rewriting ``train_log.txt`` with one more line, so the log matches the
+checkpoints on disk even when a later epoch stops the run.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from avfuse import autodiff as ad
 from avfuse.autodiff import Tape, Tensor
 from avfuse.config import ConfigError, TrainConfig
-from avfuse.featio import FeatureFileError, Utterance
+from avfuse.featio import FeatureFileError, Utterance, replace_file
 from avfuse.model import VerificationModel
 
 
@@ -141,8 +143,8 @@ def train(config: TrainConfig, train_utts: list[Utterance], out_dir) -> TrainRes
 
     order = sorted(range(len(train_utts)), key=lambda i: train_utts[i].utt_id)
     epoch_losses: list[float] = []
-    log_lines: list[str] = []
-    final_path = out_dir / "final.ckpt"
+    log = ""
+    log_path = out_dir / "train_log.txt"
     for epoch in range(config.epochs):
         perm = shuffle_rng.permutation(len(order))
         sample_losses: list[float] = []
@@ -165,13 +167,13 @@ def train(config: TrainConfig, train_utts: list[Utterance], out_dir) -> TrainRes
             optimizer.step()
         mean_loss = float(np.mean(sample_losses))
         epoch_losses.append(mean_loss)
-        log_lines.append(f"epoch {epoch} loss {mean_loss!r}")
         try:
             model.quantize_single_precision()
         except FeatureFileError as exc:
             raise DivergenceError(f"epoch {epoch}: {exc}") from None
         model.save(out_dir / f"epoch_{epoch:03d}.ckpt")
+        log += f"epoch {epoch} loss {mean_loss!r}\n"
+        replace_file(log_path, log.encode("utf-8"))
+    final_path = out_dir / "final.ckpt"
     model.save(final_path)
-    log_path = out_dir / "train_log.txt"
-    log_path.write_text("\n".join(log_lines) + "\n", encoding="utf-8")
     return TrainResult(epoch_losses, final_path, log_path, model)

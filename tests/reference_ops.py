@@ -51,7 +51,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(a, _left_grad(g, b.data, a.ndim))
         _accumulate(b, _right_grad(a.data, g, b.ndim))
 
-    return _record(backward, out, a, b)
+    return _record(backward, out)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -63,7 +63,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(a, g)
         _accumulate(b, _unbroadcast(g, b))
 
-    return _record(backward, out, a, b)
+    return _record(backward, out)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -75,8 +75,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(a, g)
         _accumulate(b, _unbroadcast(-g, b))
 
-    _record(backward, out)
-    return out
+    return _record(backward, out)
 
 
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:
@@ -93,7 +92,7 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(a, g[..., :split, :])
         _accumulate(b, g[..., split:, :])
 
-    return _record(backward, out, a, b)
+    return _record(backward, out)
 
 
 def scale_shift(x: Tensor, scale: float = 1.0, shift: float = 0.0) -> Tensor:
@@ -103,8 +102,7 @@ def scale_shift(x: Tensor, scale: float = 1.0, shift: float = 0.0) -> Tensor:
     def backward(g):
         _accumulate(x, scale * g)
 
-    _record(backward, out)
-    return out
+    return _record(backward, out)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -113,7 +111,7 @@ def tanh(x: Tensor) -> Tensor:
     def backward(g):
         _accumulate(x, g * (1.0 - out.data * out.data))
 
-    return _record(backward, out, x)
+    return _record(backward, out)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -122,7 +120,7 @@ def relu(x: Tensor) -> Tensor:
     def backward(g):
         _accumulate(x, g * (x.data > 0.0))
 
-    return _record(backward, out, x)
+    return _record(backward, out)
 
 
 def softmax_columns(x: Tensor) -> Tensor:
@@ -138,7 +136,7 @@ def softmax_columns(x: Tensor) -> Tensor:
         inner = (out.data * g).sum(axis=-2, keepdims=True)
         _accumulate(x, out.data * (g - inner))
 
-    return _record(backward, out, x)
+    return _record(backward, out)
 
 
 def _stable_sigmoid(d: np.ndarray) -> np.ndarray:
@@ -153,8 +151,7 @@ def sigmoid(x: Tensor) -> Tensor:
     def backward(g):
         _accumulate(x, g * out.data * (1.0 - out.data))
 
-    _record(backward, out)
-    return out
+    return _record(backward, out)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -165,8 +162,7 @@ def transpose(x: Tensor) -> Tensor:
     def backward(g):
         _accumulate(x, _swap(g))
 
-    _record(backward, out)
-    return out
+    return _record(backward, out)
 
 
 def add_bias(x: Tensor, bias: Tensor) -> Tensor:
@@ -181,8 +177,7 @@ def add_bias(x: Tensor, bias: Tensor) -> Tensor:
         _accumulate(x, g)
         _accumulate(bias, _unbroadcast(g.sum(axis=-1, keepdims=True), bias))
 
-    _record(backward, out)
-    return out
+    return _record(backward, out)
 
 
 def clamp(x: Tensor, lo: float = -np.inf, hi: float = np.inf) -> Tensor:
@@ -193,8 +188,7 @@ def clamp(x: Tensor, lo: float = -np.inf, hi: float = np.inf) -> Tensor:
         inside = (x.data > lo) & (x.data < hi)
         _accumulate(x, g * inside)
 
-    _record(backward, out)
-    return out
+    return _record(backward, out)
 
 
 def sqrt(x: Tensor) -> Tensor:
@@ -206,8 +200,7 @@ def sqrt(x: Tensor) -> Tensor:
     def backward(g):
         _accumulate(x, g * 0.5 / out.data)
 
-    _record(backward, out)
-    return out
+    return _record(backward, out)
 
 
 def l2_normalize_columns(x: Tensor) -> Tensor:
@@ -224,8 +217,7 @@ def l2_normalize_columns(x: Tensor) -> Tensor:
         inner = (out.data * g).sum(axis=-2, keepdims=True)
         _accumulate(x, (g - out.data * inner) / norms)
 
-    _record(backward, out)
-    return out
+    return _record(backward, out)
 
 
 def cross_entropy_index(logits: Tensor, index) -> Tensor:
@@ -257,8 +249,7 @@ def cross_entropy_index(logits: Tensor, index) -> Tensor:
         np.put_along_axis(p, pos, np.take_along_axis(p, pos, axis=-1) - 1.0, axis=-1)
         _accumulate(logits, (g[..., 0] * p)[..., None])
 
-    _record(backward, out)
-    return out
+    return _record(backward, out)
 
 
 def attend(feats: Tensor, key: Tensor, proj: Tensor, attn_mix: Tensor, out_mix: Tensor) -> Tensor:
@@ -321,7 +312,7 @@ def attend(feats: Tensor, key: Tensor, proj: Tensor, attn_mix: Tensor, out_mix: 
         if not isinstance(key, Constant):
             _accumulate(key, proj.data.T @ d_projected)
 
-    return _record(backward, out, feats, key, proj, attn_mix, out_mix)
+    return _record(backward, out)
 
 
 def chained_fusion(cross, audio, visual, steps, attend=attend):

@@ -383,16 +383,6 @@ class TestConstant:
             assert held.dtype == np.float64 and held.flags.c_contiguous
             assert np.array_equal(held, np.asarray(other)) and not np.shares_memory(held, x)
 
-    def test_op_of_constants_only_records_nothing_and_returns_a_constant(self):
-        a, b = Constant(np.ones((2, 3))), Constant(np.zeros((1, 3)))
-        with Tape() as tape:
-            joint = ref.concat_rows(a, b)
-            squashed = ref.tanh(joint)
-        assert len(tape) == 0
-        assert isinstance(joint, Constant) and isinstance(squashed, Constant)
-        assert np.array_equal(joint.data, np.concatenate([a.data, b.data]))
-        assert np.array_equal(squashed.data, np.tanh(joint.data))
-
     def test_constant_operand_gets_no_gradient_and_the_other_the_tensor_one(self):
         rng = np.random.default_rng(12)
         w_data, x_data = rng.uniform(-1, 1, size=(2, 3)), rng.uniform(-1, 1, size=(4, 3, 5))

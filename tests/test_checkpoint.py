@@ -8,7 +8,6 @@ import struct
 import numpy as np
 import pytest
 
-from avfuse import featio
 from avfuse.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from avfuse.config import TrainConfig, config_to_text
 from avfuse.featio import TruncatedPayloadError
@@ -26,32 +25,11 @@ def test_round_trip_is_canonical(tmp_path):
     assert (tmp_path / "one.ckpt").read_bytes() == (tmp_path / "two.ckpt").read_bytes()
 
 
-def test_failed_save_keeps_previous_file_and_leaves_no_temp_file(tmp_path, monkeypatch):
+def test_failed_save_keeps_previous_file_and_leaves_no_temp_file(tmp_path, tear_writes):
     target = tmp_path / "final.ckpt"
     save_checkpoint(target, {"w": np.ones((2, 2))}, "seed = 1\n")
     previous = target.read_bytes()
-
-    real_open = open
-
-    class TornWriter:
-        """Writes the first half of the payload, then fails like a full disk."""
-
-        def __init__(self, fh):
-            self.fh = fh
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def write(self, data):
-            self.fh.write(data[:len(data) // 2])
-            self.fh.flush()
-            raise OSError(28, "No space left on device")
-
-    monkeypatch.setattr(featio, "open", lambda *a, **k: TornWriter(real_open(*a, **k)),
-                        raising=False)
+    tear_writes()
     with pytest.raises(OSError, match="No space left"):
         save_checkpoint(target, {"w": np.zeros((3, 3))}, "seed = 2\n")
     assert target.read_bytes() == previous

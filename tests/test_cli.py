@@ -255,6 +255,26 @@ def test_synth_without_target_trials_writes_nothing(tmp_path, capsys, held_out):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "train", "synth"])
+def test_a_flag_prefix_is_refused_and_writes_nothing(trained, tmp_path, capsys, command):
+    # Each prefix names one flag, --scores-out, --iterations and --speakers, and
+    # the command would run to the end with that flag in full.
+    data, checkpoint = trained
+    out = tmp_path / "out"
+    args = {
+        "evaluate": evaluate_args(data, tmp_path, "--system", "rjca", "--checkpoint", str(checkpoint),
+                                  "--scores", str(out)),
+        "train": ["train", "--data", str(data), "--out", str(out), "--epochs", "1", "--iter", "5",
+                  "--blstm-hidden", "3", "--asp-hidden", "3", "--embed-dim", "4", *DIMS],
+        "synth": ["synth", "--out", str(out), "--speak", "7", "--utts-per-speaker", "3", *DIMS],
+    }[command]
+    with pytest.raises(SystemExit) as refused:
+        cli.main(args)
+    assert refused.value.code == 2
+    assert "unrecognized arguments: --" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # The synth flags in SyntheticSpec field order.
 SYNTH_FLAGS = ["--speakers", "--utts-per-speaker", "--audio-dim", "--visual-dim", "--segments",
                "--latent-dim", "--audio-noise", "--visual-noise", "--eval-utts-per-speaker",

@@ -174,6 +174,21 @@ def test_writers_refuse_a_row_their_reader_would_refuse(tmp_path, writer, rows, 
     assert not path.exists()
 
 
+@pytest.mark.parametrize("writer, old, new", [
+    (write_trial_list, [TrialPair(True, "u1", "u2")], [TrialPair(False, "u1", "u3"), TrialPair(True, "u3", "u4")]),
+    (write_manifest, [ManifestEntry("u1", "spk", "train")], [ManifestEntry("u2", "spk", "eval")]),
+], ids=["trial_list", "manifest"])
+def test_a_failed_write_keeps_the_previous_file_and_leaves_no_temp_file(tmp_path, tear_writes, writer, old, new):
+    path = tmp_path / "rows.txt"
+    writer(path, old)
+    previous = path.read_bytes()
+    tear_writes()
+    with pytest.raises(OSError, match="No space left"):
+        writer(path, new)
+    assert path.read_bytes() == previous
+    assert os.listdir(tmp_path) == ["rows.txt"]
+
+
 def test_writers_check_each_distinct_id_once(tmp_path):
     checks = []
 

@@ -390,14 +390,12 @@ class TestRecordCounts:
             fuse(audio, visual, chain, cross)
         assert len(tape) == 1
 
-    def test_concat_is_one_record_unless_both_inputs_are_constants(self):
+    def test_concat_is_one_record_for_tensor_and_constant_inputs(self):
         audio, visual = random_inputs(3, 2, 4)
-        with Tape() as tape:
-            fuse(audio, visual, [])
-        assert len(tape) == 1
-        with Tape() as tape:
-            joint = fuse(ad.Constant(audio.data), ad.Constant(visual.data), [])
-        assert len(tape) == 0 and isinstance(joint, ad.Constant)
+        for kind in (Tensor, ad.Constant):
+            with Tape() as tape:
+                joint = fuse(kind(audio.data), kind(visual.data), [])
+            assert len(tape) == 1 and type(joint) is Tensor, kind
 
     def test_batched_recursion_rows_match_single_utterances(self):
         rng = np.random.default_rng(10)

@@ -229,33 +229,13 @@ class TestReportAndScoreFiles:
         got, want = compute_report(loaded), compute_report(ss)
         assert (got.eer, got.eer_threshold) == (want.eer, want.eer_threshold)
 
-    def test_a_failed_write_keeps_the_previous_scores_file_and_leaves_no_temp_file(self, tmp_path, monkeypatch):
+    def test_a_failed_write_keeps_the_previous_scores_file_and_leaves_no_temp_file(self, tmp_path, tear_writes):
         path = tmp_path / "scores.txt"
         write_scores(path, ScoreSet([0.8, 0.1], [1, 0]))
         previous = path.read_bytes()
-        real_open = open
-
-        class TornWriter:
-            """Writes the first half of what it is given, then fails like a full disk."""
-
-            def __init__(self, fh):
-                self.fh = fh
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, data):
-                self.fh.write(data[:len(data) // 2])
-                self.fh.flush()
-                raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr("builtins.open", lambda *a, **k: TornWriter(real_open(*a, **k)))
+        tear_writes()
         with pytest.raises(OSError, match="No space left"):
             write_scores(path, ScoreSet([0.3, 0.2, 0.9], [0, 1, 1]))
-        monkeypatch.undo()
         assert path.read_bytes() == previous
         assert os.listdir(tmp_path) == ["scores.txt"]
 

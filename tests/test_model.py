@@ -172,14 +172,13 @@ def test_single_utterance_loss_is_one_value():
 
 # Per config: overrides, then model.loss tape records on Tensor and on Constant
 # inputs.  The default model, and fusion_deep's shape: RJCA at T=5 over 32
-# segments, no BLSTM.  An attention fusion stage is one record at any depth,
-# with constant inputs too; concatenation records its stack only for Tensor
-# inputs.
+# segments, no BLSTM.  The fusion stage is one record in every mode, on
+# constant inputs too, so each layer is one record.
 FULL_SIZE = {
     "default": ({}, 5, 5),
     "fusion_deep": ({"segments": 32, "iterations": 5, "use_blstm": False}, 4, 4),
-    "concat": ({"fusion": "concat"}, 5, 4),
-    "concat_no_blstm": ({"fusion": "concat", "use_blstm": False}, 4, 3),
+    "concat": ({"fusion": "concat"}, 5, 5),
+    "concat_no_blstm": ({"fusion": "concat", "use_blstm": False}, 4, 4),
     "cross_attention": ({"fusion": "cross_attention"}, 5, 5),
 }
 

@@ -9,7 +9,7 @@ import pytest
 from avfuse import autodiff as ad
 from avfuse.autodiff import Tape, Tensor
 from avfuse.config import ConfigError, TrainConfig
-from avfuse.featio import load_dataset, manifest_entries
+from avfuse.featio import FeatureFileError, load_dataset, manifest_entries
 from avfuse.model import VerificationModel
 from avfuse.synthetic import SyntheticSpec, generate_dataset
 from avfuse.training import DivergenceError, Optimizer, speaker_index_map, train
@@ -71,6 +71,27 @@ def test_same_config_gives_byte_identical_checkpoint_and_log(tiny_train_set, tmp
     for epoch in range(2):
         name = f"epoch_{epoch:03d}.ckpt"
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_a_run_stopped_at_a_later_epoch_keeps_the_log_of_its_checkpoints(tiny_train_set, tmp_path,
+                                                                         monkeypatch):
+    full = train(tiny_config(), tiny_train_set, tmp_path / "full")
+    quantize, calls = VerificationModel.quantize_single_precision, []
+
+    def failing_second_call(model):
+        calls.append(model)
+        if len(calls) == 2:
+            raise FeatureFileError("parameter aam.weights: inf")
+        quantize(model)
+
+    monkeypatch.setattr(VerificationModel, "quantize_single_precision", failing_second_call)
+    stopped = tmp_path / "stopped"
+    with pytest.raises(DivergenceError, match="^epoch 1: parameter aam.weights: inf$"):
+        train(tiny_config(), tiny_train_set, stopped)
+    assert sorted(p.name for p in stopped.iterdir()) == ["epoch_000.ckpt", "train_log.txt"]
+    assert (stopped / "epoch_000.ckpt").read_bytes() == (tmp_path / "full" / "epoch_000.ckpt").read_bytes()
+    first_line = full.log_path.read_bytes().splitlines(keepends=True)[0]
+    assert (stopped / "train_log.txt").read_bytes() == first_line == b"epoch 0 loss %r\n" % full.epoch_losses[0]
 
 
 def test_non_finite_gradient_stops_training_and_names_the_parameter(tiny_train_set, tmp_path,
