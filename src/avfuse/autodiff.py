@@ -20,7 +20,8 @@ A ``Constant`` is a leaf tensor that never gets a gradient; the model takes
 its input features as constants.  Ops treat it as any other input: every op
 records, and returns a ``Tensor``, and a term for a constant is dropped on
 accumulation.  Only the fusion stage, where the features enter, skips
-forming the terms that would feed them.
+forming the terms that would feed them, and only when both its inputs are
+constants; with one, ``_accumulate`` drops that one's terms.
 
 Tensors have rank 1 to 3.  A rank-2 ``(rows, cols)`` tensor is one
 utterance's matrix; a rank-3 ``(B, rows, cols)`` tensor stacks B of them on a
@@ -591,17 +592,17 @@ def _attend(feats: np.ndarray, key: np.ndarray, proj: np.ndarray, attn_mix: np.n
     return out, corr
 
 
-def _attend_backward(g: np.ndarray, feats: Tensor, key: Tensor, weights: tuple[Tensor, Tensor, Tensor],
-                     corr: np.ndarray, inv_scale: float,
-                     key_rows: np.ndarray | None = None) -> np.ndarray | None:
-    """Accumulate an ``_attend`` pass's gradients: out_mix, attn_mix, feats, proj, key, skipping a
-    constant feats or key.  A batch's proj gradient contracts the key's (B*L, k) layout, which
-    tensordot would copy per call; formed here unless given, it is returned for reuse."""
+def _attend_backward(g: np.ndarray, feats: np.ndarray, key: np.ndarray,
+                     weights: tuple[Tensor, Tensor, Tensor], corr: np.ndarray, inv_scale: float,
+                     inputs: bool, key_rows: np.ndarray | None = None) -> tuple:
+    """Accumulate an ``_attend`` pass's out_mix, attn_mix and proj gradients and return ``(d_feats,
+    d_key, key_rows)``, the first two None unless ``inputs``.  A batch's proj gradient contracts the
+    key's (B*L, k) rows, which tensordot would copy per call: formed unless given, they are reused."""
     proj, attn_mix, out_mix = weights
     # feats @ attn_mix and the ReLU input are recomputed, proj @ key only for
-    # feats.  Each chain of elementwise steps runs in place in its first
+    # d_feats.  Each chain of elementwise steps runs in place in its first
     # array, in the order of the plain expression, so the bits are the same.
-    mixed = _mm(feats.data, attn_mix.data)
+    mixed = _mm(feats, attn_mix.data)
     pre_relu = _mm(mixed, corr)
     d_pre = _mm(g, out_mix.data.T)
     d_pre *= pre_relu > 0.0
@@ -612,23 +613,21 @@ def _attend_backward(g: np.ndarray, feats: Tensor, key: Tensor, weights: tuple[T
     slope = np.multiply(corr, corr)
     d_corr *= np.subtract(1.0, slope, out=slope)
     d_corr *= inv_scale
-    _accumulate(attn_mix, _right_grad(feats.data, d_mixed, 2))
-    if not isinstance(feats, Constant):
-        # d_feats = g + d_mixed @ attn_mix^T + (proj @ key) @ d_corr^T
-        d_feats = _mm(d_mixed, attn_mix.data.T)
-        d_feats += g
-        d_feats += _mm(_mm(proj.data, key.data), _swap(d_corr))
-        _accumulate(feats, d_feats)
-    d_projected = _mm(feats.data, d_corr)
+    _accumulate(attn_mix, _right_grad(feats, d_mixed, 2))
+    d_projected = _mm(feats, d_corr)
     if d_projected.ndim == 2:
-        _accumulate(proj, _mm(d_projected, key.data.T))
+        _accumulate(proj, _mm(d_projected, key.T))
     else:
         if key_rows is None:
-            key_rows = key.data.transpose(0, 2, 1).reshape(-1, key.shape[1])
+            key_rows = key.transpose(0, 2, 1).reshape(-1, key.shape[1])
         _accumulate(proj, np.dot(d_projected.transpose(1, 0, 2).reshape(len(proj.data), -1), key_rows))
-    if not isinstance(key, Constant):
-        _accumulate(key, _mm(proj.data.T, d_projected))
-    return key_rows
+    if not inputs:
+        return None, None, key_rows
+    # d_feats = g + d_mixed @ attn_mix^T + (proj @ key) @ d_corr^T
+    d_feats = _mm(d_mixed, attn_mix.data.T)
+    d_feats += g
+    d_feats += _mm(_mm(proj.data, key), _swap(d_corr))
+    return d_feats, _mm(proj.data.T, d_projected), key_rows
 
 
 def attention_fusion(audio: Tensor, visual: Tensor, steps: list[tuple[Tensor, ...]], cross: bool) -> Tensor:
@@ -638,10 +637,10 @@ def attention_fusion(audio: Tensor, visual: Tensor, steps: list[tuple[Tensor, ..
     visual, shaped (d, k), (L, L), (L, L) for a (d, L) modality and a k-row key; shared
     weights repeat one tuple.  Each modality's ``_attend`` pass keys on the joint stack of
     both, or with ``cross`` on the other modality.  The backward walks the steps in reverse,
-    visual before audio, accumulating each term in the order of a chain of one op per pass and
-    per stack; a constant input (see ``Constant``), or a joint stack of two, takes none.  With
-    no steps the output is the joint stack of the inputs, and each input's gradient is its
-    block of the output's.
+    visual before audio, summing the terms each pass returns in the order of a chain of one op
+    per pass and per stack; each input accumulates once, and only two constant inputs (see
+    ``Constant``) make step 0 form none.  With no steps the output is the joint stack of the
+    inputs, and each input's gradient is its block of the output's.
 
     One utterance's forward stacks its inputs once, and each step writes both passes into the
     row blocks of a fresh stack: the next step's inputs and joint key, and after the last step
@@ -668,6 +667,7 @@ def attention_fusion(audio: Tensor, visual: Tensor, steps: list[tuple[Tensor, ..
     # The backward keeps each step's inputs, joint stack and maps, under a tape only.  A step runs
     # in its own call: what it does not keep is freed, and its pages reused, before the next one.
     saved = None if _active_tape() is None else []
+    inputs = not (isinstance(audio, Constant) and isinstance(visual, Constant))
 
     def step(a, v, joint, data, rows=(None, None), mm=_mm):
         key_a, key_v = (v, a) if cross else (joint, joint)
@@ -695,22 +695,22 @@ def attention_fusion(audio: Tensor, visual: Tensor, steps: list[tuple[Tensor, ..
 
     def backward(g):
         g_a, g_v = g[..., :dims[0], :], g[..., dims[0]:, :]
-        if not steps:
-            _accumulate(audio, g_a)
-            _accumulate(visual, g_v)
         for t in reversed(range(len(steps))):
             a, v, joint, corr_a, corr_v = saved[t]
-            # Step 0 accumulates into the op's inputs, a later step into fresh holders.
-            ins_a, ins_v = (audio, visual) if t == 0 else (Tensor._wrap(a), Tensor._wrap(v))
-            # Step 0's joint stack of two constant inputs is a constant: it forms no key gradient.
-            stack = Constant if isinstance(ins_a, Constant) and isinstance(ins_v, Constant) else Tensor
-            key_a, key_v = (ins_v, ins_a) if cross else (stack._wrap(joint),) * 2
-            rows = _attend_backward(g_v, ins_v, key_v, steps[t][3:], corr_v, inv_scales[1])
-            _attend_backward(g_a, ins_a, key_a, steps[t][:3], corr_a, inv_scales[0], None if cross else rows)
-            if not cross and key_a.grad is not None:
-                _accumulate(ins_a, key_a.grad[..., :dims[0], :])
-                _accumulate(ins_v, key_a.grad[..., dims[0]:, :])
-            g_a, g_v = ins_a.grad, ins_v.grad
+            forms = inputs or t > 0  # a later step's inputs are the outputs of the step before
+            d_v, dkey_v, rows = _attend_backward(g_v, v, a if cross else joint, steps[t][3:], corr_v,
+                                                 inv_scales[1], forms)
+            d_a, dkey_a, _ = _attend_backward(g_a, a, v if cross else joint, steps[t][:3], corr_a,
+                                              inv_scales[0], forms, None if cross else rows)
+            if not forms:
+                break
+            # Each key's term goes to its input: a cross key is the other one, the joint key splits.
+            if not cross:
+                dkey_v += dkey_a
+                dkey_v, dkey_a = dkey_v[..., :dims[0], :], dkey_v[..., dims[0]:, :]
+            g_a, g_v = dkey_v + d_a, d_v + dkey_a
+        _accumulate(audio, g_a)
+        _accumulate(visual, g_v)
 
     return _record(backward, out)
 

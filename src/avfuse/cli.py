@@ -77,6 +77,7 @@ def _cmd_evaluate(args) -> int:
     weight = args.score_fusion_weight
     if weight is not None and args.system != "score_level":
         raise ConfigError(f"system {args.system!r} does not read --score-fusion-weight; remove it")
+    dcf = DcfParams(**{f.name: getattr(args, f.name) for f in fields(DcfParams)})
     trials = parse_trial_list(args.trials)
     if not trials:
         raise ConfigError(f"{args.trials}: empty trial list")
@@ -85,7 +86,6 @@ def _cmd_evaluate(args) -> int:
     if trained:
         model = VerificationModel.from_checkpoint(args.checkpoint)
         print(f"seed = {model.config.seed}")
-    dcf = DcfParams(**{f.name: getattr(args, f.name) for f in fields(DcfParams)})
     report, _ = evaluate(args.system, trials, utterances, model=model,
                          dcf_params=dcf, scores_path=args.scores_out,
                          weight=TrainConfig.score_fusion_weight if weight is None else weight)

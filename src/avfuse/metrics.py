@@ -51,7 +51,7 @@ class ScoreSet:
         return self.scores[self.labels == 0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DcfParams:
     """Detection-cost parameters: target prior and miss / false-alarm costs."""
 

@@ -122,6 +122,16 @@ def test_evaluate_refuses_the_score_fusion_weight_outside_score_level(trained, t
                                        "--score-fusion-weight; remove it\n")
 
 
+def test_evaluate_refuses_bad_dcf_flags_before_it_loads_anything(trained, tmp_path, capsys):
+    data, checkpoint = trained
+    args = evaluate_args(data, tmp_path, "--system", "rjca", "--checkpoint", str(checkpoint))
+    args[args.index("--data") + 1] = str(tmp_path / "missing")
+    assert cli.main(args + ["--p-target", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: p_target must lie strictly between 0 and 1\n"
+    assert "seed =" not in captured.out
+
+
 def test_evaluate_refuses_a_trained_system_without_a_checkpoint(trained, tmp_path, capsys):
     data, _ = trained
     assert cli.main(evaluate_args(data, tmp_path, "--system", "rjca")) == 2

@@ -277,6 +277,23 @@ class TestAttend:
                 else:
                     assert grad.tobytes() == grads[name].tobytes(), (cross, name)
 
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    @pytest.mark.parametrize("cross", [False, True], ids=["joint", "cross"])
+    def test_an_input_that_also_feeds_another_op_gets_both_terms(self, batch, cross):
+        # audio also feeds a mul recorded after the stage, whose term reaches it first.
+        rng = np.random.default_rng([15, len(batch), cross])
+        audio, visual = rng.uniform(-1, 1, size=batch + (3, 4)), rng.uniform(-1, 1, size=batch + (2, 4))
+        steps = random_steps(rng, 3, 2, 4, 2, cross)
+        probe, side = rng.uniform(-1, 1, size=batch + (8, 4)), rng.uniform(-1, 1, size=batch + (3, 4))
+        _, grads = run_stage(lambda a, v: ref.concat_rows(fuse(a, v, steps, cross), ad.mul(a, Tensor(side))),
+                             audio, visual, steps, probe)
+        _, ref_grads = run_stage(lambda a, v: ref.chained_fusion(cross, a, v, steps),
+                                 audio, visual, steps, probe[..., :5, :])
+        # The two terms sum in another order than the oracle's, so equality is within rounding.
+        assert np.abs(grads.pop("audio") - (ref_grads.pop("audio") + probe[..., 5:, :] * side)).max() <= 1e-12
+        for name, grad in grads.items():
+            assert grad.tobytes() == ref_grads[name].tobytes(), name
+
     def test_output_is_bitwise_its_expression(self):
         # The in-place scaling and tanh of each correlation map keep the bits
         # of the plain expression.

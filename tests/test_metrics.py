@@ -1,5 +1,6 @@
 """Metric correctness against an independent brute-force threshold sweep."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -162,6 +163,13 @@ class TestMinDcf:
             scores, labels = random_score_set(rng)
             value = compute_report(ScoreSet(scores, labels), PAPER_DCF).min_dcf
             assert value <= 1.0 + 1e-12
+
+    def test_a_reports_parameters_cannot_change_the_next_default_report(self):
+        # Every report made with the default holds one shared DcfParams instance.
+        score_set = ScoreSet([0.1, 0.2, 0.8, 0.9], [0, 1, 0, 1])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            compute_report(score_set).dcf_params.p_target = 0.5
+        assert compute_report(score_set).dcf_params.p_target == 0.05
 
 
 class TestInvariances:
