@@ -62,16 +62,26 @@ def _resolve(trials: list[TrialPair], utterances: dict[str, Utterance]
     return ids, rows[0::2], rows[1::2], labels
 
 
+def _stack(ids: list[str], utterances: dict[str, Utterance], modality: str, shape: tuple) -> np.ndarray:
+    """The ``modality`` arrays of the ``ids`` utterances, stacked.  Arrays of unequal shapes do
+    not stack: the first utterance whose array is not of ``shape`` is named instead."""
+    arrays = [getattr(utterances[u], modality) for u in ids]
+    if len({x.shape for x in arrays}) > 1:
+        utt_id, x = next((u, x) for u, x in zip(ids, arrays) if x.shape != shape)
+        raise ConfigError(f"utterance {utt_id}: {modality} features of shape {x.shape} do not match {shape}")
+    return np.stack(arrays)
+
+
 def embed_utterances(model: VerificationModel, ids: list[str],
                      utterances: dict[str, Utterance]) -> np.ndarray:
-    """Embeddings of the given utterances, one row each in ``ids`` order, embedded in
-    batches of the model's ``batch_size``."""
-    size = model.config.batch_size
+    """Embeddings of the given utterances, one row each in ``ids`` order, embedded in batches of the
+    model's ``batch_size``; a batch of unequal shapes names its first utterance off the model's."""
+    config = model.config
     chunks = []
-    for start in range(0, len(ids), size):
-        batch = [utterances[u] for u in ids[start:start + size]]
-        chunks.append(model.embed(np.stack([u.audio for u in batch]),
-                                  np.stack([u.visual for u in batch])))
+    for start in range(0, len(ids), config.batch_size):
+        batch = ids[start:start + config.batch_size]
+        chunks.append(model.embed(_stack(batch, utterances, "audio", (config.audio_dim, config.segments)),
+                                  _stack(batch, utterances, "visual", (config.visual_dim, config.segments))))
     return np.concatenate(chunks) if chunks else np.empty((0, model.config.embed_dim))
 
 
@@ -95,6 +105,7 @@ def score_trials(system: str, trials: list[TrialPair], utterances: dict[str, Utt
     Each distinct trial utterance is embedded (or pooled) once, whatever the
     number of trials it appears in.  ``weight``, the audio weight of ``score_level``,
     is refused outside [0, 1] by every system; only a trained system takes ``model``.
+    A raw system names the first utterance whose shape is not the first trial utterance's.
     """
     if not 0.0 <= weight <= 1.0:
         raise ConfigError(f"score fusion weight must lie in [0, 1], got {weight}")
@@ -114,7 +125,7 @@ def score_trials(system: str, trials: list[TrialPair], utterances: dict[str, Utt
             raise ConfigError(f"system {system!r} is untrained; it takes no model")
 
         def raw(modality: str) -> np.ndarray:
-            stacked = np.stack([getattr(utterances[u], modality) for u in ids])
+            stacked = _stack(ids, utterances, modality, getattr(utterances[ids[0]], modality).shape)
             return _cosines(enroll_rows, test_rows, pooled_raw_embedding(stacked))
 
         if system == "score_level":

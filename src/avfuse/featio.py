@@ -6,17 +6,18 @@ IEEE-754 single-precision little-endian values, widened to double precision in
 memory.  Feature files carry one real matrix: magic ``AVF1``, two little-endian
 u32 extents (rows, cols), then the rows*cols values in row-major order.
 One file per modality per utterance: ``<id>.audio.avf`` / ``<id>.visual.avf``,
-each read whole by one unbuffered read, from paths built once per dataset.
+each read whole by raw ``os`` calls; a dataset widens and screens all at once.
 Trial-list and manifest rows are ``NamedTuple``s, so a row costs what a
 3-tuple costs and a list of them flattens in one pass.  An utterance id names
 its files, so it holds no path separator.  Every writer refuses, before
-opening its file, what its reader would refuse or change.  ``replace_file``
-is the one atomic write, of checkpoints, scores files, trial lists, manifests
-and the training log.
+opening its file, what its reader would refuse or change.  ``replace_file`` is
+the one atomic write, of feature and embedding files, checkpoints, scores
+files, trial lists, manifests and the training log.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
@@ -98,19 +99,20 @@ def save_features(path, matrix: np.ndarray) -> None:
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2 or not 0 < arr.size <= _MAX_ELEMENTS:
         raise FeatureFileError(f"{path}: feature matrix must be rank 2 with usable extents, got {arr.shape}")
-    payload = narrow(arr, str(path))
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(FEATURE_MAGIC, *arr.shape))
-        fh.write(payload)
+    replace_file(path, _HEADER.pack(FEATURE_MAGIC, *arr.shape) + narrow(arr, str(path)))
 
 
-def load_features(path) -> np.ndarray:
-    """Read a feature file back as float64, validating magic, extents, payload and finiteness.
-
-    One unbuffered ``readall`` reads the file to its end.
-    """
-    with open(path, "rb", buffering=0) as fh:
-        blob = fh.readall()
+def _read(path) -> tuple[memoryview, tuple[int, int]]:
+    """A feature file's checked payload and (rows, cols), read by raw ``os`` calls."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        blob = os.read(fd, size := os.fstat(fd).st_size)
+        while len(blob) < size and (more := os.read(fd, size - len(blob))):
+            blob += more  # one read returns at most about 2 GB
+    except OSError as exc:  # a failed open names its file, a failed read does not
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(fd)
     if len(blob) < _HEADER.size:
         raise TruncatedPayloadError(f"{path}: file shorter than header")
     magic, rows, cols = _HEADER.unpack_from(blob)
@@ -125,7 +127,13 @@ def load_features(path) -> np.ndarray:
         )
     if len(blob) > expected:
         raise FeatureFileError(f"{path}: {len(blob) - expected} trailing bytes")
-    return widen(blob, _HEADER.size, (rows, cols), path)
+    return memoryview(blob)[_HEADER.size:], (rows, cols)
+
+
+def load_features(path) -> np.ndarray:
+    """Read a feature file back as float64, validating magic, extents, payload and finiteness."""
+    payload, shape = _read(path)
+    return widen(payload, 0, shape, path)
 
 
 # ---------------------------------------------------------------------------
@@ -249,20 +257,31 @@ def read_manifest(path) -> list[ManifestEntry]:
 def load_dataset(data_dir) -> dict[str, Utterance]:
     """Load every manifest utterance's feature pair; both modalities must agree on segments.
 
-    Each file's path is the ``feats`` prefix, joined once as a string, plus its name.
+    One pass reads and checks every file in manifest order, so a structural fault is raised
+    before a non-finite value in an earlier file.  Then one widening decodes all payloads into
+    C-contiguous float64 views, bitwise ``load_features``'s, and one sum of squares screens them:
+    single-precision squares cannot overflow it, so only a NaN or Inf makes it non-finite, and
+    only then does ``load_features`` load each file again to name the value and its index.
     """
     data_dir = Path(data_dir)
     feats = os.path.join(data_dir, "feats", "")
-    utterances = {}
-    for entry in read_manifest(data_dir / "manifest.tsv"):
-        audio = load_features(f"{feats}{entry.utt_id}.audio.avf")
-        visual = load_features(f"{feats}{entry.utt_id}.visual.avf")
-        if audio.shape[1] != visual.shape[1]:
-            raise FeatureFileError(
-                f"{entry.utt_id}: segment counts disagree ({audio.shape[1]} vs {visual.shape[1]})"
-            )
-        utterances[entry.utt_id] = Utterance(entry.utt_id, entry.speaker_id, audio, visual)
-    return utterances
+    entries = read_manifest(data_dir / "manifest.tsv")
+    paths = [f"{feats}{e.utt_id}.{modality}.avf" for e in entries for modality in ("audio", "visual")]
+    payloads, shapes = [], []
+    for entry, audio_path, visual_path in zip(entries, paths[0::2], paths[1::2]):
+        (audio, a_shape), (visual, v_shape) = _read(audio_path), _read(visual_path)
+        if a_shape[1] != v_shape[1]:
+            raise FeatureFileError(f"{entry.utt_id}: segment counts disagree ({a_shape[1]} vs {v_shape[1]})")
+        payloads += audio, visual
+        shapes += a_shape, v_shape
+    values = np.frombuffer(b"".join(payloads), "<f4").astype(np.float64)
+    if not math.isfinite(values.dot(values)):
+        for path in paths:
+            load_features(path)
+        raise FeatureFileError(f"{data_dir}: feature files changed while the dataset loaded")
+    ends = itertools.accumulate(map(math.prod, shapes))
+    arrays = (values[end - math.prod(shape):end].reshape(shape) for end, shape in zip(ends, shapes))
+    return {e.utt_id: Utterance(e.utt_id, e.speaker_id, next(arrays), next(arrays)) for e in entries}
 
 
 def manifest_entries(data_dir) -> list[ManifestEntry]:

@@ -192,6 +192,27 @@ def test_evaluate_and_embed_refuse_data_off_the_checkpoint_dims(fusion, tmp_path
                                        f"error: audio features of shape (9, 3, 6) {expected}")
 
 
+def test_evaluate_and_embed_name_an_utterance_whose_shape_is_off(tmp_path, capsys):
+    # Every utterance has 4 segments but spk000_utt02, a trial utterance, which has 5.
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(data), "--speakers", "4", "--utts-per-speaker", "3",
+                     "--latent-dim", "2", *DIMS]) == 0
+    rng = np.random.default_rng(0)
+    for modality, dim in (("audio", 3), ("visual", 2)):
+        save_features(data / "feats" / f"spk000_utt02.{modality}.avf", rng.uniform(-1, 1, size=(dim, 5)))
+    config = TrainConfig(audio_dim=3, visual_dim=2, segments=4, blstm_hidden=3, asp_hidden=3, embed_dim=4)
+    VerificationModel(config, n_speakers=4).save(tmp_path / "model.ckpt")
+    checkpoint = ["--checkpoint", str(tmp_path / "model.ckpt")]
+    trials = ["evaluate", "--data", str(data), "--trials", str(data / "trials.txt")]
+    capsys.readouterr()
+    assert cli.main([*trials, "--system", "audio"]) == 2
+    assert cli.main([*trials, "--system", "rjca", *checkpoint]) == 2
+    assert cli.main(["embed", *checkpoint, "--data", str(data), "--out", str(tmp_path / "emb")]) == 2
+    assert not (tmp_path / "emb").exists()
+    message = "error: utterance spk000_utt02: audio features of shape (3, 5) do not match (3, 4)\n"
+    assert capsys.readouterr().err == 3 * message
+
+
 def test_embed_refuses_an_utterance_id_that_leaves_its_directories(trained, tmp_path, capsys):
     # Feature files where the id's path leads, so only the refusal stops embed
     # reading them and writing <out>/../../outside.emb.avf.

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from avfuse import cli
+from avfuse import cli, featio
+from avfuse.autodiff import Constant
 from avfuse.checkpoint import load_checkpoint, save_checkpoint
 from avfuse.featio import (
     BadMagicError,
@@ -177,7 +178,8 @@ def test_writers_refuse_a_row_their_reader_would_refuse(tmp_path, writer, rows, 
 @pytest.mark.parametrize("writer, old, new", [
     (write_trial_list, [TrialPair(True, "u1", "u2")], [TrialPair(False, "u1", "u3"), TrialPair(True, "u3", "u4")]),
     (write_manifest, [ManifestEntry("u1", "spk", "train")], [ManifestEntry("u2", "spk", "eval")]),
-], ids=["trial_list", "manifest"])
+    (save_features, np.zeros((1, 2)), np.ones((2, 3))),
+], ids=["trial_list", "manifest", "features"])
 def test_a_failed_write_keeps_the_previous_file_and_leaves_no_temp_file(tmp_path, tear_writes, writer, old, new):
     path = tmp_path / "rows.txt"
     writer(path, old)
@@ -248,6 +250,81 @@ def test_dataset_loads_bitwise_from_a_str_or_a_path(tmp_path):
                 got = getattr(utt, modality)
                 assert want.shape == got.shape == (dim, 4) and got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
+
+
+def test_dataset_arrays_are_c_contiguous_float64_that_constants_hold_without_a_copy(tmp_path):
+    generate_dataset(SyntheticSpec(n_speakers=2, utts_per_speaker=2, audio_dim=3, visual_dim=2,
+                                   segments=4, latent_dim=2, eval_utts_per_speaker=1), tmp_path)
+    for utt in load_dataset(tmp_path).values():
+        for arr in (utt.audio, utt.visual):
+            assert arr.dtype == np.float64 and arr.flags.c_contiguous
+            assert Constant(arr).data is arr
+
+
+GOOD = avf(2, 3, range(6))
+
+
+def write_dataset(root, pairs):
+    """Utterances u0, u1, ... of one speaker whose (audio, visual) files hold ``pairs``'s bytes."""
+    (root / "feats").mkdir()
+    write_manifest(root / "manifest.tsv", [ManifestEntry(f"u{i}", "spk", "train") for i in range(len(pairs))])
+    for i, pair in enumerate(pairs):
+        for modality, blob in zip(("audio", "visual"), pair):
+            (root / "feats" / f"u{i}.{modality}.avf").write_bytes(blob)
+
+
+def test_an_empty_manifest_loads_as_no_utterances(tmp_path):
+    write_dataset(tmp_path, [])
+    assert load_dataset(tmp_path) == {}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dataset_names_a_non_finite_value_in_a_later_file_and_its_position(tmp_path, bad):
+    write_dataset(tmp_path, [(GOOD, GOOD), (GOOD, avf(2, 3, [0.0, 1.0, 2.0, 3.0, 4.0, bad])), (GOOD, GOOD)])
+    with pytest.raises(FeatureFileError, match=rf"u1\.visual\.avf: {bad} at index \(1, 2\) is not a finite"):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("blob, error, message", [
+    (b"AVF2" + GOOD[4:], BadMagicError, "bad magic b'AVF2'"),
+    (GOOD + b"\x00", FeatureFileError, "1 trailing bytes"),
+], ids=["bad_magic", "trailing"])
+def test_dataset_names_a_malformed_file_in_a_later_utterance(tmp_path, blob, error, message):
+    write_dataset(tmp_path, [(GOOD, GOOD), (GOOD, GOOD), (blob, GOOD)])
+    with pytest.raises(error, match=re.escape(f"u2.audio.avf: {message}")) as raised:
+        load_dataset(tmp_path)
+    assert type(raised.value) is error
+
+
+def test_dataset_raises_a_structural_fault_before_an_earlier_non_finite_value(tmp_path):
+    write_dataset(tmp_path, [(avf(2, 3, [np.nan, 1.0, 2.0, 3.0, 4.0, 5.0]), GOOD), (GOOD, b"AVF2" + GOOD[4:])])
+    with pytest.raises(BadMagicError, match=re.escape("u1.visual.avf: bad magic")):
+        load_dataset(tmp_path)
+
+
+def test_dataset_refuses_a_non_finite_value_it_read_even_if_the_file_changed_since(tmp_path, monkeypatch):
+    # A file rewritten with finite values after the loader read a NaN from it.
+    write_dataset(tmp_path, [(GOOD, avf(2, 3, [np.nan, 1.0, 2.0, 3.0, 4.0, 5.0]))])
+    real = featio.load_features
+
+    def rewritten(path):
+        (tmp_path / "feats" / "u0.visual.avf").write_bytes(GOOD)
+        return real(path)
+
+    monkeypatch.setattr(featio, "load_features", rewritten)
+    with pytest.raises(FeatureFileError, match="feature files changed while the dataset loaded"):
+        load_dataset(tmp_path)
+
+
+def test_a_feature_path_that_is_a_directory_is_named(tmp_path):
+    write_dataset(tmp_path, [(GOOD, GOOD)])
+    path = tmp_path / "feats" / "u0.visual.avf"
+    path.unlink()
+    path.mkdir()
+    with pytest.raises(IsADirectoryError, match=re.escape(str(path))):
+        load_features(path)
+    with pytest.raises(IsADirectoryError, match=re.escape(str(path))):
+        load_dataset(tmp_path)
 
 
 @pytest.fixture(scope="module")
