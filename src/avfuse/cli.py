@@ -18,7 +18,7 @@ from pathlib import Path
 
 from avfuse.config import ConfigError, TrainConfig, load_config
 from avfuse.evaluation import RAW_SYSTEMS, TRAINED_SYSTEMS, embed_utterances, evaluate
-from avfuse.featio import load_dataset, manifest_entries, parse_trial_list, save_features
+from avfuse.featio import load_dataset, parse_trial_list, save_features
 from avfuse.gradcheck import format_suite_report, run_suite
 from avfuse.metrics import DcfParams, format_report
 from avfuse.model import VerificationModel
@@ -59,8 +59,7 @@ def _cmd_synth(args) -> int:
 def _cmd_train(args) -> int:
     config = _resolve_config(args)
     print(f"seed = {config.seed}")
-    utterances = load_dataset(args.data)
-    train_utts = [utterances[e.utt_id] for e in manifest_entries(args.data) if e.split == "train"]
+    train_utts = [u for u in load_dataset(args.data).values() if u.split == "train"]
     result = train(config, train_utts, args.out)
     for epoch, loss in enumerate(result.epoch_losses):
         print(f"epoch {epoch} loss {loss!r}")

@@ -21,7 +21,7 @@ import numpy as np
 from avfuse.config import FUSION_MODES, ConfigError, TrainConfig
 from avfuse.featio import TrialPair, Utterance
 from avfuse.metrics import DcfParams, MetricsReport, ScoreSet, compute_report, write_scores
-from avfuse.model import VerificationModel
+from avfuse.model import VerificationModel, check_shapes
 from avfuse.objective import NormalizationError
 
 TRAINED_SYSTEMS = FUSION_MODES
@@ -62,26 +62,15 @@ def _resolve(trials: list[TrialPair], utterances: dict[str, Utterance]
     return ids, rows[0::2], rows[1::2], labels
 
 
-def _stack(ids: list[str], utterances: dict[str, Utterance], modality: str, shape: tuple) -> np.ndarray:
-    """The ``modality`` arrays of the ``ids`` utterances, stacked.  Arrays of unequal shapes do
-    not stack: the first utterance whose array is not of ``shape`` is named instead."""
-    arrays = [getattr(utterances[u], modality) for u in ids]
-    if len({x.shape for x in arrays}) > 1:
-        utt_id, x = next((u, x) for u, x in zip(ids, arrays) if x.shape != shape)
-        raise ConfigError(f"utterance {utt_id}: {modality} features of shape {x.shape} do not match {shape}")
-    return np.stack(arrays)
-
-
 def embed_utterances(model: VerificationModel, ids: list[str],
                      utterances: dict[str, Utterance]) -> np.ndarray:
     """Embeddings of the given utterances, one row each in ``ids`` order, embedded in batches of the
-    model's ``batch_size``; a batch of unequal shapes names its first utterance off the model's."""
-    config = model.config
+    model's ``batch_size`` once every utterance is checked against the model's input shapes."""
+    check_shapes((utterances[u] for u in ids), model.input_shapes)
     chunks = []
-    for start in range(0, len(ids), config.batch_size):
-        batch = ids[start:start + config.batch_size]
-        chunks.append(model.embed(_stack(batch, utterances, "audio", (config.audio_dim, config.segments)),
-                                  _stack(batch, utterances, "visual", (config.visual_dim, config.segments))))
+    for start in range(0, len(ids), model.config.batch_size):
+        batch = [utterances[u] for u in ids[start:start + model.config.batch_size]]
+        chunks.append(model.embed(np.stack([u.audio for u in batch]), np.stack([u.visual for u in batch])))
     return np.concatenate(chunks) if chunks else np.empty((0, model.config.embed_dim))
 
 
@@ -124,8 +113,11 @@ def score_trials(system: str, trials: list[TrialPair], utterances: dict[str, Utt
         if model is not None:
             raise ConfigError(f"system {system!r} is untrained; it takes no model")
 
+        first = utterances[ids[0]]
+        check_shapes((utterances[u] for u in ids), (first.audio.shape, first.visual.shape))
+
         def raw(modality: str) -> np.ndarray:
-            stacked = _stack(ids, utterances, modality, getattr(utterances[ids[0]], modality).shape)
+            stacked = np.stack([getattr(utterances[u], modality) for u in ids])
             return _cosines(enroll_rows, test_rows, pooled_raw_embedding(stacked))
 
         if system == "score_level":

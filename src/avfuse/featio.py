@@ -5,14 +5,16 @@ checkpoints (``avfuse.checkpoint`` keeps only its container layout): as
 IEEE-754 single-precision little-endian values, widened to double precision in
 memory.  Feature files carry one real matrix: magic ``AVF1``, two little-endian
 u32 extents (rows, cols), then the rows*cols values in row-major order.
-One file per modality per utterance: ``<id>.audio.avf`` / ``<id>.visual.avf``,
-each read whole by raw ``os`` calls; a dataset widens and screens all at once.
+A dataset is ``manifest.tsv`` and ``feats/<id>.audio.avf`` / ``<id>.visual.avf``,
+written by ``write_dataset`` and read back by ``load_dataset``, each file whole by
+raw ``os`` calls, then widened and screened all at once.
 Trial-list and manifest rows are ``NamedTuple``s, so a row costs what a
 3-tuple costs and a list of them flattens in one pass.  An utterance id names
-its files, so it holds no path separator.  Every writer refuses, before
-opening its file, what its reader would refuse or change.  ``replace_file`` is
-the one atomic write, of feature and embedding files, checkpoints, scores
-files, trial lists, manifests and the training log.
+its files and its trials, so it is one whitespace-free token without a path
+separator.  Every writer refuses, before opening its file, what its reader
+would refuse or change.  ``replace_file`` is the one atomic write, of feature
+and embedding files, checkpoints, scores files, trial lists, manifests and the
+training log.
 """
 
 from __future__ import annotations
@@ -208,23 +210,25 @@ class ManifestEntry(NamedTuple):
 
 @dataclass
 class Utterance:
-    """Per-segment features of both modalities for one utterance."""
+    """Per-segment features of both modalities for one utterance, and its manifest split."""
 
     utt_id: str
     speaker_id: str
+    split: str          # "train" or "eval"
     audio: np.ndarray   # audio_dim x segments
     visual: np.ndarray  # visual_dim x segments
 
 
 def write_manifest(path, entries) -> None:
-    """Write `utt_id<TAB>speaker_id<TAB>split` rows: unique utterance ids without a path
-    separator, splits `train` or `eval`, and ids that are non-empty, without tab or line
-    break, and unpadded by whitespace."""
+    """Write `utt_id<TAB>speaker_id<TAB>split` rows: unique utterance ids that are one
+    whitespace-free token without a path separator, splits `train` or `eval`, and speaker
+    ids that are non-empty, without tab or line break, and unpadded by whitespace."""
     entries = list(entries)
-    _refuse(path, (u for e in entries for u in e[:2]),
-            lambda u: not u or u != u.strip() or any(c in u for c in "\t\n\r"),
-            "id {!r} is empty, holds a tab or line break, or has leading or trailing whitespace")
     rows = Counter(e[0] for e in entries)
+    _refuse(path, rows, lambda u: u.split() != [u], "id {!r} is empty or holds whitespace")
+    _refuse(path, (e[1] for e in entries),
+            lambda s: not s or s != s.strip() or any(c in s for c in "\t\n\r"),
+            "id {!r} is empty, holds a tab or line break, or has leading or trailing whitespace")
     _refuse(path, rows, lambda u: rows[u] > 1, "duplicate utterance id {!r}")
     _refuse(path, rows, lambda u: "/" in u or "\\" in u, "utterance id {!r} holds a path separator")
     _refuse(path, (e[2] for e in entries), lambda v: v not in ("train", "eval"),
@@ -245,6 +249,8 @@ def read_manifest(path) -> list[ManifestEntry]:
             raise TrialParseError(f"{path}: line {lineno}: malformed manifest row")
         if "" in parts:
             raise TrialParseError(f"{path}: line {lineno}: empty field in manifest row")
+        if parts[0].split() != [parts[0]]:
+            raise TrialParseError(f"{path}: line {lineno}: utterance id {parts[0]!r} holds whitespace")
         if "/" in parts[0] or "\\" in parts[0]:
             raise TrialParseError(f"{path}: line {lineno}: utterance id {parts[0]!r} holds a path separator")
         if parts[0] in seen:
@@ -254,8 +260,26 @@ def read_manifest(path) -> list[ManifestEntry]:
     return entries
 
 
+def _feature_paths(data_dir, utt_ids) -> list[str]:
+    """Each utterance's audio and then visual feature file, in ``utt_ids`` order."""
+    feats = os.path.join(data_dir, "feats", "")
+    return [f"{feats}{u}.{modality}.avf" for u in utt_ids for modality in ("audio", "visual")]
+
+
+def write_dataset(data_dir, utterances: list[Utterance]) -> None:
+    """Write ``manifest.tsv``, refusing what ``read_manifest`` would refuse or change before
+    any file is written, then every utterance's feature files, as ``load_dataset`` reads them."""
+    os.makedirs(os.path.join(data_dir, "feats"), exist_ok=True)
+    write_manifest(Path(data_dir) / "manifest.tsv",
+                   [ManifestEntry(u.utt_id, u.speaker_id, u.split) for u in utterances])
+    arrays = (x for u in utterances for x in (u.audio, u.visual))
+    for path, matrix in zip(_feature_paths(data_dir, [u.utt_id for u in utterances]), arrays):
+        save_features(path, matrix)
+
+
 def load_dataset(data_dir) -> dict[str, Utterance]:
-    """Load every manifest utterance's feature pair; both modalities must agree on segments.
+    """Load every manifest utterance's feature pair and split, in manifest order; both
+    modalities must agree on segments.
 
     One pass reads and checks every file in manifest order, so a structural fault is raised
     before a non-finite value in an earlier file.  Then one widening decodes all payloads into
@@ -263,10 +287,8 @@ def load_dataset(data_dir) -> dict[str, Utterance]:
     single-precision squares cannot overflow it, so only a NaN or Inf makes it non-finite, and
     only then does ``load_features`` load each file again to name the value and its index.
     """
-    data_dir = Path(data_dir)
-    feats = os.path.join(data_dir, "feats", "")
-    entries = read_manifest(data_dir / "manifest.tsv")
-    paths = [f"{feats}{e.utt_id}.{modality}.avf" for e in entries for modality in ("audio", "visual")]
+    entries = manifest_entries(data_dir)
+    paths = _feature_paths(data_dir, [e.utt_id for e in entries])
     payloads, shapes = [], []
     for entry, audio_path, visual_path in zip(entries, paths[0::2], paths[1::2]):
         (audio, a_shape), (visual, v_shape) = _read(audio_path), _read(visual_path)
@@ -281,7 +303,7 @@ def load_dataset(data_dir) -> dict[str, Utterance]:
         raise FeatureFileError(f"{data_dir}: feature files changed while the dataset loaded")
     ends = itertools.accumulate(map(math.prod, shapes))
     arrays = (values[end - math.prod(shape):end].reshape(shape) for end, shape in zip(ends, shapes))
-    return {e.utt_id: Utterance(e.utt_id, e.speaker_id, next(arrays), next(arrays)) for e in entries}
+    return {e.utt_id: Utterance(*e, next(arrays), next(arrays)) for e in entries}
 
 
 def manifest_entries(data_dir) -> list[ManifestEntry]:

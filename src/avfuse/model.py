@@ -1,9 +1,10 @@
 """Full verification model: fusion -> optional BLSTM -> pooling -> embedding -> margin head.
 
 The forward runs on one (dim, segments) utterance or on a (B, dim, segments)
-mini-batch through the same ops, and refuses features whose dims or segment
-count differ from the config's.  The features are data: ``fuse`` takes them
-as ``autodiff.Constant`` leaves, so a backward forms no gradient for them.
+mini-batch through the same ops, and refuses features off ``input_shapes``, the
+config's dims and segment count; ``check_shapes`` names the first utterance off
+them.  The features are data: ``fuse`` takes them as ``autodiff.Constant``
+leaves, so a backward forms no gradient for them.
 Every fusion mode runs one fusion stage (``fusion.fuse``); only the model maps
 the mode to the stage's steps and key rule: T joint-key steps for RJCA (one set
 of weights repeated T times when shared), one ``cross`` step for the
@@ -40,6 +41,7 @@ class VerificationModel:
         self.n_speakers = n_speakers
         rng = np.random.default_rng(config.seed)
         dims = (config.audio_dim, config.visual_dim, config.segments)
+        self.input_shapes = ((config.audio_dim, config.segments), (config.visual_dim, config.segments))
 
         # The fusion mode as the stage's steps, in the order they run, and key
         # rule; shared weights are one JcaStepParams repeated, drawn once.
@@ -67,11 +69,10 @@ class VerificationModel:
         """The fusion stage.  Arrays and tensors alike enter it as constants, and
         their last two axes must be the config's (dim, segments)."""
         audio, visual = (Constant(x.data if isinstance(x, Tensor) else x) for x in (audio, visual))
-        config = self.config
-        for name, x, dim in (("audio", audio, config.audio_dim), ("visual", visual, config.visual_dim)):
-            if x.shape[-2:] != (dim, config.segments):
+        for name, x, shape in zip(("audio", "visual"), (audio, visual), self.input_shapes):
+            if x.shape[-2:] != shape:
                 raise ShapeError(f"{name} features of shape {x.shape} do not match the model's "
-                                 f"({name}_dim, segments) = {(dim, config.segments)}")
+                                 f"({name}_dim, segments) = {shape}")
         return fuse(audio, visual, self.fusion_steps, self.cross)
 
     def embed_tensors(self, audio: np.ndarray | Tensor, visual: np.ndarray | Tensor) -> Tensor:
@@ -148,6 +149,16 @@ class VerificationModel:
         except ConfigError as exc:
             raise CheckpointError(f"{path}: {exc}") from exc
         return model
+
+
+def check_shapes(utterances, shapes) -> None:
+    """Refuse, naming it, the first of the ``featio.Utterance``s whose audio or visual features
+    are not of the ``(audio, visual)`` shapes: a model's ``input_shapes``, or a first utterance's."""
+    for u in utterances:
+        for name, x, shape in zip(("audio", "visual"), (u.audio, u.visual), shapes):
+            if x.shape != shape:
+                raise ConfigError(f"utterance {u.utt_id}: {name} features of shape {x.shape} "
+                                  f"do not match {shape}")
 
 
 def parse_config_snapshot(text: str) -> tuple[TrainConfig, int]:

@@ -4,8 +4,8 @@ Each speaker draws a latent identity vector; utterance features are fixed
 random linear mixes of that identity plus noise, independently scaled per
 modality so one modality can be made unreliable.  Audio noise is smoothed
 over adjacent segments (temporally correlated); visual noise is independent
-per segment.  The generator also writes a manifest with a train/eval split
-and a balanced trial list over the held-out utterances.
+per segment.  The generator writes the dataset through ``featio.write_dataset``,
+with a train/eval split, and a balanced trial list over the held-out utterances.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from avfuse.config import ConfigError, TrainConfig
-from avfuse.featio import ManifestEntry, TrialPair, save_features, write_manifest, write_trial_list
+from avfuse.featio import TrialPair, Utterance, write_dataset, write_trial_list
 
 
 @dataclass
@@ -66,8 +66,9 @@ def utterance_name(speaker_index: int, utt_index: int) -> str:
     return f"{speaker_name(speaker_index)}_utt{utt_index:02d}"
 
 
-def generate_dataset(spec: SyntheticSpec, out_dir) -> list[ManifestEntry]:
-    """Write feature files, manifest, and trial list; returns the manifest rows.
+def generate_dataset(spec: SyntheticSpec, out_dir) -> list[Utterance]:
+    """Write the dataset and its trial list; returns the utterances, in manifest order and
+    at full precision (their files hold them rounded to single precision).
 
     The same spec (including seed) regenerates byte-identical files.  Every
     feature matrix and the trial list are drawn in memory first, so a spec
@@ -80,8 +81,7 @@ def generate_dataset(spec: SyntheticSpec, out_dir) -> list[ManifestEntry]:
     visual_mix = rng.normal(0.0, scale, size=(spec.visual_dim, spec.latent_dim))
     smooth = _smoothing_matrix(spec.segments)
 
-    entries = []
-    features: list[tuple[str, np.ndarray, np.ndarray]] = []
+    utterances = []
     eval_ids_by_speaker: list[list[str]] = []
     for s in range(spec.n_speakers):
         identity = rng.normal(0.0, 1.0, size=spec.latent_dim)
@@ -92,24 +92,18 @@ def generate_dataset(spec: SyntheticSpec, out_dir) -> list[ManifestEntry]:
             utt_id = utterance_name(s, u)
             audio_noise = rng.standard_normal((spec.audio_dim, spec.segments)) @ smooth.T
             visual_noise = rng.standard_normal((spec.visual_dim, spec.segments))
-            features.append((utt_id, audio_base + spec.audio_noise * audio_noise,
-                             visual_base + spec.visual_noise * visual_noise))
             held_out = u >= spec.utts_per_speaker - spec.eval_utts_per_speaker
-            entries.append(ManifestEntry(utt_id, speaker_name(s), "eval" if held_out else "train"))
+            utterances.append(Utterance(utt_id, speaker_name(s), "eval" if held_out else "train",
+                                        audio_base + spec.audio_noise * audio_noise,
+                                        visual_base + spec.visual_noise * visual_noise))
             if held_out:
                 eval_ids.append(utt_id)
         eval_ids_by_speaker.append(eval_ids)
     trials = _build_trials(spec, rng, eval_ids_by_speaker)
 
-    out_dir = Path(out_dir)
-    feats_dir = out_dir / "feats"
-    feats_dir.mkdir(parents=True, exist_ok=True)
-    for utt_id, audio, visual in features:
-        save_features(feats_dir / f"{utt_id}.audio.avf", audio)
-        save_features(feats_dir / f"{utt_id}.visual.avf", visual)
-    write_manifest(out_dir / "manifest.tsv", entries)
-    write_trial_list(out_dir / "trials.txt", trials)
-    return entries
+    write_dataset(out_dir, utterances)
+    write_trial_list(Path(out_dir) / "trials.txt", trials)
+    return utterances
 
 
 def _build_trials(spec: SyntheticSpec, rng: np.random.Generator,

@@ -29,7 +29,7 @@ from avfuse import autodiff as ad
 from avfuse.autodiff import Tape, Tensor
 from avfuse.config import ConfigError, TrainConfig
 from avfuse.featio import FeatureFileError, Utterance, replace_file
-from avfuse.model import VerificationModel
+from avfuse.model import VerificationModel, check_shapes
 
 
 class DivergenceError(RuntimeError):
@@ -127,15 +127,9 @@ def train(config: TrainConfig, train_utts: list[Utterance], out_dir) -> TrainRes
     """Optimize the full stack on the given utterances; see module docstring."""
     if not train_utts:
         raise ConfigError("no training utterances")
-    for u in train_utts:
-        if u.audio.shape != (config.audio_dim, config.segments) or \
-           u.visual.shape != (config.visual_dim, config.segments):
-            raise ConfigError(
-                f"utterance {u.utt_id}: feature shapes {u.audio.shape}/{u.visual.shape} "
-                f"do not match config dims"
-            )
     speakers = speaker_index_map(train_utts)
     model = VerificationModel(config, n_speakers=len(speakers))
+    check_shapes(train_utts, model.input_shapes)
     optimizer = Optimizer(model.named_parameters(), config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -6,12 +6,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from avfuse import cli, gradcheck
+from avfuse import cli, featio, gradcheck
 from avfuse.checkpoint import load_checkpoint, save_checkpoint
 from avfuse.config import TrainConfig
 from avfuse.evaluation import score_trials
-from avfuse.featio import (TrialPair, load_dataset, load_features, manifest_entries,
-                           parse_trial_list, save_features, write_trial_list)
+from avfuse.featio import (TrialPair, load_dataset, load_features, parse_trial_list, save_features,
+                           write_trial_list)
 from avfuse.metrics import DcfParams
 from avfuse.model import VerificationModel
 from avfuse.synthetic import SyntheticSpec
@@ -51,8 +51,7 @@ def test_synth_train_embed(trained, tmp_path):
 
 def test_train_fits_the_manifest_train_split_and_saves_every_epoch(trained, tmp_path):
     data, checkpoint = trained
-    utterances = load_dataset(data)
-    train_split = [utterances[e.utt_id] for e in manifest_entries(data) if e.split == "train"]
+    train_split = [u for u in load_dataset(data).values() if u.split == "train"]
     result = train(VerificationModel.from_checkpoint(checkpoint).config, train_split, tmp_path)
     assert result.checkpoint_path.read_bytes() == checkpoint.read_bytes()
     epoch = "epoch_000.ckpt"
@@ -173,44 +172,45 @@ def test_evaluate_names_a_checkpoint_with_a_bad_speaker_count(trained, tmp_path,
     assert capsys.readouterr().err == f"error: {bad}: n_speakers: expected an integer, got 'x'\n"
 
 
-@pytest.mark.parametrize("fusion", ["concat", "rjca"])
-def test_evaluate_and_embed_refuse_data_off_the_checkpoint_dims(fusion, tmp_path, capsys):
-    # A checkpoint for 4 segments, and data with 6.
-    data = tmp_path / "data"
-    assert cli.main(["synth", "--out", str(data), "--speakers", "3", "--utts-per-speaker", "3",
-                     "--latent-dim", "2", "--audio-dim", "3", "--visual-dim", "2", "--segments", "6"]) == 0
-    config = TrainConfig(fusion=fusion, audio_dim=3, visual_dim=2, segments=4, blstm_hidden=3,
-                         asp_hidden=3, embed_dim=4)
-    VerificationModel(config, n_speakers=3).save(tmp_path / "model.ckpt")
-    checkpoint = ["--checkpoint", str(tmp_path / "model.ckpt")]
-    capsys.readouterr()
-    assert cli.main(evaluate_args(data, tmp_path, "--system", fusion, *checkpoint)) == 2
-    assert cli.main(["embed", *checkpoint, "--data", str(data), "--out", str(tmp_path / "emb")]) == 2
-    assert not (tmp_path / "emb").exists()
-    expected = "do not match the model's (audio_dim, segments) = (3, 4)\n"
-    assert capsys.readouterr().err == (f"error: audio features of shape (3, 3, 6) {expected}"
-                                       f"error: audio features of shape (9, 3, 6) {expected}")
-
-
-def test_evaluate_and_embed_name_an_utterance_whose_shape_is_off(tmp_path, capsys):
-    # Every utterance has 4 segments but spk000_utt02, a trial utterance, which has 5.
+@pytest.mark.parametrize("off, segments, every", [("spk001_utt00", 5, False), ("spk000_utt00", 6, True)],
+                         ids=["one_utterance_off", "every_utterance_off"])
+def test_commands_name_the_first_utterance_off_the_model_shape(tmp_path, capsys, off, segments, every):
+    # Models for 4 segments.  Either spk001_utt00 alone has 5, or every utterance has 6.  The
+    # trials pair every utterance, so train, embed and evaluate each check the same first
+    # utterance off, before writing anything.  A raw system takes the first trial utterance's shape.
     data = tmp_path / "data"
     assert cli.main(["synth", "--out", str(data), "--speakers", "4", "--utts-per-speaker", "3",
-                     "--latent-dim", "2", *DIMS]) == 0
+                     "--latent-dim", "2", *DIMS[:-1], str(segments if every else 4)]) == 0
     rng = np.random.default_rng(0)
-    for modality, dim in (("audio", 3), ("visual", 2)):
-        save_features(data / "feats" / f"spk000_utt02.{modality}.avf", rng.uniform(-1, 1, size=(dim, 5)))
-    config = TrainConfig(audio_dim=3, visual_dim=2, segments=4, blstm_hidden=3, asp_hidden=3, embed_dim=4)
-    VerificationModel(config, n_speakers=4).save(tmp_path / "model.ckpt")
-    checkpoint = ["--checkpoint", str(tmp_path / "model.ckpt")]
-    trials = ["evaluate", "--data", str(data), "--trials", str(data / "trials.txt")]
+    for modality, dim in () if every else (("audio", 3), ("visual", 2)):
+        save_features(data / "feats" / f"{off}.{modality}.avf", rng.uniform(-1, 1, size=(dim, segments)))
+    ids = sorted(load_dataset(data))
+    write_trial_list(tmp_path / "trials.txt", [TrialPair(False, a, b) for a in ids for b in ids if a < b])
+    evaluate = ["evaluate", "--data", str(data), "--trials", str(tmp_path / "trials.txt"), "--system"]
     capsys.readouterr()
-    assert cli.main([*trials, "--system", "audio"]) == 2
-    assert cli.main([*trials, "--system", "rjca", *checkpoint]) == 2
-    assert cli.main(["embed", *checkpoint, "--data", str(data), "--out", str(tmp_path / "emb")]) == 2
-    assert not (tmp_path / "emb").exists()
-    message = "error: utterance spk000_utt02: audio features of shape (3, 5) do not match (3, 4)\n"
-    assert capsys.readouterr().err == 3 * message
+    assert cli.main(["train", "--data", str(data), "--out", str(tmp_path / "run"), *DIMS]) == 2
+    for fusion in ("rjca", "concat"):
+        config = TrainConfig(fusion=fusion, audio_dim=3, visual_dim=2, segments=4, blstm_hidden=3,
+                             asp_hidden=3, embed_dim=4)
+        VerificationModel(config, n_speakers=4).save(tmp_path / "model.ckpt")
+        checkpoint = ["--checkpoint", str(tmp_path / "model.ckpt")]
+        assert cli.main(["embed", *checkpoint, "--data", str(data), "--out", str(tmp_path / "emb")]) == 2
+        assert cli.main([*evaluate, fusion, *checkpoint]) == 2
+    raw = () if every else ("audio", "visual", "score_level")
+    for system in raw:
+        assert cli.main([*evaluate, system]) == 2
+    assert not (tmp_path / "run").exists() and not (tmp_path / "emb").exists()
+    message = f"error: utterance {off}: audio features of shape (3, {segments}) do not match (3, 4)\n"
+    assert capsys.readouterr().err == (5 + len(raw)) * message
+
+
+def test_train_reads_the_manifest_once(trained, tmp_path, monkeypatch):
+    data, _ = trained
+    paths, read = [], featio.read_manifest
+    monkeypatch.setattr(featio, "read_manifest", lambda path: paths.append(path) or read(path))
+    assert cli.main(["train", "--data", str(data), "--out", str(tmp_path / "run"), "--epochs", "1",
+                     "--blstm-hidden", "3", "--asp-hidden", "3", "--embed-dim", "4", *DIMS]) == 0
+    assert paths == [data / "manifest.tsv"]
 
 
 def test_embed_refuses_an_utterance_id_that_leaves_its_directories(trained, tmp_path, capsys):

@@ -21,6 +21,7 @@ from avfuse.featio import (
     TrialPair,
     TrialParseError,
     TruncatedPayloadError,
+    Utterance,
     load_dataset,
     load_features,
     parse_trial_list,
@@ -99,6 +100,8 @@ def test_malformed_trial_line_names_its_line(tmp_path, text, message):
     ("u1\tspk\ttrain\n../../outside\tspk\teval\n",
      "line 2: utterance id '../../outside' holds a path separator"),
     ("..\\u1\tspk\ttrain\n", re.escape("line 1: utterance id '..\\\\u1' holds a path separator")),
+    ("u1\tspk\ttrain\nu 2\tspk a\teval\n", "line 2: utterance id 'u 2' holds whitespace"),
+    ("u1 \tspk\ttrain\n", "line 1: utterance id 'u1 ' holds whitespace"),
 ])
 def test_malformed_manifest_row_names_its_line(tmp_path, text, message):
     (tmp_path / "manifest.tsv").write_text(text, encoding="utf-8")
@@ -135,7 +138,7 @@ def test_written_trial_lists_and_manifests_read_back_equal(tmp_path):
     trials = [TrialPair(True, "u1", "u2"), TrialPair(False, "u2", "spk:3/é"), TrialPair(True, "u1", "u1")]
     write_trial_list(tmp_path / "trials.txt", trials)
     assert parse_trial_list(tmp_path / "trials.txt") == trials
-    entries = [ManifestEntry("u1", "spk a", "train"), ManifestEntry("u 2", "spk", "eval")]
+    entries = [ManifestEntry("u1", "spk a", "train"), ManifestEntry("u2", "spk 2", "eval")]
     write_manifest(tmp_path / "manifest.tsv", entries)
     assert read_manifest(tmp_path / "manifest.tsv") == entries
 
@@ -148,12 +151,15 @@ def test_trial_list_writer_refuses_an_id_its_reader_would_split(tmp_path, bad):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("bad", ["", " u2", "u2 ", "a\tb", "a\nb", "a\rb"])
-@pytest.mark.parametrize("field", ["utt_id", "speaker_id"])
+@pytest.mark.parametrize("field, bad", [
+    (field, bad) for field in ("utt_id", "speaker_id") for bad in ("", " u2", "u2 ", "a\tb", "a\nb", "a\rb")
+] + [("utt_id", "a b"), ("utt_id", "a\u2028b")])
 def test_manifest_writer_refuses_an_id_its_reader_would_change(tmp_path, bad, field):
+    # An utterance id is one whitespace-free token, as trial lists need; a speaker id may hold spaces.
     path = tmp_path / "manifest.tsv"
     entry = ManifestEntry("u2", "spk", "eval")._replace(**{field: bad})
-    with pytest.raises(TrialParseError, match=re.escape(f"{path}: id {bad!r} is empty, holds a tab")):
+    reason = "is empty or holds whitespace" if field == "utt_id" else "is empty, holds a tab"
+    with pytest.raises(TrialParseError, match=re.escape(f"{path}: id {bad!r} {reason}")):
         write_manifest(path, [ManifestEntry("u1", "spk", "train"), entry])
     assert not path.exists()
 
@@ -250,6 +256,33 @@ def test_dataset_loads_bitwise_from_a_str_or_a_path(tmp_path):
                 got = getattr(utt, modality)
                 assert want.shape == got.shape == (dim, 4) and got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
+
+
+def test_a_loaded_dataset_writes_back_byte_for_byte_and_reloads_bitwise(tmp_path):
+    source, copy = tmp_path / "source", tmp_path / "copy"
+    generate_dataset(SyntheticSpec(n_speakers=3, utts_per_speaker=3, audio_dim=5, visual_dim=3,
+                                   segments=4, latent_dim=2), source)
+    loaded = load_dataset(source)
+    featio.write_dataset(copy, list(loaded.values()))
+    assert (copy / "manifest.tsv").read_bytes() == (source / "manifest.tsv").read_bytes()
+    files = sorted(p.name for p in (source / "feats").iterdir())
+    assert sorted(p.name for p in (copy / "feats").iterdir()) == files
+    for name in files:
+        assert (copy / "feats" / name).read_bytes() == (source / "feats" / name).read_bytes()
+    reloaded = load_dataset(copy)
+    rows = [(key, u.utt_id, u.speaker_id, u.split) for key, u in loaded.items()]
+    assert [(key, u.utt_id, u.speaker_id, u.split) for key, u in reloaded.items()] == rows
+    assert {u.split for u in loaded.values()} == {"train", "eval"}
+    for utt in reloaded.values():
+        for modality in ("audio", "visual"):
+            assert getattr(utt, modality).tobytes() == getattr(loaded[utt.utt_id], modality).tobytes()
+
+
+def test_write_dataset_refuses_a_manifest_row_before_writing_a_file(tmp_path):
+    utterances = [Utterance(u, "spk", "train", np.zeros((3, 4)), np.zeros((2, 4))) for u in ("u1", "../u2")]
+    with pytest.raises(TrialParseError, match="utterance id '../u2' holds a path separator"):
+        featio.write_dataset(tmp_path / "data", utterances)
+    assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
 
 def test_dataset_arrays_are_c_contiguous_float64_that_constants_hold_without_a_copy(tmp_path):

@@ -29,8 +29,6 @@ def imported_names(tree: ast.Module):
 def test_module_level_imports_are_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    if path.name == "__init__.py":
-        used |= set(avfuse.__all__)
     unused = [f"{path.name}:{line} {name}" for name, line in imported_names(tree)
               if name not in used]
     assert not unused, f"unused imports: {unused}"
@@ -52,13 +50,13 @@ def names_used_from(tree: ast.Module, module: str) -> set[str]:
 @pytest.mark.parametrize("module", ["autodiff", "fusion", "temporal"])
 def test_public_functions_have_a_caller_in_the_package(module):
     # A function that only tests call belongs with them (an autodiff op in
-    # tests/reference_ops.py); the package's __init__ re-export is no caller.
+    # tests/reference_ops.py).
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
              for path in MODULES}
     public = {node.name for node in trees[f"{module}.py"].body
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
     used = set().union(*(names_used_from(tree, module) for name, tree in trees.items()
-                         if name not in (f"{module}.py", "__init__.py")))
+                         if name != f"{module}.py"))
     uncalled = sorted(public - used)
     assert not uncalled, f"{module} functions without a caller: {uncalled}"
 
@@ -90,10 +88,9 @@ def public_callables(tree: ast.Module):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_public_functions_and_methods_are_referenced_outside_the_tests(path):
-    # Callers are the package modules and the benchmark scripts; the package's
-    # __init__ re-export and the tests are not.
+    # Callers are the package modules and the benchmark scripts; the tests are not.
     assert PERFBENCH, "perfbench scripts not found next to the package"
-    callers = [p for p in MODULES if p.name != "__init__.py"] + PERFBENCH
+    callers = MODULES + PERFBENCH
     used = set().union(*(referenced_names(ast.parse(p.read_text(encoding="utf-8"))) for p in callers))
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     uncalled = [qualified for qualified, name in public_callables(tree) if name not in used]

@@ -26,8 +26,7 @@ def test_default_trial_lists_hold_each_pair_once_in_either_order(tmp_path, monke
     # Scores are symmetric, so a pair listed in both orders would count twice.  The
     # writers are stubbed: only the trial list, built from the full seeded draws, matters.
     written = []
-    monkeypatch.setattr(synthetic, "save_features", lambda path, matrix: None)
-    monkeypatch.setattr(synthetic, "write_manifest", lambda path, entries: None)
+    monkeypatch.setattr(synthetic, "write_dataset", lambda data_dir, utterances: None)
     monkeypatch.setattr(synthetic, "write_trial_list", lambda path, trials: written.append(trials))
     for seed in range(12):
         generate_dataset(SyntheticSpec(seed=seed), tmp_path)

@@ -9,7 +9,7 @@ import pytest
 from avfuse import autodiff as ad
 from avfuse.autodiff import Tape, Tensor
 from avfuse.config import ConfigError, TrainConfig
-from avfuse.featio import FeatureFileError, load_dataset, manifest_entries
+from avfuse.featio import FeatureFileError, load_dataset
 from avfuse.model import VerificationModel
 from avfuse.synthetic import SyntheticSpec, generate_dataset
 from avfuse.training import DivergenceError, Optimizer, speaker_index_map, train
@@ -23,8 +23,7 @@ def tiny_train_set(tmp_path_factory):
                          segments=4, latent_dim=2, eval_utts_per_speaker=1, seed=5)
     data_dir = tmp_path_factory.mktemp("data")
     generate_dataset(spec, data_dir)
-    utterances = load_dataset(data_dir)
-    return [utterances[e.utt_id] for e in manifest_entries(data_dir) if e.split == "train"]
+    return [u for u in load_dataset(data_dir).values() if u.split == "train"]
 
 
 def tiny_config(**overrides):
@@ -291,9 +290,9 @@ def with_first_reshaped(utts, modality, shape):
 @pytest.mark.parametrize("utts, message", [
     (lambda utts: [], "no training utterances"),
     (lambda utts: with_first_reshaped(utts, "audio", (4, 4)),
-     "utterance {id}: feature shapes (4, 4)/(2, 4) do not match config dims"),
+     "utterance {id}: audio features of shape (4, 4) do not match (3, 4)"),
     (lambda utts: with_first_reshaped(utts, "visual", (2, 5)),
-     "utterance {id}: feature shapes (3, 4)/(2, 5) do not match config dims"),
+     "utterance {id}: visual features of shape (2, 5) do not match (2, 4)"),
 ], ids=["no_utterances", "audio_dim", "visual_segments"])
 def test_train_refuses_bad_utterances_before_writing(tiny_train_set, tmp_path, utts, message):
     message = message.format(id=tiny_train_set[0].utt_id)
