@@ -172,9 +172,7 @@ def test_evaluate_names_a_checkpoint_with_a_bad_speaker_count(trained, tmp_path,
     assert capsys.readouterr().err == f"error: {bad}: n_speakers: expected an integer, got 'x'\n"
 
 
-@pytest.mark.parametrize("off, segments, every", [("spk001_utt00", 5, False), ("spk000_utt00", 6, True)],
-                         ids=["one_utterance_off", "every_utterance_off"])
-def test_commands_name_the_first_utterance_off_the_model_shape(tmp_path, capsys, off, segments, every):
+def check_commands_name_the_first_utterance_off(tmp_path, capsys, off, segments, every, fusions):
     # Models for 4 segments.  Either spk001_utt00 alone has 5, or every utterance has 6.  The
     # trials pair every utterance, so train, embed and evaluate each check the same first
     # utterance off, before writing anything.  A raw system takes the first trial utterance's shape.
@@ -189,7 +187,7 @@ def test_commands_name_the_first_utterance_off_the_model_shape(tmp_path, capsys,
     evaluate = ["evaluate", "--data", str(data), "--trials", str(tmp_path / "trials.txt"), "--system"]
     capsys.readouterr()
     assert cli.main(["train", "--data", str(data), "--out", str(tmp_path / "run"), *DIMS]) == 2
-    for fusion in ("rjca", "concat"):
+    for fusion in fusions:
         config = TrainConfig(fusion=fusion, audio_dim=3, visual_dim=2, segments=4, blstm_hidden=3,
                              asp_hidden=3, embed_dim=4)
         VerificationModel(config, n_speakers=4).save(tmp_path / "model.ckpt")
@@ -201,7 +199,19 @@ def test_commands_name_the_first_utterance_off_the_model_shape(tmp_path, capsys,
         assert cli.main([*evaluate, system]) == 2
     assert not (tmp_path / "run").exists() and not (tmp_path / "emb").exists()
     message = f"error: utterance {off}: audio features of shape (3, {segments}) do not match (3, 4)\n"
-    assert capsys.readouterr().err == (5 + len(raw)) * message
+    assert capsys.readouterr().err == (1 + 2 * len(fusions) + len(raw)) * message
+
+
+@pytest.mark.parametrize("off, segments", [("spk001_utt00", 5)], ids=["one_utterance_off"])
+def test_commands_name_the_first_utterance_off_the_model_shape(tmp_path, capsys, off, segments):
+    check_commands_name_the_first_utterance_off(tmp_path, capsys, off, segments, every=False,
+                                                fusions=("rjca", "concat"))
+
+
+@pytest.mark.parametrize("fusion", ["concat", "rjca"])
+def test_evaluate_and_embed_refuse_data_off_the_checkpoint_dims(fusion, tmp_path, capsys):
+    check_commands_name_the_first_utterance_off(tmp_path, capsys, "spk000_utt00", 6, every=True,
+                                                fusions=(fusion,))
 
 
 def test_train_reads_the_manifest_once(trained, tmp_path, monkeypatch):
