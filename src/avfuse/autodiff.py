@@ -23,10 +23,10 @@ accumulation.  Only the fusion stage, where the features enter, skips
 forming the terms that would feed them, and only when both its inputs are
 constants; with one, ``_accumulate`` drops that one's terms.
 
-Tensors have rank 1 to 3.  A rank-2 ``(rows, cols)`` tensor is one
-utterance's matrix; a rank-3 ``(B, rows, cols)`` tensor stacks B of them on a
-leading batch axis, and every matrix op works on the last two axes of each
-item.  A rank-2 weight meets a rank-3 batch by broadcasting along that axis,
+A tensor has rank 2 or 3; any other is refused when it is built.  A rank-2
+``(rows, cols)`` tensor is one utterance's matrix; a rank-3 ``(B, rows, cols)``
+tensor stacks B of them on a leading batch axis, and every matrix op works on
+the last two axes of each item.  A rank-2 weight meets a rank-3 batch by broadcasting along that axis,
 and its gradient is formed against the whole batch in one contraction, so one
 tape records a whole mini-batch with the same ops, and the same code runs a
 single utterance.
@@ -79,8 +79,6 @@ class NonFiniteError(ValueError):
     """A tensor or function value contains NaN or Inf."""
 
 
-_MAX_RANK = 3
-
 # Bounds that keep fused backwards finite: attentive_pool floors a (near-)zero
 # variance, e.g. of one segment, under its square root; aam_cross_entropy keeps
 # the target cosine inside (-1, 1), where sin = sqrt(1 - cos^2) has a derivative.
@@ -95,9 +93,9 @@ def _active_tape() -> "Tape | None":
 
 
 class Tensor:
-    """Dense float64 array of rank 1-3 with an optional gradient buffer.
+    """Dense float64 array of rank 2 or 3 with an optional gradient buffer.
 
-    Values are copied and validated to be finite at construction.  ``grad`` stays None
+    Values are copied, and checked for rank and finiteness, at construction.  ``grad`` stays None
     until backward hands the tensor a gradient (see the module docstring); an
     op result's gradient is released once its op's closure has used it, while
     tensors built here (parameters, inputs) keep theirs.  ``Constant``, the
@@ -109,8 +107,8 @@ class Tensor:
 
     def __init__(self, data):
         arr = np.array(data, dtype=np.float64, order="C", copy=self._copy)
-        if not 1 <= arr.ndim <= _MAX_RANK:
-            raise ShapeError(f"tensor rank must be 1..{_MAX_RANK}, got shape {arr.shape}")
+        if arr.ndim not in (2, 3):
+            raise ShapeError(f"tensor rank must be 2 or 3, got shape {arr.shape}")
         if arr.size and not np.isfinite(arr).all():
             raise NonFiniteError("tensor data contains NaN or Inf")
         self.data = arr
@@ -225,14 +223,17 @@ def _record(backward: Callable[[np.ndarray], None], out: Tensor) -> Tensor:
     return out
 
 
-def _require_matrix(x: Tensor, op: str) -> None:
-    if x.ndim not in (2, 3):
-        raise ShapeError(f"{op}: rank-2 or rank-3 tensor required, got shape {x.shape}")
-
-
-def _require_rank2(x: Tensor, op: str) -> None:
-    if x.ndim != 2:
-        raise ShapeError(f"{op}: rank-2 tensor required, got shape {x.shape}")
+def _require_shapes(op: str, tensors, shapes: list[tuple[int, ...]], names) -> None:
+    """The fused ops' one check of their weights' (and the AAM head's embedding's) shapes:
+    ``tensors`` must have exactly ``shapes``.  The happy path is one comparison of a shape
+    list; only a mismatch names the first operand off, by its entry in ``names``."""
+    actual = [t.data.shape for t in tensors]
+    if actual == shapes:
+        return
+    for shape, expected, name in zip(actual, shapes, names):
+        if shape != expected:
+            raise ShapeError(f"{op}: {name} must be {expected}, got {shape}")
+    raise ShapeError(f"{op}: expected {len(shapes)} weights, got {len(actual)}")
 
 
 def _require_same_batch(a: Tensor, b: Tensor, op: str) -> None:
@@ -329,13 +330,10 @@ def affine(weight: Tensor, x: Tensor, bias: Tensor) -> Tensor:
     sum: a batch's product is one per item, and its weight and bias gradients are summed
     over the items.
     """
-    _require_rank2(weight, "affine")
-    _require_matrix(x, "affine")
-    rows, cols = weight.shape
+    rows, cols = weight.shape[0], weight.shape[-1]
     if x.shape[-2] != cols:
         raise ShapeError(f"affine: input must have {cols} rows for weight {weight.shape}, got {x.shape}")
-    if bias.shape != (rows, x.shape[-1]):
-        raise ShapeError(f"affine: bias must be {(rows, x.shape[-1])}, got {bias.shape}")
+    _require_shapes("affine", (weight, bias), [(rows, cols), (rows, x.shape[-1])], ("weight", "bias"))
     data = _mm(weight.data, x.data)
     data += bias.data
     out = Tensor._wrap(data)
@@ -434,20 +432,13 @@ def blstm(x: Tensor, forward: tuple[Tensor, Tensor, Tensor],
     recurrent ones into the rows of a preallocated block; a tape-free call on
     one utterance runs in its shape's reused ``_utterance_workspace``.
     """
-    _require_matrix(x, "blstm")
     dim, length = x.shape[-2:]
-    hidden = forward[1].shape[1] if forward[1].ndim == 2 else 0
-    expected = [(4 * hidden, dim), (4 * hidden, hidden), (4 * hidden, 1)] * 2
-    if hidden < 1 or [w.data.shape for w in (*forward, *backward)] != expected:
-        for name, (w_in, w_rec, b) in (("forward", forward), ("backward", backward)):
-            if w_rec.shape != (4 * hidden, hidden) or hidden < 1:
-                raise ShapeError(f"blstm: {name} recurrent weight must be (4h, h) with the forward "
-                                 f"direction's h, got {w_rec.shape}")
-            if w_in.shape != (4 * hidden, dim):
-                raise ShapeError(f"blstm: {name} input weight must be {(4 * hidden, dim)} for input "
-                                 f"{x.shape}, got {w_in.shape}")
-            if b.shape != (4 * hidden, 1):
-                raise ShapeError(f"blstm: {name} bias must be {(4 * hidden, 1)}, got {b.shape}")
+    # The forward recurrent weight's last extent is h; one of 0 is refused as h = 1 would be.
+    hidden = max(forward[1].shape[-1], 1)
+    _require_shapes("blstm", (forward[1], forward[0], forward[2], backward[1], backward[0], backward[2]),
+                    [(4 * hidden, hidden), (4 * hidden, dim), (4 * hidden, 1)] * 2,
+                    ("forward recurrent weight", "forward input weight", "forward bias",
+                     "backward recurrent weight", "backward input weight", "backward bias"))
     if length < 1:
         raise ShapeError(f"blstm: input has no time steps, shape {x.shape}")
     batch = x.shape[0] if x.ndim == 3 else 1
@@ -649,7 +640,6 @@ def attention_fusion(audio: Tensor, visual: Tensor, steps: list[tuple[Tensor, ..
     blocks before the one GEMM.  The backward is the same for both.
     """
     op = "attention_fusion"
-    _require_matrix(audio, op)
     _require_same_batch(audio, visual, op)
     dims, length = (audio.shape[-2], visual.shape[-2]), audio.shape[-1]
     if visual.shape[-1] != length:
@@ -657,13 +647,9 @@ def attention_fusion(audio: Tensor, visual: Tensor, steps: list[tuple[Tensor, ..
     keys, mix = dims[::-1] if cross else (sum(dims),) * 2, (length, length)
     shapes = [(dims[0], keys[0]), mix, mix, (dims[1], keys[1]), mix, mix]
     inv_scales = [1.0 / math.sqrt(k) for k in keys]
+    for weights in steps:
+        _require_shapes(op, weights, shapes, ("projection", "attn_mix", "out_mix") * 2)
     arrays = [[w.data for w in weights] for weights in steps]
-    for weights, data in zip(steps, arrays):
-        if [w.shape for w in data] != shapes:
-            for w, shape, name in zip(weights, shapes, ("projection", "attn_mix", "out_mix") * 2):
-                if w.shape != shape:
-                    raise ShapeError(f"{op}: {name} must be {shape}, got {w.shape}")
-            raise ShapeError(f"{op}: a step takes 6 weights, got {len(weights)}")
     # The backward keeps each step's inputs, joint stack and maps, under a tape only.  A step runs
     # in its own call: what it does not keep is freed, and its pages reused, before the next one.
     saved = None if _active_tape() is None else []
@@ -724,14 +710,10 @@ def attentive_pool(feats: Tensor, proj: Tensor, bias: Tensor, score: Tensor) -> 
     deviation sqrt(max((feats * feats) @ w - mu * mu, VARIANCE_FLOOR)); the
     variance gets gradient only where it lies above ``VARIANCE_FLOOR``.
     """
-    _require_matrix(feats, "attentive_pool")
     dim = feats.shape[-2]
     bottleneck = proj.shape[0]
-    if proj.shape != (bottleneck, dim):
-        raise ShapeError(f"attentive_pool: projection must be (k, {dim}), got {proj.shape}")
-    for name, column in (("bias", bias), ("score", score)):
-        if column.shape != (bottleneck, 1):
-            raise ShapeError(f"attentive_pool: {name} must be {(bottleneck, 1)}, got {column.shape}")
+    _require_shapes("attentive_pool", (proj, bias, score),
+                    [(bottleneck, dim), (bottleneck, 1), (bottleneck, 1)], ("projection", "bias", "score"))
     x = feats.data
     hidden = _mm(proj.data, x)
     hidden += bias.data
@@ -782,13 +764,12 @@ def aam_cross_entropy(embedding: Tensor, weights: Tensor, labels: np.ndarray, sc
     theta = pi - margin, where cos(theta + margin) would rise again as theta
     grows, delta is the constant -margin * sin(pi - margin) (the ArcFace
     fallback), so the target logit keeps falling with theta.  Labels must be
-    valid class indices and no norm zero; the caller checks both.
+    valid class indices and no norm zero: the op checks the shapes, its
+    caller the labels and norms.
     """
-    _require_matrix(embedding, "aam_cross_entropy")
-    _require_rank2(weights, "aam_cross_entropy")
-    if embedding.shape[-1] != 1 or weights.shape[1] != embedding.shape[-2]:
-        raise ShapeError(f"aam_cross_entropy: need (e, 1) embeddings and (n, e) class weights, "
-                         f"got {embedding.shape} and {weights.shape}")
+    _require_shapes("aam_cross_entropy", (embedding, weights),
+                    [embedding.shape[:-1] + (1,), (weights.shape[0], embedding.shape[-2])],
+                    ("embedding", "class weights"))
     x = embedding.data
     emb_norms = np.sqrt((x * x).sum(axis=-2, keepdims=True))
     unit_emb = x / emb_norms                                              # [B x] e x 1

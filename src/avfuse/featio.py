@@ -12,9 +12,11 @@ Trial-list and manifest rows are ``NamedTuple``s, so a row costs what a
 3-tuple costs and a list of them flattens in one pass.  An utterance id names
 its files and its trials, so it is one whitespace-free token without a path
 separator.  Every writer refuses, before opening its file, what its reader
-would refuse or change.  ``replace_file`` is the one atomic write, of feature
-and embedding files, checkpoints, scores files, trial lists, manifests and the
-training log.
+would refuse or change, and every reader refuses what its writer would, so a
+manifest that loads can be written back.  ``write_dataset`` also refuses a
+``feats/`` holding a feature file its manifest does not name.
+``replace_file`` is the one atomic write, of feature and embedding files,
+checkpoints, scores files, trial lists, manifests and the training log.
 """
 
 from __future__ import annotations
@@ -59,9 +61,9 @@ def narrow(values, what: str, error: type = FeatureFileError) -> bytes:
         return _screened(np.asarray(values, dtype=np.float64).astype("<f4"), what, error).tobytes()
 
 
-def single_precision(values, what: str, error: type = FeatureFileError) -> np.ndarray:
+def single_precision(values, what: str) -> np.ndarray:
     """``values`` rounded to storage precision and widened back, bitwise a save and reload."""
-    return np.frombuffer(narrow(values, what, error), "<f4").astype(np.float64).reshape(np.shape(values))
+    return np.frombuffer(narrow(values, what), "<f4").astype(np.float64).reshape(np.shape(values))
 
 
 def widen(blob, offset: int, shape: tuple[int, ...], what: str, error: type = FeatureFileError) -> np.ndarray:
@@ -249,6 +251,9 @@ def read_manifest(path) -> list[ManifestEntry]:
             raise TrialParseError(f"{path}: line {lineno}: malformed manifest row")
         if "" in parts:
             raise TrialParseError(f"{path}: line {lineno}: empty field in manifest row")
+        if parts[1] != parts[1].strip():
+            raise TrialParseError(f"{path}: line {lineno}: speaker id {parts[1]!r} has leading or "
+                                  f"trailing whitespace")
         if parts[0].split() != [parts[0]]:
             raise TrialParseError(f"{path}: line {lineno}: utterance id {parts[0]!r} holds whitespace")
         if "/" in parts[0] or "\\" in parts[0]:
@@ -267,13 +272,23 @@ def _feature_paths(data_dir, utt_ids) -> list[str]:
 
 
 def write_dataset(data_dir, utterances: list[Utterance]) -> None:
-    """Write ``manifest.tsv``, refusing what ``read_manifest`` would refuse or change before
-    any file is written, then every utterance's feature files, as ``load_dataset`` reads them."""
-    os.makedirs(os.path.join(data_dir, "feats"), exist_ok=True)
+    """Write ``manifest.tsv``, then every utterance's feature files, as ``load_dataset`` reads
+    them.  Before any file is written it refuses what ``read_manifest`` would refuse or change,
+    and a ``feats/`` holding an ``.avf`` file the new manifest does not name: the first such
+    file, in name order, raises ``FeatureFileError``."""
+    feats = os.path.join(data_dir, "feats")
+    paths = _feature_paths(data_dir, [u.utt_id for u in utterances])
+    if os.path.isdir(feats):
+        named = {os.path.basename(p) for p in paths}
+        stale = sorted(n for n in os.listdir(feats) if n.endswith(".avf") and n not in named)
+        if stale:
+            raise FeatureFileError(f"{os.path.join(feats, stale[0])}: feature file not named by the new "
+                                   "manifest; write the dataset into an empty directory")
+    os.makedirs(feats, exist_ok=True)
     write_manifest(Path(data_dir) / "manifest.tsv",
                    [ManifestEntry(u.utt_id, u.speaker_id, u.split) for u in utterances])
     arrays = (x for u in utterances for x in (u.audio, u.visual))
-    for path, matrix in zip(_feature_paths(data_dir, [u.utt_id for u in utterances]), arrays):
+    for path, matrix in zip(paths, arrays):
         save_features(path, matrix)
 
 

@@ -67,13 +67,13 @@ class VerificationModel:
 
     def fuse(self, audio: np.ndarray | Tensor, visual: np.ndarray | Tensor) -> Tensor:
         """The fusion stage.  Arrays and tensors alike enter it as constants, and
-        their last two axes must be the config's (dim, segments)."""
-        audio, visual = (Constant(x.data if isinstance(x, Tensor) else x) for x in (audio, visual))
+        their last two axes, checked before they are wrapped, must be the config's (dim, segments)."""
+        audio, visual = (x.data if isinstance(x, Tensor) else x for x in (audio, visual))
         for name, x, shape in zip(("audio", "visual"), (audio, visual), self.input_shapes):
-            if x.shape[-2:] != shape:
-                raise ShapeError(f"{name} features of shape {x.shape} do not match the model's "
+            if np.shape(x)[-2:] != shape:
+                raise ShapeError(f"{name} features of shape {np.shape(x)} do not match the model's "
                                  f"({name}_dim, segments) = {shape}")
-        return fuse(audio, visual, self.fusion_steps, self.cross)
+        return fuse(Constant(audio), Constant(visual), self.fusion_steps, self.cross)
 
     def embed_tensors(self, audio: np.ndarray | Tensor, visual: np.ndarray | Tensor) -> Tensor:
         fused = self.fuse(audio, visual)

@@ -63,13 +63,11 @@ def aam_loss(embedding: Tensor, label, head: AamHead) -> Tensor:
     angle + margin reaches pi it is scale * (cos - margin * sin(pi - margin))
     (the ArcFace fallback), so it never rises as the angle grows.  Non-target
     logits are scale * cos.  Gradients flow through both normalizations and
-    the margin path.  After the checks here, the head is the one fused
-    ``ad.aam_cross_entropy`` record.
+    the margin path.  After the label and norm checks here, the head is the
+    one fused ``ad.aam_cross_entropy`` record, which checks the shapes.
     """
     n = head.n_classes
     labels = np.asarray(label)
-    if embedding.ndim not in (2, 3) or embedding.shape[-1] != 1:
-        raise ad.ShapeError(f"aam_loss: expected (embed_dim, 1) embeddings, got {embedding.shape}")
     if labels.shape != embedding.shape[:-2] or labels.dtype.kind not in "iu":
         raise ConfigError(f"aam_loss: need one integer label per embedding, got {label!r}")
     if ((labels < 0) | (labels >= n)).any():

@@ -30,8 +30,6 @@ from avfuse.autodiff import (
     _left_grad,
     _mm,
     _record,
-    _require_matrix,
-    _require_rank2,
     _require_same_batch,
     _right_grad,
     _swap,
@@ -41,8 +39,6 @@ from avfuse.autodiff import (
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of rank-2 or rank-3 tensors, over the leading batch axis if any."""
-    _require_matrix(a, "matmul")
-    _require_matrix(b, "matmul")
     if a.shape[-1] != b.shape[-2] or (a.ndim == b.ndim == 3 and a.shape[0] != b.shape[0]):
         raise ShapeError(f"matmul: inner extents disagree for shapes {a.shape} x {b.shape}")
     out = Tensor._wrap(_mm(a.data, b.data))
@@ -80,8 +76,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:
     """Vertical stack of two matrices (or two equal-size batches) with equal column counts."""
-    _require_matrix(a, "concat_rows")
-    _require_matrix(b, "concat_rows")
     if a.shape[-1] != b.shape[-1]:
         raise ShapeError(f"concat_rows: column counts disagree for shapes {a.shape} vs {b.shape}")
     _require_same_batch(a, b, "concat_rows")
@@ -125,7 +119,6 @@ def relu(x: Tensor) -> Tensor:
 
 def softmax_columns(x: Tensor) -> Tensor:
     """Softmax normalizing each column of every matrix to sum to one."""
-    _require_matrix(x, "softmax_columns")
     shifted = x.data - x.data.max(axis=-2, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=-2, keepdims=True)
@@ -156,7 +149,6 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def transpose(x: Tensor) -> Tensor:
     """Transpose of every matrix (the last two axes)."""
-    _require_matrix(x, "transpose")
     out = Tensor._wrap(np.ascontiguousarray(_swap(x.data)))
 
     def backward(g):
@@ -167,8 +159,6 @@ def transpose(x: Tensor) -> Tensor:
 
 def add_bias(x: Tensor, bias: Tensor) -> Tensor:
     """Add a (rows, 1) bias to every column of a (rows, cols) matrix or batch of them."""
-    _require_matrix(x, "add_bias")
-    _require_rank2(bias, "add_bias")
     if bias.shape != (x.shape[-2], 1):
         raise ShapeError(f"add_bias: bias shape {bias.shape} does not match rows of {x.shape}")
     out = Tensor._wrap(x.data + bias.data)
@@ -205,7 +195,6 @@ def sqrt(x: Tensor) -> Tensor:
 
 def l2_normalize_columns(x: Tensor) -> Tensor:
     """Scale each column of every matrix to unit Euclidean norm."""
-    _require_matrix(x, "l2_normalize_columns")
     norms = np.sqrt((x.data * x.data).sum(axis=-2, keepdims=True))
     if (norms == 0.0).any():
         raise NonFiniteError("l2_normalize_columns: zero-norm column")
@@ -227,7 +216,6 @@ def cross_entropy_index(logits: Tensor, index) -> Tensor:
     (B, n, 1) with B indices gives the B losses as (B, 1, 1).  Forward uses a
     max-shifted log-sum-exp; backward is softmax minus one-hot.
     """
-    _require_matrix(logits, "cross_entropy_index")
     if logits.shape[-1] != 1:
         raise ShapeError(f"cross_entropy_index: expected (n, 1) logits, got {logits.shape}")
     n = logits.shape[-2]
@@ -266,8 +254,6 @@ def attend(feats: Tensor, key: Tensor, proj: Tensor, attn_mix: Tensor, out_mix: 
     gradient term: the first fusion step attends the raw input features, whose
     gradients nothing reads.
     """
-    _require_matrix(feats, "attend")
-    _require_matrix(key, "attend")
     _require_same_batch(feats, key, "attend")
     dim, length = feats.shape[-2:]
     if key.shape[-1] != length:

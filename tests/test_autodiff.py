@@ -64,7 +64,7 @@ class TestForwardValues:
         assert np.array_equal(ref.tanh(z).data, np.zeros((3, 2)))
 
     def test_relu_sign(self):
-        assert np.array_equal(ref.relu(Tensor([-1.0, 2.0])).data, [0.0, 2.0])
+        assert np.array_equal(ref.relu(Tensor([[-1.0, 2.0]])).data, [[0.0, 2.0]])
 
     def test_softmax_constant_column(self):
         x = Tensor(np.full((4, 1), 0.37))
@@ -115,15 +115,16 @@ class TestForwardValues:
 
     def test_nonfinite_rejected_at_construction(self):
         with pytest.raises(NonFiniteError):
-            Tensor([np.nan, 1.0])
+            Tensor([[np.nan, 1.0]])
         with pytest.raises(NonFiniteError):
             Tensor([[np.inf]])
 
     def test_rank_bounds(self):
-        with pytest.raises(ShapeError):
-            Tensor(3.0)
-        with pytest.raises(ShapeError):
-            Tensor(np.zeros((2, 2, 2, 2)))
+        for kind in (Tensor, Constant):
+            for shape in [(), (3,), (2, 2, 2, 2)]:
+                message = f"tensor rank must be 2 or 3, got shape {shape}"
+                with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+                    kind(np.zeros(shape))
 
     def test_item_needs_a_single_element(self):
         assert Tensor([[2.5]]).item() == 2.5
@@ -143,18 +144,18 @@ class TestNumericGradientOracle:
         assert np.allclose(g, 1.0, atol=1e-9)
 
     def test_quadratic(self):
-        x = Tensor(np.random.default_rng(1).uniform(-1, 1, size=(4,)))
+        x = Tensor(np.random.default_rng(1).uniform(-1, 1, size=(1, 4)))
         g = numeric_gradient(lambda: 0.5 * float((x.data ** 2).sum()), x)
         assert np.allclose(g, x.data, atol=1e-9)
 
     def test_tanh_derivative_at_zero(self):
-        x = Tensor([0.0])
+        x = Tensor([[0.0]])
         g = numeric_gradient(lambda: float(np.tanh(x.data).sum()), x)
-        assert abs(g[0] - 1.0) < 1e-9
+        assert abs(g[0, 0] - 1.0) < 1e-9
 
     def test_nonfinite_evaluation_rejected(self):
         with pytest.raises(NonFiniteError):
-            numeric_gradient(lambda: float("nan"), Tensor([1.0]))
+            numeric_gradient(lambda: float("nan"), Tensor([[1.0]]))
 
 
 class TestBackwardVsFiniteDifferences:
@@ -376,7 +377,7 @@ class TestConstant:
 
     def test_holds_a_float64_c_contiguous_array_without_a_copy(self):
         x = np.arange(6.0).reshape(2, 3)
-        assert Constant(x).data is x and np.shares_memory(Constant(x[1]).data, x)
+        assert Constant(x).data is x and np.shares_memory(Constant(x[1:]).data, x)
         assert Tensor(x).data is not x
         for other in (x.T, x.astype(np.float32), x.astype(int), x.tolist()):
             held = Constant(other).data

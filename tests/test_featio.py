@@ -102,6 +102,7 @@ def test_malformed_trial_line_names_its_line(tmp_path, text, message):
     ("..\\u1\tspk\ttrain\n", re.escape("line 1: utterance id '..\\\\u1' holds a path separator")),
     ("u1\tspk\ttrain\nu 2\tspk a\teval\n", "line 2: utterance id 'u 2' holds whitespace"),
     ("u1 \tspk\ttrain\n", "line 1: utterance id 'u1 ' holds whitespace"),
+    ("u1\t spk \ttrain\n", "line 1: speaker id ' spk ' has leading or trailing whitespace"),
 ])
 def test_malformed_manifest_row_names_its_line(tmp_path, text, message):
     (tmp_path / "manifest.tsv").write_text(text, encoding="utf-8")
@@ -285,6 +286,27 @@ def test_write_dataset_refuses_a_manifest_row_before_writing_a_file(tmp_path):
     assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
 
+def test_write_dataset_refuses_feature_files_the_new_manifest_does_not_name(tmp_path, capsys):
+    data = tmp_path / "data"
+    small = ["--speakers", "3", "--utts-per-speaker", "3", "--audio-dim", "3", "--visual-dim", "2",
+             "--segments", "4", "--latent-dim", "2"]
+    assert cli.main(["synth", "--out", str(data), *small]) == 0
+
+    def files():
+        return {p: p.read_bytes() for p in sorted(data.rglob("*")) if p.is_file()}
+
+    written = files()
+    # The same spec again names the same files and writes the same bytes.
+    assert cli.main(["synth", "--out", str(data), *small]) == 0
+    assert files() == written
+    # Two speakers leave spk002's files unnamed: nothing is written, the first is named.
+    assert cli.main(["synth", "--out", str(data), *small[2:], "--speakers", "2"]) == 2
+    stale = data / "feats" / "spk002_utt00.audio.avf"
+    assert capsys.readouterr().err == (f"error: {stale}: feature file not named by the new manifest; "
+                                       "write the dataset into an empty directory\n")
+    assert files() == written
+
+
 def test_dataset_arrays_are_c_contiguous_float64_that_constants_hold_without_a_copy(tmp_path):
     generate_dataset(SyntheticSpec(n_speakers=2, utts_per_speaker=2, audio_dim=3, visual_dim=2,
                                    segments=4, latent_dim=2, eval_utts_per_speaker=1), tmp_path)
@@ -423,6 +445,28 @@ _TEXT_BLOBS = st.one_of(
                               "1e999", " ", "\t", "\n", "\r\n", "\x85", "\u2028", "\xe9"]),
              max_size=16).map(lambda tokens: "".join(tokens).encode("utf-8")),
 )
+
+
+# Manifest rows of tokens that sit on the edge of what an id may hold: whitespace of
+# several kinds, path separators, empty fields and a split that is not one.
+_MANIFEST_FIELD = st.lists(st.sampled_from(["u1", "u2", "spk", "a", " ", "\x85", "\u2028", "\x0b", "/", "\\",
+                                            "\xe9", ""]), max_size=3).map("".join)
+_MANIFEST_TEXT = st.lists(
+    st.tuples(_MANIFEST_FIELD, _MANIFEST_FIELD, st.sampled_from(["train", "eval", "test", " eval"]))
+    .map("\t".join), max_size=4).map("\n".join)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(text=_MANIFEST_TEXT)
+def test_a_manifest_that_reads_writes_back_and_reads_back_equal(blob_path, text):
+    blob_path.write_text(text, encoding="utf-8")
+    try:
+        entries = read_manifest(blob_path)
+    except TrialParseError:
+        return
+    written = blob_path.with_name("written.tsv")
+    write_manifest(written, entries)
+    assert read_manifest(written) == entries
 
 
 @pytest.mark.parametrize("reader", [parse_trial_list, read_manifest], ids=["trial_list", "manifest"])

@@ -354,7 +354,7 @@ class TestAttend:
         bad_mix = [weights[0][:2] + (Tensor(np.ones((3, 3))),) + weights[0][3:]] + weights[1:]
         with pytest.raises(ad.ShapeError, match=re.escape("out_mix must be (4, 4), got (3, 3)")):
             ad.attention_fusion(audio, visual, bad_mix, cross=False)
-        with pytest.raises(ad.ShapeError, match=re.escape("a step takes 6 weights, got 5")):
+        with pytest.raises(ad.ShapeError, match=re.escape("attention_fusion: expected 6 weights, got 5")):
             ad.attention_fusion(audio, visual, [weights[0][:5]], cross=False)
         with pytest.raises(ad.ShapeError, match="batch"):
             ad.attention_fusion(Tensor(np.ones((2, 3, 4))), visual, weights, cross=False)

@@ -99,7 +99,8 @@ def test_batched_embed_rows_match_single_embeds(name):
 
 @pytest.mark.parametrize("name", ["rjca", "concat"])
 @pytest.mark.parametrize("modality, shape", [("audio", (BATCH, 3, 6)), ("visual", (BATCH, 2, 6)),
-                                             ("audio", (BATCH, 4, 4)), ("visual", (BATCH, 3, 4))])
+                                             ("audio", (BATCH, 4, 4)), ("visual", (BATCH, 3, 4)),
+                                             ("audio", (4,))])
 def test_fuse_refuses_features_off_the_config_dims(name, modality, shape):
     model = tiny_model(**CONFIGS[name])
     audio, visual, _ = tiny_batch()

@@ -403,7 +403,7 @@ class TestAttentivePool:
             ad.attentive_pool(x, Tensor(np.ones((3, 5))), column, column)
         with pytest.raises(ShapeError, match="score"):
             ad.attentive_pool(x, Tensor(np.ones((3, 4))), column, Tensor(np.ones((2, 1))))
-        with pytest.raises(ShapeError, match="rank-2 or rank-3"):
+        with pytest.raises(ShapeError, match="tensor rank must be 2 or 3"):
             ad.attentive_pool(Tensor(np.ones(4)), Tensor(np.ones((3, 4))), column, column)
 
 
@@ -515,9 +515,9 @@ class TestAffine:
 
     def test_shape_errors_name_the_operand(self):
         weight, x, bias = Tensor(np.ones((4, 6))), Tensor(np.ones((6, 1))), Tensor(np.ones((4, 1)))
-        with pytest.raises(ShapeError, match="affine: rank-2 tensor required"):
+        with pytest.raises(ShapeError, match=re.escape("affine: weight must be (2, 6), got (2, 4, 6)")):
             ad.affine(Tensor(np.ones((2, 4, 6))), x, bias)
-        with pytest.raises(ShapeError, match="affine: rank-2 or rank-3"):
+        with pytest.raises(ShapeError, match="tensor rank must be 2 or 3"):
             ad.affine(weight, Tensor(np.ones(6)), bias)
         with pytest.raises(ShapeError, match=re.escape("affine: input must have 6 rows for weight (4, 6), "
                                                        "got (2, 5, 1)")):

@@ -203,7 +203,7 @@ class OutOfPlaceOptimizer:
 @pytest.mark.parametrize("kind", ["adam", "momentum"])
 def test_in_place_step_is_bitwise_the_out_of_place_formula(kind):
     rng = np.random.default_rng(31)
-    shapes = [(40, 30), (64, 1), (2, 2), (50,)]
+    shapes = [(40, 30), (64, 1), (2, 2), (1, 50)]
     # Small parameters, so the last bits of every update survive the subtraction.
     initial = [1e-3 * rng.standard_normal(shape) for shape in shapes]
     config = TrainConfig(optimizer=kind, learning_rate=0.01)
@@ -225,7 +225,7 @@ def test_in_place_step_is_bitwise_the_out_of_place_formula(kind):
 
 def test_a_missing_gradient_raises_before_anything_is_updated():
     rng = np.random.default_rng(32)
-    params = [Tensor(rng.standard_normal(shape)) for shape in [(3, 4), (5, 1), (7,)]]
+    params = [Tensor(rng.standard_normal(shape)) for shape in [(3, 4), (5, 1), (1, 7)]]
     optimizer = Optimizer(dict(enumerate(params)), TrainConfig())
     for p in params:
         p.grad = rng.standard_normal(p.data.shape)
@@ -241,13 +241,13 @@ def test_a_missing_gradient_raises_before_anything_is_updated():
 
 
 def test_guard_names_a_nan_gradient_but_passes_finite_ones_whose_sum_overflows():
-    params = {"a": Tensor(np.ones(3)), "b": Tensor(np.ones((2, 2))), "c": Tensor(np.ones(1))}
+    params = {"a": Tensor(np.ones((1, 3))), "b": Tensor(np.ones((2, 2))), "c": Tensor(np.ones((1, 1)))}
     optimizer = Optimizer(params, TrainConfig(optimizer="momentum"))
 
     def set_grads(c):
-        params["a"].grad = np.full(3, 1e308)  # finite entries whose sums overflow to +inf and -inf
+        params["a"].grad = np.full((1, 3), 1e308)  # finite entries whose sums overflow to +inf and -inf
         params["b"].grad = np.full((2, 2), -1e308)
-        params["c"].grad = np.array([c])
+        params["c"].grad = np.array([[c]])
 
     set_grads(0.0)
     with np.errstate(over="ignore", invalid="ignore"):
