@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from avfuse.featio import BadMagicError, FeatureFileError, TruncatedPayloadError, narrow, replace_file, widen
+from avfuse.featio import (BadMagicError, FeatureFileError, TruncatedPayloadError, decode, narrow, replace_file,
+                           widen)
 
 CHECKPOINT_MAGIC = b"AVCK"
 CHECKPOINT_VERSION = 1
@@ -29,20 +30,25 @@ class CheckpointError(FeatureFileError):
     """Structurally invalid checkpoint file."""
 
 
-def save_checkpoint(path, tensors: dict[str, np.ndarray], config_text: str) -> None:
+def save_checkpoint(path, tensors: dict[str, np.ndarray], config_text: str) -> dict[str, np.ndarray]:
+    """Write the checkpoint and return each tensor as it was stored, decoded by ``featio`` as
+    ``load_checkpoint`` reads it, so a caller can hold exactly what a reload would give."""
     blob = config_text.encode("utf-8")
     parts = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(blob)), blob,
              struct.pack("<I", len(tensors))]
+    stored = {}
     for name in sorted(tensors):
         arr = np.asarray(tensors[name], dtype=np.float64)
         if not 1 <= arr.ndim <= 3:
             raise CheckpointError(f"{path}: tensor {name!r} has rank {arr.ndim}")
-        stored = narrow(arr, f"{path}: tensor {name!r}", CheckpointError)
+        payload = narrow(arr, f"{path}: tensor {name!r}", CheckpointError)
+        stored[name] = decode(payload, 0, arr.shape)
         encoded = name.encode("utf-8")
         parts.append(struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded, arr.ndim,
                                  *arr.shape))
-        parts.append(stored)
+        parts.append(payload)
     replace_file(path, b"".join(parts))
+    return stored
 
 
 def _utf8(raw: bytes, path, what: str) -> str:

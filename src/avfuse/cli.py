@@ -18,7 +18,7 @@ from pathlib import Path
 
 from avfuse.config import ConfigError, TrainConfig, load_config
 from avfuse.evaluation import RAW_SYSTEMS, TRAINED_SYSTEMS, embed_utterances, evaluate
-from avfuse.featio import load_dataset, parse_trial_list, save_features
+from avfuse.featio import load_dataset, parse_trial_list, refuse_unnamed, save_features
 from avfuse.gradcheck import format_suite_report, run_suite
 from avfuse.metrics import DcfParams, format_report
 from avfuse.model import VerificationModel
@@ -99,11 +99,14 @@ def _cmd_embed(args) -> int:
     print(f"seed = {model.config.seed}")
     utterances = load_dataset(args.data)
     ids = sorted(utterances)
-    embeddings = embed_utterances(model, ids, utterances)
     out_dir = Path(args.out)
+    names = [f"{utt_id}.emb.avf" for utt_id in ids]
+    refuse_unnamed(out_dir, ".emb.avf", set(names),
+                   "embedding not named by this run; embed into an empty directory")
+    embeddings = embed_utterances(model, ids, utterances)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for utt_id, emb in zip(ids, embeddings):
-        save_features(out_dir / f"{utt_id}.emb.avf", emb.reshape(-1, 1))
+    for name, emb in zip(names, embeddings):
+        save_features(out_dir / name, emb.reshape(-1, 1))
     print(f"embedded {len(utterances)} utterances to {out_dir}")
     return 0
 

@@ -58,12 +58,11 @@ class TrainConfig:
             raise ConfigError("score_fusion_weight must lie in [0, 1]")
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(TrainConfig)}
+# Each TrainConfig field's type, as its annotation string (``from __future__ import annotations``).
+FIELD_TYPES = {f.name: f.type for f in fields(TrainConfig)}
 
 
-def _parse_value(name: str, raw: str):
-    # Field types are the annotation strings (``from __future__ import annotations``).
-    kind = _FIELD_TYPES[name]
+def _parse_value(name: str, raw: str, kind: str):
     raw = raw.strip()
     if kind == "bool":
         if raw.lower() in ("true", "1", "yes"):
@@ -84,8 +83,8 @@ def _parse_value(name: str, raw: str):
     return raw
 
 
-def parse_config_text(text: str) -> dict:
-    """Parse flat `key = value` lines; '#' starts a comment.  A key may be given once."""
+def parse_config_text(text: str, types: dict[str, str] = FIELD_TYPES) -> dict:
+    """Parse flat `key = value` lines, each key of ``types`` at most once; '#' starts a comment."""
     values, seen_on = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -95,26 +94,21 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"config line {lineno}: expected `key = value`, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _FIELD_TYPES:
+        if key not in types:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         if key in seen_on:
             raise ConfigError(f"config line {lineno}: key {key!r} already set on line {seen_on[key]}")
         seen_on[key] = lineno
-        values[key] = _parse_value(key, value)
+        values[key] = _parse_value(key, value, types[key])
     return values
 
 
 def config_to_text(config: TrainConfig) -> str:
-    """Canonical serialization: sorted keys, repr floats, lowercase booleans."""
+    """Canonical serialization: sorted keys, lowercase booleans, ``str`` (a float's repr) of the rest."""
     lines = []
-    for name in sorted(_FIELD_TYPES):
+    for name in sorted(FIELD_TYPES):
         value = getattr(config, name)
-        if isinstance(value, bool):
-            rendered = "true" if value else "false"
-        elif isinstance(value, float):
-            rendered = repr(value)
-        else:
-            rendered = str(value)
+        rendered = ("true" if value else "false") if isinstance(value, bool) else str(value)
         lines.append(f"{name} = {rendered}")
     return "\n".join(lines) + "\n"
 
@@ -127,5 +121,5 @@ def load_config(path, overrides: dict[str, str]) -> TrainConfig:
             values.update(parse_config_text(Path(path).read_text(encoding="utf-8")))
         except (ConfigError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-    values.update((key, _parse_value(key, value)) for key, value in overrides.items())
+    values.update((key, _parse_value(key, value, FIELD_TYPES[key])) for key, value in overrides.items())
     return TrainConfig(**values)

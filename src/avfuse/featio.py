@@ -3,8 +3,9 @@
 This module alone knows how arrays are stored, in feature files and in
 checkpoints (``avfuse.checkpoint`` keeps only its container layout): as
 IEEE-754 single-precision little-endian values, widened to double precision in
-memory.  Feature files carry one real matrix: magic ``AVF1``, two little-endian
-u32 extents (rows, cols), then the rows*cols values in row-major order.
+memory; ``decode`` gives a writer what it stored.  Feature files carry one real
+matrix: magic ``AVF1``, two little-endian u32 extents (rows, cols), then the
+rows*cols values in row-major order.
 A dataset is ``manifest.tsv`` and ``feats/<id>.audio.avf`` / ``<id>.visual.avf``,
 written by ``write_dataset`` and read back by ``load_dataset``, each file whole by
 raw ``os`` calls, then widened and screened all at once.
@@ -13,8 +14,9 @@ Trial-list and manifest rows are ``NamedTuple``s, so a row costs what a
 its files and its trials, so it is one whitespace-free token without a path
 separator.  Every writer refuses, before opening its file, what its reader
 would refuse or change, and every reader refuses what its writer would, so a
-manifest that loads can be written back.  ``write_dataset`` also refuses a
-``feats/`` holding a feature file its manifest does not name.
+manifest that loads can be written back; ``write_dataset`` checks every file
+before it writes one.  ``refuse_unnamed`` keeps ``write_dataset``, ``train`` and
+``embed`` from writing beside earlier outputs they would not overwrite.
 ``replace_file`` is the one atomic write, of feature and embedding files,
 checkpoints, scores files, trial lists, manifests and the training log.
 """
@@ -61,16 +63,15 @@ def narrow(values, what: str, error: type = FeatureFileError) -> bytes:
         return _screened(np.asarray(values, dtype=np.float64).astype("<f4"), what, error).tobytes()
 
 
-def single_precision(values, what: str) -> np.ndarray:
-    """``values`` rounded to storage precision and widened back, bitwise a save and reload."""
-    return np.frombuffer(narrow(values, what), "<f4").astype(np.float64).reshape(np.shape(values))
+def decode(blob, offset: int, shape: tuple[int, ...]) -> np.ndarray:
+    """The stored values of ``shape`` at byte ``offset`` of ``blob`` as fresh float64, unscreened."""
+    return np.frombuffer(blob, "<f4", math.prod(shape), offset).astype(np.float64).reshape(shape)
 
 
 def widen(blob, offset: int, shape: tuple[int, ...], what: str, error: type = FeatureFileError) -> np.ndarray:
-    """The stored values of ``shape`` at byte ``offset`` of ``blob``, which the caller has checked
-    it holds, widened to float64; a NaN or Inf raises ``error`` naming ``what`` and its index."""
-    return _screened(np.frombuffer(blob, "<f4", math.prod(shape), offset).astype(np.float64).reshape(shape),
-                     what, error)
+    """``decode`` values the caller has checked ``blob`` holds and screen them, as ``narrow`` screens
+    what it stores: a NaN or Inf raises ``error`` naming ``what`` and its index."""
+    return _screened(decode(blob, offset, shape), what, error)
 
 
 def _screened(values: np.ndarray, what: str, error: type) -> np.ndarray:
@@ -98,12 +99,24 @@ def replace_file(path, data: bytes) -> None:
         raise
 
 
-def save_features(path, matrix: np.ndarray) -> None:
-    """Write a rank-2 real matrix as a single-precision feature file."""
+def refuse_unnamed(directory, suffix: str, names, message: str) -> None:
+    """Refuse a ``directory`` holding a file ending in ``suffix`` not in ``names``, which a reader would
+    take for the run's: the first, in name order, raises ``FeatureFileError`` naming it, then ``message``."""
+    stale = sorted(p for p in Path(directory).glob(f"*{suffix}") if p.name not in names)
+    if stale:
+        raise FeatureFileError(f"{stale[0]}: {message}")
+
+
+def _feature_bytes(path, matrix: np.ndarray) -> bytes:
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2 or not 0 < arr.size <= _MAX_ELEMENTS:
         raise FeatureFileError(f"{path}: feature matrix must be rank 2 with usable extents, got {arr.shape}")
-    replace_file(path, _HEADER.pack(FEATURE_MAGIC, *arr.shape) + narrow(arr, str(path)))
+    return _HEADER.pack(FEATURE_MAGIC, *arr.shape) + narrow(arr, str(path))
+
+
+def save_features(path, matrix: np.ndarray) -> None:
+    """Write a rank-2 real matrix as a single-precision feature file."""
+    replace_file(path, _feature_bytes(path, matrix))
 
 
 def _read(path) -> tuple[memoryview, tuple[int, int]]:
@@ -271,25 +284,28 @@ def _feature_paths(data_dir, utt_ids) -> list[str]:
     return [f"{feats}{u}.{modality}.avf" for u in utt_ids for modality in ("audio", "visual")]
 
 
+def _check_segments(utt_id: str, audio_shape, visual_shape) -> None:
+    if audio_shape[1] != visual_shape[1]:
+        raise FeatureFileError(f"{utt_id}: segment counts disagree ({audio_shape[1]} vs {visual_shape[1]})")
+
+
 def write_dataset(data_dir, utterances: list[Utterance]) -> None:
     """Write ``manifest.tsv``, then every utterance's feature files, as ``load_dataset`` reads
-    them.  Before any file is written it refuses what ``read_manifest`` would refuse or change,
-    and a ``feats/`` holding an ``.avf`` file the new manifest does not name: the first such
-    file, in name order, raises ``FeatureFileError``."""
+    them.  Before any file is written it refuses what ``load_dataset`` would refuse or change,
+    and a ``feats/`` holding an ``.avf`` file the new manifest does not name."""
     feats = os.path.join(data_dir, "feats")
     paths = _feature_paths(data_dir, [u.utt_id for u in utterances])
-    if os.path.isdir(feats):
-        named = {os.path.basename(p) for p in paths}
-        stale = sorted(n for n in os.listdir(feats) if n.endswith(".avf") and n not in named)
-        if stale:
-            raise FeatureFileError(f"{os.path.join(feats, stale[0])}: feature file not named by the new "
-                                   "manifest; write the dataset into an empty directory")
+    refuse_unnamed(feats, ".avf", {os.path.basename(p) for p in paths},
+                   "feature file not named by the new manifest; write the dataset into an empty directory")
+    blobs = []
+    for u, audio_path, visual_path in zip(utterances, paths[0::2], paths[1::2]):
+        blobs += _feature_bytes(audio_path, u.audio), _feature_bytes(visual_path, u.visual)
+        _check_segments(u.utt_id, u.audio.shape, u.visual.shape)
     os.makedirs(feats, exist_ok=True)
     write_manifest(Path(data_dir) / "manifest.tsv",
                    [ManifestEntry(u.utt_id, u.speaker_id, u.split) for u in utterances])
-    arrays = (x for u in utterances for x in (u.audio, u.visual))
-    for path, matrix in zip(paths, arrays):
-        save_features(path, matrix)
+    for path, blob in zip(paths, blobs):
+        replace_file(path, blob)
 
 
 def load_dataset(data_dir) -> dict[str, Utterance]:
@@ -307,8 +323,7 @@ def load_dataset(data_dir) -> dict[str, Utterance]:
     payloads, shapes = [], []
     for entry, audio_path, visual_path in zip(entries, paths[0::2], paths[1::2]):
         (audio, a_shape), (visual, v_shape) = _read(audio_path), _read(visual_path)
-        if a_shape[1] != v_shape[1]:
-            raise FeatureFileError(f"{entry.utt_id}: segment counts disagree ({a_shape[1]} vs {v_shape[1]})")
+        _check_segments(entry.utt_id, a_shape, v_shape)
         payloads += audio, visual
         shapes += a_shape, v_shape
     values = np.frombuffer(b"".join(payloads), "<f4").astype(np.float64)

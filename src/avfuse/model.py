@@ -11,10 +11,9 @@ of weights repeated T times when shared), one ``cross`` step for the
 cross-attention baseline, none for plain concatenation.  On a tape, ``loss``
 is 5 records for every fusion mode and depth, 4 without the BLSTM.
 
-Parameters are built deterministically from a config and seed, exposed as a
-flat name -> tensor mapping for checkpointing, and can be quantized through
-the on-disk single precision so in-memory state matches a reloaded checkpoint
-bit for bit.
+Parameters are built deterministically from a config and seed and exposed as a
+flat name -> tensor mapping for checkpointing; ``save`` holds them as stored, so
+the model in memory equals a reload of its last checkpoint bit for bit.
 """
 
 from __future__ import annotations
@@ -24,8 +23,7 @@ import numpy as np
 from avfuse import autodiff as ad
 from avfuse.autodiff import Constant, ShapeError, Tensor
 from avfuse.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from avfuse.config import ConfigError, TrainConfig, config_to_text, parse_config_text
-from avfuse.featio import single_precision
+from avfuse.config import FIELD_TYPES, ConfigError, TrainConfig, config_to_text, parse_config_text
 from avfuse.fusion import JcaStepParams, fuse
 from avfuse.objective import AamHead, aam_loss
 from avfuse.temporal import AspParams, BlstmParams, EmbeddingProjection, asp, blstm_forward, project_embedding
@@ -113,19 +111,16 @@ class VerificationModel:
                 params.update(ad.named_tensors(component, prefix))
         return params
 
-    def quantize_single_precision(self) -> None:
-        """Round every parameter as a save and reload would (``featio.single_precision``)."""
-        for name, tensor in self.named_parameters().items():
-            tensor.data = single_precision(tensor.data, f"parameter {name}")
-
     # -- persistence ---------------------------------------------------------
 
     def _config_snapshot(self) -> str:
         return config_to_text(self.config) + f"n_speakers = {self.n_speakers}\n"
 
     def save(self, path) -> None:
+        """Write the checkpoint, then load the parameters as stored, so the model equals a reload
+        of its file; a parameter that cannot be stored raises ``CheckpointError``, writing nothing."""
         arrays = {name: t.data for name, t in self.named_parameters().items()}
-        save_checkpoint(path, arrays, self._config_snapshot())
+        self.load_state(save_checkpoint(path, arrays, self._config_snapshot()))
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         params = self.named_parameters()
@@ -162,19 +157,10 @@ def check_shapes(utterances, shapes) -> None:
 
 
 def parse_config_snapshot(text: str) -> tuple[TrainConfig, int]:
-    """Split a checkpoint config snapshot into the TrainConfig and the speaker
-    count, given on exactly one ``n_speakers`` line."""
-    lines, counts = [], []
-    for raw in text.splitlines():
-        key, _, value = raw.split("#", 1)[0].partition("=")
-        if key.strip() == "n_speakers":
-            counts.append(value.strip())
-        else:
-            lines.append(raw)
-    if len(counts) != 1:
-        raise ConfigError(f"checkpoint config snapshot has {len(counts)} n_speakers lines, expected one")
-    try:
-        n_speakers = int(counts[0])
-    except ValueError:
-        raise ConfigError(f"n_speakers: expected an integer, got {counts[0]!r}") from None
-    return TrainConfig(**parse_config_text("\n".join(lines))), n_speakers
+    """A checkpoint config snapshot's TrainConfig and speaker count, read by the config parser
+    with ``n_speakers`` as one more key, which the snapshot must give."""
+    values = parse_config_text(text, {**FIELD_TYPES, "n_speakers": "int"})
+    n_speakers = values.pop("n_speakers", None)
+    if n_speakers is None:
+        raise ConfigError("checkpoint config snapshot has no n_speakers line")
+    return TrainConfig(**values), n_speakers

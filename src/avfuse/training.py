@@ -11,11 +11,12 @@ per-parameter scan that names the parameter and refuses the step with a
 DivergenceError), runs its update formula once over whole rows, subtracts
 each parameter's slice in place and releases every gradient.
 Everything is driven by one seeded generator, so a fixed config reproduces
-the loss log and checkpoints exactly.  Each epoch ends by passing the parameters
-through storage precision, a parameter beyond it being a DivergenceError,
-saving ``epoch_NNN.ckpt``, so the in-memory model equals its last checkpoint, and
-rewriting ``train_log.txt`` with one more line, so the log matches the
-checkpoints on disk even when a later epoch stops the run.
+the loss log and checkpoints exactly.  Each epoch ends by saving
+``epoch_NNN.ckpt``, so the model holds its parameters as stored (one beyond
+storage precision is a DivergenceError naming that checkpoint), and rewriting
+``train_log.txt`` with one more line, so the log matches the checkpoints on disk
+even when a later epoch stops the run.  A checkpoint in the output directory
+that the run would not overwrite is refused before anything is written.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ import numpy as np
 
 from avfuse import autodiff as ad
 from avfuse.autodiff import Tape, Tensor
+from avfuse.checkpoint import CheckpointError
 from avfuse.config import ConfigError, TrainConfig
-from avfuse.featio import FeatureFileError, Utterance, replace_file
+from avfuse.featio import Utterance, refuse_unnamed, replace_file
 from avfuse.model import VerificationModel, check_shapes
 
 
@@ -132,6 +134,8 @@ def train(config: TrainConfig, train_utts: list[Utterance], out_dir) -> TrainRes
     check_shapes(train_utts, model.input_shapes)
     optimizer = Optimizer(model.named_parameters(), config)
     out_dir = Path(out_dir)
+    names = [f"epoch_{epoch:03d}.ckpt" for epoch in range(config.epochs)] + ["final.ckpt"]
+    refuse_unnamed(out_dir, ".ckpt", names, "checkpoint not named by this run; train into an empty directory")
     out_dir.mkdir(parents=True, exist_ok=True)
     shuffle_rng = np.random.default_rng(config.seed + 1)
 
@@ -162,12 +166,11 @@ def train(config: TrainConfig, train_utts: list[Utterance], out_dir) -> TrainRes
         mean_loss = float(np.mean(sample_losses))
         epoch_losses.append(mean_loss)
         try:
-            model.quantize_single_precision()
-        except FeatureFileError as exc:
+            model.save(out_dir / names[epoch])
+        except CheckpointError as exc:
             raise DivergenceError(f"epoch {epoch}: {exc}") from None
-        model.save(out_dir / f"epoch_{epoch:03d}.ckpt")
         log += f"epoch {epoch} loss {mean_loss!r}\n"
         replace_file(log_path, log.encode("utf-8"))
-    final_path = out_dir / "final.ckpt"
+    final_path = out_dir / names[-1]
     model.save(final_path)
     return TrainResult(epoch_losses, final_path, log_path, model)

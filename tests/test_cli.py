@@ -240,6 +240,47 @@ def test_embed_refuses_an_utterance_id_that_leaves_its_directories(trained, tmp_
     assert not (tmp_path / "out").exists() and not list(tmp_path.rglob("*.emb.avf"))
 
 
+def files(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_train_refuses_an_out_holding_a_checkpoint_it_would_not_overwrite(trained, tmp_path, capsys):
+    data, _ = trained
+    run = tmp_path / "run"
+    args = ["train", "--data", str(data), "--out", str(run), "--iterations", "2", "--blstm-hidden", "3",
+            "--asp-hidden", "3", "--embed-dim", "4", "--batch-size", "4", *DIMS]
+    assert cli.main([*args, "--epochs", "3"]) == 0
+    written = files(run)
+    # The same config again names the same files and writes the same bytes.
+    assert cli.main([*args, "--epochs", "3"]) == 0
+    assert files(run) == written
+    # One epoch leaves epoch_001.ckpt and epoch_002.ckpt unnamed: nothing is written, the first is named.
+    capsys.readouterr()
+    assert cli.main([*args, "--epochs", "1"]) == 2
+    assert capsys.readouterr().err == (f"error: {run / 'epoch_001.ckpt'}: checkpoint not named by this run; "
+                                       "train into an empty directory\n")
+    assert files(run) == written
+
+
+def test_embed_refuses_an_out_holding_an_embedding_it_would_not_overwrite(trained, tmp_path, capsys):
+    data, checkpoint = trained
+    emb = tmp_path / "emb"
+    args = ["embed", "--checkpoint", str(checkpoint), "--data", str(data), "--out", str(emb)]
+    assert cli.main(args) == 0
+    written = files(emb)
+    assert cli.main(args) == 0
+    assert files(emb) == written
+    # A stray embedding, and one embedding changed so that a rewrite would show.
+    save_features(emb / "stale.emb.avf", np.ones((4, 1)))
+    save_features(emb / sorted(written)[0], np.zeros((4, 1)))
+    before = files(emb)
+    capsys.readouterr()
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == (f"error: {emb / 'stale.emb.avf'}: embedding not named by this run; "
+                                       "embed into an empty directory\n")
+    assert files(emb) == before
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_reports_divergence_as_an_error(trained, tmp_path, capsys):
     data, _ = trained
@@ -247,8 +288,9 @@ def test_train_reports_divergence_as_an_error(trained, tmp_path, capsys):
     assert cli.main(["train", "--data", str(data), "--out", str(run), "--epochs", "2",
                      "--learning-rate", "1e300", "--iterations", "2", "--blstm-hidden", "3",
                      "--asp-hidden", "3", "--embed-dim", "4", "--batch-size", "4", *DIMS]) == 2
-    assert capsys.readouterr().err == ("error: epoch 0: parameter fusion.step0.corr_proj_audio: -inf at "
-                                       "index (0, 0) is not a finite single-precision value\n")
+    # The checkpoint's first tensor in name order that cannot be stored is named.
+    assert capsys.readouterr().err == (f"error: epoch 0: {run / 'epoch_000.ckpt'}: tensor 'aam.weights': -inf "
+                                       "at index (0, 0) is not a finite single-precision value\n")
     assert not (run / "final.ckpt").exists()
     # A diverging run leaves no checkpoint its own loader refuses.
     for path in run.glob("*.ckpt"):

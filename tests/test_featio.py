@@ -27,7 +27,6 @@ from avfuse.featio import (
     parse_trial_list,
     read_manifest,
     save_features,
-    single_precision,
     write_manifest,
     write_trial_list,
 )
@@ -286,6 +285,21 @@ def test_write_dataset_refuses_a_manifest_row_before_writing_a_file(tmp_path):
     assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
 
+@pytest.mark.parametrize("u2_audio, u2_visual, message", [
+    (np.full((3, 4), np.nan), np.zeros((2, 4)),
+     r"feats/u2\.audio\.avf: nan at index \(0, 0\) is not a finite single-precision value$"),
+    (np.zeros((3, 4)), np.zeros((2, 5)), r"^u2: segment counts disagree \(4 vs 5\)$"),
+], ids=["non_finite", "segment_counts"])
+def test_write_dataset_refuses_what_load_dataset_would_before_writing_a_file(tmp_path, u2_audio, u2_visual,
+                                                                            message):
+    # u1 is well formed, so a writer that checked each file as it wrote would leave u1's behind.
+    utterances = [Utterance("u1", "spk", "train", np.zeros((3, 4)), np.zeros((2, 4))),
+                  Utterance("u2", "spk", "train", u2_audio, u2_visual)]
+    with pytest.raises(FeatureFileError, match=message):
+        featio.write_dataset(tmp_path / "data", utterances)
+    assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+
 def test_write_dataset_refuses_feature_files_the_new_manifest_does_not_name(tmp_path, capsys):
     data = tmp_path / "data"
     small = ["--speakers", "3", "--utts-per-speaker", "3", "--audio-dim", "3", "--visual-dim", "2",
@@ -435,7 +449,7 @@ def test_writers_refuse_with_no_file_on_disk_or_read_back_the_codec_rounding(tmp
         assert os.listdir(out) == []
     else:
         assert loaded.dtype == np.float64
-        assert np.array_equal(loaded, single_precision(arr, "arr"))
+        assert np.array_equal(loaded, arr.astype(np.float32).astype(np.float64))
 
 
 # Text made of the tokens these formats use, plus raw bytes that need not be UTF-8.

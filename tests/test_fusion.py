@@ -182,7 +182,6 @@ class TestCrossAttentionMode:
         config = TrainConfig(fusion="cross_attention", audio_dim=3, visual_dim=2, segments=4,
                              blstm_hidden=3, asp_hidden=3, embed_dim=4)
         model = VerificationModel(config, n_speakers=3)
-        model.quantize_single_precision()
         model.save(tmp_path / "cross.ckpt")
         loaded = VerificationModel.from_checkpoint(tmp_path / "cross.ckpt")
         params = model.named_parameters()

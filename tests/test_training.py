@@ -9,7 +9,7 @@ import pytest
 from avfuse import autodiff as ad
 from avfuse.autodiff import Tape, Tensor
 from avfuse.config import ConfigError, TrainConfig
-from avfuse.featio import FeatureFileError, load_dataset
+from avfuse.featio import load_dataset
 from avfuse.model import VerificationModel
 from avfuse.synthetic import SyntheticSpec, generate_dataset
 from avfuse.training import DivergenceError, Optimizer, speaker_index_map, train
@@ -75,17 +75,19 @@ def test_same_config_gives_byte_identical_checkpoint_and_log(tiny_train_set, tmp
 def test_a_run_stopped_at_a_later_epoch_keeps_the_log_of_its_checkpoints(tiny_train_set, tmp_path,
                                                                          monkeypatch):
     full = train(tiny_config(), tiny_train_set, tmp_path / "full")
-    quantize, calls = VerificationModel.quantize_single_precision, []
+    save, calls = VerificationModel.save, []
 
-    def failing_second_call(model):
-        calls.append(model)
+    def poisoning_second_call(model, path):
+        calls.append(path)
         if len(calls) == 2:
-            raise FeatureFileError("parameter aam.weights: inf")
-        quantize(model)
+            model.aam.weights.data[0, 0] = np.inf
+        save(model, path)
 
-    monkeypatch.setattr(VerificationModel, "quantize_single_precision", failing_second_call)
+    monkeypatch.setattr(VerificationModel, "save", poisoning_second_call)
     stopped = tmp_path / "stopped"
-    with pytest.raises(DivergenceError, match="^epoch 1: parameter aam.weights: inf$"):
+    message = (f"epoch 1: {stopped / 'epoch_001.ckpt'}: tensor 'aam.weights': inf at index (0, 0) "
+               "is not a finite single-precision value")
+    with pytest.raises(DivergenceError, match=f"^{re.escape(message)}$"):
         train(tiny_config(), tiny_train_set, stopped)
     assert sorted(p.name for p in stopped.iterdir()) == ["epoch_000.ckpt", "train_log.txt"]
     assert (stopped / "epoch_000.ckpt").read_bytes() == (tmp_path / "full" / "epoch_000.ckpt").read_bytes()
@@ -119,8 +121,9 @@ def test_non_finite_gradient_stops_training_and_names_the_parameter(tiny_train_s
     assert not (tmp_path / "final.ckpt").exists()
 
 
-def reference_epoch_losses(config, utts):
-    """The per-sample loop batched training replaced: one tape per utterance."""
+def reference_epoch_losses(config, utts, path):
+    """The per-sample loop batched training replaced: one tape per utterance, and each epoch
+    ends by rounding the parameters through a save."""
     speakers = speaker_index_map(utts)
     model = VerificationModel(config, n_speakers=len(speakers))
     optimizer = Optimizer(model.named_parameters(), config)
@@ -140,14 +143,14 @@ def reference_epoch_losses(config, utts):
                 losses.append(loss.item())
             optimizer.step()
         epoch_losses.append(float(np.mean(losses)))
-        model.quantize_single_precision()
+        model.save(path)
     return epoch_losses
 
 
 def test_batched_training_matches_per_sample_loop(tiny_train_set, tmp_path):
     config = tiny_config()
     result = train(config, tiny_train_set, tmp_path)
-    reference = reference_epoch_losses(config, tiny_train_set)
+    reference = reference_epoch_losses(config, tiny_train_set, tmp_path / "reference.ckpt")
     assert len(result.epoch_losses) == len(reference) == 2
     for got, want in zip(result.epoch_losses, reference):
         assert abs(got - want) <= 1e-9 * abs(want)
